@@ -672,11 +672,13 @@ def run_command(config_path):
         scan_report = higher_integrability_scan(
             u, w, field, center, radius,
             sigma_grid=scan_cfg["sigma_grid"])
-        rows = ["kind,x,y"]
+        rows = ["kind,radius,sigma,value"]
         for sigma, c in zip(scan_report.sigma_grid, scan_report.c_sigma):
-            rows.append("c_sigma,%s,%s" % (_f17(sigma), _f17(c)))
-        for rr, ratio in zip(scan_report.rh_radii, scan_report.rh_ratios):
-            rows.append("reverse_holder,%s,%s" % (_f17(rr), _f17(ratio)))
+            rows.append("c_sigma,%s,%s,%s" % (_f17(radius), _f17(sigma), _f17(c)))
+        for rho, ratios in zip(scan_report.rh_radii, scan_report.rh_ratios):
+            for sigma, ratio in zip(scan_report.sigma_grid, ratios):
+                rows.append("reverse_holder,%s,%s,%s"
+                            % (_f17(rho), _f17(sigma), _f17(ratio)))
         _write_text(os.path.join(outdir, "scan.csv"), "\n".join(rows) + "\n")
         c_zero = scan_report.c_sigma[list(scan_report.sigma_grid).index(0.0)]
         index0 = list(scan_report.sigma_grid).index(scan_report.sigma0) \

@@ -75,16 +75,16 @@ def residual(setup, v):
     c1 = (setup.quad_w * a).sum(axis=1)                          # (nt,)
     gdotG = np.einsum("td,tid->ti", g, mesh.grads)               # (nt, 3)
     local = c1[:, None] * gdotG
-    r = np.zeros(mesh.num_vertices)
-    np.add.at(r, mesh.triangles, local)
-    return r
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.num_vertices)
 
 
 def hessian(setup, v):
     """Generalized second variation as a CSR matrix; requires eps > 0.
 
     Element tensor a [ I + (p-2) (Dv x Dv)/(|Dv|^2+eps^2) ]; symmetric by
-    construction and positive definite for p > 1.
+    construction and positive definite for p > 1. The matrix shares its
+    read-only index arrays with every Hessian on the same mesh.
     """
     if setup.epsilon <= 0.0:
         raise PreconditionError("hessian requires a positive regularization epsilon")
@@ -101,10 +101,7 @@ def hessian(setup, v):
     Gg = np.einsum("tid,td->ti", G, g)
     K = c1[:, None, None] * GG + c2[:, None, None] * np.einsum("ti,tj->tij", Gg, Gg)
 
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
+    indptr, indices, scatter = mesh.p1_pattern
+    data = np.bincount(scatter, weights=K.ravel(), minlength=len(indices))
     n = mesh.num_vertices
-    H = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    H.sum_duplicates()
-    return H
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))

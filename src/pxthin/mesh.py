@@ -9,8 +9,10 @@ grading bisects elements near T1.
 
 import hashlib
 import math
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (FormatError, NumericError, PreconditionError,
                      ResolutionError, ResourceError)
@@ -30,10 +32,14 @@ class TriMesh:
     """Plain conforming triangle mesh; no domain assumption.
 
     Carries per-element signed areas and P1 hat-function gradients so
-    assembly code does not recompute geometry.
+    assembly code does not recompute geometry. `prolongations` is the
+    refinement hierarchy, coarse to fine: prolongations[k] is the P1
+    prolongation from level k to level k + 1, each level's vertices are
+    the first ones of the next, and the last one ends at this mesh. A mesh
+    made any other way has none.
     """
 
-    def __init__(self, vertices, triangles, vertex_tags=None):
+    def __init__(self, vertices, triangles, vertex_tags=None, prolongations=()):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -50,6 +56,11 @@ class TriMesh:
         self.vertex_tags = np.ascontiguousarray(vertex_tags, dtype=np.int8)
         if self.vertex_tags.shape != (nv,):
             raise PreconditionError("one tag per vertex required")
+        self.prolongations = tuple(prolongations)
+        fine_sizes = [P.shape[1] for P in self.prolongations[1:]] + [nv]
+        if any(P.shape[0] != n for P, n in zip(self.prolongations, fine_sizes)):
+            raise PreconditionError("prolongations do not chain to the mesh")
+        self.digest = None      # mesh_hash, filled on first use
 
         p = self.vertices[self.triangles]           # (nt, 3, 2)
         e1 = p[:, 1] - p[:, 0]
@@ -70,6 +81,23 @@ class TriMesh:
         self.grads = g
         edges = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
         self.h_max = float(np.sqrt((edges ** 2).sum(axis=1).max())) if len(edges) else 0.0
+
+    @cached_property
+    def p1_pattern(self):
+        """CSR pattern (indptr, indices) of the P1 stiffness matrix, and the
+        scatter map taking element entry (t, i, j), flattened in that order,
+        to its position in the CSR data."""
+        n = self.num_vertices
+        rows = np.repeat(self.triangles, 3, axis=1).ravel()
+        cols = np.tile(self.triangles, (1, 3)).ravel()
+        keys, scatter = np.unique(rows * n + cols, return_inverse=True)
+        # the index type scipy would pick, so matrices share these arrays
+        index = np.int32 if len(keys) < 2 ** 31 else np.int64
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        pattern = indptr.astype(index), (keys % n).astype(index), scatter.ravel()
+        for a in pattern:
+            a.flags.writeable = False   # shared by every hessian() matrix
+        return pattern
 
     @property
     def num_vertices(self):
@@ -92,8 +120,8 @@ class TriMesh:
 class HalfDiskMesh(TriMesh):
     """TriMesh constrained to the closed half-disk, with boundary tags."""
 
-    def __init__(self, vertices, triangles, vertex_tags):
-        super().__init__(vertices, triangles, vertex_tags)
+    def __init__(self, vertices, triangles, vertex_tags, prolongations=()):
+        super().__init__(vertices, triangles, vertex_tags, prolongations)
         x = self.vertices
         if np.any(x[:, 1] < -GEOM_TOL):
             raise PreconditionError("vertex below the thin line")
@@ -145,37 +173,53 @@ def _tag_geometrically(vertices):
 
 
 def _red_refine(vertices, triangles):
-    verts = [tuple(v) for v in vertices]
-    r2 = np.einsum("ij,ij->i", vertices, vertices)
-    on_arc = np.abs(np.sqrt(r2) - 1.0) <= GEOM_TOL
-    mid = {}
+    """One red refinement; returns (vertices, triangles, parents).
 
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        idx = mid.get(key)
-        if idx is None:
-            m = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
-            if on_arc[i] and on_arc[j]:
-                m = m / np.hypot(m[0], m[1])
-            idx = len(verts)
-            verts.append((m[0], m[1]))
-            mid[key] = idx
-        return idx
+    New vertex nv + k is the midpoint of the edge parents[k] = (i, j), i < j;
+    midpoints are numbered in order of first appearance over the edges
+    ab, bc, ca of the triangles in order, and midpoints of arc edges are
+    projected radially.
+    """
+    nv = len(vertices)
+    a, b, c = triangles.T
+    ends = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)
+    keys = np.sort(ends, axis=1)
+    _, first, inverse = np.unique(keys[:, 0] * nv + keys[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ab, bc, ca = (nv + rank[inverse.ravel()]).reshape(-1, 3).T
+    parents = keys[first[order]]
 
-    new_tris = np.empty((4 * len(triangles), 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(triangles):
-        ab = midpoint(a, b)
-        bc = midpoint(b, c)
-        ca = midpoint(c, a)
-        new_tris[4 * t + 0] = (a, ab, ca)
-        new_tris[4 * t + 1] = (ab, b, bc)
-        new_tris[4 * t + 2] = (ca, bc, c)
-        new_tris[4 * t + 3] = (ab, bc, ca)
-    return np.asarray(verts, dtype=float), new_tris
+    mid = 0.5 * (vertices[parents[:, 0]] + vertices[parents[:, 1]])
+    on_arc = np.abs(np.sqrt(np.einsum("ij,ij->i", vertices, vertices)) - 1.0) <= GEOM_TOL
+    arc_edge = on_arc[parents].all(axis=1)
+    mid[arc_edge] /= np.hypot(mid[arc_edge, 0], mid[arc_edge, 1])[:, None]
+
+    new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                        axis=1).reshape(-1, 3)
+    return np.concatenate([vertices, mid]), new_tris, parents
+
+
+def _prolongation(parents, n_fine):
+    """P1 prolongation (n_fine, n_coarse) as CSR: identity on the coarse
+    vertices, which come first, and weights 1/2, 1/2 on the ends of the
+    edge each new vertex halves."""
+    n_new = len(parents)
+    n_coarse = n_fine - n_new
+    indptr = np.concatenate([np.arange(n_coarse + 1),
+                             n_coarse + 2 * np.arange(1, n_new + 1)])
+    indices = np.concatenate([np.arange(n_coarse), parents.ravel()])
+    data = np.concatenate([np.ones(n_coarse), np.full(2 * n_new, 0.5)])
+    return sp.csr_matrix((data, indices, indptr), shape=(n_fine, n_coarse))
 
 
 def _bisect_towards_thin(vertices, triangles):
-    """One conforming bisection round of elements touching the thin line."""
+    """One conforming bisection round of elements touching the thin line.
+
+    Returns (vertices, triangles, parents) as _red_refine does.
+    """
     verts = [tuple(v) for v in vertices]
     thin_touch = vertices[:, 1] <= GEOM_TOL
     mid = {}
@@ -229,7 +273,8 @@ def _bisect_towards_thin(vertices, triangles):
                 nxt.append((k, m, j))
                 changed = True
         out = nxt
-    return np.asarray(verts, dtype=float), np.asarray(out, dtype=np.int64)
+    parents = np.array(list(mid), dtype=np.int64).reshape(-1, 2)
+    return np.asarray(verts, dtype=float), np.asarray(out, dtype=np.int64), parents
 
 
 def build(level, grading=0.0):
@@ -238,7 +283,8 @@ def build(level, grading=0.0):
     New arc midpoints are projected radially onto the unit circle, so
     every refinement keeps boundary vertices on the arc. grading > 0 runs
     round(grading) extra conforming bisection rounds of elements touching
-    the thin line.
+    the thin line. Each refinement and bisection round keeps the earlier
+    vertices in front and records its P1 prolongation on the mesh.
     """
     level = int(level)
     if level < 0:
@@ -255,18 +301,22 @@ def build(level, grading=0.0):
     ])
     triangles = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)], dtype=np.int64)
 
+    prolongations = []
     for _ in range(level):
-        vertices, triangles = _red_refine(vertices, triangles)
+        vertices, triangles, parents = _red_refine(vertices, triangles)
+        prolongations.append(_prolongation(parents, len(vertices)))
 
     for _ in range(int(round(float(grading)))):
         if 2 * len(vertices) > NODE_BUDGET:
             raise ResourceError("grading would exceed the node budget")
-        vertices, triangles = _bisect_towards_thin(vertices, triangles)
+        vertices, triangles, parents = _bisect_towards_thin(vertices, triangles)
+        prolongations.append(_prolongation(parents, len(vertices)))
 
     # snap rounding dust on the thin line to exactly zero
     snap = np.abs(vertices[:, 1]) <= GEOM_TOL
     vertices[snap, 1] = 0.0
-    return HalfDiskMesh(vertices, triangles, _tag_geometrically(vertices))
+    return HalfDiskMesh(vertices, triangles, _tag_geometrically(vertices),
+                        prolongations)
 
 
 def integrate(mesh, rule, integrand):
@@ -336,13 +386,23 @@ def mesh_text(mesh):
     return "\n".join(lines) + "\n"
 
 
+def _remember_digest(mesh, text):
+    if mesh.digest is None:
+        mesh.digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def mesh_hash(mesh):
-    return hashlib.sha256(mesh_text(mesh).encode("ascii")).hexdigest()
+    """sha256 of mesh_text, computed once per mesh."""
+    if mesh.digest is None:
+        _remember_digest(mesh, mesh_text(mesh))
+    return mesh.digest
 
 
 def save_mesh(mesh, path):
+    text = mesh_text(mesh)
+    _remember_digest(mesh, text)
     with open(path, "w", encoding="ascii") as f:
-        f.write(mesh_text(mesh))
+        f.write(text)
 
 
 def load_mesh(path, cls=HalfDiskMesh):

@@ -6,7 +6,6 @@ fixed eps, warm-starting from the previous stage, and the last stage's
 minimizer is reported with its energy re-evaluated at eps = 0.
 """
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -15,13 +14,20 @@ import scipy.sparse.linalg as spla
 
 from .energy import EnergySetup, energy, hessian, residual
 from .errors import ConvergenceError, FormatError, PreconditionError
-from .mesh import ARC, THIN, mesh_text
+from .mesh import ARC, THIN, mesh_hash
 from .vxspace import FeFunction
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 40
 STAGNATION_WINDOW = 200
+# Newton systems: CG preconditioned by one V-cycle over the mesh hierarchy,
+# down to the mesh after MG_COARSEST refinements, which is factorized
+MG_COARSEST = 2
+MG_OMEGA = 0.6          # damped Jacobi weight
+MG_SWEEPS = 2           # pre- and post-smoothing sweeps
+CG_RTOL = 1e-12
+CG_MAXITER = 200
 
 
 class ObstacleProblem:
@@ -96,6 +102,67 @@ def _line_search(setup, problem, v, d, r, e0):
     return v, e0, False
 
 
+def _multigrid_levels(H, free, prolongations):
+    """Level operators for the free block of H, finest first.
+
+    Level 0 is H restricted to the free vertices. Each coarser level keeps
+    the coarse vertices whose fine counterpart is kept (so Dirichlet and
+    active vertices are truncated on every level), takes the prolongation
+    restricted to kept rows and columns, and the Galerkin operator P^T A P.
+    Returns ([(A, 1/diag A, P, P^T), ...], coarsest operator).
+    """
+    kept = np.flatnonzero(free)
+    A = H[kept][:, kept]
+    levels = []
+    for P in reversed(prolongations[MG_COARSEST:]):
+        kept_coarse = kept[kept < P.shape[1]]
+        P = P[kept][:, kept_coarse]
+        PT = P.T.tocsr()
+        levels.append((A, 1.0 / A.diagonal(), P, PT))
+        A = PT @ (A @ P)
+        kept = kept_coarse
+    return levels, A
+
+
+def _v_cycle(levels, coarse_solve, b):
+    """One symmetric V-cycle with damped Jacobi smoothing, as a loop."""
+    down = []
+    for A, dinv, _, PT in levels:
+        x = MG_OMEGA * dinv * b
+        for _ in range(MG_SWEEPS - 1):
+            x += MG_OMEGA * dinv * (b - A @ x)
+        down.append((x, b))
+        b = PT @ (b - A @ x)
+    x = coarse_solve(b)
+    for (A, dinv, P, _), (x_fine, b) in zip(reversed(levels), reversed(down)):
+        x = x_fine + P @ x
+        for _ in range(MG_SWEEPS):
+            x += MG_OMEGA * dinv * (b - A @ x)
+    return x
+
+
+def _free_solve(H, free, rhs, prolongations):
+    """Solve H[free, free] x = rhs; None when CG does not converge or the
+    coarsest operator is singular.
+
+    A mesh without a hierarchy has one level, so the preconditioner is the
+    direct factorization and CG ends after one or two steps.
+    """
+    levels, coarse = _multigrid_levels(H, free, prolongations)
+    try:
+        coarse_solve = spla.splu(coarse.tocsc()).solve
+    except RuntimeError:        # exactly singular
+        return None
+    n = len(rhs)
+    precond = spla.LinearOperator(
+        (n, n), matvec=lambda b: _v_cycle(levels, coarse_solve, b), dtype=float)
+    A = levels[0][0] if levels else coarse
+    x, info = spla.cg(A, rhs, rtol=CG_RTOL, maxiter=CG_MAXITER, M=precond)
+    if info != 0 or not np.all(np.isfinite(x)):
+        return None
+    return x
+
+
 def _solve_stage(problem, v, eps, tol, report):
     setup = problem.setup.with_epsilon(eps)
     n_iter = 0
@@ -126,19 +193,13 @@ def _solve_stage(problem, v, eps, tol, report):
         d = np.zeros_like(v)
         d[active] = -v[active]
         H = hessian(setup, v)
-        free_idx = np.flatnonzero(free)
-        act_idx = np.flatnonzero(active)
-        rhs = -r[free_idx]
-        if act_idx.size:
-            rhs = rhs - H[free_idx][:, act_idx] @ d[act_idx]
-        newton_ok = free_idx.size > 0
+        newton_ok = bool(free.any())
         if newton_ok:
-            Hff = H[free_idx][:, free_idx].tocsc()
-            df = spla.spsolve(Hff, rhs)
-            if np.all(np.isfinite(df)):
-                d[free_idx] = df
-            else:
+            df = _free_solve(H, free, -(r + H @ d)[free], setup.mesh.prolongations)
+            if df is None:
                 newton_ok = False
+            else:
+                d[free] = df
 
         e0 = energy(setup, v)
         accepted = False
@@ -230,7 +291,7 @@ def vi_check(problem, u_h, trials, seed):
 
 
 def solution_text(u, mesh):
-    lines = [f"s {hashlib.sha256(mesh_text(mesh).encode('ascii')).hexdigest()} {len(u.values)}"]
+    lines = [f"s {mesh_hash(mesh)} {len(u.values)}"]
     for i, val in enumerate(u.values):
         lines.append(f"u {i} {val:.17g}")
     return "\n".join(lines) + "\n"
@@ -249,8 +310,7 @@ def load_solution(path, mesh):
     parts = lines[0].split()
     if len(parts) != 3:
         raise FormatError(f"{path}: bad solution header")
-    want = hashlib.sha256(mesh_text(mesh).encode("ascii")).hexdigest()
-    if parts[1] != want:
+    if parts[1] != mesh_hash(mesh):
         raise FormatError(f"{path}: solution was computed on a different mesh")
     n = int(parts[2])
     if n != mesh.num_vertices or len(lines) != 1 + n:

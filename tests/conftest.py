@@ -8,6 +8,12 @@ from pxthin import EnergySetup, ExponentField, ObstacleProblem, build, solve
 
 CRITERION_LINES = []
 
+# one field of each exponent family, for property tests over families
+FAMILIES = (ExponentField("constant", [2.0]),
+            ExponentField("affine", [2.0, 0.3, 0.0]),
+            ExponentField("radial", [2.2, 0.4]),
+            ExponentField("sinusoidal", [2.0, 0.5, np.pi]))
+
 
 def record_criterion(number, passed, detail):
     """One pass/fail line per acceptance criterion, shown in the summary."""

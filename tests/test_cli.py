@@ -265,6 +265,50 @@ run = solve, reference
     assert ra[1].rsplit(",", 1)[0] == rb[1].rsplit(",", 1)[0]
 
 
+def test_scan_writes_one_row_per_radius_and_sigma(tmp_path):
+    out = tmp_path / "scan"
+    cfg = write_config(tmp_path / "scan.cfg", """\
+[exponent]
+family = constant
+coefficients = 2.0
+
+[mesh]
+level = 6
+
+[boundary]
+preset = linear_xn
+
+[experiments]
+run = solve, reference, scan
+
+[scan]
+radius = 0.035
+sigma_grid = 0.0, 0.1
+
+[output]
+dir = %s
+""" % out)
+    assert main(["run", cfg]) == 0
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["contracts_failed"] == "none"
+    assert float(summary["scan_radius"]) <= float(summary["admissible_r"])
+    with open(out / "scan.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["kind", "radius", "sigma", "value"]
+    c_rows = [r for r in rows[1:] if r[0] == "c_sigma"]
+    rh_rows = [r for r in rows[1:] if r[0] == "reverse_holder"]
+    assert len(c_rows) + len(rh_rows) == len(rows) - 1
+    assert [(float(r[1]), float(r[2])) for r in c_rows] == [(0.035, 0.0), (0.035, 0.1)]
+    assert float(c_rows[0][3]) == float(summary["c_zero"])
+    radii = sorted({float(r[1]) for r in rh_rows}, reverse=True)
+    assert radii and radii[0] == 0.07
+    assert [(float(r[1]), float(r[2])) for r in rh_rows] == \
+        [(rho, sigma) for rho in radii for sigma in (0.0, 0.1)]
+    # at sigma = 0 the reverse-Hoelder ratio compares a ball's mean with itself
+    assert all(float(r[3]) == 1.0 for r in rh_rows if float(r[2]) == 0.0)
+
+
 def test_loglog_svg_writes_plot(tmp_path):
     path = tmp_path / "p.svg"
     _loglog_svg(str(path), "decay", [0.2, 0.1, 0.05], [1e-3, 1e-4, 1e-5],

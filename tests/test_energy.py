@@ -3,9 +3,13 @@ derivatives of each other; that is what the finite-difference probes pin."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, PreconditionError, build,
                     energy, hessian, residual)
+from conftest import FAMILIES
 
 
 def _random_state(mesh, seed):
@@ -115,3 +119,38 @@ def test_state_shape_is_validated(mesh3, p2):
     setup = EnergySetup(mesh3, p2)
     with pytest.raises(PreconditionError):
         energy(setup, np.zeros(mesh3.num_vertices + 2))
+
+
+def _coo_hessian(setup, v):
+    # the element-by-element COO assembly the cached CSR pattern replaced
+    mesh = setup.mesh
+    vals = v[mesh.triangles]
+    g = np.einsum("ti,tid->td", vals, mesh.grads)
+    s = (g ** 2).sum(axis=1)[:, None] + setup.epsilon ** 2
+    p = setup.quad_p
+    a = s ** (0.5 * (p - 2.0))
+    c1 = (setup.quad_w * a).sum(axis=1)
+    c2 = (setup.quad_w * a * (p - 2.0) / s).sum(axis=1)
+    G = mesh.grads
+    Gg = np.einsum("tid,td->ti", G, g)
+    K = (c1[:, None, None] * np.einsum("tid,tjd->tij", G, G)
+         + c2[:, None, None] * np.einsum("ti,tj->tij", Gg, Gg))
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.num_vertices
+    return sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2), st.sampled_from(FAMILIES),
+       st.sampled_from((1e-2, 1e-5, 1e-8)), st.integers(0, 2 ** 32 - 1))
+def test_cached_pattern_hessian_matches_coo_assembly(level, grading, field, eps, seed):
+    mesh = build(level, grading)
+    setup = EnergySetup(mesh, field, epsilon=eps)
+    v = _random_state(mesh, seed)
+    H = hessian(setup, v)
+    ref = _coo_hessian(setup, v)
+    ref.sum_duplicates()
+    assert np.array_equal(H.indptr, ref.indptr)
+    assert np.array_equal(H.indices, ref.indices)
+    assert np.abs(H.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pxthin import (FormatError, PreconditionError, ResolutionError, build,
                     extract_halfball_submesh, integrate, load_mesh, mesh_hash,
@@ -157,3 +159,39 @@ def test_corrupt_mesh_file_is_rejected(tmp_path):
 def test_negative_level_rejected():
     with pytest.raises(PreconditionError):
         build(-1)
+
+
+hierarchies = st.tuples(st.integers(0, 5), st.integers(0, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(hierarchies)
+def test_prolongation_rows_sum_to_one(shape):
+    level, grading = shape
+    mesh = build(level, grading)
+    assert len(mesh.prolongations) == level + grading
+    for P in mesh.prolongations:
+        assert np.array_equal(np.asarray(P.sum(axis=1)).ravel(), np.ones(P.shape[0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(hierarchies, st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+def test_prolongation_reproduces_affine_functions_off_the_arc(shape, coeffs):
+    # level k's vertices are the first ones of the finest mesh
+    mesh = build(*shape)
+    a, b, c = coeffs
+    affine = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
+    for P in mesh.prolongations:
+        n_fine, n_coarse = P.shape
+        off_arc = mesh.vertex_tags[:n_fine] != ARC
+        err = np.abs(P @ affine[:n_coarse] - affine[:n_fine])[off_arc]
+        assert err.max(initial=0.0) <= 1e-13 * (1.0 + abs(a) + abs(b) + abs(c))
+
+
+def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
+    mesh = build(3)
+    path = tmp_path / "m.txt"
+    save_mesh(mesh, str(path))
+    assert load_mesh(str(path)).prolongations == ()
+    sub, _ = extract_halfball_submesh(mesh, (0.0, 0.0), 0.5)
+    assert sub.prolongations == ()

@@ -7,11 +7,18 @@ a converged run so regressions are loud.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, FeFunction, FormatError,
-                    ObstacleProblem, PreconditionError, build, load_solution,
-                    save_solution, solve, solve_unconstrained, vi_check)
-from conftest import g_signorini32
+                    ObstacleProblem, PreconditionError, build, hessian,
+                    load_mesh, load_solution, save_mesh, save_solution, solve,
+                    solve_unconstrained, vi_check)
+from pxthin import solver
+from pxthin.mesh import INTERIOR, THIN
+from conftest import FAMILIES, g_signorini32
 
 
 def _linear_problem(mesh, field):
@@ -182,3 +189,52 @@ def test_fe_function_data_accepted(mesh4, p2):
     problem = ObstacleProblem(EnergySetup(mesh4, p2), g)
     u, _ = solve(problem, 1e-10)
     assert u.values.shape == (mesh4.num_vertices,)
+
+
+def _newton_system(level, grading, field, eps, seed):
+    """hessian() at a random state, with a random active subset of Thin."""
+    mesh = build(level, grading)
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1.0, 1.0, mesh.num_vertices)
+    H = hessian(EnergySetup(mesh, field, epsilon=eps), v)
+    thin = mesh.vertex_tags == THIN
+    free = (mesh.vertex_tags == INTERIOR) | (thin & (rng.random(mesh.num_vertices) < 0.5))
+    return mesh, H, free, rng.standard_normal(int(free.sum()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2), st.sampled_from(FAMILIES),
+       st.sampled_from(solver.DEFAULT_EPS_SCHEDULE), st.integers(0, 2 ** 32 - 1))
+def test_multigrid_direction_matches_direct_solve(level, grading, field, eps, seed):
+    mesh, H, free, rhs = _newton_system(level, grading, field, eps, seed)
+    x = solver._free_solve(H, free, rhs, mesh.prolongations)
+    direct = spla.spsolve(H[free][:, free].tocsc(), rhs)
+    assert x is not None
+    assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_unconverged_cg_gives_no_direction(monkeypatch):
+    mesh, H, free, rhs = _newton_system(5, 0, FAMILIES[3], 1e-8, 0)
+    monkeypatch.setattr(solver, "CG_MAXITER", 2)
+    assert solver._free_solve(H, free, rhs, mesh.prolongations) is None
+
+
+def test_singular_free_block_gives_no_direction():
+    free = np.ones(4, dtype=bool)
+    assert solver._free_solve(sp.csr_matrix((4, 4)), free, np.ones(4), ()) is None
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 1), st.sampled_from(FAMILIES))
+def test_mesh_without_hierarchy_solves_the_same(tmp_path_factory, level, grading, field):
+    mesh = build(level, grading)
+    path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
+    save_mesh(mesh, str(path))
+    flat = load_mesh(str(path))
+    assert flat.prolongations == ()
+    results = [solve(ObstacleProblem(EnergySetup(m, field), g_signorini32(m)), 1e-10)
+               for m in (mesh, flat)]
+    (u, report), (u_flat, report_flat) = results
+    assert report_flat.iterations == report.iterations
+    assert report_flat.energy == pytest.approx(report.energy, rel=1e-12)
+    assert np.abs(u_flat.values - u.values).max() <= 1e-10
