@@ -7,7 +7,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import PreconditionError
-from .mesh import GEOM_TOL
+from .mesh import GEOM_TOL, ball_element_mask
 from .vxspace import campanato_profile, modular
 
 # ---------------------------------------------------------------- iteration
@@ -270,12 +270,6 @@ class RegularityReport:
     alpha_theory: float = np.nan
 
 
-def _ball_element_mask(mesh, center, radius):
-    d = np.hypot(mesh.vertices[:, 0] - center[0], mesh.vertices[:, 1] - center[1])
-    inside = d <= radius + GEOM_TOL
-    return inside[mesh.triangles].all(axis=1)
-
-
 def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
                               c_cap=DEFAULT_C_CAP):
     """Implied constants of the gradient self-improvement estimate.
@@ -304,8 +298,8 @@ def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
             f"radius {r} exceeds the admissible radius {r_adm}")
 
     mesh = u.mesh
-    mask_r = _ball_element_mask(mesh, center, r)
-    mask_2r = _ball_element_mask(mesh, center, 2.0 * r)
+    mask_r = ball_element_mask(mesh, center, r)
+    mask_2r = ball_element_mask(mesh, center, 2.0 * r)
     if mask_r.sum() < 3 or mask_2r.sum() < 3:
         raise PreconditionError("ball selections are too coarse")
     area2 = float(mesh.areas[mask_2r].sum())
@@ -326,7 +320,7 @@ def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
 
     rho = 2.0 * r
     while rho > 2.0 * mesh.h_max and len(report.rh_radii) < 6:
-        mask = _ball_element_mask(mesh, center, rho)
+        mask = ball_element_mask(mesh, center, rho)
         if mask.sum() < 3:
             break
         area = float(mesh.areas[mask].sum())

@@ -9,20 +9,21 @@ violated invariant is named on stderr), 2 configuration or I/O failure.
 """
 
 import argparse
+import csv
 import math
 import os
 import sys
 
 import numpy as np
 
-from .analysis import (admissible_radius, gradient_holder_fit,
+from .analysis import (MONO_GAMMA, admissible_radius, gradient_holder_fit,
                        higher_integrability_scan, iteration_suite,
                        monotonicity_check, theoretical_alpha)
 from .comparison import build_reference, compute_M, comparison_decay, reflect_and_check
 from .energy import EnergySetup
 from .errors import ConfigError, ConvergenceError, FormatError, PxthinError
 from .exponent import ExponentField
-from .mesh import build, save_mesh
+from .mesh import ARC, build, save_mesh
 from .solver import ObstacleProblem, save_solution, solve, vi_check
 from .vxspace import FeFunction, luxemburg_norm, modular
 
@@ -136,17 +137,10 @@ _SCHEMA = {
     "experiments": {
         "run": (_conv_experiments, ["solve"]),
     },
-    "reference": {
-        "m_override": (_conv_float, None),
-    },
     "freeze": {
         "center": (_conv_point, [-0.35, 0.0]),
         "radii": (_conv_floats, [0.2, 0.1, 0.05]),
         "sigma0": (_conv_float, 0.1),
-        # free experiment parameters: recorded in the summary, not consumed
-        "delta": (_conv_float, None),
-        "theta": (_conv_float, None),
-        "tau": (_conv_float, None),
     },
     "scan": {
         "center": (_conv_point, [0.0, 0.0]),
@@ -267,10 +261,11 @@ def _write_text(path, text):
         handle.write(text)
 
 
-def _csv_field(text):
-    if any(ch in text for ch in ",\"\n"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def boundary_values(config, mesh, config_dir):
@@ -329,23 +324,6 @@ def _read_nodal_file(path, num_vertices):
         raise FormatError("%s: got %d nodal values, mesh has %d vertices"
                           % (path, count, num_vertices))
     return values
-
-
-def _exact_target(config, g):
-    """Closed-form solution nodal values when the configured run has one."""
-    section = config["boundary"]
-    preset = section["preset"]
-    scale = section["scale"]
-    exponent = config["exponent"]
-    constant_p = (exponent["family"] == "constant")
-    if preset == "offset_const":
-        if scale * section["offset"] >= 0.0:
-            return g
-        return None
-    if preset in ("linear_xn", "signorini32") and scale >= 0.0 and constant_p \
-            and exponent["coefficients"][0] == 2.0:
-        return g
-    return None
 
 
 def luxemburg_identity_checks(mesh, field, trials, seed):
@@ -427,80 +405,78 @@ def _loglog_svg(path, title, xs, ys, xlabel, ylabel):
     return True
 
 
-def _read_csv(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = [line.rstrip("\n").split(",") for line in handle if line.strip()]
-    return rows[0], rows[1:]
-
-
 def _plot_from_csvs(outdir):
     # plots are rebuilt from the emitted CSV data, never from in-memory state
-    made = []
     comparison = os.path.join(outdir, "comparison.csv")
     if os.path.exists(comparison):
-        header, rows = _read_csv(comparison)
-        ker = header.index("kind")
-        radius_col = header.index("radius")
-        ratio_col = header.index("ratio")
-        xs, ys = [], []
-        for row in rows:
-            if row[ker] == "radius" and row[radius_col] and row[ratio_col]:
-                xs.append(float(row[radius_col]))
-                ys.append(float(row[ratio_col]))
-        if _loglog_svg(os.path.join(outdir, "decay.svg"),
-                       "normalized frozen-exponent comparison error",
-                       xs, ys, "radius", "normalized error"):
-            made.append("decay.svg")
+        with open(comparison, "r", encoding="utf-8", newline="") as handle:
+            rows = [r for r in csv.DictReader(handle) if r["kind"] == "radius"]
+        _loglog_svg(os.path.join(outdir, "decay.svg"),
+                    "normalized frozen-exponent comparison error",
+                    [float(r["radius"]) for r in rows],
+                    [float(r["ratio"]) for r in rows], "radius", "normalized error")
     holder = os.path.join(outdir, "holder.csv")
     if os.path.exists(holder):
-        header, rows = _read_csv(holder)
-        cx = header.index("center_x1")
-        cy = header.index("center_x2")
-        radius_col = header.index("radius")
-        integral_col = header.index("integral")
-        first = None
-        xs, ys = [], []
-        for row in rows:
-            key = (row[cx], row[cy])
-            if first is None:
-                first = key
-            if key != first:
-                continue
-            xs.append(float(row[radius_col]))
-            ys.append(float(row[integral_col]))
-        if _loglog_svg(os.path.join(outdir, "campanato.svg"),
-                       "gradient oscillation profile",
-                       xs, ys, "radius", "Campanato integral"):
-            made.append("campanato.svg")
-    return made
+        with open(holder, "r", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        # the profile of the first center only
+        first = [r for r in rows if (r["center_x1"], r["center_x2"])
+                 == (rows[0]["center_x1"], rows[0]["center_x2"])]
+        _loglog_svg(os.path.join(outdir, "campanato.svg"),
+                    "gradient oscillation profile",
+                    [float(r["radius"]) for r in first],
+                    [float(r["integral"]) for r in first],
+                    "radius", "Campanato integral")
 
 
-def run_command(config_path):
-    """Execute the experiments requested by a config file."""
-    config = parse_config(config_path)
-    config_dir = os.path.dirname(os.path.abspath(config_path))
-    experiments = normalize_experiments(config["experiments"]["run"])
-    outdir = config["output"]["dir"]
-    os.makedirs(outdir, exist_ok=True)
-    name = config["output"]["name"]
-    if name is None:
-        name = os.path.basename(os.path.normpath(outdir))
+class _Run:
+    """What the experiment steps of one run share: inputs, results so far,
+    summary rows and contract checks."""
 
-    exponent_cfg = config["exponent"]
-    field = ExponentField(exponent_cfg["family"], exponent_cfg["coefficients"],
-                          beta=exponent_cfg["beta"],
-                          holder_seminorm=exponent_cfg["holder_seminorm"])
-    mesh = build(config["mesh"]["level"], config["mesh"]["grading"])
-    save_mesh(mesh, os.path.join(outdir, "mesh.txt"))
+    def __init__(self, config, config_dir, field, mesh, summary):
+        self.config = config
+        self.config_dir = config_dir
+        self.field = field
+        self.mesh = mesh
+        self.outdir = config["output"]["dir"]
+        self.tol = config["solver"]["tol"]
+        self.eps_schedule = config["solver"]["eps_schedule"]
+        self.seed = config["solver"]["seed"]
+        self.summary = summary
+        self.checks_run = 0
+        self.violations = []
+        self.problem = None
+        self.u = None
+        self.solve_failed = False
+        self.w = None
+        self.reference = None   # ComparisonReport: ordering, reflection, M
+        self.decay = None       # ComparisonReport of the freeze step
 
-    tol = config["solver"]["tol"]
-    eps_schedule = config["solver"]["eps_schedule"]
-    seed = config["solver"]["seed"]
+    def path(self, name):
+        return os.path.join(self.outdir, name)
 
-    summary = [
+    def check(self, contract, ok, detail):
+        self.checks_run += 1
+        if not ok:
+            self.violations.append((contract, detail))
+
+    def write_summary(self, *extra):
+        failed = ";".join(v[0] for v in self.violations) or "none"
+        rows = self.summary + [("contracts_checked", str(self.checks_run)),
+                               ("contracts_failed", failed)] + list(extra)
+        _write_text(self.path("summary.txt"),
+                    "".join("%s = %s\n" % row for row in rows))
+
+
+def _run_rows(config, field, mesh, experiments):
+    """Summary rows that describe the run before any experiment."""
+    boundary = config["boundary"]
+    name = config["output"]["name"] or \
+        os.path.basename(os.path.normpath(config["output"]["dir"]))
+    rows = [
         ("name", name),
-        ("family", exponent_cfg["family"]),
-        ("coefficients", _join17(exponent_cfg["coefficients"])),
+        ("family", config["exponent"]["family"]),
+        ("coefficients", _join17(config["exponent"]["coefficients"])),
         ("beta", _f17(field.beta)),
         ("holder_seminorm", _f17(field.holder_seminorm)),
         ("gamma1", _f17(field.gamma1)),
@@ -510,261 +486,251 @@ def run_command(config_path):
         ("num_vertices", str(mesh.num_vertices)),
         ("num_triangles", str(mesh.num_triangles)),
         ("h_max", _f17(mesh.h_max)),
-        ("preset", config["boundary"]["preset"]),
-        ("scale", _f17(config["boundary"]["scale"])),
-        ("tol", _f17(tol)),
-        ("seed", str(seed)),
+        ("preset", boundary["preset"]),
+        ("scale", _f17(boundary["scale"])),
+        ("tol", _f17(config["solver"]["tol"])),
+        ("seed", str(config["solver"]["seed"])),
         ("experiments", ";".join(experiments)),
     ]
-    if config["boundary"]["preset"] == "offset_const":
-        summary.append(("offset", _f17(config["boundary"]["offset"])))
-    if config["boundary"]["preset"] == "custom":
-        summary.append(("preset_file", config["boundary"]["file"]))
+    if boundary["preset"] == "offset_const":
+        rows.append(("offset", _f17(boundary["offset"])))
+    if boundary["preset"] == "custom":
+        rows.append(("preset_file", boundary["file"]))
+    return rows
 
-    violations = []
-    checks_run = [0]
 
-    def check(contract, ok, detail):
-        checks_run[0] += 1
-        if not ok:
-            violations.append((contract, detail))
+def _solve_step(run):
+    g = boundary_values(run.config, run.mesh, run.config_dir)
+    run.problem = ObstacleProblem(EnergySetup(run.mesh, run.field), g)
+    detail = ""
+    try:
+        run.u, report = solve(run.problem, run.tol, eps_schedule=run.eps_schedule)
+    except ConvergenceError as exc:
+        run.u, report, detail = exc.best, exc.info, str(exc)
+        run.solve_failed = True
+    run.check("solve_converged", not run.solve_failed, detail)
+    save_solution(run.u, run.mesh, run.path("u.txt"))
+    iterations = ";".join(str(k) for k in report.iterations)
+    _write_csv(run.path("solve_report.csv"),
+               "newton_iterations,energy,free_residual,complementarity,"
+               "active_count,tol,wall_time".split(","),
+               [[iterations, _f17(report.energy), _f17(report.free_residual),
+                 _f17(report.complementarity), str(len(report.active_set)),
+                 _f17(report.tol), _f17(report.wall_time)]])
+    run.summary.extend([
+        ("energy", _f17(report.energy)),
+        ("newton_iterations", iterations),
+        ("free_residual", _f17(report.free_residual)),
+        ("complementarity", _f17(report.complementarity)),
+        ("active_count", str(len(report.active_set))),
+        ("eps_schedule", _join17(report.eps_schedule)),
+    ])
+    if run.solve_failed:
+        return
+    vi_trials = run.config["solver"]["vi_trials"]
+    vi_min = vi_check(run.problem, run.u, vi_trials, run.seed)
+    vi_violation = max(0.0, -vi_min)
+    run.summary.extend([
+        ("vi_trials", str(vi_trials)),
+        ("vi_min", _f17(vi_min)),
+        ("vi_violation", _f17(vi_violation)),
+    ])
+    run.check("vi_nonnegative", vi_violation <= 1e-8,
+              "vi_violation = %s > 1e-08" % _f17(vi_violation))
 
-    u = None
-    problem = None
-    w = None
-    reference_report = None
-    m_value = None
 
-    if "solve" in experiments:
-        g = boundary_values(config, mesh, config_dir)
-        setup = EnergySetup(mesh, field)
-        problem = ObstacleProblem(setup, g)
-        solve_failed = False
-        solve_detail = ""
-        try:
-            u, solve_report = solve(problem, tol, eps_schedule=eps_schedule)
-        except ConvergenceError as exc:
-            u = exc.best
-            solve_report = exc.info
-            solve_failed = True
-            solve_detail = str(exc)
-        check("solve_converged", not solve_failed, solve_detail)
-        save_solution(u, mesh, os.path.join(outdir, "u.txt"))
-        _write_text(os.path.join(outdir, "solve_report.csv"),
-                    "newton_iterations,energy,free_residual,complementarity,"
-                    "active_count,tol,wall_time\n"
-                    + ";".join(str(k) for k in solve_report.iterations) + ","
-                    + _f17(solve_report.energy) + ","
-                    + _f17(solve_report.free_residual) + ","
-                    + _f17(solve_report.complementarity) + ","
-                    + str(len(solve_report.active_set)) + ","
-                    + _f17(solve_report.tol) + ","
-                    + _f17(solve_report.wall_time) + "\n")
-        summary.extend([
-            ("energy", _f17(solve_report.energy)),
-            ("newton_iterations", ";".join(str(k) for k in solve_report.iterations)),
-            ("free_residual", _f17(solve_report.free_residual)),
-            ("complementarity", _f17(solve_report.complementarity)),
-            ("active_count", str(len(solve_report.active_set))),
-            ("eps_schedule", _join17(solve_report.eps_schedule)),
-        ])
-        target = _exact_target(config, g)
-        if target is not None:
-            summary.append(("max_nodal_error",
-                            _f17(np.max(np.abs(u.values - target)))))
-        if solve_failed:
-            experiments = [e for e in experiments if e == "verify"]
-        else:
-            vi_trials = config["solver"]["vi_trials"]
-            vi_min = vi_check(problem, u, vi_trials, seed)
-            vi_violation = max(0.0, -vi_min)
-            summary.extend([
-                ("vi_trials", str(vi_trials)),
-                ("vi_min", _f17(vi_min)),
-                ("vi_violation", _f17(vi_violation)),
-            ])
-            check("vi_nonnegative", vi_violation <= 1e-8,
-                  "vi_violation = %s > 1e-08" % _f17(vi_violation))
+def _write_comparison(run):
+    # the reference step writes the summary row; freeze rewrites the file
+    # with its radius rows in front
+    ref, decay = run.reference, run.decay
+    rows = []
+    tail = ["", ""]
+    if decay is not None:
+        for values in zip(decay.radii, decay.p2, decay.error, decay.energy_2r,
+                          decay.ratio, decay.energy_sub_u, decay.energy_sub_u0):
+            rows.append(["radius"] + [_f17(v) for v in values] + [""] * 5)
+        tail = [_f17(decay.sigma1), _f17(decay.fitted_rate)]
+    rows.append(["summary"] + [""] * 7 + [_f17(ref.M), _f17(ref.ordering_margin),
+                                          _f17(ref.reflect_residual)] + tail)
+    _write_csv(run.path("comparison.csv"),
+               "kind,radius,p2,error,energy_2r,ratio,int_du_p2,int_du0_p2,"
+               "M,ordering_margin,reflect_residual,sigma1,fitted_rate".split(","),
+               rows)
 
-    if "reference" in experiments:
-        w, reference_report = build_reference(
-            u, problem, tol=tol, eps_schedule=eps_schedule,
-            m_override=config["reference"]["m_override"])
-        reference_report.reflect_residual = reflect_and_check(w, field)
-        m_value = compute_M(u, w, field)
-        reference_report.M = m_value
-        save_solution(w, mesh, os.path.join(outdir, "w.txt"))
-        summary.extend([
-            ("m_used", _f17(w.values[np.flatnonzero(mesh.vertex_tags == 1)[0]])),
-            ("ordering_margin", _f17(reference_report.ordering_margin)),
-            ("reflect_residual", _f17(reference_report.reflect_residual)),
-            ("M", _f17(m_value)),
-        ])
-        check("ordering_u_ge_w", reference_report.ordering_margin >= -1e-8,
-              "min(u - w) = %s < -1e-08" % _f17(reference_report.ordering_margin))
-        reflect_cap = max(1e-8, 10.0 * tol)
-        check("odd_reflection_residual",
-              reference_report.reflect_residual <= reflect_cap,
-              "residual = %s > %s" % (_f17(reference_report.reflect_residual),
-                                      _f17(reflect_cap)))
 
-    decay_report = None
-    if "freeze" in experiments:
-        freeze_cfg = config["freeze"]
-        decay_report = comparison_decay(
-            u, field, np.asarray(freeze_cfg["center"]), freeze_cfg["radii"],
-            M_value=m_value, sigma0=freeze_cfg["sigma0"], tol=tol,
-            eps_schedule=eps_schedule)
-        slack = min(a - b for a, b in zip(decay_report.energy_sub_u,
-                                          decay_report.energy_sub_u0))
-        summary.extend([
-            ("freeze_center", _join17(freeze_cfg["center"])),
-            ("freeze_sigma0", _f17(freeze_cfg["sigma0"])),
-            ("sigma1", _f17(decay_report.sigma1)),
-            ("freeze_radii", _join17(decay_report.radii)),
-            ("freeze_p2", _join17(decay_report.p2)),
-            ("freeze_error", _join17(decay_report.error)),
-            ("freeze_energy_2r", _join17(decay_report.energy_2r)),
-            ("freeze_ratio", _join17(decay_report.ratio)),
-            ("dugedu0_slack", _f17(slack)),
-            ("decay_rate", _f17(decay_report.fitted_rate)),
-        ])
-        for key in ("delta", "theta", "tau"):
-            if freeze_cfg[key] is not None:
-                summary.append(("freeze_" + key, _f17(freeze_cfg[key])))
-        check("frozen_energy_ordering", slack >= -1e-10,
+def _reference_step(run):
+    run.w, ref = build_reference(run.u, run.problem, tol=run.tol,
+                                 eps_schedule=run.eps_schedule)
+    ref.reflect_residual = reflect_and_check(run.w, run.field)
+    ref.M = compute_M(run.u, run.w, run.field)
+    run.reference = ref
+    save_solution(run.w, run.mesh, run.path("w.txt"))
+    arc = np.flatnonzero(run.mesh.vertex_tags == ARC)[0]
+    run.summary.extend([
+        ("m_used", _f17(run.w.values[arc])),
+        ("ordering_margin", _f17(ref.ordering_margin)),
+        ("reflect_residual", _f17(ref.reflect_residual)),
+        ("M", _f17(ref.M)),
+    ])
+    run.check("ordering_u_ge_w", ref.ordering_margin >= -1e-8,
+              "min(u - w) = %s < -1e-08" % _f17(ref.ordering_margin))
+    reflect_cap = max(1e-8, 10.0 * run.tol)
+    run.check("odd_reflection_residual", ref.reflect_residual <= reflect_cap,
+              "residual = %s > %s" % (_f17(ref.reflect_residual), _f17(reflect_cap)))
+    _write_comparison(run)
+
+
+def _freeze_step(run):
+    cfg = run.config["freeze"]
+    decay = comparison_decay(
+        run.u, run.field, np.asarray(cfg["center"]), cfg["radii"],
+        M_value=run.reference.M, sigma0=cfg["sigma0"], tol=run.tol,
+        eps_schedule=run.eps_schedule)
+    slack = min(a - b for a, b in zip(decay.energy_sub_u, decay.energy_sub_u0))
+    run.summary.extend([
+        ("freeze_center", _join17(cfg["center"])),
+        ("freeze_sigma0", _f17(cfg["sigma0"])),
+        ("sigma1", _f17(decay.sigma1)),
+        ("freeze_radii", _join17(decay.radii)),
+        ("freeze_p2", _join17(decay.p2)),
+        ("freeze_error", _join17(decay.error)),
+        ("freeze_energy_2r", _join17(decay.energy_2r)),
+        ("freeze_ratio", _join17(decay.ratio)),
+        ("dugedu0_slack", _f17(slack)),
+        ("decay_rate", _f17(decay.fitted_rate)),
+    ])
+    run.check("frozen_energy_ordering", slack >= -1e-10,
               "min int(|Du|^p2 - |Du0|^p2) = %s < -1e-10" % _f17(slack))
+    run.decay = decay
+    _write_comparison(run)
 
-    if reference_report is not None or decay_report is not None:
-        header = ("kind,radius,p2,error,energy_2r,ratio,int_du_p2,int_du0_p2,"
-                  "M,ordering_margin,reflect_residual,sigma1,fitted_rate")
-        rows = [header]
-        if decay_report is not None:
-            for i, radius in enumerate(decay_report.radii):
-                rows.append(",".join([
-                    "radius", _f17(radius), _f17(decay_report.p2[i]),
-                    _f17(decay_report.error[i]), _f17(decay_report.energy_2r[i]),
-                    _f17(decay_report.ratio[i]),
-                    _f17(decay_report.energy_sub_u[i]),
-                    _f17(decay_report.energy_sub_u0[i]),
-                    "", "", "", "", ""]))
-        tail = ["summary", "", "", "", "", "", "", ""]
-        tail.append(_f17(m_value) if m_value is not None else "")
-        tail.append(_f17(reference_report.ordering_margin)
-                    if reference_report is not None else "")
-        tail.append(_f17(reference_report.reflect_residual)
-                    if reference_report is not None else "")
-        tail.append(_f17(decay_report.sigma1) if decay_report is not None else "")
-        tail.append(_f17(decay_report.fitted_rate)
-                    if decay_report is not None else "")
-        rows.append(",".join(tail))
-        _write_text(os.path.join(outdir, "comparison.csv"), "\n".join(rows) + "\n")
 
-    if "scan" in experiments:
-        scan_cfg = config["scan"]
-        center = np.asarray(scan_cfg["center"])
-        radius = scan_cfg["radius"]
-        r_adm = admissible_radius(field, m_value)
-        if radius is None:
-            # largest admissible radius that keeps the doubled ball inside
-            geom_cap = (0.75 - math.hypot(*scan_cfg["center"])) / 2.0
-            radius = min(0.95 * r_adm, geom_cap)
-        scan_report = higher_integrability_scan(
-            u, w, field, center, radius,
-            sigma_grid=scan_cfg["sigma_grid"])
-        rows = ["kind,radius,sigma,value"]
-        for sigma, c in zip(scan_report.sigma_grid, scan_report.c_sigma):
-            rows.append("c_sigma,%s,%s,%s" % (_f17(radius), _f17(sigma), _f17(c)))
-        for rho, ratios in zip(scan_report.rh_radii, scan_report.rh_ratios):
-            for sigma, ratio in zip(scan_report.sigma_grid, ratios):
-                rows.append("reverse_holder,%s,%s,%s"
-                            % (_f17(rho), _f17(sigma), _f17(ratio)))
-        _write_text(os.path.join(outdir, "scan.csv"), "\n".join(rows) + "\n")
-        c_zero = scan_report.c_sigma[list(scan_report.sigma_grid).index(0.0)]
-        index0 = list(scan_report.sigma_grid).index(scan_report.sigma0) \
-            if scan_report.sigma0 in list(scan_report.sigma_grid) else -1
-        summary.extend([
-            ("scan_center", _join17(scan_cfg["center"])),
-            ("scan_radius", _f17(radius)),
-            ("admissible_r", _f17(scan_report.admissible_r)),
-            ("c_zero", _f17(c_zero)),
-            ("sigma0", _f17(scan_report.sigma0)),
-            ("c_sigma0", _f17(scan_report.c_sigma[index0]) if index0 >= 0 else "nan"),
-        ])
-        check("c_at_sigma_zero", c_zero <= 1.0 + 1e-9,
+def _scan_step(run):
+    cfg = run.config["scan"]
+    radius = cfg["radius"]
+    if radius is None:
+        # largest admissible radius that keeps the doubled ball inside
+        geom_cap = (0.75 - math.hypot(*cfg["center"])) / 2.0
+        radius = min(0.95 * admissible_radius(run.field, run.reference.M), geom_cap)
+    scan = higher_integrability_scan(run.u, run.w, run.field,
+                                     np.asarray(cfg["center"]), radius,
+                                     sigma_grid=cfg["sigma_grid"])
+    rows = [["c_sigma", _f17(radius), _f17(sigma), _f17(c)]
+            for sigma, c in zip(scan.sigma_grid, scan.c_sigma)]
+    for rho, ratios in zip(scan.rh_radii, scan.rh_ratios):
+        rows.extend(["reverse_holder", _f17(rho), _f17(sigma), _f17(ratio)]
+                    for sigma, ratio in zip(scan.sigma_grid, ratios))
+    _write_csv(run.path("scan.csv"), ["kind", "radius", "sigma", "value"], rows)
+    # the grid always holds 0, and sigma0 is a grid value
+    c_zero = scan.c_sigma[scan.sigma_grid.index(0.0)]
+    run.summary.extend([
+        ("scan_center", _join17(cfg["center"])),
+        ("scan_radius", _f17(radius)),
+        ("admissible_r", _f17(scan.admissible_r)),
+        ("c_zero", _f17(c_zero)),
+        ("sigma0", _f17(scan.sigma0)),
+        ("c_sigma0", _f17(scan.c_sigma[scan.sigma_grid.index(scan.sigma0)])),
+    ])
+    run.check("c_at_sigma_zero", c_zero <= 1.0 + 1e-9,
               "c(0) = %s > 1 + 1e-09" % _f17(c_zero))
 
-    if "holder" in experiments:
-        holder_cfg = config["holder"]
-        radii = holder_cfg["radii"]
-        if radii is None:
-            radii = list(np.geomspace(0.25, 4.0 * mesh.h_max, 8))
-        holder_report = gradient_holder_fit(u, field, holder_cfg["centers"], radii)
-        holder_report.alpha_theory = theoretical_alpha(
-            holder_cfg["alpha0"], field.beta, field.gamma2)
-        rows = ["center_x1,center_x2,p,radius,integral,mean,lam,alpha"]
-        for i, profile in enumerate(holder_report.profiles):
-            for radius, integral, mean in zip(profile.radii, profile.integrals,
-                                              profile.means):
-                rows.append(",".join([
-                    _f17(holder_report.centers[i][0]),
-                    _f17(holder_report.centers[i][1]),
-                    _f17(profile.p), _f17(radius), _f17(integral), _f17(mean),
-                    _f17(profile.lam), _f17(holder_report.alphas[i])]))
-        _write_text(os.path.join(outdir, "holder.csv"), "\n".join(rows) + "\n")
-        summary.extend([
-            ("holder_centers", ";".join(_join17(c) for c in holder_cfg["centers"])),
-            ("holder_radii", _join17(radii)),
-            ("alpha_origin", _f17(holder_report.alphas[0])),
-            ("alpha_min", _f17(holder_report.alpha_min)),
-            ("alpha0_assumed", _f17(holder_cfg["alpha0"])),
-            ("alpha_theory", _f17(holder_report.alpha_theory)),
-        ])
 
-    if "verify" in experiments:
-        verify_cfg = config["verify"]
-        worst_slack = iteration_suite(verify_cfg["iteration_trials"], seed)
-        worst_ratio = monotonicity_check(verify_cfg["gamma1"], verify_cfg["gamma2"],
-                                         verify_cfg["monotonicity_trials"], seed)
-        unit, homog, const = luxemburg_identity_checks(
-            mesh, field, verify_cfg["luxemburg_trials"], seed + 7919)
-        summary.extend([
-            ("iteration_trials", str(verify_cfg["iteration_trials"])),
-            ("iteration_worst_slack", _f17(worst_slack)),
-            ("monotonicity_trials", str(verify_cfg["monotonicity_trials"])),
-            ("monotonicity_worst", _f17(worst_ratio)),
-            ("luxemburg_trials", str(verify_cfg["luxemburg_trials"])),
-            ("luxemburg_unit_dev", _f17(unit)),
-            ("luxemburg_homog_rel", _f17(homog)),
-            ("luxemburg_const_rel", _f17(const)),
-        ])
-        check("iteration_lemma", worst_slack >= 0.0,
+def _holder_step(run):
+    cfg = run.config["holder"]
+    radii = cfg["radii"]
+    if radii is None:
+        radii = list(np.geomspace(0.25, 4.0 * run.mesh.h_max, 8))
+    fit = gradient_holder_fit(run.u, run.field, cfg["centers"], radii)
+    fit.alpha_theory = theoretical_alpha(cfg["alpha0"], run.field.beta,
+                                         run.field.gamma2)
+    rows = []
+    for center, profile, alpha in zip(fit.centers, fit.profiles, fit.alphas):
+        for radius, integral, mean in zip(profile.radii, profile.integrals,
+                                          profile.means):
+            rows.append([_f17(v) for v in (center[0], center[1], profile.p, radius,
+                                           integral, mean, profile.lam, alpha)])
+    _write_csv(run.path("holder.csv"),
+               "center_x1,center_x2,p,radius,integral,mean,lam,alpha".split(","),
+               rows)
+    run.summary.extend([
+        ("holder_centers", ";".join(_join17(c) for c in cfg["centers"])),
+        ("holder_radii", _join17(radii)),
+        ("alpha_origin", _f17(fit.alphas[0])),
+        ("alpha_min", _f17(fit.alpha_min)),
+        ("alpha0_assumed", _f17(cfg["alpha0"])),
+        ("alpha_theory", _f17(fit.alpha_theory)),
+    ])
+
+
+def _verify_step(run):
+    cfg = run.config["verify"]
+    worst_slack = iteration_suite(cfg["iteration_trials"], run.seed)
+    worst_ratio = monotonicity_check(cfg["gamma1"], cfg["gamma2"],
+                                     cfg["monotonicity_trials"], run.seed)
+    unit, homog, const = luxemburg_identity_checks(
+        run.mesh, run.field, cfg["luxemburg_trials"], run.seed + 7919)
+    run.summary.extend([
+        ("iteration_trials", str(cfg["iteration_trials"])),
+        ("iteration_worst_slack", _f17(worst_slack)),
+        ("monotonicity_trials", str(cfg["monotonicity_trials"])),
+        ("monotonicity_worst", _f17(worst_ratio)),
+        ("luxemburg_trials", str(cfg["luxemburg_trials"])),
+        ("luxemburg_unit_dev", _f17(unit)),
+        ("luxemburg_homog_rel", _f17(homog)),
+        ("luxemburg_const_rel", _f17(const)),
+    ])
+    run.check("iteration_lemma", worst_slack >= 0.0,
               "worst slack = %s < 0" % _f17(worst_slack))
-        check("monotonicity_bound", worst_ratio <= 1.0,
+    run.check("monotonicity_bound", worst_ratio <= 1.0,
               "worst LHS/RHS = %s > 1" % _f17(worst_ratio))
-        check("luxemburg_unit_modular", unit <= 1e-10,
+    run.check("luxemburg_unit_modular", unit <= 1e-10,
               "deviation = %s > 1e-10" % _f17(unit))
-        check("luxemburg_homogeneity", homog <= 1e-9,
+    run.check("luxemburg_homogeneity", homog <= 1e-9,
               "relative error = %s > 1e-09" % _f17(homog))
-        check("luxemburg_constant_exponent", const <= 1e-9,
+    run.check("luxemburg_constant_exponent", const <= 1e-9,
               "relative error = %s > 1e-09" % _f17(const))
 
-    summary.append(("contracts_checked", str(checks_run[0])))
-    summary.append(("contracts_failed",
-                    ";".join(v[0] for v in violations) if violations else "none"))
 
-    _write_text(os.path.join(outdir, "summary.txt"),
-                "".join("%s = %s\n" % (k, v) for k, v in summary))
+_STEPS = {"solve": _solve_step, "reference": _reference_step,
+          "freeze": _freeze_step, "scan": _scan_step, "holder": _holder_step,
+          "verify": _verify_step}
 
+
+def run_command(config_path):
+    """Execute the experiments requested by a config file.
+
+    A step that raises leaves a summary of the rows so far plus
+    `failed_step`, and the run exits 2 with the step named on stderr.
+    """
+    config = parse_config(config_path)
+    experiments = normalize_experiments(config["experiments"]["run"])
+    outdir = config["output"]["dir"]
+    os.makedirs(outdir, exist_ok=True)
+    exponent = config["exponent"]
+    field = ExponentField(exponent["family"], exponent["coefficients"],
+                          beta=exponent["beta"],
+                          holder_seminorm=exponent["holder_seminorm"])
+    mesh = build(config["mesh"]["level"], config["mesh"]["grading"])
+    save_mesh(mesh, os.path.join(outdir, "mesh.txt"))
+    run = _Run(config, os.path.dirname(os.path.abspath(config_path)), field,
+               mesh, _run_rows(config, field, mesh, experiments))
+    for name in experiments:
+        if run.solve_failed and name in _NEEDS:
+            continue    # nothing that consumes u runs on an unconverged solve
+        try:
+            _STEPS[name](run)
+        except PxthinError as exc:
+            run.write_summary(("failed_step", name))
+            print("error: %s: %s" % (name, exc), file=sys.stderr)
+            return 2
+    run.write_summary()
     if config["output"]["plots"]:
         _plot_from_csvs(outdir)
-
-    if violations:
-        for contract, detail in violations:
-            print("contract violated: %s (%s)" % (contract, detail),
-                  file=sys.stderr)
+    for contract, detail in run.violations:
+        print("contract violated: %s (%s)" % (contract, detail), file=sys.stderr)
+    if run.violations:
         return 1
-    print("run complete: %s" % os.path.join(outdir, "summary.txt"))
+    print("run complete: %s" % run.path("summary.txt"))
     return 0
 
 
@@ -798,13 +764,9 @@ def report_command(directory):
     keys.discard("name")
     columns = ["run"] + sorted(keys)
     runs.sort(key=lambda item: (item[0], item[1]))
-    lines = [",".join(columns)]
-    for run_name, _path, pairs in runs:
-        row = [_csv_field(run_name)]
-        row.extend(_csv_field(pairs.get(key, "")) for key in columns[1:])
-        lines.append(",".join(row))
     out = os.path.join(directory, "report.csv")
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_csv(out, columns, ([run_name] + [pairs.get(key, "") for key in columns[1:]]
+                              for run_name, _path, pairs in runs))
     print(out)
     return 0
 
@@ -817,7 +779,7 @@ def verify_command(trials, seed):
           % ("PASS" if ok_iter else "FAIL", trials, worst_slack))
 
     mono_trials = 10 * trials
-    worst_ratio = monotonicity_check(1.1, 10.0, mono_trials, seed)
+    worst_ratio = monotonicity_check(*MONO_GAMMA, mono_trials, seed)
     ok_mono = worst_ratio <= 1.0
     print("monotonicity: %s  trials=%d  worst_ratio=%.6g"
           % ("PASS" if ok_mono else "FAIL", mono_trials, worst_ratio))

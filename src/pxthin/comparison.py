@@ -5,8 +5,6 @@ approaches the variable-exponent minimizer on shrinking half-balls. All
 integrals of piecewise-constant gradient quantities are exact sums.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -14,7 +12,8 @@ import numpy as np
 from .energy import EnergySetup, residual
 from .errors import PreconditionError
 from .exponent import ExponentField
-from .mesh import ARC, GEOM_TOL, INTERIOR, THIN, TriMesh, extract_halfball_submesh
+from .mesh import (ARC, GEOM_TOL, INTERIOR, THIN, TriMesh, ball_element_mask,
+                   extract_halfball_submesh)
 from .solver import ObstacleProblem, solve, solve_unconstrained
 from .vxspace import FeFunction, modular
 
@@ -156,23 +155,16 @@ def frozen_solve(u, center, radius, field, tol=1e-10, eps_schedule=None):
     return u0, p2
 
 
-def _gradient_mass(mesh, grads, power):
+def _gradient_mass(areas, grads, power):
     mags = np.hypot(grads[:, 0], grads[:, 1])
-    return float((mesh.areas * np.where(mags > 0.0, mags, 1.0) ** power
+    return float((areas * np.where(mags > 0.0, mags, 1.0) ** power
                   * (mags > 0.0)).sum())
 
 
 def _ball_energy(u, center, radius, power):
     # parent elements fully inside the ball; exact piecewise-constant sum
-    mesh = u.mesh
-    d = np.hypot(mesh.vertices[:, 0] - center[0], mesh.vertices[:, 1] - center[1])
-    inside = d <= radius + GEOM_TOL
-    mask = inside[mesh.triangles].all(axis=1)
-    grads = u.element_gradients()[mask]
-    mags = np.hypot(grads[:, 0], grads[:, 1])
-    areas = mesh.areas[mask]
-    return float((areas * np.where(mags > 0.0, mags, 1.0) ** power
-                  * (mags > 0.0)).sum())
+    mask = ball_element_mask(u.mesh, center, radius)
+    return _gradient_mass(u.mesh.areas[mask], u.element_gradients()[mask], power)
 
 
 def comparison_decay(u, field, center, radii, problem=None, M_value=None,
@@ -205,28 +197,15 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
     sigma1 = min(field.beta / 8.0, float(sigma0))
     report.sigma1 = sigma1
 
+    # every submesh and exponent first, so a too-coarse ball fails before a solve
     pieces = [extract_halfball_submesh(u.mesh, center, r) for r in radii]
     p2s = [field.sup_inf_on_halfball(center, r)[1] for r in radii]
 
-    def run(i):
-        submesh, vmap = pieces[i]
-        return _frozen_on_submesh(u, submesh, vmap, p2s[i], tol, eps_schedule)
-
-    workers = int(os.environ.get("PXTHIN_THREADS", "1") or "1")
-    workers = max(1, min(workers, len(radii)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            solutions = list(ex.map(run, range(len(radii))))
-    else:
-        solutions = [run(i) for i in range(len(radii))]
-
-    for i, r in enumerate(radii):
-        submesh, vmap = pieces[i]
-        p2 = p2s[i]
-        u0 = solutions[i]
+    for r, (submesh, vmap), p2 in zip(radii, pieces, p2s):
+        u0 = _frozen_on_submesh(u, submesh, vmap, p2, tol, eps_schedule)
         du = FeFunction(submesh, u.values[vmap]).element_gradients()
         du0 = u0.element_gradients()
-        err = _gradient_mass(submesh, du - du0, p2)
+        err = _gradient_mass(submesh.areas, du - du0, p2)
         e2r = _ball_energy(u, center, 2.0 * r, p2)
         majorant = report.M ** sigma1 * e2r + r * r
         report.radii.append(r)
@@ -234,8 +213,8 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
         report.error.append(err)
         report.energy_2r.append(e2r)
         report.ratio.append(err / majorant)
-        report.energy_sub_u.append(_gradient_mass(submesh, du, p2))
-        report.energy_sub_u0.append(_gradient_mass(submesh, du0, p2))
+        report.energy_sub_u.append(_gradient_mass(submesh.areas, du, p2))
+        report.energy_sub_u0.append(_gradient_mass(submesh.areas, du0, p2))
 
     pos = [(r, q) for r, q in zip(report.radii, report.ratio) if q > 0.0]
     if len(pos) >= 2:

@@ -332,6 +332,13 @@ def integrate(mesh, rule, integrand):
     return float((vals * w).sum(axis=1).sum())
 
 
+def ball_element_mask(mesh, center, radius):
+    """Flags of the elements whose three vertices lie in the closed ball,
+    widened by GEOM_TOL."""
+    d = np.hypot(mesh.vertices[:, 0] - center[0], mesh.vertices[:, 1] - center[1])
+    return (d <= radius + GEOM_TOL)[mesh.triangles].all(axis=1)
+
+
 def extract_halfball_submesh(mesh, center, radius):
     """Submesh of triangles fully inside the closed half-ball, plus vertex map.
 
@@ -349,9 +356,7 @@ def extract_halfball_submesh(mesh, center, radius):
         raise PreconditionError(
             f"radius {radius} must exceed twice the mesh size 2*h_max = {2 * mesh.h_max}")
 
-    d2 = ((mesh.vertices - center) ** 2).sum(axis=1)
-    v_in = d2 <= (radius + GEOM_TOL) ** 2
-    t_in = v_in[mesh.triangles].all(axis=1)
+    t_in = ball_element_mask(mesh, center, radius)
     if int(t_in.sum()) < 10:
         raise ResolutionError(
             f"only {int(t_in.sum())} triangles inside the half-ball; mesh too coarse")

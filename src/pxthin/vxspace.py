@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ResolutionError
-from .mesh import quadrature_rule
+from .mesh import ball_element_mask, quadrature_rule
 
 REPORT_ORDER = 5
 
@@ -159,12 +159,6 @@ class CampanatoProfile:
     residual: float = 0.0
 
 
-def _elements_in_ball(mesh, center, rho):
-    d2 = ((mesh.vertices - np.asarray(center, dtype=float)) ** 2).sum(axis=1)
-    v_in = d2 <= (rho + 1e-12) ** 2
-    return v_in[mesh.triangles].all(axis=1)
-
-
 def campanato_profile(f, p, center, radii, order=REPORT_ORDER):
     """I(rho) = integral over B_rho of |f - mean|^p, fit log I = lam log rho + b.
 
@@ -189,7 +183,7 @@ def campanato_profile(f, p, center, radii, order=REPORT_ORDER):
     if isinstance(f, ElementVectorField):
         vals = f.values
         for rho in radii:
-            sel = _elements_in_ball(mesh, center, rho)
+            sel = ball_element_mask(mesh, center, rho)
             if int(sel.sum()) < 3:
                 raise ResolutionError(f"fewer than 3 elements inside radius {rho}")
             a = mesh.areas[sel]
@@ -204,7 +198,7 @@ def campanato_profile(f, p, center, radii, order=REPORT_ORDER):
         pts, w = mesh.quad_points(rule)
         fq = f.at_quad_points(rule)
         for rho in radii:
-            sel = _elements_in_ball(mesh, center, rho)
+            sel = ball_element_mask(mesh, center, rho)
             if int(sel.sum()) < 3:
                 raise ResolutionError(f"fewer than 3 elements inside radius {rho}")
             ws, fs = w[sel], fq[sel]

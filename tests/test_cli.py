@@ -61,6 +61,8 @@ def test_parse_config_defaults(tmp_path):
     ("[exponent]\nfamily =\n", "line 2"),
     ("[exponent]\nfamily = constant\ncoefficients = 2.0\n"
      "[mesh]\nlevel = abc\n", "level"),
+    ("[freeze]\ndelta = 0.1\n", "delta"),
+    ("[reference]\n", "reference"),
 ])
 def test_parse_config_diagnostics(tmp_path, line, fragment):
     path = write_config(tmp_path / "bad.cfg", line)
@@ -210,6 +212,18 @@ def test_report_merges_runs(tmp_path, run_dir):
     assert report.read_bytes() == first
 
 
+def test_report_quotes_names_the_csv_way(tmp_path):
+    name = 'pipe, with "comma"'
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "summary.txt").write_text("name = %s\nenergy = 1\n" % name)
+    assert main(["report", str(tmp_path)]) == 0
+    text = (tmp_path / "report.csv").read_text()
+    assert text == 'run,energy\n"pipe, with ""comma""",1\n'
+    with open(tmp_path / "report.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["run", "energy"], [name, "1"]]
+
+
 def test_report_missing_and_empty_dirs(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nope")]) == 2
     empty = tmp_path / "empty"
@@ -307,6 +321,37 @@ dir = %s
         [(rho, sigma) for rho in radii for sigma in (0.0, 0.1)]
     # at sigma = 0 the reverse-Hoelder ratio compares a ball's mean with itself
     assert all(float(r[3]) == 1.0 for r in rh_rows if float(r[2]) == 0.0)
+
+
+def test_failed_step_is_named_and_summarized(tmp_path, capsys):
+    # at L4 the admissible scan radius holds fewer than 3 whole elements
+    out = tmp_path / "fail"
+    cfg = write_config(tmp_path / "fail.cfg", """\
+[exponent]
+family = sinusoidal
+coefficients = 2.0, 0.5, 3.141592653589793
+
+[mesh]
+level = 4
+
+[boundary]
+preset = signorini32
+
+[experiments]
+run = solve, reference, scan
+
+[output]
+dir = %s
+""" % out)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "scan: ball selections are too coarse" in err
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["failed_step"] == "scan"
+    assert summary["experiments"] == "solve;reference;scan"
+    assert "M" in summary and "scan_radius" not in summary
+    assert not (out / "scan.csv").exists()
 
 
 def test_loglog_svg_writes_plot(tmp_path):

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pxthin import (FormatError, PreconditionError, ResolutionError, build,
                     extract_halfball_submesh, integrate, load_mesh, mesh_hash,
                     mesh_text, quadrature_rule, save_mesh)
+from pxthin.mesh import GEOM_TOL, ball_element_mask
 
 INTERIOR, ARC, THIN = 0, 1, 2
 
@@ -186,6 +187,35 @@ def test_prolongation_reproduces_affine_functions_off_the_arc(shape, coeffs):
         off_arc = mesh.vertex_tags[:n_fine] != ARC
         err = np.abs(P @ affine[:n_coarse] - affine[:n_fine])[off_arc]
         assert err.max(initial=0.0) <= 1e-13 * (1.0 + abs(a) + abs(b) + abs(c))
+
+
+balls = st.tuples(hierarchies, st.floats(-0.5, 0.5),
+                  st.floats(0.0, 0.75, exclude_min=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(balls)
+def test_ball_element_mask_is_the_vertex_distance_definition(ball):
+    shape, x1, radius = ball
+    mesh = build(*shape)
+    inside = [math.hypot(x - x1, y) <= radius + GEOM_TOL for x, y in mesh.vertices]
+    expected = [all(inside[v] for v in tri) for tri in mesh.triangles]
+    assert ball_element_mask(mesh, (x1, 0.0), radius).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(balls)
+def test_submesh_keeps_exactly_the_masked_triangles(ball):
+    shape, x1, radius = ball
+    mesh = build(*shape)
+    assume(radius > 2.0 * mesh.h_max)
+    mask = ball_element_mask(mesh, (x1, 0.0), radius)
+    try:
+        sub, vmap = extract_halfball_submesh(mesh, (x1, 0.0), radius)
+    except ResolutionError:
+        assert mask.sum() < 10
+        return
+    assert np.array_equal(vmap[sub.triangles], mesh.triangles[mask])
 
 
 def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
