@@ -168,7 +168,7 @@ def _ball_energy(u, center, radius, power):
 
 
 def comparison_decay(u, field, center, radii, problem=None, M_value=None,
-                     sigma0=0.1, tol=1e-10, eps_schedule=None, m_override=None):
+                     sigma0=0.1, tol=1e-10, eps_schedule=None):
     """Decay of the frozen-exponent comparison error over shrinking balls.
 
     For each radius r the submesh error E(r) = integral of |Du - Du0|^p2
@@ -187,8 +187,7 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
     if M_value is None:
         if problem is None:
             raise PreconditionError("need either problem or M_value to normalize")
-        w, report = build_reference(u, problem, tol=tol, eps_schedule=eps_schedule,
-                                    m_override=m_override)
+        w, report = build_reference(u, problem, tol=tol, eps_schedule=eps_schedule)
         report.reflect_residual = reflect_and_check(w, field)
         report.M = compute_M(u, w, field)
     else:

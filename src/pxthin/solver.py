@@ -163,11 +163,14 @@ def _free_solve(H, free, rhs, prolongations):
     return x
 
 
-def _solve_stage(problem, v, eps, tol, report):
+def _solve_stage(problem, v, eps, tol):
+    """Newton iterations at one eps; returns (v, free_res, comp, active,
+    n_iter, converged). On stagnation v is the iterate with the smallest
+    KKT measure and the KKT values are its own."""
     setup = problem.setup.with_epsilon(eps)
     n_iter = 0
     best = np.inf
-    best_v = v.copy()
+    best_state = (v.copy(), np.nan, np.nan, np.zeros_like(problem.thin))
     since_improve = 0
 
     while True:
@@ -176,18 +179,14 @@ def _solve_stage(problem, v, eps, tol, report):
         measure = max(free_res, comp if problem.constrained else 0.0)
         if measure < best - 1e-16:
             best = measure
-            best_v = v.copy()
+            best_state = (v.copy(), free_res, comp, active)
             since_improve = 0
         else:
             since_improve += 1
         if free_res <= tol and (not problem.constrained or comp <= tol):
-            return v, n_iter, free_res, comp, active
+            return v, free_res, comp, active, n_iter, True
         if since_improve > STAGNATION_WINDOW:
-            report.iterations.append(n_iter)
-            raise ConvergenceError(
-                f"no residual decrease over {STAGNATION_WINDOW} iterations "
-                f"(best KKT measure {best})",
-                best=FeFunction(setup.mesh, best_v), info=report)
+            return (*best_state, n_iter, False)
         n_iter += 1
 
         d = np.zeros_like(v)
@@ -220,7 +219,9 @@ def solve(problem, tol, eps_schedule=None):
 
     Feasibility is exact at every iterate: Arc values pinned to g, Thin
     values >= 0. The reported energy is evaluated at eps = 0; KKT
-    residuals refer to the last continuation stage.
+    residuals refer to the last continuation stage. A stage that stops
+    improving raises ConvergenceError with its best iterate as `best` and
+    the report, filled in from that iterate, as `info`.
     """
     tol = float(tol)
     if not (1e-14 <= tol <= 1e-4):
@@ -236,11 +237,11 @@ def solve(problem, tol, eps_schedule=None):
     t0 = time.perf_counter()
     report = SolveReport(eps_schedule=eps_schedule, tol=tol)
     v = problem.feasible_start()
-    free_res = comp = np.nan
-    active = np.zeros(problem.setup.mesh.num_vertices, dtype=bool)
     for eps in eps_schedule:
-        v, n_iter, free_res, comp, active = _solve_stage(problem, v, eps, tol, report)
+        v, free_res, comp, active, n_iter, converged = _solve_stage(problem, v, eps, tol)
         report.iterations.append(n_iter)
+        if not converged:
+            break
 
     report.energy = energy(problem.setup.with_epsilon(0.0), v)
     report.free_residual = free_res
@@ -248,7 +249,13 @@ def solve(problem, tol, eps_schedule=None):
     exact_zero = problem.thin & (v == 0.0)
     report.active_set = np.flatnonzero(active | exact_zero)
     report.wall_time = time.perf_counter() - t0
-    return FeFunction(problem.setup.mesh, v), report
+    u = FeFunction(problem.setup.mesh, v)
+    if not converged:
+        best = max(free_res, comp if problem.constrained else 0.0)
+        raise ConvergenceError(
+            f"no residual decrease over {STAGNATION_WINDOW} iterations "
+            f"(best KKT measure {best})", best=u, info=report)
+    return u, report
 
 
 def solve_unconstrained(problem, tol, eps_schedule=None):

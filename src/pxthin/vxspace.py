@@ -14,6 +14,9 @@ from .errors import NumericError, PreconditionError, ResolutionError
 from .mesh import ball_element_mask, quadrature_rule
 
 REPORT_ORDER = 5
+# Luxemburg norm: Newton steps allowed, and the step size counted as round-off
+LUXEMBURG_STEPS = 100
+ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
 class FeFunction:
@@ -60,14 +63,6 @@ class ElementVectorField:
             raise PreconditionError("non-finite element value")
 
 
-def _abs_at_quad(f, rule):
-    """|f| at quadrature points (nt, nq) for either field kind."""
-    if isinstance(f, ElementVectorField):
-        mags = np.hypot(f.values[:, 0], f.values[:, 1])
-        return np.repeat(mags[:, None], len(rule.weights), axis=1)
-    return np.abs(f.at_quad_points(rule))
-
-
 def _region_elements(mesh, element_mask):
     if element_mask is None:
         return np.ones(mesh.num_triangles, dtype=bool)
@@ -77,73 +72,57 @@ def _region_elements(mesh, element_mask):
     return mask
 
 
-def modular(f, exponent_field, element_mask=None, sigma=0.0, order=REPORT_ORDER):
+def _modular_terms(f, exponent_field):
+    """|f|, p and the quadrature weights at the quadrature points, each (nt, nq)."""
+    rule = quadrature_rule(REPORT_ORDER)
+    pts, w = f.mesh.quad_points(rule)
+    if isinstance(f, ElementVectorField):
+        mags = np.hypot(f.values[:, 0], f.values[:, 1])
+        mags = np.repeat(mags[:, None], len(rule.weights), axis=1)
+    else:
+        mags = np.abs(f.at_quad_points(rule))
+    p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
+    return mags, p, w
+
+
+def modular(f, exponent_field, element_mask=None, sigma=0.0):
     """integral of |f|^{(1+sigma) p(x)} over the mesh (or a subset of elements)."""
     sigma = float(sigma)
     if sigma < 0.0:
         raise PreconditionError("sigma must be >= 0")
-    mesh = f.mesh
-    mask = _region_elements(mesh, element_mask)
-    rule = quadrature_rule(order)
-    pts, w = mesh.quad_points(rule)
-    mags = _abs_at_quad(f, rule)
-    p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
+    mask = _region_elements(f.mesh, element_mask)
+    mags, p, w = _modular_terms(f, exponent_field)
     integrand = np.where(mags > 0.0, mags, 1.0) ** ((1.0 + sigma) * p)
     integrand = np.where(mags > 0.0, integrand, 0.0)
     return float((integrand * w)[mask].sum(axis=1).sum())
 
 
-def luxemburg_norm(f, exponent_field, element_mask=None, order=REPORT_ORDER):
-    """Infimal lambda with modular(f/lambda) = 1, by bisection on the modular.
+def luxemburg_norm(f, exponent_field):
+    """The lambda with modular(f/lambda) = 1, by Newton's method in log lambda.
 
-    Terminates when |modular(f/lambda) - 1| <= 1e-10. Returns 0 for the
-    zero field.
+    With t = log(lambda / max|f|), log modular(f/lambda) is a log-sum-exp
+    of the affine functions log(w |f/max|f||^p) - p t, so it is convex and
+    decreasing in t with slope in [-gamma2, -gamma1]. Newton's method on
+    it converges from any start (after the first step every iterate lies
+    below the root and increases to it) and is exact in one step for a
+    constant exponent. It starts at lambda = max|f|, where no term
+    exceeds its weight, and stops when the step is at round-off. Returns 0
+    for the zero field.
     """
-    m0 = modular(f, exponent_field, element_mask, 0.0, order)
-    if m0 == 0.0:
+    mags, p, w = _modular_terms(f, exponent_field)
+    top = float(mags.max())
+    if top == 0.0:
         return 0.0
-
-    def mod_at(lam):
-        if isinstance(f, ElementVectorField):
-            g = ElementVectorField(f.mesh, f.values / lam)
-        else:
-            g = FeFunction(f.mesh, f.values / lam)
-        return modular(g, exponent_field, element_mask, 0.0, order)
-
-    g1 = exponent_field.gamma1
-    base = max(m0, 1.0) ** (1.0 / g1)
-    lo = max(m0, 1.0) ** (-1.0 / g1)
-    hi = base
-    # ensure mod(lo) >= 1 >= mod(hi); expand geometrically if not
-    for _ in range(200):
-        if mod_at(lo) >= 1.0:
-            break
-        lo *= 0.5
-    else:
-        raise NumericError("Luxemburg bracket expansion failed (lower end)")
-    for _ in range(200):
-        if mod_at(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError("Luxemburg bracket expansion failed (upper end)")
-
-    val_lo = mod_at(lo)
-    val_hi = mod_at(hi)
-    if abs(val_lo - 1.0) <= 1e-10:
-        return lo
-    if abs(val_hi - 1.0) <= 1e-10:
-        return hi
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        vm = mod_at(mid)
-        if abs(vm - 1.0) <= 1e-10:
-            return mid
-        if vm > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericError("Luxemburg bisection did not meet the modular tolerance")
+    scaled = mags / top
+    t = 0.0
+    for _ in range(LUXEMBURG_STEPS):
+        terms = w * (scaled * math.exp(-t)) ** p
+        rho = float(terms.sum())
+        step = rho * math.log(rho) / float((p * terms).sum())
+        t += step
+        if abs(step) <= ROUNDOFF * max(1.0, abs(t)):
+            return top * math.exp(t)
+    raise NumericError(f"Luxemburg Newton step still {step} after {LUXEMBURG_STEPS} steps")
 
 
 @dataclass
@@ -159,7 +138,7 @@ class CampanatoProfile:
     residual: float = 0.0
 
 
-def campanato_profile(f, p, center, radii, order=REPORT_ORDER):
+def campanato_profile(f, p, center, radii):
     """I(rho) = integral over B_rho of |f - mean|^p, fit log I = lam log rho + b.
 
     Regions are element selections (all three vertices inside), the mean
@@ -177,7 +156,7 @@ def campanato_profile(f, p, center, radii, order=REPORT_ORDER):
         raise PreconditionError(
             f"smallest radius {radii[-1]} must exceed 2*h_max = {2 * mesh.h_max}")
 
-    rule = quadrature_rule(order)
+    rule = quadrature_rule(REPORT_ORDER)
     prof = CampanatoProfile(center=(float(center[0]), float(center[1])), p=p)
 
     if isinstance(f, ElementVectorField):
@@ -230,7 +209,7 @@ def _fit_profile(prof):
     return prof
 
 
-def sobolev_poincare_ratio(f, p, gamma1, element_mask=None, radius=None, order=REPORT_ORDER):
+def sobolev_poincare_ratio(f, p, gamma1, element_mask=None, radius=None):
     """LHS/RHS of the scale-invariant Poincare inequality on a region.
 
     LHS = avg of (|f - mean| / r)^p, RHS = (avg of |Df|^{2p/(2+gamma1)})
@@ -241,7 +220,7 @@ def sobolev_poincare_ratio(f, p, gamma1, element_mask=None, radius=None, order=R
     gamma1 = float(gamma1)
     mesh = f.mesh
     mask = _region_elements(mesh, element_mask)
-    rule = quadrature_rule(order)
+    rule = quadrature_rule(REPORT_ORDER)
     pts, w = mesh.quad_points(rule)
     ws = w[mask]
     area = float(ws.sum())

@@ -12,10 +12,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pxthin import (EnergySetup, ExponentField, FeFunction, FormatError,
-                    ObstacleProblem, PreconditionError, build, hessian,
-                    load_mesh, load_solution, save_mesh, save_solution, solve,
-                    solve_unconstrained, vi_check)
+from pxthin import (ConvergenceError, EnergySetup, ExponentField, FeFunction,
+                    FormatError, ObstacleProblem, PreconditionError, build,
+                    energy, hessian, load_mesh, load_solution, save_mesh,
+                    save_solution, solve, solve_unconstrained, vi_check)
 from pxthin import solver
 from pxthin.mesh import INTERIOR, THIN
 from conftest import FAMILIES, g_signorini32
@@ -141,6 +141,20 @@ def test_tolerance_window_is_enforced(mesh4, p2):
         solve(problem, 1e-3)
     with pytest.raises(PreconditionError):
         solve(problem, 1e-15)
+
+
+def test_stagnated_solve_reports_its_best_iterate(mesh3):
+    # p = 8 with data x10 stagnates far above tol = 1e-14
+    field = ExponentField("constant", [8.0])
+    problem = ObstacleProblem(EnergySetup(mesh3, field), 10.0 * g_signorini32(mesh3))
+    with pytest.raises(ConvergenceError) as caught:
+        solve(problem, 1e-14)
+    best, report = caught.value.best, caught.value.info
+    assert np.isfinite([report.energy, report.free_residual,
+                        report.complementarity]).all()
+    assert report.energy == energy(problem.setup.with_epsilon(0.0), best.values)
+    assert len(report.active_set) > 0
+    assert report.wall_time > 0.0
 
 
 def test_eps_schedule_validation(mesh4, p2):

@@ -4,6 +4,8 @@ known oscillation exponents."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pxthin import (ElementVectorField, ExponentField, FeFunction,
                     PreconditionError, campanato_profile, luxemburg_norm,
@@ -73,6 +75,38 @@ def test_luxemburg_homogeneity(mesh4, sin_field):
 def test_luxemburg_of_zero_function(mesh4, sin_field):
     f = FeFunction(mesh4, np.zeros(mesh4.num_vertices))
     assert luxemburg_norm(f, sin_field) == 0.0
+
+
+def _exponent(family, low, high, k):
+    # a field of the family whose values lie in [low, high]
+    mid, half = 0.5 * (low + high), 0.5 * (high - low)
+    coefficients = {"constant": [high],
+                    "affine": [mid, half * np.cos(k), half * np.sin(k)],
+                    "radial": [low, high - low],
+                    "sinusoidal": [mid, half, k]}[family]
+    return ExponentField(family, coefficients)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("constant", "affine", "radial", "sinusoidal")),
+       st.floats(1.1, 5.0), st.floats(0.0, 4.5), st.floats(0.5, 3.0),
+       st.booleans(), st.floats(-150.0, 150.0), st.floats(-50.0, 50.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_luxemburg_norm_at_every_scale(mesh4, family, low, spread, k,
+                                       per_element, scale, stretch, seed):
+    # nodal or element values scaled by 10^scale, about 30 % of them zero
+    field = _exponent(family, low, low + spread, k)
+    kind, shape = ((ElementVectorField, (mesh4.num_triangles, 2)) if per_element
+                   else (FeFunction, (mesh4.num_vertices,)))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** scale
+    values[rng.random(shape) < 0.3] = 0.0
+    assume(np.any(values))
+    nu = luxemburg_norm(kind(mesh4, values), field)
+    assert 0.0 < nu < np.inf
+    assert abs(modular(kind(mesh4, values / nu), field) - 1.0) <= 1e-12
+    s = 10.0 ** stretch
+    assert abs(luxemburg_norm(kind(mesh4, s * values), field) - s * nu) <= 1e-12 * s * nu
 
 
 def test_fe_function_shape_is_checked(mesh4):
