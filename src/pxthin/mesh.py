@@ -61,6 +61,8 @@ class TriMesh:
         if any(P.shape[0] != n for P, n in zip(self.prolongations, fine_sizes)):
             raise PreconditionError("prolongations do not chain to the mesh")
         self.digest = None      # mesh_hash, filled on first use
+        # vxspace: read-only p at its report quadrature points, by repr(field)
+        self.report_p = {}
 
         p = self.vertices[self.triangles]           # (nt, 3, 2)
         e1 = p[:, 1] - p[:, 0]
@@ -113,8 +115,11 @@ class TriMesh:
         xi = rule.points[:, 0][None, :, None]
         eta = rule.points[:, 1][None, :, None]
         pts = p[:, None, 0] * (1.0 - xi - eta) + p[:, None, 1] * xi + p[:, None, 2] * eta
-        w = rule.weights[None, :] * (2.0 * self.areas[:, None])
-        return pts, w
+        return pts, self.quad_weights(rule)
+
+    def quad_weights(self, rule):
+        """Physical quadrature weights (nt, nq)."""
+        return rule.weights[None, :] * (2.0 * self.areas[:, None])
 
 
 class HalfDiskMesh(TriMesh):

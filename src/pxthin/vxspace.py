@@ -17,6 +17,9 @@ REPORT_ORDER = 5
 # Luxemburg norm: Newton steps allowed, and the step size counted as round-off
 LUXEMBURG_STEPS = 100
 ROUNDOFF = 4.0 * np.finfo(float).eps
+# fields whose p a mesh keeps: the run's field and verify's constant p = 3;
+# each costs 56 bytes per element, so a sweep over fields must not pile up
+P_CACHE_FIELDS = 2
 
 
 class FeFunction:
@@ -73,15 +76,31 @@ def _region_elements(mesh, element_mask):
 
 
 def _modular_terms(f, exponent_field):
-    """|f|, p and the quadrature weights at the quadrature points, each (nt, nq)."""
+    """|f|, p and the quadrature weights at the quadrature points, each (nt, nq).
+
+    p is evaluated once per (mesh, field) and kept read-only on the mesh,
+    keyed by repr(field): it fixes the family, coefficients and bounds
+    that `eval` reads, so an entry cannot go stale. The mesh keeps p of
+    the last P_CACHE_FIELDS fields evaluated on it and drops the oldest.
+    """
+    mesh = f.mesh
     rule = quadrature_rule(REPORT_ORDER)
-    pts, w = f.mesh.quad_points(rule)
+    w = mesh.quad_weights(rule)
     if isinstance(f, ElementVectorField):
         mags = np.hypot(f.values[:, 0], f.values[:, 1])
         mags = np.repeat(mags[:, None], len(rule.weights), axis=1)
     else:
         mags = np.abs(f.at_quad_points(rule))
-    p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
+    cache = mesh.report_p
+    key = repr(exponent_field)
+    p = cache.get(key)
+    if p is None:
+        pts, _ = mesh.quad_points(rule)
+        p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
+        p.flags.writeable = False
+        if len(cache) >= P_CACHE_FIELDS:
+            del cache[next(iter(cache))]
+        cache[key] = p
     return mags, p, w
 
 
@@ -174,7 +193,7 @@ def campanato_profile(f, p, center, radii):
             prof.integrals.append(integral)
             prof.means.append(float(np.hypot(mean[0], mean[1])))
     else:
-        pts, w = mesh.quad_points(rule)
+        w = mesh.quad_weights(rule)
         fq = f.at_quad_points(rule)
         for rho in radii:
             sel = ball_element_mask(mesh, center, rho)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     ObstacleProblem, PreconditionError, admissible_radius,
@@ -9,7 +11,7 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     higher_integrability_scan, iteration_constants,
                     iteration_suite, iteration_verify, monotonicity_check,
                     solve, theoretical_alpha)
-from pxthin.analysis import MONO_C, calibrate_monotonicity
+from pxthin.analysis import _GRID_HALVINGS, MONO_C, calibrate_monotonicity
 from conftest import g_signorini32
 
 
@@ -64,6 +66,64 @@ def test_iteration_suite_small_sample():
     assert worst >= 0.0
     # same seed reproduces the same worst slack
     assert iteration_suite(300, 0) == worst
+
+
+def _verify_loop(consts, trials, seed):
+    # iteration_verify as it was before the trials were vectorised: one
+    # Python loop over the grid per trial, kept as the oracle
+    rng = np.random.default_rng(seed)
+    A, B, c = consts.A, consts.B, consts.c
+    a1, a2 = consts.alpha1, consts.alpha2
+    K = _GRID_HALVINGS
+    m = np.arange(K + 1)
+    pow_a1 = 2.0 ** (-a1 * m)
+    pow_a2 = 2.0 ** (-a2 * m)
+    worst = np.inf
+    for _ in range(int(trials)):
+        eps = rng.uniform(0.0, consts.eps0)
+        phi = np.empty(K + 1)
+        phi[0] = 10.0 ** rng.uniform(-3.0, 3.0)
+        phi[1] = phi[0]
+        for k in range(2, K + 1):
+            j = np.arange(1, k)
+            cand = A * (pow_a1[k - j] + eps) * phi[j - 1] + B * pow_a2[j]
+            phi[k] = min(phi[k - 1], cand.min())
+        for k in range(1, K + 1):
+            j = np.arange(0, k)
+            rhs = c * (pow_a2[k - j] * phi[j] + B * pow_a2[k])
+            worst = min(worst, float((rhs - phi[k]).min()))
+    return worst
+
+
+def _suite_loop(trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(int(trials)):
+        alpha2 = rng.uniform(0.0, 3.8)
+        alpha1 = rng.uniform(alpha2 + 0.2, 4.0)
+        A = 10.0 ** rng.uniform(-1.0, 1.0)
+        B = 0.0 if rng.uniform() < 0.25 else 10.0 ** rng.uniform(-2.0, 2.0)
+        consts = iteration_constants(A, alpha1, alpha2, B=B)
+        worst = min(worst, _verify_loop(consts, 1, int(rng.integers(2 ** 62))))
+    return worst
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 64 - 1), st.floats(-1.0, 1.0),
+       st.floats(0.0, 3.8), st.floats(0.2, 2.0),
+       st.one_of(st.just(None), st.floats(-2.0, 2.0)))
+def test_iteration_checks_equal_the_per_trial_loop(trials, seed, log_a, alpha2,
+                                                   gap, log_b):
+    consts = iteration_constants(10.0 ** log_a, alpha2 + gap, alpha2,
+                                 B=0.0 if log_b is None else 10.0 ** log_b)
+    assert iteration_verify(consts, trials, seed) == _verify_loop(consts, trials, seed)
+    assert iteration_suite(trials, seed) == _suite_loop(trials, seed)
+
+
+def test_iteration_suite_pinned_slack():
+    # the worst slack the per-trial loop gave for verify's seed-0 sample;
+    # 3000 trials span several blocks of the vectorised check
+    assert iteration_suite(3000, 0) == 4.941513451981164e-42
 
 
 # ------------------------------------------------------------- monotonicity

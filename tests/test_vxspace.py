@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pxthin import (ElementVectorField, ExponentField, FeFunction,
-                    PreconditionError, campanato_profile, luxemburg_norm,
+                    PreconditionError, build, campanato_profile, luxemburg_norm,
                     modular, sobolev_poincare_ratio)
 
 
@@ -107,6 +107,28 @@ def test_luxemburg_norm_at_every_scale(mesh4, family, low, spread, k,
     assert abs(modular(kind(mesh4, values / nu), field) - 1.0) <= 1e-12
     s = 10.0 ** stretch
     assert abs(luxemburg_norm(kind(mesh4, s * values), field) - s * nu) <= 1e-12 * s * nu
+
+
+def test_cached_exponent_follows_the_field():
+    # fields one coefficient apart, used in turn on one mesh (three of them,
+    # so the oldest entry is dropped), must each see their own p: equal, bit
+    # for bit, to what a fresh mesh computes
+    mesh = build(4)
+    values = np.sin(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 1]
+    f = FeFunction(mesh, values)
+    for a2 in (0.0, 0.1, 0.0, 0.2, 0.1, 0.0, 0.1):
+        field = ExponentField("affine", [2.0, 0.3, a2])
+        fresh = FeFunction(build(4), values)
+        assert modular(f, field) == modular(fresh, field)
+        assert luxemburg_norm(f, field) == luxemburg_norm(fresh, field)
+        assert (luxemburg_norm(f.gradient_field(), field)
+                == luxemburg_norm(fresh.gradient_field(), field))
+        assert repr(field) in mesh.report_p
+    assert len(mesh.report_p) == 2
+    for p in mesh.report_p.values():
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = 1.0
 
 
 def test_fe_function_shape_is_checked(mesh4):
