@@ -12,23 +12,21 @@ from .errors import PreconditionError
 from .mesh import quadrature_rule
 from .vxspace import FeFunction
 
-ASSEMBLY_ORDER = 2
+ASSEMBLY_ORDER = 2      # the 3-point rule, whose points the sums below add
 
 
 class EnergySetup:
     """Mesh + exponent field + regularization, with cached quadrature data."""
 
-    def __init__(self, mesh, exponent_field, epsilon=0.0, order=ASSEMBLY_ORDER):
+    def __init__(self, mesh, exponent_field, epsilon=0.0):
         epsilon = float(epsilon)
         if not (0.0 <= epsilon <= 1e-2):
             raise PreconditionError(f"epsilon must lie in [0, 1e-2], got {epsilon}")
         self.mesh = mesh
         self.field = exponent_field
         self.epsilon = epsilon
-        self.order = order
-        rule = quadrature_rule(order)
-        pts, w = mesh.quad_points(rule)
-        self.quad_w = w                                          # (nt, nq)
+        pts, w = mesh.quad_points(quadrature_rule(ASSEMBLY_ORDER))
+        self.quad_w = w                                          # (nt, 3)
         self.quad_p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
 
     def with_epsilon(self, epsilon):
@@ -38,27 +36,43 @@ class EnergySetup:
         clone.epsilon = float(epsilon)
         if not (0.0 <= clone.epsilon <= 1e-2):
             raise PreconditionError("epsilon must lie in [0, 1e-2]")
-        clone.order = self.order
         clone.quad_w = self.quad_w
         clone.quad_p = self.quad_p
         return clone
 
 
-def _gradients(setup, v):
+# Every short sum below is written out as adds in index order: two gradient
+# components, three quadrature points, three hat gradients. That is the
+# order numpy's reductions and einsum use, so the results are the same bits
+# without their per-call overhead on axes of length 2 and 3.
+
+def _slope(setup, v):
+    """Per element: hat gradient components as contiguous rows hx[i], hy[i],
+    the gradient (gx, gy) of v, and s = |Dv|^2 + eps^2 as an (nt, 1) column."""
     values = v.values if isinstance(v, FeFunction) else np.asarray(v, dtype=float)
     if values.shape != (setup.mesh.num_vertices,):
         raise PreconditionError("one nodal value per vertex required")
-    tri_vals = values[setup.mesh.triangles]
-    return np.einsum("ti,tid->td", tri_vals, setup.mesh.grads)
+    G = np.ascontiguousarray(setup.mesh.grads.reshape(-1, 6).T)  # x0 y0 x1 ..
+    hx, hy = G[0::2], G[1::2]
+    tri = setup.mesh.triangles
+    v0, v1, v2 = values[tri[:, 0]], values[tri[:, 1]], values[tri[:, 2]]
+    gx = v0 * hx[0] + v1 * hx[1] + v2 * hx[2]
+    gy = v0 * hy[0] + v1 * hy[1] + v2 * hy[2]
+    s = gx * gx + gy * gy + setup.epsilon ** 2
+    return hx, hy, gx, gy, s[:, None]
+
+
+def _columns_sum(a):
+    """a[:, 0] + a[:, 1] + a[:, 2]: the per-element quadrature sum."""
+    return a[:, 0] + a[:, 1] + a[:, 2]
 
 
 def energy(setup, v):
     """Total energy of a nodal field."""
-    g = _gradients(setup, v)
-    s = (g ** 2).sum(axis=1)[:, None] + setup.epsilon ** 2      # (nt, 1)
+    *_, s = _slope(setup, v)
     p = setup.quad_p
     dens = np.where(s > 0.0, np.where(s > 0.0, s, 1.0) ** (0.5 * p) / p, 0.0)
-    return float((setup.quad_w * dens).sum(axis=1).sum())
+    return float(_columns_sum(setup.quad_w * dens).sum())
 
 
 def residual(setup, v):
@@ -68,13 +82,13 @@ def residual(setup, v):
     regularized slope vanishes.
     """
     mesh = setup.mesh
-    g = _gradients(setup, v)
-    s = (g ** 2).sum(axis=1)[:, None] + setup.epsilon ** 2
+    hx, hy, gx, gy, s = _slope(setup, v)
     p = setup.quad_p
     a = np.where(s > 0.0, np.where(s > 0.0, s, 1.0) ** (0.5 * (p - 2.0)), 0.0)
-    c1 = (setup.quad_w * a).sum(axis=1)                          # (nt,)
-    gdotG = np.einsum("td,tid->ti", g, mesh.grads)               # (nt, 3)
-    local = c1[:, None] * gdotG
+    c1 = _columns_sum(setup.quad_w * a)                          # (nt,)
+    local = np.empty((mesh.num_triangles, 3))
+    for i in range(3):
+        local[:, i] = c1 * (hx[i] * gx + hy[i] * gy)
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.num_vertices)
 
@@ -83,25 +97,30 @@ def hessian(setup, v):
     """Generalized second variation as a CSR matrix; requires eps > 0.
 
     Element tensor a [ I + (p-2) (Dv x Dv)/(|Dv|^2+eps^2) ]; symmetric by
-    construction and positive definite for p > 1. The matrix shares its
-    read-only index arrays with every Hessian on the same mesh.
+    construction and positive definite for p > 1. Each element matrix is
+    built from its upper triangle, since entry (j, i) is the same product
+    as (i, j), and scattered in (t, i, j) order, the order of the cached
+    scatter map. The matrix shares its read-only index arrays with every
+    Hessian on the same mesh.
     """
     if setup.epsilon <= 0.0:
         raise PreconditionError("hessian requires a positive regularization epsilon")
     mesh = setup.mesh
-    g = _gradients(setup, v)
-    s = (g ** 2).sum(axis=1)[:, None] + setup.epsilon ** 2
+    hx, hy, gx, gy, s = _slope(setup, v)
     p = setup.quad_p
-    a = s ** (0.5 * (p - 2.0))
-    c1 = (setup.quad_w * a).sum(axis=1)
-    c2 = (setup.quad_w * a * (p - 2.0) / s).sum(axis=1)
+    wa = setup.quad_w * s ** (0.5 * (p - 2.0))
+    c1 = _columns_sum(wa)
+    c2 = _columns_sum(wa * (p - 2.0) / s)
 
-    G = mesh.grads                                               # (nt, 3, 2)
-    GG = np.einsum("tid,tjd->tij", G, G)
-    Gg = np.einsum("tid,td->ti", G, g)
-    K = c1[:, None, None] * GG + c2[:, None, None] * np.einsum("ti,tj->tij", Gg, Gg)
+    hg = [hx[i] * gx + hy[i] * gy for i in range(3)]             # Dphi_i . Dv
+    K = np.empty((3, 3, mesh.num_triangles))
+    for i in range(3):
+        for j in range(i, 3):
+            K[i, j] = K[j, i] = (c1 * (hx[i] * hx[j] + hy[i] * hy[j])
+                                 + c2 * (hg[i] * hg[j]))
 
     indptr, indices, scatter = mesh.p1_pattern
-    data = np.bincount(scatter, weights=K.ravel(), minlength=len(indices))
+    data = np.bincount(scatter, weights=K.transpose(2, 0, 1).ravel(),
+                       minlength=len(indices))
     n = mesh.num_vertices
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))

@@ -23,6 +23,10 @@ THIN = 2
 
 _TAG_CHAR = {INTERIOR: "i", ARC: "a", THIN: "t"}
 _CHAR_TAG = {v: k for k, v in _TAG_CHAR.items()}
+_TAG_CHARS = np.array([_TAG_CHAR[tag] for tag in range(len(_TAG_CHAR))])
+# rows per .tolist() in the text writers: bounds the Python numbers alive at
+# once, so writing a mesh does not grow the heap with its size
+TEXT_CHUNK = 1024
 
 GEOM_TOL = 1e-12
 NODE_BUDGET = 10_000_000
@@ -386,14 +390,20 @@ def extract_halfball_submesh(mesh, center, radius):
     return HalfDiskMesh(sub_verts, sub_tris, tags), used
 
 
+def _text_rows(fmt, *columns):
+    """fmt.format applied to each row of equal-length 1-D arrays, joined;
+    the rows go through .tolist() TEXT_CHUNK at a time."""
+    return "".join(
+        "".join(map(fmt.format, *(c[k:k + TEXT_CHUNK].tolist() for c in columns)))
+        for k in range(0, len(columns[0]), TEXT_CHUNK))
+
+
 def mesh_text(mesh):
     """Canonical text form; also the hashing basis for solution files."""
-    lines = [f"m {mesh.num_vertices} {mesh.num_triangles}"]
-    for v, tag in zip(mesh.vertices, mesh.vertex_tags):
-        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {_TAG_CHAR[int(tag)]}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"t {a} {b} {c}")
-    return "\n".join(lines) + "\n"
+    return (f"m {mesh.num_vertices} {mesh.num_triangles}\n"
+            + _text_rows("v {:.17g} {:.17g} {}\n", *mesh.vertices.T,
+                        _TAG_CHARS[mesh.vertex_tags])
+            + _text_rows("t {} {} {}\n", *mesh.triangles.T))
 
 
 def _remember_digest(mesh, text):

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from .energy import EnergySetup, energy, hessian, residual
 from .errors import ConvergenceError, FormatError, PreconditionError
-from .mesh import ARC, THIN, mesh_hash
+from .mesh import ARC, THIN, mesh_hash, _text_rows
 from .vxspace import FeFunction
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -109,7 +109,9 @@ def _multigrid_levels(H, free, prolongations):
     the coarse vertices whose fine counterpart is kept (so Dirichlet and
     active vertices are truncated on every level), takes the prolongation
     restricted to kept rows and columns, and the Galerkin operator P^T A P.
-    Returns ([(A, 1/diag A, P, P^T), ...], coarsest operator).
+    Returns ([(A, MG_OMEGA * (1/diag A), P, P^T), ...], coarsest
+    operator). The smoother weight is formed in that order: MG_OMEGA /
+    diag A rounds differently.
     """
     kept = np.flatnonzero(free)
     A = H[kept][:, kept]
@@ -118,7 +120,7 @@ def _multigrid_levels(H, free, prolongations):
         kept_coarse = kept[kept < P.shape[1]]
         P = P[kept][:, kept_coarse]
         PT = P.T.tocsr()
-        levels.append((A, 1.0 / A.diagonal(), P, PT))
+        levels.append((A, MG_OMEGA * (1.0 / A.diagonal()), P, PT))
         A = PT @ (A @ P)
         kept = kept_coarse
     return levels, A
@@ -127,17 +129,17 @@ def _multigrid_levels(H, free, prolongations):
 def _v_cycle(levels, coarse_solve, b):
     """One symmetric V-cycle with damped Jacobi smoothing, as a loop."""
     down = []
-    for A, dinv, _, PT in levels:
-        x = MG_OMEGA * dinv * b
+    for A, wdinv, _, PT in levels:
+        x = wdinv * b
         for _ in range(MG_SWEEPS - 1):
-            x += MG_OMEGA * dinv * (b - A @ x)
+            x += wdinv * (b - A @ x)
         down.append((x, b))
         b = PT @ (b - A @ x)
     x = coarse_solve(b)
-    for (A, dinv, P, _), (x_fine, b) in zip(reversed(levels), reversed(down)):
+    for (A, wdinv, P, _), (x_fine, b) in zip(reversed(levels), reversed(down)):
         x = x_fine + P @ x
         for _ in range(MG_SWEEPS):
-            x += MG_OMEGA * dinv * (b - A @ x)
+            x += wdinv * (b - A @ x)
     return x
 
 
@@ -166,8 +168,11 @@ def _free_solve(H, free, rhs, prolongations):
 def _solve_stage(problem, v, eps, tol):
     """Newton iterations at one eps; returns (v, free_res, comp, active,
     n_iter, converged). On stagnation v is the iterate with the smallest
-    KKT measure and the KKT values are its own."""
+    KKT measure and the KKT values are its own. The energy of v is
+    evaluated once, at the first step, and then taken from the accepted
+    line-search step."""
     setup = problem.setup.with_epsilon(eps)
+    e = None
     n_iter = 0
     best = np.inf
     best_state = (v.copy(), np.nan, np.nan, np.zeros_like(problem.thin))
@@ -200,17 +205,18 @@ def _solve_stage(problem, v, eps, tol):
             else:
                 d[free] = df
 
-        e0 = energy(setup, v)
+        if e is None:
+            e = energy(setup, v)
         accepted = False
         if newton_ok and float(r @ d) < 0.0:
-            v_new, _, accepted = _line_search(setup, problem, v, d, r, e0)
+            v_new, e_new, accepted = _line_search(setup, problem, v, d, r, e)
         if not accepted:
             # projected gradient fallback
             d = -r
             d[problem.dirichlet] = 0.0
-            v_new, _, accepted = _line_search(setup, problem, v, d, r, e0)
+            v_new, e_new, accepted = _line_search(setup, problem, v, d, r, e)
         if accepted:
-            v = v_new
+            v, e = v_new, e_new
         # if both searches failed, loop continues and stagnation will trip
 
 
@@ -298,10 +304,9 @@ def vi_check(problem, u_h, trials, seed):
 
 
 def solution_text(u, mesh):
-    lines = [f"s {mesh_hash(mesh)} {len(u.values)}"]
-    for i, val in enumerate(u.values):
-        lines.append(f"u {i} {val:.17g}")
-    return "\n".join(lines) + "\n"
+    n = len(u.values)
+    return (f"s {mesh_hash(mesh)} {n}\n"
+            + _text_rows("u {} {:.17g}\n", np.arange(n), u.values))
 
 
 def save_solution(u, mesh, path):

@@ -56,6 +56,17 @@ def test_iteration_constants_validate_rejects_tampering():
         bad2.validate()
 
 
+@pytest.mark.parametrize("B", [np.nan, np.inf, -5.0])
+def test_iteration_constants_reject_a_bad_B(B):
+    # a nan or infinite B would skip every slack comparison: a vacuous pass
+    with pytest.raises(PreconditionError):
+        iteration_constants(1.0, 2.0, 1.0, B=B)
+    c = iteration_constants(1.0, 2.0, 1.0)
+    c.B = B
+    with pytest.raises(PreconditionError):
+        iteration_verify(c, 5, 0)
+
+
 def test_iteration_verify_small_sample():
     c = iteration_constants(1.0, 2.0, 1.0)
     assert iteration_verify(c, 300, 11) >= 0.0

@@ -1,6 +1,7 @@
 """Config parsing, the run/report/verify commands, and artifact layout."""
 
 import csv
+import hashlib
 import os
 import re
 
@@ -277,6 +278,44 @@ run = solve, reference
     rb = (outs[1] / "solve_report.csv").read_text().splitlines()
     assert ra[0] == rb[0]
     assert ra[1].rsplit(",", 1)[0] == rb[1].rsplit(",", 1)[0]
+
+
+# sha256 of the artifacts of an L4 solve, reference, freeze, holder run,
+# recorded before the unrolled energy assembly and the joined text writers;
+# both must leave every byte as it was
+PINNED_L4_SHA256 = {
+    "mesh.txt": "1131b3cd05eddc5211f347ba432081588dfd545a03a781aa6f31dcb5cde927c9",
+    "u.txt": "2243da7fc941d1a8eacb86d8e5083362af3a96a98834015c23af9c4c0b9a14d3",
+    "w.txt": "c236b4329cb06ee1116d3a3e1466fdcf2b147d960730b9bd5694ee0b44394509",
+    "comparison.csv": "2ea287596f475c2743f433ef828ec86b63427b1c6882391ac86836fe0f3308ac",
+    "holder.csv": "1d134e4657f19033132016239710b2c3f7df0f8fe5aa3b3134c47344b5f2627b",
+}
+
+
+def test_l4_pipeline_artifacts_keep_their_bytes(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "l4.cfg", f"""\
+[exponent]
+family = affine
+coefficients = 2, 0.3, 0
+[mesh]
+level = 4
+[boundary]
+preset = signorini32
+scale = 0.25
+[experiments]
+run = solve, reference, freeze, holder
+[freeze]
+center = 0, 0
+radii = 0.35, 0.25, 0.17
+[holder]
+radii = 0.5, 0.4, 0.3
+[output]
+dir = {out}
+""")
+    assert main(["run", cfg]) == 0
+    for name, digest in PINNED_L4_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_scan_writes_one_row_per_radius_and_sigma(tmp_path):

@@ -1,6 +1,8 @@
 """Energy, residual and Hessian assembly.  The three must be consistent as
 derivatives of each other; that is what the finite-difference probes pin."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, PreconditionError, build,
                     energy, hessian, residual)
+from pxthin.solver import DEFAULT_EPS_SCHEDULE
 from conftest import FAMILIES
 
 
@@ -154,3 +157,67 @@ def test_cached_pattern_hessian_matches_coo_assembly(level, grading, field, eps,
     assert np.array_equal(H.indptr, ref.indptr)
     assert np.array_equal(H.indices, ref.indices)
     assert np.abs(H.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+
+
+# The einsum and axis-sum formulas the unrolled assembly replaced; the
+# unrolled adds must give the same bits.
+
+def _einsum_parts(setup, v):
+    mesh = setup.mesh
+    g = np.einsum("ti,tid->td", v[mesh.triangles], mesh.grads)
+    return g, (g ** 2).sum(axis=1)[:, None] + setup.epsilon ** 2
+
+
+def _einsum_energy(setup, v):
+    _, s = _einsum_parts(setup, v)
+    p = setup.quad_p
+    dens = np.where(s > 0.0, np.where(s > 0.0, s, 1.0) ** (0.5 * p) / p, 0.0)
+    return float((setup.quad_w * dens).sum(axis=1).sum())
+
+
+def _einsum_residual(setup, v):
+    mesh = setup.mesh
+    g, s = _einsum_parts(setup, v)
+    p = setup.quad_p
+    a = np.where(s > 0.0, np.where(s > 0.0, s, 1.0) ** (0.5 * (p - 2.0)), 0.0)
+    c1 = (setup.quad_w * a).sum(axis=1)
+    local = c1[:, None] * np.einsum("td,tid->ti", g, mesh.grads)
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.num_vertices)
+
+
+def _einsum_hessian_data(setup, v):
+    mesh = setup.mesh
+    g, s = _einsum_parts(setup, v)
+    p = setup.quad_p
+    a = s ** (0.5 * (p - 2.0))
+    c1 = (setup.quad_w * a).sum(axis=1)
+    c2 = (setup.quad_w * a * (p - 2.0) / s).sum(axis=1)
+    G = mesh.grads
+    Gg = np.einsum("tid,td->ti", G, g)
+    K = (c1[:, None, None] * np.einsum("tid,tjd->tij", G, G)
+         + c2[:, None, None] * np.einsum("ti,tj->tij", Gg, Gg))
+    _, indices, scatter = mesh.p1_pattern
+    return np.bincount(scatter, weights=K.ravel(), minlength=len(indices))
+
+
+@functools.lru_cache(maxsize=None)
+def _setup(level, grading, family):
+    return EnergySetup(build(level, grading), FAMILIES[family])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2), st.integers(0, len(FAMILIES) - 1),
+       st.sampled_from((0.0,) + DEFAULT_EPS_SCHEDULE), st.floats(0.0, 0.95),
+       st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
+def test_unrolled_assembly_is_bit_identical_to_einsum(level, grading, family, eps,
+                                                      zeros, scale, seed):
+    setup = _setup(level, grading, family).with_epsilon(eps)
+    rng = np.random.default_rng(seed)
+    n = setup.mesh.num_vertices
+    v = 10.0 ** scale * rng.standard_normal(n)
+    v[rng.random(n) < zeros] = 0.0          # whole elements at slope 0
+    assert energy(setup, v) == _einsum_energy(setup, v)
+    assert np.array_equal(residual(setup, v), _einsum_residual(setup, v))
+    if eps > 0.0:
+        assert np.array_equal(hessian(setup, v).data, _einsum_hessian_data(setup, v))

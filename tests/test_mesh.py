@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pxthin import (FormatError, PreconditionError, ResolutionError, build,
-                    extract_halfball_submesh, integrate, load_mesh, mesh_hash,
-                    mesh_text, quadrature_rule, save_mesh)
-from pxthin.mesh import GEOM_TOL, ball_element_mask
+from pxthin import (FeFunction, FormatError, PreconditionError, ResolutionError,
+                    build, extract_halfball_submesh, integrate, load_mesh,
+                    mesh_hash, mesh_text, quadrature_rule, save_mesh)
+from pxthin.mesh import _TAG_CHAR, GEOM_TOL, TriMesh, ball_element_mask
+from pxthin.solver import solution_text
 
 INTERIOR, ARC, THIN = 0, 1, 2
 
@@ -225,3 +226,46 @@ def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
     assert load_mesh(str(path)).prolongations == ()
     sub, _ = extract_halfball_submesh(mesh, (0.0, 0.0), 0.5)
     assert sub.prolongations == ()
+
+
+def _loop_mesh_text(mesh):
+    # the per-row loop over numpy scalars that the joined writer replaced
+    lines = [f"m {mesh.num_vertices} {mesh.num_triangles}"]
+    for v, tag in zip(mesh.vertices, mesh.vertex_tags):
+        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {_TAG_CHAR[int(tag)]}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"t {a} {b} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def _loop_solution_text(u, mesh):
+    lines = [f"s {mesh_hash(mesh)} {len(u.values)}"]
+    for i, val in enumerate(u.values):
+        lines.append(f"u {i} {val:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300,
+                -1e300, 1.7976931348623157e308, 1.0 / 3.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2),
+       st.lists(st.sampled_from(_EDGE_VALUES)
+                | st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_text_writers_equal_the_row_loops(level, grading, special):
+    mesh = build(level, grading)
+    assert mesh_text(mesh) == _loop_mesh_text(mesh)
+    rng = np.random.default_rng(level * 3 + grading)
+    values = rng.standard_normal(mesh.num_vertices)
+    k = min(len(special), mesh.num_vertices)
+    values[rng.choice(mesh.num_vertices, k, replace=False)] = special[:k]
+    u = FeFunction(mesh, values)
+    assert solution_text(u, mesh) == _loop_solution_text(u, mesh)
+
+
+def test_mesh_text_writes_signed_zeros_and_subnormals_like_the_loop():
+    mesh = TriMesh([(-0.0, 5e-324), (1.0, -0.0), (-1e-300, 1.0)], [(0, 1, 2)],
+                   [1, 2, 0])
+    assert mesh_text(mesh) == _loop_mesh_text(mesh)
+    assert "v -0 4.9406564584124654e-324 a\n" in mesh_text(mesh)

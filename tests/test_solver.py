@@ -252,3 +252,19 @@ def test_mesh_without_hierarchy_solves_the_same(tmp_path_factory, level, grading
     assert report_flat.iterations == report.iterations
     assert report_flat.energy == pytest.approx(report.energy, rel=1e-12)
     assert np.abs(u_flat.values - u.values).max() <= 1e-10
+
+
+def test_no_energy_is_evaluated_twice(monkeypatch, mesh4, sin_field):
+    # the line search's energy of the accepted step serves the next iterate
+    seen = []
+
+    def counted(setup, v):
+        seen.append((setup.epsilon, np.asarray(v, dtype=float).tobytes()))
+        return energy(setup, v)
+
+    monkeypatch.setattr(solver, "energy", counted)
+    problem = ObstacleProblem(EnergySetup(mesh4, sin_field), g_signorini32(mesh4))
+    u, report = solve(problem, 1e-10)
+    assert max(report.iterations) >= 2      # a stage that takes a second step
+    assert len(seen) == len(set(seen))
+    assert report.energy == energy(problem.setup, u)
