@@ -13,18 +13,22 @@ import csv
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .analysis import (MONO_GAMMA, admissible_radius, gradient_holder_fit,
                        higher_integrability_scan, iteration_suite,
                        monotonicity_check, theoretical_alpha)
-from .comparison import build_reference, compute_M, comparison_decay, reflect_and_check
+from .comparison import (compute_M, comparison_decay, reference_problem,
+                         reference_report, reflect_and_check)
 from .energy import EnergySetup
-from .errors import ConfigError, ConvergenceError, FormatError, PxthinError
+from .errors import (ConfigError, ConvergenceError, FormatError, PxthinError,
+                     ResolutionError)
 from .exponent import ExponentField
 from .mesh import ARC, build, save_mesh
-from .solver import ObstacleProblem, save_solution, solve, vi_check
+from .solver import (ObstacleProblem, save_solution, solve, solve_unconstrained,
+                     vi_check)
 from .vxspace import FeFunction, luxemburg_norm, modular
 
 EXPERIMENT_ORDER = ("solve", "reference", "freeze", "scan", "holder", "verify")
@@ -433,7 +437,8 @@ class _Run:
     """What the experiment steps of one run share: inputs, results so far,
     summary rows and contract checks."""
 
-    def __init__(self, config, config_dir, field, mesh, summary):
+    def __init__(self, config, config_dir, field, mesh, summary, experiments,
+                 pool):
         self.config = config
         self.config_dir = config_dir
         self.field = field
@@ -443,11 +448,14 @@ class _Run:
         self.eps_schedule = config["solver"]["eps_schedule"]
         self.seed = config["solver"]["seed"]
         self.summary = summary
+        self.experiments = experiments
+        self.pool = pool        # runs the reference solve beside the solve step
         self.checks_run = 0
         self.violations = []
         self.problem = None
         self.u = None
         self.solve_failed = False
+        self.pending_w = None   # Future of the reference solve
         self.w = None
         self.reference = None   # ComparisonReport: ordering, reflection, M
         self.decay = None       # ComparisonReport of the freeze step
@@ -502,6 +510,8 @@ def _run_rows(config, field, mesh, experiments):
 def _solve_step(run):
     g = boundary_values(run.config, run.mesh, run.config_dir)
     run.problem = ObstacleProblem(EnergySetup(run.mesh, run.field), g)
+    if "reference" in run.experiments:
+        _start_reference(run)
     detail = ""
     try:
         run.u, report = solve(run.problem, run.tol, eps_schedule=run.eps_schedule)
@@ -539,6 +549,21 @@ def _solve_step(run):
               "vi_violation = %s > 1e-08" % _f17(vi_violation))
 
 
+def _start_reference(run):
+    """Submit the reference solve to the worker, to run beside the
+    constrained one.
+
+    w needs u only through min(u on Arc), and every solve pins u to g on
+    Arc bit for bit, so g gives the same reference problem. The mesh's
+    lazily filled caches that a solve reads are filled here first; the
+    worker then only reads shared state.
+    """
+    run.mesh.p1_pattern     # filled here, not on the worker
+    problem = reference_problem(run.problem, run.problem.g)
+    run.pending_w = run.pool.submit(solve_unconstrained, problem, run.tol,
+                                    run.eps_schedule)
+
+
 def _write_comparison(run):
     # the reference step writes the summary row; freeze rewrites the file
     # with its radius rows in front
@@ -559,8 +584,8 @@ def _write_comparison(run):
 
 
 def _reference_step(run):
-    run.w, ref = build_reference(run.u, run.problem, tol=run.tol,
-                                 eps_schedule=run.eps_schedule)
+    run.w, _ = run.pending_w.result()
+    ref = reference_report(run.u, run.w)
     ref.reflect_residual = reflect_and_check(run.w, run.field)
     ref.M = compute_M(run.u, run.w, run.field)
     run.reference = ref
@@ -635,11 +660,24 @@ def _scan_step(run):
               "c(0) = %s > 1 + 1e-09" % _f17(c_zero))
 
 
+def _holder_radii(run):
+    """The configured holder radii, or by default 8 from 0.25 down to
+    4 h_max; a mesh too coarse for the default is rejected."""
+    radii = run.config["holder"]["radii"]
+    if radii is not None:
+        return radii
+    h_max = run.mesh.h_max
+    if not 4.0 * h_max < 0.25:
+        raise ResolutionError(
+            "default radii run from 0.25 down to 4*h_max and need "
+            "4*h_max < 0.25, but level %d has h_max = %s; set [holder] radii "
+            "or refine the mesh" % (run.config["mesh"]["level"], _f17(h_max)))
+    return list(np.geomspace(0.25, 4.0 * h_max, 8))
+
+
 def _holder_step(run):
     cfg = run.config["holder"]
-    radii = cfg["radii"]
-    if radii is None:
-        radii = list(np.geomspace(0.25, 4.0 * run.mesh.h_max, 8))
+    radii = _holder_radii(run)
     fit = gradient_holder_fit(run.u, run.field, cfg["centers"], radii)
     fit.alpha_theory = theoretical_alpha(cfg["alpha0"], run.field.beta,
                                          run.field.gamma2)
@@ -691,6 +729,8 @@ def _verify_step(run):
               "relative error = %s > 1e-09" % _f17(const))
 
 
+# checks that need only the config and the mesh, run before any step
+_PLANS = {"holder": _holder_radii}
 _STEPS = {"solve": _solve_step, "reference": _reference_step,
           "freeze": _freeze_step, "scan": _scan_step, "holder": _holder_step,
           "verify": _verify_step}
@@ -712,17 +752,23 @@ def run_command(config_path):
                           holder_seminorm=exponent["holder_seminorm"])
     mesh = build(config["mesh"]["level"], config["mesh"]["grading"])
     save_mesh(mesh, os.path.join(outdir, "mesh.txt"))
-    run = _Run(config, os.path.dirname(os.path.abspath(config_path)), field,
-               mesh, _run_rows(config, field, mesh, experiments))
-    for name in experiments:
-        if run.solve_failed and name in _NEEDS:
-            continue    # nothing that consumes u runs on an unconverged solve
-        try:
-            _STEPS[name](run)
-        except PxthinError as exc:
-            run.write_summary(("failed_step", name))
-            print("error: %s: %s" % (name, exc), file=sys.stderr)
-            return 2
+    plans = [(name, _PLANS[name]) for name in experiments if name in _PLANS]
+    steps = [(name, _STEPS[name]) for name in experiments]
+    # the pool starts its one thread only when the solve step submits the
+    # reference solve; leaving the block waits for that thread
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        run = _Run(config, os.path.dirname(os.path.abspath(config_path)), field,
+                   mesh, _run_rows(config, field, mesh, experiments),
+                   experiments, pool)
+        for name, step in plans + steps:
+            if run.solve_failed and name in _NEEDS:
+                continue    # nothing that consumes u runs on an unconverged solve
+            try:
+                step(run)
+            except PxthinError as exc:
+                run.write_summary(("failed_step", name))
+                print("error: %s: %s" % (name, exc), file=sys.stderr)
+                return 2
     run.write_summary()
     if config["output"]["plots"]:
         _plot_from_csvs(outdir)

@@ -34,6 +34,22 @@ class ComparisonReport:
     sigma1: float = np.nan
 
 
+def reference_problem(problem, values, m_override=None):
+    """The reference problem on problem's setup: no obstacle, Dirichlet data
+    0 on Thin and, on Arc, the constant m = min of `values` over Arc.
+
+    For u solving `problem`, reference_problem(problem, problem.g) is the
+    same problem as reference_problem(problem, u.values): every solve pins
+    u to g on Arc. m_override substitutes the Arc constant.
+    """
+    arc = problem.arc
+    if not arc.any():
+        raise PreconditionError("mesh has no Arc vertices")
+    m = float(values[arc].min()) if m_override is None else float(m_override)
+    return ObstacleProblem(problem.setup, np.where(arc, m, 0.0),
+                           constrained=False, thin_dirichlet=True)
+
+
 def build_reference(u, problem, tol=1e-10, eps_schedule=None, m_override=None):
     """Reference solution: Dirichlet data min_Arc(u) on Arc and 0 on Thin.
 
@@ -41,18 +57,16 @@ def build_reference(u, problem, tol=1e-10, eps_schedule=None, m_override=None):
     min(u - w) filled in. m_override substitutes the Arc constant; it
     exists for tests that need a prescribed boundary level.
     """
-    mesh = u.mesh
-    arc = mesh.vertex_tags == ARC
-    if not arc.any():
-        raise PreconditionError("mesh has no Arc vertices")
-    m = float(u.values[arc].min()) if m_override is None else float(m_override)
-    g_ref = np.where(arc, m, 0.0)
-    ref_problem = ObstacleProblem(problem.setup, g_ref, constrained=False,
-                                  thin_dirichlet=True)
+    ref_problem = reference_problem(problem, u.values, m_override)
     w, _ = solve_unconstrained(ref_problem, tol, eps_schedule)
+    return w, reference_report(u, w)
+
+
+def reference_report(u, w):
+    """ComparisonReport with the nodal ordering margin min(u - w) filled in."""
     report = ComparisonReport()
     report.ordering_margin = float((u.values - w.values).min())
-    return w, report
+    return report
 
 
 class _EvenExtensionField:

@@ -52,7 +52,7 @@ def _slope(setup, v):
     values = v.values if isinstance(v, FeFunction) else np.asarray(v, dtype=float)
     if values.shape != (setup.mesh.num_vertices,):
         raise PreconditionError("one nodal value per vertex required")
-    G = np.ascontiguousarray(setup.mesh.grads.reshape(-1, 6).T)  # x0 y0 x1 ..
+    G = setup.mesh.grad_rows                                     # x0 y0 x1 ..
     hx, hy = G[0::2], G[1::2]
     tri = setup.mesh.triangles
     v0, v1, v2 = values[tri[:, 0]], values[tri[:, 1]], values[tri[:, 2]]
@@ -60,6 +60,14 @@ def _slope(setup, v):
     gy = v0 * hy[0] + v1 * hy[1] + v2 * hy[2]
     s = gx * gx + gy * gy + setup.epsilon ** 2
     return hx, hy, gx, gy, s[:, None]
+
+
+def _slope_power(s, e):
+    """s ** e computed in e's buffer, continued by 0 where s is not positive."""
+    pos = s > 0.0
+    np.power(np.where(pos, s, 1.0), e, out=e)
+    np.copyto(e, 0.0, where=~pos)
+    return e
 
 
 def _columns_sum(a):
@@ -71,8 +79,10 @@ def energy(setup, v):
     """Total energy of a nodal field."""
     *_, s = _slope(setup, v)
     p = setup.quad_p
-    dens = np.where(s > 0.0, np.where(s > 0.0, s, 1.0) ** (0.5 * p) / p, 0.0)
-    return float(_columns_sum(setup.quad_w * dens).sum())
+    dens = _slope_power(s, p * 0.5)
+    dens /= p
+    dens *= setup.quad_w
+    return float(_columns_sum(dens).sum())
 
 
 def residual(setup, v):
@@ -83,14 +93,27 @@ def residual(setup, v):
     """
     mesh = setup.mesh
     hx, hy, gx, gy, s = _slope(setup, v)
-    p = setup.quad_p
-    a = np.where(s > 0.0, np.where(s > 0.0, s, 1.0) ** (0.5 * (p - 2.0)), 0.0)
-    c1 = _columns_sum(setup.quad_w * a)                          # (nt,)
+    a = _slope_power(s, (setup.quad_p - 2.0) * 0.5)
+    a *= setup.quad_w
+    c1 = _columns_sum(a)                                         # (nt,)
     local = np.empty((mesh.num_triangles, 3))
     for i in range(3):
         local[:, i] = c1 * (hx[i] * gx + hy[i] * gy)
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.num_vertices)
+
+
+def _hessian_weights(setup, s):
+    """Per element: c1 = sum_q w a and c2 = sum_q w a (p - 2) / s, with
+    a = s^((p-2)/2); the (nt, 3) terms are freed on return."""
+    pm2 = setup.quad_p - 2.0
+    wa = pm2 * 0.5
+    np.power(s, wa, out=wa)
+    wa *= setup.quad_w
+    c1 = _columns_sum(wa)
+    wa *= pm2
+    wa /= s
+    return c1, _columns_sum(wa)
 
 
 def hessian(setup, v):
@@ -107,20 +130,15 @@ def hessian(setup, v):
         raise PreconditionError("hessian requires a positive regularization epsilon")
     mesh = setup.mesh
     hx, hy, gx, gy, s = _slope(setup, v)
-    p = setup.quad_p
-    wa = setup.quad_w * s ** (0.5 * (p - 2.0))
-    c1 = _columns_sum(wa)
-    c2 = _columns_sum(wa * (p - 2.0) / s)
-
+    c1, c2 = _hessian_weights(setup, s)
     hg = [hx[i] * gx + hy[i] * gy for i in range(3)]             # Dphi_i . Dv
-    K = np.empty((3, 3, mesh.num_triangles))
+    K = np.empty((mesh.num_triangles, 3, 3))
     for i in range(3):
         for j in range(i, 3):
-            K[i, j] = K[j, i] = (c1 * (hx[i] * hx[j] + hy[i] * hy[j])
-                                 + c2 * (hg[i] * hg[j]))
+            K[:, i, j] = K[:, j, i] = (c1 * (hx[i] * hx[j] + hy[i] * hy[j])
+                                       + c2 * (hg[i] * hg[j]))
 
     indptr, indices, scatter = mesh.p1_pattern
-    data = np.bincount(scatter, weights=K.transpose(2, 0, 1).ravel(),
-                       minlength=len(indices))
+    data = np.bincount(scatter, weights=K.ravel(), minlength=len(indices))
     n = mesh.num_vertices
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))

@@ -68,25 +68,32 @@ class TriMesh:
         # vxspace: read-only p at its report quadrature points, by repr(field)
         self.report_p = {}
 
-        p = self.vertices[self.triangles]           # (nt, 3, 2)
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
+        p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
+        e1 = p1 - p0
+        e2 = p2 - p0
+        e3 = p2 - p1
+        del p0, p1, p2
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(det <= 0.0):
             bad = int(np.argmax(det <= 0.0))
             raise PreconditionError(
                 f"triangle {bad} has non-positive signed area {det[bad] / 2.0}")
         self.areas = 0.5 * det
-        # hat gradients: grad phi_i constant per element
-        g = np.empty((len(self.triangles), 3, 2))
+        # hat gradients: grad phi_i constant per element, stored as six
+        # contiguous length-nt rows x0, y0, x1, y1, x2, y2, which assembly
+        # reads without a copy; grads is their (nt, 3, 2) view
+        nt = len(det)
+        self.grad_rows = np.empty((6, nt))
+        g = self.grad_rows.T.reshape(nt, 3, 2)
         g[:, 1, 0] = e2[:, 1] / det
         g[:, 1, 1] = -e2[:, 0] / det
         g[:, 2, 0] = -e1[:, 1] / det
         g[:, 2, 1] = e1[:, 0] / det
         g[:, 0] = -g[:, 1] - g[:, 2]
         self.grads = g
-        edges = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-        self.h_max = float(np.sqrt((edges ** 2).sum(axis=1).max())) if len(edges) else 0.0
+        # the third edge p0 - p2 is -e2, whose squares are the same bits
+        self.h_max = (float(np.sqrt(max((e * e).sum(axis=1).max() for e in (e1, e3, e2))))
+                      if nt else 0.0)
 
     @cached_property
     def p1_pattern(self):
@@ -94,13 +101,26 @@ class TriMesh:
         scatter map taking element entry (t, i, j), flattened in that order,
         to its position in the CSR data."""
         n = self.num_vertices
-        rows = np.repeat(self.triangles, 3, axis=1).ravel()
-        cols = np.tile(self.triangles, (1, 3)).ravel()
-        keys, scatter = np.unique(rows * n + cols, return_inverse=True)
+        tri = self.triangles
+        # key row * n + col of entry (t, i, j), sorted once; the scatter map
+        # is each entry's rank among the distinct keys, np.unique's inverse,
+        # built in the sorted keys' buffer instead of further copies
+        ranks = (tri[:, :, None] * n + tri[:, None, :]).ravel()
+        order = ranks.argsort()
+        ranks = ranks[order]
+        first = np.empty(len(ranks), dtype=bool)
+        first[:1] = True
+        np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+        keys = ranks[first]
+        np.cumsum(first, out=ranks)
+        ranks -= 1
+        scatter = np.empty_like(order)
+        scatter[order] = ranks
+        del order, ranks
         # the index type scipy would pick, so matrices share these arrays
         index = np.int32 if len(keys) < 2 ** 31 else np.int64
         indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-        pattern = indptr.astype(index), (keys % n).astype(index), scatter.ravel()
+        pattern = indptr.astype(index), (keys % n).astype(index), scatter
         for a in pattern:
             a.flags.writeable = False   # shared by every hessian() matrix
         return pattern
@@ -115,10 +135,10 @@ class TriMesh:
 
     def quad_points(self, rule):
         """Physical quadrature points (nt, nq, 2) and weights (nt, nq)."""
-        p = self.vertices[self.triangles]
-        xi = rule.points[:, 0][None, :, None]
-        eta = rule.points[:, 1][None, :, None]
-        pts = p[:, None, 0] * (1.0 - xi - eta) + p[:, None, 1] * xi + p[:, None, 2] * eta
+        p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
+        pts = np.empty((self.num_triangles, len(rule.points), 2))
+        for q, (xi, eta) in enumerate(rule.points):
+            pts[:, q] = p0 * (1.0 - xi - eta) + p1 * xi + p2 * eta
         return pts, self.quad_weights(rule)
 
     def quad_weights(self, rule):

@@ -4,11 +4,14 @@ import csv
 import hashlib
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from pxthin import ConfigError, build
+from pxthin import ConfigError, NumericError, build
+from pxthin import cli
 from pxthin.cli import (_loglog_svg, boundary_values, main,
                         normalize_experiments, parse_config)
 
@@ -406,3 +409,84 @@ def test_loglog_svg_skips_degenerate_data(tmp_path):
     path = tmp_path / "p.svg"
     _loglog_svg(str(path), "decay", [0.2, 0.1], [0.0, 0.0], "r", "v")
     assert not path.exists()
+
+
+def test_coarse_mesh_rejects_default_holder_radii_before_solving(tmp_path, capsys):
+    # at L4, 4 h_max = 0.31 > 0.25: the default radii would increase
+    out = tmp_path / "holder"
+    cfg = write_config(tmp_path / "holder.cfg", f"""\
+[exponent]
+family = affine
+coefficients = 2, 0.3, 0
+[mesh]
+level = 4
+[boundary]
+preset = signorini32
+[experiments]
+run = solve, holder
+[output]
+dir = {out}
+""")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    h_max = build(4).h_max
+    assert "error: holder:" in err
+    assert "level 4" in err and "%.17g" % h_max in err and "4*h_max < 0.25" in err
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["failed_step"] == "holder"
+    assert not (out / "u.txt").exists()
+
+
+REFERENCE_RUN = """\
+[exponent]
+family = constant
+coefficients = {p}
+[mesh]
+level = 3
+[boundary]
+preset = signorini32
+scale = {scale}
+[solver]
+tol = {tol}
+[experiments]
+run = solve, reference
+[output]
+dir = {out}
+"""
+
+
+def test_reference_worker_error_is_named_after_the_solve(tmp_path, capsys,
+                                                         monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericError("reference solve broke")
+
+    monkeypatch.setattr(cli, "solve_unconstrained", failing)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "r.cfg", REFERENCE_RUN.format(
+        p=2.0, scale=1.0, tol=1e-10, out=out))
+    assert main(["run", cfg]) == 2
+    assert "error: reference: reference solve broke" in capsys.readouterr().err
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["failed_step"] == "reference"
+    assert "vi_min" in summary and "m_used" not in summary
+    assert (out / "u.txt").exists() and not (out / "w.txt").exists()
+
+
+def test_stagnated_solve_skips_the_reference_and_the_process_ends(tmp_path):
+    # p = 8 with data x10 stagnates; the worker's reference solve is dropped
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "s.cfg", REFERENCE_RUN.format(
+        p=8.0, scale=10.0, tol=1e-14, out=out))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "pxthin.cli", "run", cfg],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "contract violated: solve_converged" in done.stderr
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["contracts_failed"] == "solve_converged"
+    assert "m_used" not in summary and "failed_step" not in summary
+    assert (out / "u.txt").exists() and not (out / "w.txt").exists()

@@ -2,6 +2,7 @@
 derivatives of each other; that is what the finite-difference probes pin."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, PreconditionError, build,
                     energy, hessian, residual)
+from pxthin.mesh import TriMesh
 from pxthin.solver import DEFAULT_EPS_SCHEDULE
 from conftest import FAMILIES
 
@@ -221,3 +223,24 @@ def test_unrolled_assembly_is_bit_identical_to_einsum(level, grading, family, ep
     assert np.array_equal(residual(setup, v), _einsum_residual(setup, v))
     if eps > 0.0:
         assert np.array_equal(hessian(setup, v).data, _einsum_hessian_data(setup, v))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
+    # measured at L6: 253 bytes per triangle for the pattern (614 with
+    # np.unique) and 236 for one Hessian (381 with copies of the hat
+    # gradients and of K transposed)
+    nt = mesh6.num_triangles
+    assert _traced_peak(TriMesh.p1_pattern.func, mesh6) <= 300 * nt
+    mesh6.p1_pattern
+    setup = EnergySetup(mesh6, sin_field, epsilon=1e-3)
+    v = _random_state(mesh6, 0)
+    assert _traced_peak(hessian, setup, v) <= 280 * nt

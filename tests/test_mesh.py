@@ -269,3 +269,19 @@ def test_mesh_text_writes_signed_zeros_and_subnormals_like_the_loop():
                    [1, 2, 0])
     assert mesh_text(mesh) == _loop_mesh_text(mesh)
     assert "v -0 4.9406564584124654e-324 a\n" in mesh_text(mesh)
+
+
+@settings(max_examples=18, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2))
+def test_p1_pattern_equals_the_unique_construction(level, grading):
+    mesh = build(level, grading)
+    n = mesh.num_vertices
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    keys, scatter = np.unique(rows * n + cols, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    got = mesh.p1_pattern
+    assert np.array_equal(got[0], indptr)
+    assert np.array_equal(got[1], keys % n)
+    assert np.array_equal(got[2], scatter.ravel())
+    assert got[2].dtype == scatter.dtype

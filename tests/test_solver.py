@@ -17,6 +17,8 @@ from pxthin import (ConvergenceError, EnergySetup, ExponentField, FeFunction,
                     energy, hessian, load_mesh, load_solution, save_mesh,
                     save_solution, solve, solve_unconstrained, vi_check)
 from pxthin import solver
+from pxthin.cli import boundary_values
+from pxthin.comparison import reference_problem
 from pxthin.mesh import INTERIOR, THIN
 from conftest import FAMILIES, g_signorini32
 
@@ -155,6 +157,26 @@ def test_stagnated_solve_reports_its_best_iterate(mesh3):
     assert report.energy == energy(problem.setup.with_epsilon(0.0), best.values)
     assert len(report.active_set) > 0
     assert report.wall_time > 0.0
+    assert best.values[problem.arc].tobytes() == problem.g[problem.arc].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.sampled_from(FAMILIES),
+       st.sampled_from(("linear_xn", "signorini32", "offset_const")),
+       st.sampled_from((1e-2, 0.25, 1.0, 4.0)), st.floats(-2.0, 2.0))
+def test_solve_returns_g_on_arc_bit_for_bit(level, field, preset, scale, offset):
+    # the CLI starts the reference solve from min(g on Arc) before u exists
+    mesh = build(level)
+    boundary = {"preset": preset, "scale": scale, "offset": offset, "file": None}
+    g = boundary_values({"boundary": boundary}, mesh, ".")
+    problem = ObstacleProblem(EnergySetup(mesh, field), g)
+    try:
+        u, _ = solve(problem, 1e-10)
+    except ConvergenceError as exc:
+        u = exc.best
+    assert u.values[problem.arc].tobytes() == g[problem.arc].tobytes()
+    from_u = reference_problem(problem, u.values)
+    assert from_u.g.tobytes() == reference_problem(problem, g).g.tobytes()
 
 
 def test_eps_schedule_validation(mesh4, p2):
