@@ -7,20 +7,19 @@ from .analysis import (IterationConstants, RegularityReport, admissible_radius,
                        iteration_constants, iteration_suite, iteration_verify,
                        monotonicity_check, theoretical_alpha)
 from .comparison import (ComparisonReport, build_reference, comparison_decay,
-                         compute_M, frozen_solve, reflect_and_check)
+                         compute_M, reference_report, reflect_and_check)
 from .energy import EnergySetup, energy, hessian, residual
 from .errors import (ConfigError, ConvergenceError, DomainError, FormatError,
                      NumericError, PreconditionError, PxthinError,
                      ResolutionError, ResourceError)
 from .exponent import ExponentField, estimate_holder_seminorm
 from .mesh import (HalfDiskMesh, QuadratureRule, TriMesh, build,
-                   extract_halfball_submesh, integrate, load_mesh, mesh_hash,
-                   mesh_text, quadrature_rule, save_mesh)
+                   extract_halfball_submesh, load_mesh, mesh_hash, mesh_text,
+                   quadrature_rule, save_mesh)
 from .solver import (ObstacleProblem, SolveReport, load_solution,
-                     save_solution, solve, solve_unconstrained, vi_check)
+                     save_solution, solve, vi_check)
 from .vxspace import (CampanatoProfile, ElementVectorField, FeFunction,
-                      campanato_profile, luxemburg_norm, modular,
-                      sobolev_poincare_ratio)
+                      campanato_profile, luxemburg_norm, modular)
 
 __version__ = "0.1.0"
 
@@ -32,11 +31,11 @@ __all__ = [
     "QuadratureRule", "RegularityReport", "ResolutionError", "ResourceError",
     "SolveReport", "TriMesh", "admissible_radius", "build", "build_reference",
     "campanato_profile", "comparison_decay", "compute_M", "energy",
-    "estimate_holder_seminorm", "extract_halfball_submesh", "frozen_solve",
-    "gradient_holder_fit", "hessian", "higher_integrability_scan", "integrate",
+    "estimate_holder_seminorm", "extract_halfball_submesh",
+    "gradient_holder_fit", "hessian", "higher_integrability_scan",
     "iteration_constants", "iteration_suite", "iteration_verify",
     "load_mesh", "load_solution", "luxemburg_norm", "mesh_hash", "mesh_text",
-    "modular", "monotonicity_check", "quadrature_rule", "reflect_and_check",
-    "residual", "save_mesh", "save_solution", "sobolev_poincare_ratio",
-    "solve", "solve_unconstrained", "theoretical_alpha", "vi_check",
+    "modular", "monotonicity_check", "quadrature_rule", "reference_report",
+    "reflect_and_check", "residual", "save_mesh", "save_solution", "solve",
+    "theoretical_alpha", "vi_check",
 ]

@@ -234,12 +234,8 @@ def monotonicity_check(gamma1, gamma2, trials, seed):
 
 # ------------------------------------------------------------ radius, alpha
 
-def admissible_radius(field, M, sigma0=None):
-    """Largest half-ball radius the local estimates tolerate.
-
-    With sigma0 given, additionally intersects the constraints tying the
-    oscillation of the exponent to the integrability margin.
-    """
+def admissible_radius(field, M):
+    """Largest half-ball radius the local estimates tolerate."""
     M = float(M)
     if M < 1.0:
         raise PreconditionError("M must be at least 1")
@@ -251,19 +247,7 @@ def admissible_radius(field, M, sigma0=None):
     g1 = field.gamma1
     t1 = (beta / (8.0 * L)) ** (2.0 / beta)
     t2 = 0.25 * (g1 * g1 / ((4.0 + g1) * L)) ** (1.0 / beta)
-    r = min(t1, t2, cap)
-    if sigma0 is not None:
-        sigma0 = float(sigma0)
-        if sigma0 < 0.0:
-            raise PreconditionError("sigma0 must be non-negative")
-        sigma1 = min(beta / 8.0, sigma0)
-        if sigma0 > 0.0:
-            r = min(r, 0.5 * (sigma0 / (2.0 * L)) ** (1.0 / beta))
-        if sigma1 > 0.0:
-            r = min(r, (sigma1 / 4.0) ** (1.0 / beta) / L)
-        else:
-            r = 0.0
-    return r
+    return min(t1, t2, cap)
 
 
 def theoretical_alpha(alpha0, beta, gamma2):

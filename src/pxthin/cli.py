@@ -20,15 +20,13 @@ import numpy as np
 from .analysis import (MONO_GAMMA, admissible_radius, gradient_holder_fit,
                        higher_integrability_scan, iteration_suite,
                        monotonicity_check, theoretical_alpha)
-from .comparison import (compute_M, comparison_decay, reference_problem,
-                         reference_report, reflect_and_check)
+from .comparison import comparison_decay, reference_problem, reference_report
 from .energy import EnergySetup
 from .errors import (ConfigError, ConvergenceError, FormatError, PxthinError,
                      ResolutionError)
 from .exponent import ExponentField
 from .mesh import ARC, build, save_mesh
-from .solver import (ObstacleProblem, save_solution, solve, solve_unconstrained,
-                     vi_check)
+from .solver import ObstacleProblem, save_solution, solve, vi_check
 from .vxspace import FeFunction, luxemburg_norm, modular
 
 EXPERIMENT_ORDER = ("solve", "reference", "freeze", "scan", "holder", "verify")
@@ -560,8 +558,7 @@ def _start_reference(run):
     """
     run.mesh.p1_pattern     # filled here, not on the worker
     problem = reference_problem(run.problem, run.problem.g)
-    run.pending_w = run.pool.submit(solve_unconstrained, problem, run.tol,
-                                    run.eps_schedule)
+    run.pending_w = run.pool.submit(solve, problem, run.tol, run.eps_schedule)
 
 
 def _write_comparison(run):
@@ -585,10 +582,7 @@ def _write_comparison(run):
 
 def _reference_step(run):
     run.w, _ = run.pending_w.result()
-    ref = reference_report(run.u, run.w)
-    ref.reflect_residual = reflect_and_check(run.w, run.field)
-    ref.M = compute_M(run.u, run.w, run.field)
-    run.reference = ref
+    ref = run.reference = reference_report(run.u, run.w, run.field)
     save_solution(run.w, run.mesh, run.path("w.txt"))
     arc = np.flatnonzero(run.mesh.vertex_tags == ARC)[0]
     run.summary.extend([

@@ -1,4 +1,4 @@
-"""Reference solutions, reflection checks, and frozen-exponent comparison runs.
+"""Reference solutions, reflection checks, and the frozen-exponent decay experiment.
 
 The decay experiment measures how fast a constant-exponent local solve
 approaches the variable-exponent minimizer on shrinking half-balls. All
@@ -14,7 +14,7 @@ from .errors import PreconditionError
 from .exponent import ExponentField
 from .mesh import (ARC, GEOM_TOL, INTERIOR, THIN, TriMesh, ball_element_mask,
                    extract_halfball_submesh)
-from .solver import ObstacleProblem, solve, solve_unconstrained
+from .solver import ObstacleProblem, solve
 from .vxspace import FeFunction, modular
 
 
@@ -34,38 +34,37 @@ class ComparisonReport:
     sigma1: float = np.nan
 
 
-def reference_problem(problem, values, m_override=None):
+def reference_problem(problem, values):
     """The reference problem on problem's setup: no obstacle, Dirichlet data
     0 on Thin and, on Arc, the constant m = min of `values` over Arc.
 
     For u solving `problem`, reference_problem(problem, problem.g) is the
     same problem as reference_problem(problem, u.values): every solve pins
-    u to g on Arc. m_override substitutes the Arc constant.
+    u to g on Arc.
     """
     arc = problem.arc
     if not arc.any():
         raise PreconditionError("mesh has no Arc vertices")
-    m = float(values[arc].min()) if m_override is None else float(m_override)
-    return ObstacleProblem(problem.setup, np.where(arc, m, 0.0),
-                           constrained=False, thin_dirichlet=True)
+    m = float(values[arc].min())
+    return ObstacleProblem(problem.setup, np.where(arc, m, 0.0), obstacle=False)
 
 
-def build_reference(u, problem, tol=1e-10, eps_schedule=None, m_override=None):
+def build_reference(u, problem, tol=1e-10, eps_schedule=None):
     """Reference solution: Dirichlet data min_Arc(u) on Arc and 0 on Thin.
 
-    Returns (w, partial ComparisonReport) with the nodal ordering margin
-    min(u - w) filled in. m_override substitutes the Arc constant; it
-    exists for tests that need a prescribed boundary level.
+    Returns (w, reference_report(u, w, field of problem)).
     """
-    ref_problem = reference_problem(problem, u.values, m_override)
-    w, _ = solve_unconstrained(ref_problem, tol, eps_schedule)
-    return w, reference_report(u, w)
+    w, _ = solve(reference_problem(problem, u.values), tol, eps_schedule)
+    return w, reference_report(u, w, problem.setup.field)
 
 
-def reference_report(u, w):
-    """ComparisonReport with the nodal ordering margin min(u - w) filled in."""
+def reference_report(u, w, field):
+    """ComparisonReport with the nodal ordering margin min(u - w), the odd
+    reflection residual of w and M filled in."""
     report = ComparisonReport()
     report.ordering_margin = float((u.values - w.values).min())
+    report.reflect_residual = reflect_and_check(w, field)
+    report.M = compute_M(u, w, field)
     return report
 
 
@@ -115,7 +114,7 @@ def reflect_full_disk(w):
     return full_mesh, FeFunction(full_mesh, odd_vals)
 
 
-def reflect_and_check(w, field, eps=0.0):
+def reflect_and_check(w, field):
     """Residual sup-norm of the odd extension on the mirrored full disk.
 
     The exponent is extended evenly. Interior nodes include the former
@@ -126,7 +125,7 @@ def reflect_and_check(w, field, eps=0.0):
     if thin.any() and np.abs(w.values[thin]).max() > 1e-10:
         raise PreconditionError("w does not vanish on Thin nodes")
     full_mesh, w_tilde = reflect_full_disk(w)
-    setup = EnergySetup(full_mesh, _EvenExtensionField(field), epsilon=eps)
+    setup = EnergySetup(full_mesh, _EvenExtensionField(field))
     r = residual(setup, w_tilde)
     interior = np.hypot(full_mesh.vertices[:, 0], full_mesh.vertices[:, 1]) < 1.0 - 1e-12
     if not interior.any():
@@ -147,28 +146,6 @@ def compute_M(u, w, field):
             + modular(w.gradient_field(), field) + area + 1.0)
 
 
-def _frozen_on_submesh(u, submesh, vmap, p2, tol, eps_schedule):
-    const = ExponentField("constant", [p2])
-    setup = EnergySetup(submesh, const)
-    g_sub = u.values[vmap]
-    problem = ObstacleProblem(setup, g_sub, constrained=True)
-    u0, _ = solve(problem, tol, eps_schedule)
-    return u0
-
-
-def frozen_solve(u, center, radius, field, tol=1e-10, eps_schedule=None):
-    """Constant-exponent obstacle solve on a half-ball submesh.
-
-    The exponent is frozen at p2 = sup of the field over the ball, the
-    Dirichlet data is the nodal trace of u on the submesh Arc vertices,
-    and the obstacle 0 acts on the submesh Thin vertices.
-    """
-    submesh, vmap = extract_halfball_submesh(u.mesh, center, radius)
-    p2 = field.sup_inf_on_halfball(center, radius)[1]
-    u0 = _frozen_on_submesh(u, submesh, vmap, p2, tol, eps_schedule)
-    return u0, p2
-
-
 def _gradient_mass(areas, grads, power):
     mags = np.hypot(grads[:, 0], grads[:, 1])
     return float((areas * np.where(mags > 0.0, mags, 1.0) ** power
@@ -187,7 +164,8 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
 
     For each radius r the submesh error E(r) = integral of |Du - Du0|^p2
     is normalized by M^sigma1 * (energy of u on the 2r ball) + r^2 and the
-    normalized values are fitted against r in log-log coordinates.
+    normalized values are fitted against r in log-log coordinates. M is
+    M_value, or else the M of build_reference(u, problem).
     """
     center = np.asarray(center, dtype=float)
     radii = [float(r) for r in radii]
@@ -201,9 +179,7 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
     if M_value is None:
         if problem is None:
             raise PreconditionError("need either problem or M_value to normalize")
-        w, report = build_reference(u, problem, tol=tol, eps_schedule=eps_schedule)
-        report.reflect_residual = reflect_and_check(w, field)
-        report.M = compute_M(u, w, field)
+        _, report = build_reference(u, problem, tol, eps_schedule)
     else:
         report = ComparisonReport()
         report.M = float(M_value)
@@ -215,8 +191,11 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
     p2s = [field.sup_inf_on_halfball(center, r)[1] for r in radii]
 
     for r, (submesh, vmap), p2 in zip(radii, pieces, p2s):
-        u0 = _frozen_on_submesh(u, submesh, vmap, p2, tol, eps_schedule)
-        du = FeFunction(submesh, u.values[vmap]).element_gradients()
+        # p frozen at p2, u's trace as Arc data, the obstacle on submesh Thin
+        g_sub = u.values[vmap]
+        frozen = EnergySetup(submesh, ExponentField("constant", [p2]))
+        u0, _ = solve(ObstacleProblem(frozen, g_sub), tol, eps_schedule)
+        du = FeFunction(submesh, g_sub).element_gradients()
         du0 = u0.element_gradients()
         err = _gradient_mass(submesh.areas, du - du0, p2)
         e2r = _ball_energy(u, center, 2.0 * r, p2)

@@ -13,18 +13,24 @@ from .mesh import quadrature_rule
 from .vxspace import FeFunction
 
 ASSEMBLY_ORDER = 2      # the 3-point rule, whose points the sums below add
+MAX_EPSILON = 1e-2
+
+
+def _checked_epsilon(epsilon):
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon <= MAX_EPSILON:
+        raise PreconditionError(
+            f"epsilon must lie in [0, 1e-2], got {epsilon}")
+    return epsilon
 
 
 class EnergySetup:
     """Mesh + exponent field + regularization, with cached quadrature data."""
 
     def __init__(self, mesh, exponent_field, epsilon=0.0):
-        epsilon = float(epsilon)
-        if not (0.0 <= epsilon <= 1e-2):
-            raise PreconditionError(f"epsilon must lie in [0, 1e-2], got {epsilon}")
         self.mesh = mesh
         self.field = exponent_field
-        self.epsilon = epsilon
+        self.epsilon = _checked_epsilon(epsilon)
         pts, w = mesh.quad_points(quadrature_rule(ASSEMBLY_ORDER))
         self.quad_w = w                                          # (nt, 3)
         self.quad_p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
@@ -33,9 +39,7 @@ class EnergySetup:
         clone = object.__new__(EnergySetup)
         clone.mesh = self.mesh
         clone.field = self.field
-        clone.epsilon = float(epsilon)
-        if not (0.0 <= clone.epsilon <= 1e-2):
-            raise PreconditionError("epsilon must lie in [0, 1e-2]")
+        clone.epsilon = _checked_epsilon(epsilon)
         clone.quad_w = self.quad_w
         clone.quad_p = self.quad_p
         return clone

@@ -131,27 +131,24 @@ class ExponentField:
     def sup_inf_on_halfball(self, center, radius):
         """(inf, sup) of p over B_radius(center) intersected with the half-disk.
 
-        Dense 64x64 polar sampling plus the family's exact extremal
-        candidates, widened by a 1e-6 pad and clamped to [gamma1, gamma2].
-        The candidates make the result monotone in the radius.
+        The center lies on the thin line. Dense 64x64 polar sampling plus
+        the family's exact extremal candidates, widened by a 1e-6 pad and
+        clamped to [gamma1, gamma2]. The candidates make the result
+        monotone in the radius.
         """
         cx, cy = float(center[0]), float(center[1])
         radius = float(radius)
         if radius <= 0.0:
             raise PreconditionError("radius must be positive")
+        if abs(cy) > DOMAIN_TOL:
+            raise PreconditionError(
+                f"half-ball center must lie on the thin line, got x2 = {cy}")
 
         rr = np.linspace(0.0, radius, 64)
         th = np.linspace(0.0, np.pi, 64)
-        px = cx + np.outer(rr, np.cos(th)).ravel()
-        py = cy + np.outer(rr, np.sin(th)).ravel()
-        if abs(cy) > DOMAIN_TOL:
-            # off-axis center: sample the lower half of the ball too
-            px = np.concatenate([px, cx + np.outer(rr, np.cos(th)).ravel()])
-            py = np.concatenate([py, cy - np.outer(rr, np.sin(th)).ravel()])
-        else:
-            ex, ey = self._extreme_candidates(cx, radius)
-            px = np.concatenate([px, ex])
-            py = np.concatenate([py, ey])
+        ex, ey = self._extreme_candidates(cx, radius)
+        px = np.concatenate([cx + np.outer(rr, np.cos(th)).ravel(), ex])
+        py = np.concatenate([cy + np.outer(rr, np.sin(th)).ravel(), ey])
 
         keep = (py >= -DOMAIN_TOL) & (px * px + py * py <= (1.0 + DOMAIN_TOL) ** 2)
         px, py = px[keep], py[keep]

@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (FormatError, NumericError, PreconditionError,
-                     ResolutionError, ResourceError)
+from .errors import (FormatError, PreconditionError, ResolutionError,
+                     ResourceError)
 
 INTERIOR = 0
 ARC = 1
@@ -348,19 +348,6 @@ def build(level, grading=0.0):
                         prolongations)
 
 
-def integrate(mesh, rule, integrand):
-    """Integral of a pointwise field over the mesh, fixed element order.
-
-    `integrand` maps an array of points (n, 2) to values (n,).
-    """
-    pts, w = mesh.quad_points(rule)
-    vals = np.asarray(integrand(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argwhere(~np.isfinite(vals))[0][0])
-        raise NumericError(f"non-finite integrand value in element {bad}")
-    return float((vals * w).sum(axis=1).sum())
-
-
 def ball_element_mask(mesh, center, radius):
     """Flags of the elements whose three vertices lie in the closed ball,
     widened by GEOM_TOL."""
@@ -445,7 +432,7 @@ def save_mesh(mesh, path):
         f.write(text)
 
 
-def load_mesh(path, cls=HalfDiskMesh):
+def load_mesh(path):
     with open(path, "r", encoding="ascii") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or not lines[0].startswith("m "):
@@ -472,6 +459,6 @@ def load_mesh(path, cls=HalfDiskMesh):
             raise FormatError(f"{path}: bad triangle line {lines[1 + nv + i]!r}")
         tris[i] = (int(parts[1]), int(parts[2]), int(parts[3]))
     try:
-        return cls(verts, tris, tags)
+        return HalfDiskMesh(verts, tris, tags)
     except PreconditionError as exc:
         raise FormatError(f"{path}: invalid mesh ({exc})") from exc

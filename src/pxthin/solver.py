@@ -1,9 +1,9 @@
-"""Constrained and unconstrained minimization of the variable-exponent energy.
+"""Minimization of the variable-exponent energy, with or without the thin obstacle.
 
-The thin obstacle problem is solved with a primal-dual active set method
-wrapped in epsilon-continuation: each stage regularizes the energy with a
-fixed eps, warm-starting from the previous stage, and the last stage's
-minimizer is reported with its energy re-evaluated at eps = 0.
+Each problem is solved with a primal-dual active set method wrapped in
+epsilon-continuation: each stage regularizes the energy with a fixed eps,
+warm-starting from the previous stage, and the last stage's minimizer is
+reported with its energy re-evaluated at eps = 0.
 """
 
 import time
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .energy import EnergySetup, energy, hessian, residual
+from .energy import MAX_EPSILON, energy, hessian, residual
 from .errors import ConvergenceError, FormatError, PreconditionError
 from .mesh import ARC, THIN, mesh_hash, _text_rows
 from .vxspace import FeFunction
@@ -33,31 +33,29 @@ CG_MAXITER = 200
 class ObstacleProblem:
     """Energy setup plus boundary data and the unilateral constraint.
 
-    g supplies Dirichlet values at Arc vertices (and at Thin vertices when
-    thin_dirichlet is set on an unconstrained problem). The obstacle is
-    the constant 0 on Thin vertices.
+    g supplies the values at the `dirichlet` vertices. With obstacle=True
+    (the thin obstacle problem) these are the Arc vertices, and the
+    `obstacle` mask, where v >= 0 is imposed, is Thin. With
+    obstacle=False (the reference problem) the mask is empty and the Thin
+    vertices join `dirichlet`.
     """
 
-    def __init__(self, setup, g, constrained=True, thin_dirichlet=False):
+    def __init__(self, setup, g, obstacle=True):
         if isinstance(g, FeFunction):
             g = g.values
         self.setup = setup
         self.g = np.ascontiguousarray(g, dtype=float)
         if self.g.shape != (setup.mesh.num_vertices,):
             raise PreconditionError("boundary data needs one value per vertex")
-        if constrained and thin_dirichlet:
-            raise PreconditionError("thin Dirichlet data contradicts the obstacle")
-        self.constrained = bool(constrained)
-        self.thin_dirichlet = bool(thin_dirichlet)
         tags = setup.mesh.vertex_tags
         self.arc = tags == ARC
-        self.thin = tags == THIN
-        self.dirichlet = self.arc | self.thin if thin_dirichlet else self.arc.copy()
+        thin = tags == THIN
+        self.obstacle = thin if obstacle else np.zeros_like(thin)
+        self.dirichlet = self.arc.copy() if obstacle else self.arc | thin
 
     def feasible_start(self):
         v = self.g.copy()
-        if self.constrained:
-            v[self.thin] = np.maximum(v[self.thin], 0.0)
+        v[self.obstacle] = np.maximum(v[self.obstacle], 0.0)
         return v
 
 
@@ -74,16 +72,11 @@ class SolveReport:
 
 
 def _kkt(problem, v, r):
-    if problem.constrained:
-        active = problem.thin & (v - r < 0.0)
-    else:
-        active = np.zeros_like(problem.dirichlet)
+    ob = problem.obstacle
+    active = ob & (v - r < 0.0)
     free = ~problem.dirichlet & ~active
     free_res = float(np.abs(r[free]).max()) if free.any() else 0.0
-    if problem.constrained and problem.thin.any():
-        comp = float(np.abs(np.minimum(v[problem.thin], r[problem.thin])).max())
-    else:
-        comp = 0.0
+    comp = float(np.abs(np.minimum(v[ob], r[ob])).max()) if ob.any() else 0.0
     return active, free, free_res, comp
 
 
@@ -93,8 +86,7 @@ def _line_search(setup, problem, v, d, r, e0):
     for _ in range(MAX_HALVINGS):
         w = v + t * d
         w[problem.dirichlet] = problem.g[problem.dirichlet]
-        if problem.constrained:
-            w[problem.thin] = np.maximum(w[problem.thin], 0.0)
+        w[problem.obstacle] = np.maximum(w[problem.obstacle], 0.0)
         ew = energy(setup, w)
         if ew <= e0 + ARMIJO_SLOPE * t * slope + 1e-15 * max(1.0, abs(e0)):
             return w, ew, True
@@ -175,20 +167,20 @@ def _solve_stage(problem, v, eps, tol):
     e = None
     n_iter = 0
     best = np.inf
-    best_state = (v.copy(), np.nan, np.nan, np.zeros_like(problem.thin))
+    best_state = (v.copy(), np.nan, np.nan, np.zeros_like(problem.obstacle))
     since_improve = 0
 
     while True:
         r = residual(setup, v)
         active, free, free_res, comp = _kkt(problem, v, r)
-        measure = max(free_res, comp if problem.constrained else 0.0)
+        measure = max(free_res, comp)
         if measure < best - 1e-16:
             best = measure
             best_state = (v.copy(), free_res, comp, active)
             since_improve = 0
         else:
             since_improve += 1
-        if free_res <= tol and (not problem.constrained or comp <= tol):
+        if free_res <= tol and comp <= tol:
             return v, free_res, comp, active, n_iter, True
         if since_improve > STAGNATION_WINDOW:
             return (*best_state, n_iter, False)
@@ -223,8 +215,8 @@ def _solve_stage(problem, v, eps, tol):
 def solve(problem, tol, eps_schedule=None):
     """Minimize over the admissible set; returns (FeFunction, SolveReport).
 
-    Feasibility is exact at every iterate: Arc values pinned to g, Thin
-    values >= 0. The reported energy is evaluated at eps = 0; KKT
+    Feasibility is exact at every iterate: Dirichlet values pinned to g,
+    obstacle values >= 0. The reported energy is evaluated at eps = 0; KKT
     residuals refer to the last continuation stage. A stage that stops
     improving raises ConvergenceError with its best iterate as `best` and
     the report, filled in from that iterate, as `info`.
@@ -235,6 +227,12 @@ def solve(problem, tol, eps_schedule=None):
     if eps_schedule is None:
         eps_schedule = DEFAULT_EPS_SCHEDULE
     eps_schedule = tuple(float(e) for e in eps_schedule)
+    if not eps_schedule:
+        raise PreconditionError("eps schedule must not be empty")
+    for eps in eps_schedule:
+        if not 0.0 < eps <= MAX_EPSILON:
+            raise PreconditionError(
+                f"eps schedule values must lie in (0, 1e-2], got {eps}")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise PreconditionError("eps schedule must be strictly decreasing")
     if eps_schedule[-1] > 1e-8:
@@ -252,39 +250,33 @@ def solve(problem, tol, eps_schedule=None):
     report.energy = energy(problem.setup.with_epsilon(0.0), v)
     report.free_residual = free_res
     report.complementarity = comp
-    exact_zero = problem.thin & (v == 0.0)
+    exact_zero = problem.obstacle & (v == 0.0)
     report.active_set = np.flatnonzero(active | exact_zero)
     report.wall_time = time.perf_counter() - t0
     u = FeFunction(problem.setup.mesh, v)
     if not converged:
-        best = max(free_res, comp if problem.constrained else 0.0)
+        best = max(free_res, comp)
         raise ConvergenceError(
             f"no residual decrease over {STAGNATION_WINDOW} iterations "
             f"(best KKT measure {best})", best=u, info=report)
     return u, report
 
 
-def solve_unconstrained(problem, tol, eps_schedule=None):
-    """Dirichlet problem without the thin constraint; same continuation loop."""
-    if problem.constrained:
-        raise PreconditionError("problem is constrained; use solve")
-    return solve(problem, tol, eps_schedule)
-
-
 def vi_check(problem, u_h, trials, seed):
     """Worst normalized variational-inequality product over random directions.
 
     Directions vanish at Dirichlet vertices and are clamped to v >= -u_h
-    at Thin vertices; returns min over trials of residual(u_h) . v / |v|,
+    at obstacle vertices; returns min over trials of residual(u_h) . v / |v|,
     with the residual taken at eps = 0.
     """
     trials = int(trials)
     if trials < 1:
         raise PreconditionError("need at least one trial")
     u = u_h.values
-    if np.abs(u[problem.arc] - problem.g[problem.arc]).max() > 1e-9:
+    ob = problem.obstacle
+    if np.abs(u[problem.dirichlet] - problem.g[problem.dirichlet]).max() > 1e-9:
         raise PreconditionError("u_h does not match the Dirichlet data")
-    if problem.constrained and problem.thin.any() and u[problem.thin].min() < -1e-12:
+    if ob.any() and u[ob].min() < -1e-12:
         raise PreconditionError("u_h violates the obstacle")
 
     r = residual(problem.setup.with_epsilon(0.0), u)
@@ -294,8 +286,7 @@ def vi_check(problem, u_h, trials, seed):
     for _ in range(trials):
         v = rng.uniform(-1.0, 1.0, n)
         v[problem.dirichlet] = 0.0
-        if problem.constrained:
-            v[problem.thin] = np.maximum(v[problem.thin], -u[problem.thin])
+        v[ob] = np.maximum(v[ob], -u[ob])
         nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
             continue

@@ -1,8 +1,8 @@
 """Variable-exponent space functionals over discrete fields.
 
-Modulars, Luxemburg norms, Campanato profiles and Sobolev-Poincare
-ratios for piecewise-linear nodal functions (and their piecewise-
-constant gradients) on half-disk meshes.
+Modulars and Luxemburg norms of piecewise-linear nodal functions and
+their piecewise-constant gradients on half-disk meshes, and Campanato
+profiles of the gradients.
 """
 
 import math
@@ -32,10 +32,6 @@ class FeFunction:
             raise PreconditionError("one nodal value per vertex required")
         if not np.all(np.isfinite(self.values)):
             raise PreconditionError("non-finite nodal value")
-
-    @classmethod
-    def interpolate(cls, mesh, fn):
-        return cls(mesh, np.asarray(fn(mesh.vertices), dtype=float))
 
     def element_gradients(self):
         """Constant gradient per element, shape (nt, 2)."""
@@ -67,8 +63,9 @@ class ElementVectorField:
 
 
 def _region_elements(mesh, element_mask):
+    """Index of the selected elements; all of them, as a view, without a mask."""
     if element_mask is None:
-        return np.ones(mesh.num_triangles, dtype=bool)
+        return slice(None)
     mask = np.asarray(element_mask, dtype=bool)
     if mask.shape != (mesh.num_triangles,):
         raise PreconditionError("element mask must have one flag per element")
@@ -154,16 +151,19 @@ class CampanatoProfile:
     means: list = field(default_factory=list)
     lam: float = math.inf
     alpha: float = math.inf
-    residual: float = 0.0
 
 
 def campanato_profile(f, p, center, radii):
     """I(rho) = integral over B_rho of |f - mean|^p, fit log I = lam log rho + b.
 
-    Regions are element selections (all three vertices inside), the mean
-    is the integral average over the same region, and alpha = (lam - 2)/p.
-    All-zero profiles return +inf sentinels for lam and alpha.
+    f is a piecewise-constant vector field (an ElementVectorField). Regions
+    are element selections (all three vertices inside), the mean is the
+    area average over the same region, and alpha = (lam - 2)/p. Profiles
+    with fewer than two positive integrals keep the +inf sentinels for lam
+    and alpha.
     """
+    if not isinstance(f, ElementVectorField):
+        raise PreconditionError("Campanato profiles take an element vector field")
     p = float(p)
     mesh = f.mesh
     radii = [float(r) for r in radii]
@@ -175,92 +175,25 @@ def campanato_profile(f, p, center, radii):
         raise PreconditionError(
             f"smallest radius {radii[-1]} must exceed 2*h_max = {2 * mesh.h_max}")
 
-    rule = quadrature_rule(REPORT_ORDER)
     prof = CampanatoProfile(center=(float(center[0]), float(center[1])), p=p)
+    for rho in radii:
+        sel = ball_element_mask(mesh, center, rho)
+        if int(sel.sum()) < 3:
+            raise ResolutionError(f"fewer than 3 elements inside radius {rho}")
+        a = mesh.areas[sel]
+        v = f.values[sel]
+        mean = (a[:, None] * v).sum(axis=0) / a.sum()
+        dev = np.hypot(v[:, 0] - mean[0], v[:, 1] - mean[1])
+        prof.radii.append(rho)
+        prof.integrals.append(float((a * dev ** p).sum()))
+        prof.means.append(float(np.hypot(mean[0], mean[1])))
 
-    if isinstance(f, ElementVectorField):
-        vals = f.values
-        for rho in radii:
-            sel = ball_element_mask(mesh, center, rho)
-            if int(sel.sum()) < 3:
-                raise ResolutionError(f"fewer than 3 elements inside radius {rho}")
-            a = mesh.areas[sel]
-            v = vals[sel]
-            mean = (a[:, None] * v).sum(axis=0) / a.sum()
-            dev = np.hypot(v[:, 0] - mean[0], v[:, 1] - mean[1])
-            integral = float((a * dev ** p).sum())
-            prof.radii.append(rho)
-            prof.integrals.append(integral)
-            prof.means.append(float(np.hypot(mean[0], mean[1])))
-    else:
-        w = mesh.quad_weights(rule)
-        fq = f.at_quad_points(rule)
-        for rho in radii:
-            sel = ball_element_mask(mesh, center, rho)
-            if int(sel.sum()) < 3:
-                raise ResolutionError(f"fewer than 3 elements inside radius {rho}")
-            ws, fs = w[sel], fq[sel]
-            mean = float((ws * fs).sum() / ws.sum())
-            integral = float((ws * np.abs(fs - mean) ** p).sum())
-            prof.radii.append(rho)
-            prof.integrals.append(integral)
-            prof.means.append(abs(mean))
-
-    return _fit_profile(prof)
-
-
-def _fit_profile(prof):
-    rho = np.asarray(prof.radii)
     ii = np.asarray(prof.integrals)
     pos = ii > 0.0
-    if int(pos.sum()) < 2:
-        prof.lam = math.inf
-        prof.alpha = math.inf
-        prof.residual = 0.0
-        return prof
-    x = np.log(rho[pos])
-    y = np.log(ii[pos])
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    prof.lam = float(coef[0])
-    prof.alpha = (prof.lam - 2.0) / prof.p
-    prof.residual = float(np.sqrt(((A @ coef - y) ** 2).mean()))
+    if int(pos.sum()) >= 2:
+        x = np.log(np.asarray(radii)[pos])
+        A = np.column_stack([x, np.ones_like(x)])
+        coef, *_ = np.linalg.lstsq(A, np.log(ii[pos]), rcond=None)
+        prof.lam = float(coef[0])
+        prof.alpha = (prof.lam - 2.0) / p
     return prof
-
-
-def sobolev_poincare_ratio(f, p, gamma1, element_mask=None, radius=None):
-    """LHS/RHS of the scale-invariant Poincare inequality on a region.
-
-    LHS = avg of (|f - mean| / r)^p, RHS = (avg of |Df|^{2p/(2+gamma1)})
-    raised to (2+gamma1)/2. Returns 0 when both sides vanish; a positive
-    LHS with zero RHS raises, since the inequality forbids it.
-    """
-    p = float(p)
-    gamma1 = float(gamma1)
-    mesh = f.mesh
-    mask = _region_elements(mesh, element_mask)
-    rule = quadrature_rule(REPORT_ORDER)
-    pts, w = mesh.quad_points(rule)
-    ws = w[mask]
-    area = float(ws.sum())
-    if radius is None:
-        # circumscribing radius of the selected region about its centroid-free
-        # default: half the bounding-box diagonal is a serviceable scale
-        sel_pts = pts[mask].reshape(-1, 2)
-        span = sel_pts.max(axis=0) - sel_pts.min(axis=0)
-        radius = 0.5 * float(np.hypot(span[0], span[1]))
-    fq = f.at_quad_points(rule)[mask]
-    mean = float((ws * fq).sum() / area)
-    lhs = float((ws * (np.abs(fq - mean) / radius) ** p).sum() / area)
-
-    g = f.element_gradients()[mask]
-    mag = np.hypot(g[:, 0], g[:, 1])
-    q = 2.0 * p / (2.0 + gamma1)
-    areas = mesh.areas[mask]
-    rhs_base = float((areas * mag ** q).sum() / areas.sum())
-    rhs = rhs_base ** ((2.0 + gamma1) / 2.0)
-    if rhs == 0.0:
-        if lhs <= 1e-30:
-            return 0.0
-        raise NumericError("zero gradient with nonzero oscillation; inconsistent field")
-    return lhs / rhs

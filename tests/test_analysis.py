@@ -178,18 +178,6 @@ def test_admissible_radius_validation():
     field = ExponentField("constant", [2.0])
     with pytest.raises(PreconditionError):
         admissible_radius(field, 0.5)
-    field2 = ExponentField("affine", [2.25, 0.25, 0.0], holder_seminorm=0.5)
-    with pytest.raises(PreconditionError):
-        admissible_radius(field2, 2.0, sigma0=-0.1)
-
-
-def test_admissible_radius_sigma_mode_shrinks():
-    field = ExponentField("affine", [2.25, 0.25, 0.0], holder_seminorm=0.5)
-    base = admissible_radius(field, 10.0)
-    with_sigma = admissible_radius(field, 10.0, sigma0=0.05)
-    assert 0.0 < with_sigma <= base
-    # a vanishing integrability margin collapses the radius entirely
-    assert admissible_radius(field, 10.0, sigma0=0.0) == 0.0
 
 
 def test_theoretical_alpha_pinned_example():

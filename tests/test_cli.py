@@ -458,10 +458,14 @@ dir = {out}
 
 def test_reference_worker_error_is_named_after_the_solve(tmp_path, capsys,
                                                          monkeypatch):
-    def failing(*args, **kwargs):
-        raise NumericError("reference solve broke")
+    constrained_solve = cli.solve
 
-    monkeypatch.setattr(cli, "solve_unconstrained", failing)
+    def failing(problem, *args, **kwargs):
+        if not problem.obstacle.any():
+            raise NumericError("reference solve broke")
+        return constrained_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", failing)
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "r.cfg", REFERENCE_RUN.format(
         p=2.0, scale=1.0, tol=1e-10, out=out))

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from pxthin import (EnergySetup, ExponentField, FeFunction, ObstacleProblem,
-                    PreconditionError, build, build_reference,
-                    comparison_decay, compute_M, extract_halfball_submesh,
-                    frozen_solve, reflect_and_check, solve)
+from pxthin import (ExponentField, FeFunction, ObstacleProblem,
+                    PreconditionError, build_reference, comparison_decay,
+                    compute_M, reference_report, reflect_and_check, solve)
 from pxthin.comparison import reflect_full_disk
+
+
+def _unit_reference(problem):
+    # the reference problem with arc level m = 1: no obstacle, 0 on Thin
+    ref = ObstacleProblem(problem.setup, np.where(problem.arc, 1.0, 0.0),
+                          obstacle=False)
+    w, _ = solve(ref, 1e-10)
+    return w
 
 
 def test_reference_matches_arctan_oracle(solved_p2_sig32_l5):
@@ -15,7 +22,8 @@ def test_reference_matches_arctan_oracle(solved_p2_sig32_l5):
     # axis and equals m on the arc; separation of variables on the half disk
     # sums to w(0, y) = m * (4/pi) * arctan(y)
     problem, u, _, _ = solved_p2_sig32_l5
-    w, report = build_reference(u, problem, m_override=1.0)
+    w = _unit_reference(problem)
+    report = reference_report(u, w, problem.setup.field)
     mesh = problem.setup.mesh
     idx = np.flatnonzero((mesh.vertices[:, 0] == 0.0)
                          & (np.abs(mesh.vertices[:, 1] - 0.5) < 1e-12))[0]
@@ -39,7 +47,7 @@ def test_reference_sits_below_the_solution(solved_p2_sig32_l5):
 
 def test_odd_reflection_residual_constant_exponent(solved_p2_sig32_l5):
     problem, u, _, _ = solved_p2_sig32_l5
-    w, _ = build_reference(u, problem, m_override=1.0)
+    w = _unit_reference(problem)
     res = reflect_and_check(w, problem.setup.field)
     assert res <= 1e-8
 
@@ -91,16 +99,6 @@ def test_compute_m_requires_matching_meshes(solved_p2_sig32_l5, mesh4, p2):
     other = FeFunction(mesh4, np.zeros(mesh4.num_vertices))
     with pytest.raises(PreconditionError):
         compute_M(u, other, p2)
-
-
-def test_frozen_solve_is_identity_for_p2(solved_p2_sig32_l6):
-    # freezing a constant exponent at its own value changes nothing, so the
-    # local resolve reproduces the restricted solution bitwise
-    problem, u, _, _ = solved_p2_sig32_l6
-    u0, p2_val = frozen_solve(u, (-0.35, 0.0), 0.1, problem.setup.field)
-    assert p2_val == 2.0
-    submesh, vmap = extract_halfball_submesh(u.mesh, (-0.35, 0.0), 0.1)
-    assert np.array_equal(u0.values, u.values[vmap])
 
 
 def test_decay_radii_validation(solved_p2_sig32_l5, p2):

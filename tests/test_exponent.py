@@ -108,3 +108,9 @@ def test_sup_inf_requires_center_inside_domain():
     field = ExponentField("affine", [2.0, 0.5, 0.0])
     with pytest.raises(PreconditionError):
         field.sup_inf_on_halfball(np.array([2.0, 0.0]), 0.1)
+
+
+def test_sup_inf_requires_center_on_the_thin_line():
+    field = ExponentField("affine", [2.0, 0.5, 0.0])
+    with pytest.raises(PreconditionError, match="thin line"):
+        field.sup_inf_on_halfball((0.0, 0.2), 0.1)

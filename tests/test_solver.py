@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pxthin import (ConvergenceError, EnergySetup, ExponentField, FeFunction,
                     FormatError, ObstacleProblem, PreconditionError, build,
                     energy, hessian, load_mesh, load_solution, save_mesh,
-                    save_solution, solve, solve_unconstrained, vi_check)
+                    save_solution, solve, vi_check)
 from pxthin import solver
 from pxthin.cli import boundary_values
 from pxthin.comparison import reference_problem
@@ -113,28 +113,29 @@ def test_feasible_start_clamps_the_thin_boundary(mesh4, p2):
     assert np.array_equal(start[arc], g[arc])
 
 
-def test_unconstrained_solve_dips_below_zero(mesh4, p2):
-    # negative arc data pulls the free solution below the obstacle level
-    g = mesh4.vertices[:, 1] - 0.5
-    problem = ObstacleProblem(EnergySetup(mesh4, p2), g, constrained=False)
-    u, report = solve_unconstrained(problem, 1e-10)
-    thin = mesh4.vertex_tags == 2
-    assert np.min(u.values[thin]) < -0.05
-    assert report.free_residual <= 1e-10
-    assert len(report.active_set) == 0
-
-
-def test_solve_unconstrained_rejects_constrained_problem(mesh4, p2):
-    problem, _ = _linear_problem(mesh4, p2)
-    with pytest.raises(PreconditionError):
-        solve_unconstrained(problem, 1e-10)
-
-
-def test_constrained_thin_dirichlet_is_contradictory(mesh4, p2):
+def test_obstacle_problem_masks(mesh4, p2):
     g = np.zeros(mesh4.num_vertices)
-    with pytest.raises(PreconditionError):
-        ObstacleProblem(EnergySetup(mesh4, p2), g, constrained=True,
-                        thin_dirichlet=True)
+    arc = mesh4.vertex_tags == 1
+    thin = mesh4.vertex_tags == 2
+    problem = ObstacleProblem(EnergySetup(mesh4, p2), g)
+    assert np.array_equal(problem.obstacle, thin)
+    assert np.array_equal(problem.dirichlet, arc)
+    free = ObstacleProblem(EnergySetup(mesh4, p2), g, obstacle=False)
+    assert not free.obstacle.any()
+    assert np.array_equal(free.dirichlet, arc | thin)
+
+
+def test_obstacle_free_solve_keeps_its_thin_data(mesh4, sin_field):
+    # Dirichlet data on Arc and 0 on Thin; no vertex is ever active
+    thin = mesh4.vertex_tags == 2
+    g = np.where(mesh4.vertex_tags == 1, mesh4.vertices[:, 1] - 0.5, 0.0)
+    problem = ObstacleProblem(EnergySetup(mesh4, sin_field), g, obstacle=False)
+    u, report = solve(problem, 1e-10)
+    assert len(report.active_set) == 0
+    assert report.complementarity == 0.0
+    assert report.free_residual <= 1e-10
+    assert u.values[thin].tobytes() == np.zeros(int(thin.sum())).tobytes()
+    assert vi_check(problem, u, 20, 0) >= -1e-8
 
 
 def test_tolerance_window_is_enforced(mesh4, p2):
@@ -185,6 +186,20 @@ def test_eps_schedule_validation(mesh4, p2):
         solve(problem, 1e-10, eps_schedule=[1e-3, 1e-2])
     with pytest.raises(PreconditionError):
         solve(problem, 1e-10, eps_schedule=[1e-2, 1e-7])
+
+
+@pytest.mark.parametrize("schedule, named", [
+    ((), "empty"), ((1e-3, -1.0), "-1.0"), ((1e-3, 0.0), "0.0"),
+    ((0.1, 1e-8), "0.1"), ((1e-3, float("nan"), 1e-9), "nan")])
+def test_eps_schedule_is_rejected_before_any_stage(mesh4, p2, monkeypatch,
+                                                   schedule, named):
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(solver, "_solve_stage", no_stage)
+    problem, _ = _linear_problem(mesh4, p2)
+    with pytest.raises(PreconditionError, match=named):
+        solve(problem, 1e-10, eps_schedule=schedule)
 
 
 def test_boundary_data_shape_checked(mesh4, p2):

@@ -2,6 +2,8 @@
 defining identity to 1e-10 and scale exactly; the Campanato fit must recover
 known oscillation exponents."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +11,10 @@ from hypothesis import strategies as st
 
 from pxthin import (ElementVectorField, ExponentField, FeFunction,
                     PreconditionError, build, campanato_profile, luxemburg_norm,
-                    modular, sobolev_poincare_ratio)
+                    modular)
+from conftest import FAMILIES
+
+_mesh = functools.lru_cache(maxsize=None)(build)    # one mesh per level
 
 
 def test_modular_of_linear_function(mesh5, p2):
@@ -185,14 +190,20 @@ def test_campanato_radii_validation(mesh4):
         campanato_profile(field, 2.0, np.array([0.0, 0.0]), [0.4, 0.05])
 
 
-def test_sobolev_poincare_linear_oracle(mesh5):
-    # f = x1 on the unit half-disk: both sides are explicit integrals and
-    # their ratio at r = 1 equals 1/4
-    f = FeFunction(mesh5, mesh5.vertices[:, 0].copy())
-    ratio = sobolev_poincare_ratio(f, 2.0, 2.0, radius=1.0)
-    assert ratio == pytest.approx(0.25, abs=1e-3)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.sampled_from(FAMILIES), st.booleans(),
+       st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
+def test_all_true_mask_equals_no_mask(level, field, gradient, sigma, seed):
+    mesh = _mesh(level)
+    f = FeFunction(mesh, np.random.default_rng(seed).standard_normal(mesh.num_vertices))
+    if gradient:
+        f = f.gradient_field()
+    everything = np.ones(mesh.num_triangles, dtype=bool)
+    assert (modular(f, field, sigma=sigma)
+            == modular(f, field, element_mask=everything, sigma=sigma))
 
 
-def test_sobolev_poincare_of_zero_function_is_zero(mesh4):
+def test_campanato_rejects_a_nodal_field(mesh4):
     f = FeFunction(mesh4, np.zeros(mesh4.num_vertices))
-    assert sobolev_poincare_ratio(f, 2.0, 2.0, radius=1.0) == 0.0
+    with pytest.raises(PreconditionError):
+        campanato_profile(f, 2.0, np.array([0.0, 0.0]), [0.4, 0.3, 0.2])
