@@ -7,8 +7,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import PreconditionError
-from .mesh import GEOM_TOL, ball_element_mask
+from .errors import PreconditionError, checked_trials
+from .mesh import GEOM_TOL, ball_element_mask, checked_radii
 from .vxspace import campanato_profile, modular
 
 # ---------------------------------------------------------------- iteration
@@ -92,13 +92,15 @@ def iteration_verify(consts, trials, seed):
     exactly as a lone trial would.
     """
     consts.validate()
+    trials = checked_trials(trials)
     rng = np.random.default_rng(seed)
-    return _worst_slack(_draw_trial(rng, consts) for _ in range(int(trials)))
+    return _worst_slack(_draw_trial(rng, consts) for _ in range(trials))
 
 
 def iteration_suite(trials, seed):
     """Randomized constants plus one adversarial sequence per trial."""
-    return _worst_slack(_suite_trials(np.random.default_rng(seed), int(trials)))
+    trials = checked_trials(trials)
+    return _worst_slack(_suite_trials(np.random.default_rng(seed), trials))
 
 
 def _suite_trials(rng, trials):
@@ -213,13 +215,13 @@ def monotonicity_check(gamma1, gamma2, trials, seed):
     gamma2 = float(gamma2)
     if not (1.0 < gamma1 <= gamma2):
         raise PreconditionError("need 1 < gamma1 <= gamma2")
+    remaining = checked_trials(trials)
     if MONO_GAMMA[0] <= gamma1 and gamma2 <= MONO_GAMMA[1]:
         c = MONO_C
     else:
         c = calibrate_monotonicity(gamma1, gamma2, samples=100_000, seed=617)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    remaining = int(trials)
     while remaining > 0:
         n = min(200_000, remaining)
         xi1, xi2, p, eps = _sample_tuples(rng, gamma1, gamma2, n)
@@ -305,8 +307,7 @@ def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
     sigma_grid = sorted(float(s) for s in sigma_grid)
     if sigma_grid[0] != 0.0:
         raise PreconditionError("sigma grid must include 0")
-    if np.hypot(center[0], center[1]) + 2.0 * r > 0.75 + GEOM_TOL:
-        raise PreconditionError("2r half-ball must stay inside the 3/4 ball")
+    checked_radii([r], 1, center)
     M = compute_M(u, w, field)
     r_adm = admissible_radius(field, M)
     if r > r_adm + GEOM_TOL:
@@ -359,9 +360,7 @@ def gradient_holder_fit(u, field, centers, radii):
     the fitting power; the profile growth rate converts to a gradient
     Hölder exponent.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 2:
-        raise PreconditionError("need at least 2 radii")
+    radii = checked_radii(radii, 2, h_max=u.mesh.h_max)
     report = RegularityReport()
     du = u.gradient_field()
     for center in centers:

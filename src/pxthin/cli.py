@@ -22,10 +22,11 @@ from .analysis import (MONO_GAMMA, admissible_radius, gradient_holder_fit,
                        monotonicity_check, theoretical_alpha)
 from .comparison import comparison_decay, reference_problem, reference_report
 from .energy import EnergySetup
-from .errors import (ConfigError, ConvergenceError, FormatError, PxthinError,
-                     ResolutionError)
+from .errors import (ConfigError, ConvergenceError, FormatError,
+                     PreconditionError, PxthinError, ResolutionError,
+                     checked_trials)
 from .exponent import ExponentField
-from .mesh import ARC, build, save_mesh
+from .mesh import ARC, build, checked_radii, save_mesh
 from .solver import ObstacleProblem, save_solution, solve, vi_check
 from .vxspace import FeFunction, luxemburg_norm, modular
 
@@ -57,6 +58,13 @@ def _conv_int(text):
         return int(text, 10)
     except ValueError:
         raise ValueError("not an integer")
+
+
+def _conv_trials(text):
+    try:
+        return checked_trials(_conv_int(text))
+    except PreconditionError as exc:
+        raise ValueError(str(exc))
 
 
 def _conv_bool(text):
@@ -134,7 +142,7 @@ _SCHEMA = {
         "tol": (_conv_float, 1e-10),
         "eps_schedule": (_conv_floats, None),
         "seed": (_conv_int, 0),
-        "vi_trials": (_conv_int, 100),
+        "vi_trials": (_conv_trials, 100),
     },
     "experiments": {
         "run": (_conv_experiments, ["solve"]),
@@ -155,9 +163,9 @@ _SCHEMA = {
         "alpha0": (_conv_float, 0.5),
     },
     "verify": {
-        "iteration_trials": (_conv_int, 10000),
-        "monotonicity_trials": (_conv_int, 100000),
-        "luxemburg_trials": (_conv_int, 100),
+        "iteration_trials": (_conv_trials, 10000),
+        "monotonicity_trials": (_conv_trials, 100000),
+        "luxemburg_trials": (_conv_trials, 100),
         "gamma1": (_conv_float, 1.1),
         "gamma2": (_conv_float, 10.0),
     },
@@ -334,6 +342,7 @@ def luxemburg_identity_checks(mesh, field, trials, seed):
     Returns (unit modular deviation, homogeneity relative error, constant
     exponent closed-form relative error).  The closed form uses p = 3.
     """
+    trials = checked_trials(trials)
     rng = np.random.default_rng(seed)
     const_field = ExponentField("constant", [3.0])
     worst_unit = 0.0
@@ -554,9 +563,11 @@ def _start_reference(run):
     w needs u only through min(u on Arc), and every solve pins u to g on
     Arc bit for bit, so g gives the same reference problem. The mesh's
     lazily filled caches that a solve reads are filled here first; the
-    worker then only reads shared state.
+    worker then only reads shared state: from Python 3.12 a cached_property
+    takes no lock.
     """
-    run.mesh.p1_pattern     # filled here, not on the worker
+    run.mesh.p1_pattern     # both filled here, not on the worker
+    run.mesh.prolongations
     problem = reference_problem(run.problem, run.problem.g)
     run.pending_w = run.pool.submit(solve, problem, run.tol, run.eps_schedule)
 
@@ -597,6 +608,11 @@ def _reference_step(run):
     run.check("odd_reflection_residual", ref.reflect_residual <= reflect_cap,
               "residual = %s > %s" % (_f17(ref.reflect_residual), _f17(reflect_cap)))
     _write_comparison(run)
+
+
+def _freeze_radii(run):
+    cfg = run.config["freeze"]
+    return checked_radii(cfg["radii"], 3, cfg["center"], run.mesh.h_max)
 
 
 def _freeze_step(run):
@@ -658,9 +674,9 @@ def _holder_radii(run):
     """The configured holder radii, or by default 8 from 0.25 down to
     4 h_max; a mesh too coarse for the default is rejected."""
     radii = run.config["holder"]["radii"]
-    if radii is not None:
-        return radii
     h_max = run.mesh.h_max
+    if radii is not None:
+        return checked_radii(radii, 2, h_max=h_max)
     if not 4.0 * h_max < 0.25:
         raise ResolutionError(
             "default radii run from 0.25 down to 4*h_max and need "
@@ -724,7 +740,7 @@ def _verify_step(run):
 
 
 # checks that need only the config and the mesh, run before any step
-_PLANS = {"holder": _holder_radii}
+_PLANS = {"freeze": _freeze_radii, "holder": _holder_radii}
 _STEPS = {"solve": _solve_step, "reference": _reference_step,
           "freeze": _freeze_step, "scan": _scan_step, "holder": _holder_step,
           "verify": _verify_step}
@@ -850,6 +866,8 @@ def main(argv=None):
     p_verify.add_argument("--trials", type=int, default=10000)
     p_verify.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.trials < 1:
+        p_verify.error("--trials must be at least 1, got %d" % args.trials)
     try:
         if args.command == "run":
             return run_command(args.config)

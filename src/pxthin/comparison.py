@@ -13,7 +13,7 @@ from .energy import EnergySetup, residual
 from .errors import PreconditionError
 from .exponent import ExponentField
 from .mesh import (ARC, GEOM_TOL, INTERIOR, THIN, TriMesh, ball_element_mask,
-                   extract_halfball_submesh)
+                   checked_radii, extract_halfball_submesh)
 from .solver import ObstacleProblem, solve
 from .vxspace import FeFunction, modular
 
@@ -168,13 +168,7 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
     M_value, or else the M of build_reference(u, problem).
     """
     center = np.asarray(center, dtype=float)
-    radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise PreconditionError("need at least 3 radii")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise PreconditionError("radii must be strictly decreasing")
-    if np.hypot(center[0], center[1]) + 2.0 * radii[0] > 0.75 + GEOM_TOL:
-        raise PreconditionError("2r half-balls must stay inside the 3/4 ball")
+    radii = checked_radii(radii, 3, center, u.mesh.h_max)
 
     if M_value is None:
         if problem is None:

@@ -6,7 +6,6 @@ points, never element means, so intra-element exponent variation is kept.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PreconditionError
 from .mesh import quadrature_rule
@@ -130,6 +129,8 @@ def hessian(setup, v):
     scatter map. The matrix shares its read-only index arrays with every
     Hessian on the same mesh.
     """
+    import scipy.sparse as sp
+
     if setup.epsilon <= 0.0:
         raise PreconditionError("hessian requires a positive regularization epsilon")
     mesh = setup.mesh

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all pxthin modules.
+"""Exception hierarchy shared by all pxthin modules, and the trial-count
+check every sampled contract makes.
 
 Every contract failure raises one of these, so callers can distinguish
 "you gave me bad input" from "the computation could not be completed".
@@ -47,3 +48,11 @@ class ConfigError(PxthinError):
 
 class FormatError(PxthinError):
     """A persisted artifact file is malformed or inconsistent."""
+
+
+def checked_trials(trials):
+    """trials as an int; fewer than one would pass a check on no evidence."""
+    trials = int(trials)
+    if trials < 1:
+        raise PreconditionError(f"need at least one trial, got {trials}")
+    return trials

@@ -12,7 +12,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (FormatError, PreconditionError, ResolutionError,
                      ResourceError)
@@ -36,14 +35,15 @@ class TriMesh:
     """Plain conforming triangle mesh; no domain assumption.
 
     Carries per-element signed areas and P1 hat-function gradients so
-    assembly code does not recompute geometry. `prolongations` is the
-    refinement hierarchy, coarse to fine: prolongations[k] is the P1
-    prolongation from level k to level k + 1, each level's vertices are
-    the first ones of the next, and the last one ends at this mesh. A mesh
-    made any other way has none.
+    assembly code does not recompute geometry. `parents` is the refinement
+    hierarchy, coarse to fine: each level's vertices are the first ones of
+    the next, and parents[k] holds the ends (i, j) of the level-k edge that
+    each new vertex of level k + 1 halves, in the order of the new
+    vertices; the last level is this mesh. A mesh made any other way has
+    none.
     """
 
-    def __init__(self, vertices, triangles, vertex_tags=None, prolongations=()):
+    def __init__(self, vertices, triangles, vertex_tags=None, parents=()):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -60,10 +60,14 @@ class TriMesh:
         self.vertex_tags = np.ascontiguousarray(vertex_tags, dtype=np.int8)
         if self.vertex_tags.shape != (nv,):
             raise PreconditionError("one tag per vertex required")
-        self.prolongations = tuple(prolongations)
-        fine_sizes = [P.shape[1] for P in self.prolongations[1:]] + [nv]
-        if any(P.shape[0] != n for P, n in zip(self.prolongations, fine_sizes)):
-            raise PreconditionError("prolongations do not chain to the mesh")
+        self.parents = tuple(np.asarray(p, dtype=np.int64) for p in parents)
+        n = nv - sum(len(p) for p in self.parents)      # level 0's vertices
+        for p in self.parents:
+            # a new vertex halves an edge of the level it refines
+            if n < 1 or p.ndim != 2 or p.shape[1] != 2 or (
+                    p.size and not 0 <= p.min() <= p.max() < n):
+                raise PreconditionError("prolongations do not chain to the mesh")
+            n += len(p)
         self.digest = None      # mesh_hash, filled on first use
         # vxspace: read-only p at its report quadrature points, by repr(field)
         self.report_p = {}
@@ -94,6 +98,18 @@ class TriMesh:
         # the third edge p0 - p2 is -e2, whose squares are the same bits
         self.h_max = (float(np.sqrt(max((e * e).sum(axis=1).max() for e in (e1, e3, e2))))
                       if nt else 0.0)
+
+    @cached_property
+    def prolongations(self):
+        """The P1 prolongations as CSR matrices, coarse to fine:
+        prolongations[k] takes level k to level k + 1. Built on first read,
+        so a run that never solves never imports scipy."""
+        n = self.num_vertices - sum(len(p) for p in self.parents)
+        out = []
+        for p in self.parents:
+            n += len(p)
+            out.append(_prolongation(p, n))
+        return tuple(out)
 
     @cached_property
     def p1_pattern(self):
@@ -149,8 +165,8 @@ class TriMesh:
 class HalfDiskMesh(TriMesh):
     """TriMesh constrained to the closed half-disk, with boundary tags."""
 
-    def __init__(self, vertices, triangles, vertex_tags, prolongations=()):
-        super().__init__(vertices, triangles, vertex_tags, prolongations)
+    def __init__(self, vertices, triangles, vertex_tags, parents=()):
+        super().__init__(vertices, triangles, vertex_tags, parents)
         x = self.vertices
         if np.any(x[:, 1] < -GEOM_TOL):
             raise PreconditionError("vertex below the thin line")
@@ -235,6 +251,8 @@ def _prolongation(parents, n_fine):
     """P1 prolongation (n_fine, n_coarse) as CSR: identity on the coarse
     vertices, which come first, and weights 1/2, 1/2 on the ends of the
     edge each new vertex halves."""
+    import scipy.sparse as sp
+
     n_new = len(parents)
     n_coarse = n_fine - n_new
     indptr = np.concatenate([np.arange(n_coarse + 1),
@@ -313,7 +331,7 @@ def build(level, grading=0.0):
     every refinement keeps boundary vertices on the arc. grading > 0 runs
     round(grading) extra conforming bisection rounds of elements touching
     the thin line. Each refinement and bisection round keeps the earlier
-    vertices in front and records its P1 prolongation on the mesh.
+    vertices in front and records its midpoint parents on the mesh.
     """
     level = int(level)
     if level < 0:
@@ -330,22 +348,22 @@ def build(level, grading=0.0):
     ])
     triangles = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)], dtype=np.int64)
 
-    prolongations = []
+    hierarchy = []
     for _ in range(level):
         vertices, triangles, parents = _red_refine(vertices, triangles)
-        prolongations.append(_prolongation(parents, len(vertices)))
+        hierarchy.append(parents)
 
     for _ in range(int(round(float(grading)))):
         if 2 * len(vertices) > NODE_BUDGET:
             raise ResourceError("grading would exceed the node budget")
         vertices, triangles, parents = _bisect_towards_thin(vertices, triangles)
-        prolongations.append(_prolongation(parents, len(vertices)))
+        hierarchy.append(parents)
 
     # snap rounding dust on the thin line to exactly zero
     snap = np.abs(vertices[:, 1]) <= GEOM_TOL
     vertices[snap, 1] = 0.0
     return HalfDiskMesh(vertices, triangles, _tag_geometrically(vertices),
-                        prolongations)
+                        hierarchy)
 
 
 def ball_element_mask(mesh, center, radius):
@@ -353,6 +371,27 @@ def ball_element_mask(mesh, center, radius):
     widened by GEOM_TOL."""
     d = np.hypot(mesh.vertices[:, 0] - center[0], mesh.vertices[:, 1] - center[1])
     return (d <= radius + GEOM_TOL)[mesh.triangles].all(axis=1)
+
+
+def checked_radii(radii, count, center=None, h_max=0.0):
+    """radii as floats, after the rules the ball experiments share: at
+    least `count` of them, strictly decreasing, the smallest above
+    2 h_max and, with a center, the 2r half-ball about it inside the
+    3/4 ball."""
+    radii = [float(r) for r in radii]
+    if len(radii) < count:
+        raise PreconditionError(f"need at least {count} radii, got {len(radii)}")
+    if any(b >= a for a, b in zip(radii, radii[1:])):
+        raise PreconditionError("radii must be strictly decreasing")
+    if radii[-1] <= 2.0 * h_max:
+        raise PreconditionError(
+            f"smallest radius {radii[-1]} must exceed 2*h_max = {2 * h_max}")
+    if center is not None and np.hypot(center[0], center[1]) + 2.0 * radii[0] \
+            > 0.75 + GEOM_TOL:
+        raise PreconditionError(
+            f"2r half-balls must stay inside the 3/4 ball, but radius {radii[0]} "
+            f"about {tuple(float(c) for c in center)} does not")
+    return radii
 
 
 def extract_halfball_submesh(mesh, center, radius):

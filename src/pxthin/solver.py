@@ -10,10 +10,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .energy import MAX_EPSILON, energy, hessian, residual
-from .errors import ConvergenceError, FormatError, PreconditionError
+from .errors import (ConvergenceError, FormatError, PreconditionError,
+                     checked_trials)
 from .mesh import ARC, THIN, mesh_hash, _text_rows
 from .vxspace import FeFunction
 
@@ -142,6 +142,8 @@ def _free_solve(H, free, rhs, prolongations):
     A mesh without a hierarchy has one level, so the preconditioner is the
     direct factorization and CG ends after one or two steps.
     """
+    import scipy.sparse.linalg as spla
+
     levels, coarse = _multigrid_levels(H, free, prolongations)
     try:
         coarse_solve = spla.splu(coarse.tocsc()).solve
@@ -269,9 +271,7 @@ def vi_check(problem, u_h, trials, seed):
     at obstacle vertices; returns min over trials of residual(u_h) . v / |v|,
     with the residual taken at eps = 0.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise PreconditionError("need at least one trial")
+    trials = checked_trials(trials)
     u = u_h.values
     ob = problem.obstacle
     if np.abs(u[problem.dirichlet] - problem.g[problem.dirichlet]).max() > 1e-9:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ResolutionError
-from .mesh import ball_element_mask, quadrature_rule
+from .mesh import ball_element_mask, checked_radii, quadrature_rule
 
 REPORT_ORDER = 5
 # Luxemburg norm: Newton steps allowed, and the step size counted as round-off
@@ -166,14 +166,7 @@ def campanato_profile(f, p, center, radii):
         raise PreconditionError("Campanato profiles take an element vector field")
     p = float(p)
     mesh = f.mesh
-    radii = [float(r) for r in radii]
-    if len(radii) < 1:
-        raise PreconditionError("at least one radius required")
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise PreconditionError("radii must be strictly decreasing")
-    if radii[-1] <= 2.0 * mesh.h_max:
-        raise PreconditionError(
-            f"smallest radius {radii[-1]} must exceed 2*h_max = {2 * mesh.h_max}")
+    radii = checked_radii(radii, 1, h_max=mesh.h_max)
 
     prof = CampanatoProfile(center=(float(center[0]), float(center[1])), p=p)
     for rho in radii:

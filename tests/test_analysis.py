@@ -12,6 +12,7 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     iteration_suite, iteration_verify, monotonicity_check,
                     solve, theoretical_alpha)
 from pxthin.analysis import _GRID_HALVINGS, MONO_C, calibrate_monotonicity
+from pxthin.cli import luxemburg_identity_checks
 from conftest import g_signorini32
 
 
@@ -65,6 +66,18 @@ def test_iteration_constants_reject_a_bad_B(B):
     c.B = B
     with pytest.raises(PreconditionError):
         iteration_verify(c, 5, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_no_sampled_check_passes_on_no_trials(mesh3, trials):
+    checks = [lambda: iteration_verify(iteration_constants(1.0, 2.0, 1.0), trials, 0),
+              lambda: iteration_suite(trials, 0),
+              lambda: monotonicity_check(1.1, 10.0, trials, 0),
+              lambda: luxemburg_identity_checks(mesh3, ExponentField("constant", [2.0]),
+                                                trials, 0)]
+    for check in checks:
+        with pytest.raises(PreconditionError, match="at least one trial"):
+            check()
 
 
 def test_iteration_verify_small_sample():

@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pxthin import ConfigError, NumericError, build
+from pxthin import (ConfigError, EnergySetup, ExponentField, NumericError,
+                    ObstacleProblem, build)
 from pxthin import cli
 from pxthin.cli import (_loglog_svg, boundary_values, main,
                         normalize_experiments, parse_config)
@@ -494,3 +496,117 @@ def test_stagnated_solve_skips_the_reference_and_the_process_ends(tmp_path):
     assert summary["contracts_failed"] == "solve_converged"
     assert "m_used" not in summary and "failed_step" not in summary
     assert (out / "u.txt").exists() and not (out / "w.txt").exists()
+
+
+# ------------------------------------------------------- no scipy in verify
+
+NO_SCIPY_CHILD = """\
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import pxthin
+seen = [loaded()]
+import pxthin.cli
+seen.append(loaded())
+assert pxthin.cli.main(["run", sys.argv[1]]) == 0
+seen.append(loaded())
+assert pxthin.cli.main(["verify", "--trials", "200"]) == 0
+seen.append(loaded())
+print(seen)
+"""
+
+
+def test_verify_runs_never_import_scipy(tmp_path):
+    # scipy is loaded by the first sparse assembly, which verify never makes
+    cfg = write_config(tmp_path / "v.cfg", BASE.format(out=tmp_path / "o") + """
+[experiments]
+run = verify
+[verify]
+iteration_trials = 50
+monotonicity_trials = 1000
+luxemburg_trials = 2
+""")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, cfg],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[[], [], [], []]"
+
+
+def test_reference_is_submitted_after_the_mesh_caches_are_filled():
+    mesh = build(3)
+    problem = ObstacleProblem(EnergySetup(mesh, ExponentField("constant", [2.0])),
+                              mesh.vertices[:, 1])
+    filled_at_submit = []
+
+    class Pool:
+        def submit(self, fn, *args):
+            filled_at_submit.append(
+                [name in vars(mesh) for name in ("p1_pattern", "prolongations")])
+
+    assert "p1_pattern" not in vars(mesh) and "prolongations" not in vars(mesh)
+    run = SimpleNamespace(mesh=mesh, problem=problem, tol=1e-10,
+                          eps_schedule=None, pool=Pool())
+    cli._start_reference(run)
+    assert filled_at_submit == [[True, True]]
+
+
+# ------------------------------------------------------- early rejections
+
+TRIAL_KEYS = [("solver", "vi_trials"), ("verify", "iteration_trials"),
+              ("verify", "monotonicity_trials"), ("verify", "luxemburg_trials")]
+
+
+@pytest.mark.parametrize("section,key", TRIAL_KEYS)
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_trial_counts_below_one_are_config_errors(tmp_path, section, key, value):
+    text = BASE.format(out=tmp_path / "o") + "[%s]\n%s = %s\n" % (section, key, value)
+    path = write_config(tmp_path / "t.cfg", text)
+    line = text.splitlines().index("%s = %s" % (key, value)) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert "line %d: bad value for [%s] %s" % (line, section, key) in str(err.value)
+    assert "at least one trial" in str(err.value)
+
+
+def test_zero_vi_trials_are_rejected_before_the_solve(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "t.cfg",
+                       BASE.format(out=out) + "[solver]\nvi_trials = 0\n")
+    assert main(["run", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "u.txt").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_subcommand_needs_a_trial(capsys, trials):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--trials", trials])
+    assert stop.value.code == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,line,fragment", [
+    ("freeze", "radii = 0.1, 0.2", "need at least 3 radii"),
+    ("freeze", "radii = 0.2, 0.3, 0.1", "strictly decreasing"),
+    ("freeze", "radii = 0.5, 0.4, 0.35", "3/4 ball"),
+    ("freeze", "radii = 0.3, 0.2, 0.01", "2*h_max"),
+    ("holder", "radii = 0.1", "need at least 2 radii"),
+    ("holder", "radii = 0.1, 0.2", "strictly decreasing"),
+    ("holder", "radii = 0.2, 0.01", "2*h_max"),
+])
+def test_bad_radii_are_rejected_before_any_solve(tmp_path, capsys, section, line,
+                                                 fragment):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "r.cfg", BASE.format(out=out)
+                       + "[experiments]\nrun = %s\n[%s]\n%s\n" % (section, section, line))
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: %s:" % section in err and fragment in err
+    summary = dict(row.split(" = ", 1)
+                   for row in (out / "summary.txt").read_text().splitlines())
+    assert summary["failed_step"] == section
+    assert not (out / "u.txt").exists()

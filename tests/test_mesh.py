@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +218,44 @@ def test_submesh_keeps_exactly_the_masked_triangles(ball):
         assert mask.sum() < 10
         return
     assert np.array_equal(vmap[sub.triangles], mesh.triangles[mask])
+
+
+@settings(max_examples=30, deadline=None)
+@given(hierarchies)
+def test_lazy_prolongations_equal_a_csr_construction(shape):
+    # rows of level k + 1: identity on level k's vertices, then 1/2 on the
+    # two ends of the edge each new vertex halves
+    mesh = build(*shape)
+    assert "prolongations" not in vars(mesh)
+    n_fine = mesh.num_vertices - sum(len(p) for p in mesh.parents)
+    for P, parents in zip(mesh.prolongations, mesh.parents):
+        n_coarse, n_fine = n_fine, n_fine + len(parents)
+        rows = np.concatenate([np.arange(n_coarse),
+                               np.repeat(np.arange(n_coarse, n_fine), 2)])
+        cols = np.concatenate([np.arange(n_coarse), parents.ravel()])
+        data = np.concatenate([np.ones(n_coarse), np.full(2 * len(parents), 0.5)])
+        want = sp.csr_matrix((data, (rows, cols)), shape=(n_fine, n_coarse))
+        assert P.shape == want.shape
+        assert np.array_equal(P.data, want.data)
+        assert np.array_equal(P.indices, want.indices)
+        assert np.array_equal(P.indptr, want.indptr)
+    assert n_fine == mesh.num_vertices
+
+
+def test_a_hierarchy_that_does_not_chain_is_rejected():
+    mesh = build(2, 1)
+    args = mesh.vertices, mesh.triangles, mesh.vertex_tags
+    first, second, graded = mesh.parents
+    bad = [(first, second, graded, first),         # more new vertices than the mesh
+           (second, first, graded),                # a parent beyond its level
+           (first, second, graded.ravel()),        # not (new vertices, 2)
+           (first - 1, second, graded)]            # a negative parent
+    for parents in bad:
+        with pytest.raises(PreconditionError, match="do not chain"):
+            TriMesh(*args, parents)
+    same = TriMesh(*args, mesh.parents)
+    for P, Q in zip(same.prolongations, mesh.prolongations):
+        assert (P != Q).nnz == 0
 
 
 def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
