@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import PreconditionError, checked_trials
-from .mesh import GEOM_TOL, ball_element_mask, checked_radii
+from .mesh import GEOM_TOL, ball_element_mask, checked_center, checked_radii
 from .vxspace import campanato_profile, modular
 
 # ---------------------------------------------------------------- iteration
@@ -209,12 +209,17 @@ def calibrate_monotonicity(gamma1, gamma2, samples=1_000_000, seed=20123,
     return safety * worst
 
 
+def checked_gammas(gamma1, gamma2):
+    """The exponent range as floats, after the rule 1 < gamma1 <= gamma2."""
+    gamma1, gamma2 = float(gamma1), float(gamma2)
+    if not 1.0 < gamma1 <= gamma2:
+        raise PreconditionError(f"need 1 < gamma1 <= gamma2, got {gamma1}, {gamma2}")
+    return gamma1, gamma2
+
+
 def monotonicity_check(gamma1, gamma2, trials, seed):
     """Worst LHS/RHS ratio of the vector inequality over random tuples."""
-    gamma1 = float(gamma1)
-    gamma2 = float(gamma2)
-    if not (1.0 < gamma1 <= gamma2):
-        raise PreconditionError("need 1 < gamma1 <= gamma2")
+    gamma1, gamma2 = checked_gammas(gamma1, gamma2)
     remaining = checked_trials(trials)
     if MONO_GAMMA[0] <= gamma1 and gamma2 <= MONO_GAMMA[1]:
         c = MONO_C
@@ -288,6 +293,17 @@ class RegularityReport:
     alpha_theory: float = np.nan
 
 
+def checked_sigma_grid(sigma_grid):
+    """The scan's sigma grid sorted, DEFAULT_SIGMA_GRID for None."""
+    if sigma_grid is None:
+        sigma_grid = DEFAULT_SIGMA_GRID
+    grid = sorted(float(s) for s in sigma_grid)
+    if not grid or grid[0] != 0.0:
+        raise PreconditionError(
+            f"sigma grid must have 0 as its smallest value, got {grid}")
+    return grid
+
+
 def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
                               c_cap=DEFAULT_C_CAP):
     """Implied constants of the gradient self-improvement estimate.
@@ -302,11 +318,7 @@ def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
 
     center = np.asarray(center, dtype=float)
     r = float(r)
-    if sigma_grid is None:
-        sigma_grid = DEFAULT_SIGMA_GRID
-    sigma_grid = sorted(float(s) for s in sigma_grid)
-    if sigma_grid[0] != 0.0:
-        raise PreconditionError("sigma grid must include 0")
+    sigma_grid = checked_sigma_grid(sigma_grid)
     checked_radii([r], 1, center)
     M = compute_M(u, w, field)
     r_adm = admissible_radius(field, M)
@@ -360,13 +372,11 @@ def gradient_holder_fit(u, field, centers, radii):
     the fitting power; the profile growth rate converts to a gradient
     Hölder exponent.
     """
+    centers = [checked_center(center) for center in centers]
     radii = checked_radii(radii, 2, h_max=u.mesh.h_max)
     report = RegularityReport()
     du = u.gradient_field()
     for center in centers:
-        center = np.asarray(center, dtype=float)
-        if abs(center[1]) > GEOM_TOL or abs(center[0]) > 0.5 + GEOM_TOL:
-            raise PreconditionError("centers must lie on the axis with |x1| <= 1/2")
         p2 = field.sup_inf_on_halfball(center, max(radii))[1]
         prof = campanato_profile(du, p2, center, radii)
         report.centers.append(tuple(center))

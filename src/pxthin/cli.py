@@ -17,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import (MONO_GAMMA, admissible_radius, gradient_holder_fit,
+from .analysis import (MONO_GAMMA, admissible_radius, checked_gammas,
+                       checked_sigma_grid, gradient_holder_fit,
                        higher_integrability_scan, iteration_suite,
                        monotonicity_check, theoretical_alpha)
 from .comparison import comparison_decay, reference_problem, reference_report
@@ -26,9 +27,10 @@ from .errors import (ConfigError, ConvergenceError, FormatError,
                      PreconditionError, PxthinError, ResolutionError,
                      checked_trials)
 from .exponent import ExponentField
-from .mesh import ARC, build, checked_radii, save_mesh
+from .mesh import (ARC, build, checked_center, checked_grading, checked_radii,
+                   save_mesh)
 from .solver import ObstacleProblem, save_solution, solve, vi_check
-from .vxspace import FeFunction, luxemburg_norm, modular
+from .vxspace import checked_sigma, luxemburg_identity_checks
 
 EXPERIMENT_ORDER = ("solve", "reference", "freeze", "scan", "holder", "verify")
 
@@ -60,11 +62,24 @@ def _conv_int(text):
         raise ValueError("not an integer")
 
 
-def _conv_trials(text):
-    try:
-        return checked_trials(_conv_int(text))
-    except PreconditionError as exc:
-        raise ValueError(str(exc))
+def _conv_seed(text):
+    seed = _conv_int(text)
+    if seed < 0:
+        raise ValueError("a seed must be >= 0, got %d" % seed)
+    return seed
+
+
+def _checked(check, conv):
+    """conv, then a library check; its PreconditionError is a bad value."""
+    def converter(text):
+        try:
+            return check(conv(text))
+        except PreconditionError as exc:
+            raise ValueError(str(exc))
+    return converter
+
+
+_conv_trials = _checked(checked_trials, _conv_int)
 
 
 def _conv_bool(text):
@@ -130,7 +145,7 @@ _SCHEMA = {
     },
     "mesh": {
         "level": (_conv_int, _REQUIRED),
-        "grading": (_conv_float, 0.0),
+        "grading": (_checked(checked_grading, _conv_float), 0),
     },
     "boundary": {
         "preset": (_choice(_PRESETS), _REQUIRED),
@@ -141,7 +156,7 @@ _SCHEMA = {
     "solver": {
         "tol": (_conv_float, 1e-10),
         "eps_schedule": (_conv_floats, None),
-        "seed": (_conv_int, 0),
+        "seed": (_conv_seed, 0),
         "vi_trials": (_conv_trials, 100),
     },
     "experiments": {
@@ -166,8 +181,8 @@ _SCHEMA = {
         "iteration_trials": (_conv_trials, 10000),
         "monotonicity_trials": (_conv_trials, 100000),
         "luxemburg_trials": (_conv_trials, 100),
-        "gamma1": (_conv_float, 1.1),
-        "gamma2": (_conv_float, 10.0),
+        "gamma1": (_conv_float, MONO_GAMMA[0]),
+        "gamma2": (_conv_float, MONO_GAMMA[1]),
     },
     "output": {
         "dir": (_conv_str, _REQUIRED),
@@ -336,36 +351,6 @@ def _read_nodal_file(path, num_vertices):
     return values
 
 
-def luxemburg_identity_checks(mesh, field, trials, seed):
-    """Worst deviations of the three norm identities over random nodal fields.
-
-    Returns (unit modular deviation, homogeneity relative error, constant
-    exponent closed-form relative error).  The closed form uses p = 3.
-    """
-    trials = checked_trials(trials)
-    rng = np.random.default_rng(seed)
-    const_field = ExponentField("constant", [3.0])
-    worst_unit = 0.0
-    worst_homog = 0.0
-    worst_const = 0.0
-    n = mesh.num_vertices
-    for _ in range(trials):
-        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)
-        if not np.any(values):
-            continue
-        f = FeFunction(mesh, values)
-        nu = luxemburg_norm(f, field)
-        unit = abs(modular(FeFunction(mesh, values / nu), field) - 1.0)
-        worst_unit = max(worst_unit, unit)
-        s = 10.0 ** rng.uniform(-1.0, 1.0)
-        nu_scaled = luxemburg_norm(FeFunction(mesh, s * values), field)
-        worst_homog = max(worst_homog, abs(nu_scaled - s * nu) / (s * nu))
-        closed = modular(f, const_field) ** (1.0 / 3.0)
-        nu_const = luxemburg_norm(f, const_field)
-        worst_const = max(worst_const, abs(nu_const - closed) / closed)
-    return worst_unit, worst_homog, worst_const
-
-
 def _loglog_svg(path, title, xs, ys, xlabel, ylabel):
     """Minimal log-log SVG plot; skipped when fewer than two positive points."""
     points = [(x, y) for x, y in zip(xs, ys) if x > 0.0 and y > 0.0]
@@ -440,6 +425,15 @@ def _plot_from_csvs(outdir):
                     "radius", "Campanato integral")
 
 
+def _bound_violation(quantity, value, bound, upper):
+    """None if value keeps its upper (or lower) bound, which nan never does,
+    else the detail '<quantity> = <value> > <bound>' ('<' for a lower one)."""
+    if value <= bound if upper else value >= bound:
+        return None
+    return "%s = %s %s %r" % (quantity, _f17(value), ">" if upper else "<",
+                              float(bound))
+
+
 class _Run:
     """What the experiment steps of one run share: inputs, results so far,
     summary rows and contract checks."""
@@ -470,10 +464,16 @@ class _Run:
     def path(self, name):
         return os.path.join(self.outdir, name)
 
-    def check(self, contract, ok, detail):
+    def check(self, contract, detail):
+        """Count a contract; a detail other than None says how it failed."""
         self.checks_run += 1
-        if not ok:
+        if detail is not None:
             self.violations.append((contract, detail))
+
+    def check_bound(self, contract, quantity, value, bound, upper=True):
+        """Add the summary row `quantity`, and check its value against bound."""
+        self.summary.append((quantity, _f17(value)))
+        self.check(contract, _bound_violation(quantity, value, bound, upper))
 
     def write_summary(self, *extra):
         failed = ";".join(v[0] for v in self.violations) or "none"
@@ -519,13 +519,13 @@ def _solve_step(run):
     run.problem = ObstacleProblem(EnergySetup(run.mesh, run.field), g)
     if "reference" in run.experiments:
         _start_reference(run)
-    detail = ""
+    detail = None
     try:
         run.u, report = solve(run.problem, run.tol, eps_schedule=run.eps_schedule)
     except ConvergenceError as exc:
         run.u, report, detail = exc.best, exc.info, str(exc)
         run.solve_failed = True
-    run.check("solve_converged", not run.solve_failed, detail)
+    run.check("solve_converged", detail)
     save_solution(run.u, run.mesh, run.path("u.txt"))
     iterations = ";".join(str(k) for k in report.iterations)
     _write_csv(run.path("solve_report.csv"),
@@ -546,14 +546,8 @@ def _solve_step(run):
         return
     vi_trials = run.config["solver"]["vi_trials"]
     vi_min = vi_check(run.problem, run.u, vi_trials, run.seed)
-    vi_violation = max(0.0, -vi_min)
-    run.summary.extend([
-        ("vi_trials", str(vi_trials)),
-        ("vi_min", _f17(vi_min)),
-        ("vi_violation", _f17(vi_violation)),
-    ])
-    run.check("vi_nonnegative", vi_violation <= 1e-8,
-              "vi_violation = %s > 1e-08" % _f17(vi_violation))
+    run.summary.extend([("vi_trials", str(vi_trials)), ("vi_min", _f17(vi_min))])
+    run.check_bound("vi_nonnegative", "vi_violation", max(0.0, -vi_min), 1e-8)
 
 
 def _start_reference(run):
@@ -596,23 +590,21 @@ def _reference_step(run):
     ref = run.reference = reference_report(run.u, run.w, run.field)
     save_solution(run.w, run.mesh, run.path("w.txt"))
     arc = np.flatnonzero(run.mesh.vertex_tags == ARC)[0]
-    run.summary.extend([
-        ("m_used", _f17(run.w.values[arc])),
-        ("ordering_margin", _f17(ref.ordering_margin)),
-        ("reflect_residual", _f17(ref.reflect_residual)),
-        ("M", _f17(ref.M)),
-    ])
-    run.check("ordering_u_ge_w", ref.ordering_margin >= -1e-8,
-              "min(u - w) = %s < -1e-08" % _f17(ref.ordering_margin))
-    reflect_cap = max(1e-8, 10.0 * run.tol)
-    run.check("odd_reflection_residual", ref.reflect_residual <= reflect_cap,
-              "residual = %s > %s" % (_f17(ref.reflect_residual), _f17(reflect_cap)))
+    run.summary.append(("m_used", _f17(run.w.values[arc])))
+    run.check_bound("ordering_u_ge_w", "ordering_margin", ref.ordering_margin,
+                    -1e-8, upper=False)
+    run.check_bound("odd_reflection_residual", "reflect_residual",
+                    ref.reflect_residual, max(1e-8, 10.0 * run.tol))
+    run.summary.append(("M", _f17(ref.M)))
     _write_comparison(run)
 
 
-def _freeze_radii(run):
+def _freeze_plan(run):
+    # comparison_decay's checks, in its order
     cfg = run.config["freeze"]
-    return checked_radii(cfg["radii"], 3, cfg["center"], run.mesh.h_max)
+    checked_center(cfg["center"])
+    checked_sigma(cfg["sigma0"], "sigma0")
+    checked_radii(cfg["radii"], 3, cfg["center"], run.mesh.h_max)
 
 
 def _freeze_step(run):
@@ -631,11 +623,10 @@ def _freeze_step(run):
         ("freeze_error", _join17(decay.error)),
         ("freeze_energy_2r", _join17(decay.energy_2r)),
         ("freeze_ratio", _join17(decay.ratio)),
-        ("dugedu0_slack", _f17(slack)),
-        ("decay_rate", _f17(decay.fitted_rate)),
     ])
-    run.check("frozen_energy_ordering", slack >= -1e-10,
-              "min int(|Du|^p2 - |Du0|^p2) = %s < -1e-10" % _f17(slack))
+    run.check_bound("frozen_energy_ordering", "dugedu0_slack", slack, -1e-10,
+                    upper=False)
+    run.summary.append(("decay_rate", _f17(decay.fitted_rate)))
     run.decay = decay
     _write_comparison(run)
 
@@ -656,18 +647,24 @@ def _scan_step(run):
         rows.extend(["reverse_holder", _f17(rho), _f17(sigma), _f17(ratio)]
                     for sigma, ratio in zip(scan.sigma_grid, ratios))
     _write_csv(run.path("scan.csv"), ["kind", "radius", "sigma", "value"], rows)
-    # the grid always holds 0, and sigma0 is a grid value
-    c_zero = scan.c_sigma[scan.sigma_grid.index(0.0)]
     run.summary.extend([
         ("scan_center", _join17(cfg["center"])),
         ("scan_radius", _f17(radius)),
         ("admissible_r", _f17(scan.admissible_r)),
-        ("c_zero", _f17(c_zero)),
-        ("sigma0", _f17(scan.sigma0)),
-        ("c_sigma0", _f17(scan.c_sigma[scan.sigma_grid.index(scan.sigma0)])),
     ])
-    run.check("c_at_sigma_zero", c_zero <= 1.0 + 1e-9,
-              "c(0) = %s > 1 + 1e-09" % _f17(c_zero))
+    # the grid always holds 0, and sigma0 is a grid value
+    c_sigma = dict(zip(scan.sigma_grid, scan.c_sigma))
+    run.check_bound("c_at_sigma_zero", "c_zero", c_sigma[0.0], 1.0 + 1e-9)
+    run.summary.extend([("sigma0", _f17(scan.sigma0)),
+                        ("c_sigma0", _f17(c_sigma[scan.sigma0]))])
+
+
+def _scan_plan(run):
+    # higher_integrability_scan's checks; the default radius needs M
+    cfg = run.config["scan"]
+    checked_sigma_grid(cfg["sigma_grid"])
+    if cfg["radius"] is not None:
+        checked_radii([cfg["radius"]], 1, cfg["center"])
 
 
 def _holder_radii(run):
@@ -683,6 +680,14 @@ def _holder_radii(run):
             "4*h_max < 0.25, but level %d has h_max = %s; set [holder] radii "
             "or refine the mesh" % (run.config["mesh"]["level"], _f17(h_max)))
     return list(np.geomspace(0.25, 4.0 * h_max, 8))
+
+
+def _holder_plan(run):
+    cfg = run.config["holder"]
+    for center in cfg["centers"]:
+        checked_center(center)
+    theoretical_alpha(cfg["alpha0"], run.field.beta, run.field.gamma2)
+    _holder_radii(run)
 
 
 def _holder_step(run):
@@ -710,37 +715,44 @@ def _holder_step(run):
     ])
 
 
+# verify's sampled checks in run order: the [verify] key of the trial count,
+# the measurement (n, [verify] config, mesh, field, seed -> values), and per
+# value its summary key, contract, bound and whether that is an upper bound
+_VERIFY_CHECKS = (
+    ("iteration_trials", lambda n, cfg, mesh, field, seed: [iteration_suite(n, seed)],
+     [("iteration_worst_slack", "iteration_lemma", 0.0, False)]),
+    ("monotonicity_trials", lambda n, cfg, mesh, field, seed: [
+        monotonicity_check(cfg["gamma1"], cfg["gamma2"], n, seed)],
+     [("monotonicity_worst", "monotonicity_bound", 1.0, True)]),
+    ("luxemburg_trials", lambda n, cfg, mesh, field, seed: luxemburg_identity_checks(
+        mesh, field, n, seed + 7919),
+     [("luxemburg_unit_dev", "luxemburg_unit_modular", 1e-10, True),
+      ("luxemburg_homog_rel", "luxemburg_homogeneity", 1e-9, True),
+      ("luxemburg_const_rel", "luxemburg_constant_exponent", 1e-9, True)]),
+)
+
+
+def _verify_rows(cfg, mesh, field, seed):
+    """Per sampled check, all measured first: its trials key, (row, value) pairs."""
+    return [(key, list(zip(rows, measure(cfg[key], cfg, mesh, field, seed))))
+            for key, measure, rows in _VERIFY_CHECKS]
+
+
+def _verify_plan(run):
+    checked_gammas(run.config["verify"]["gamma1"], run.config["verify"]["gamma2"])
+
+
 def _verify_step(run):
     cfg = run.config["verify"]
-    worst_slack = iteration_suite(cfg["iteration_trials"], run.seed)
-    worst_ratio = monotonicity_check(cfg["gamma1"], cfg["gamma2"],
-                                     cfg["monotonicity_trials"], run.seed)
-    unit, homog, const = luxemburg_identity_checks(
-        run.mesh, run.field, cfg["luxemburg_trials"], run.seed + 7919)
-    run.summary.extend([
-        ("iteration_trials", str(cfg["iteration_trials"])),
-        ("iteration_worst_slack", _f17(worst_slack)),
-        ("monotonicity_trials", str(cfg["monotonicity_trials"])),
-        ("monotonicity_worst", _f17(worst_ratio)),
-        ("luxemburg_trials", str(cfg["luxemburg_trials"])),
-        ("luxemburg_unit_dev", _f17(unit)),
-        ("luxemburg_homog_rel", _f17(homog)),
-        ("luxemburg_const_rel", _f17(const)),
-    ])
-    run.check("iteration_lemma", worst_slack >= 0.0,
-              "worst slack = %s < 0" % _f17(worst_slack))
-    run.check("monotonicity_bound", worst_ratio <= 1.0,
-              "worst LHS/RHS = %s > 1" % _f17(worst_ratio))
-    run.check("luxemburg_unit_modular", unit <= 1e-10,
-              "deviation = %s > 1e-10" % _f17(unit))
-    run.check("luxemburg_homogeneity", homog <= 1e-9,
-              "relative error = %s > 1e-09" % _f17(homog))
-    run.check("luxemburg_constant_exponent", const <= 1e-9,
-              "relative error = %s > 1e-09" % _f17(const))
+    for key, pairs in _verify_rows(cfg, run.mesh, run.field, run.seed):
+        run.summary.append((key, str(cfg[key])))
+        for (quantity, contract, bound, upper), value in pairs:
+            run.check_bound(contract, quantity, value, bound, upper)
 
 
 # checks that need only the config and the mesh, run before any step
-_PLANS = {"freeze": _freeze_radii, "holder": _holder_radii}
+_PLANS = {"freeze": _freeze_plan, "scan": _scan_plan, "holder": _holder_plan,
+          "verify": _verify_plan}
 _STEPS = {"solve": _solve_step, "reference": _reference_step,
           "freeze": _freeze_step, "scan": _scan_step, "holder": _holder_step,
           "verify": _verify_step}
@@ -829,27 +841,18 @@ def report_command(directory):
 
 def verify_command(trials, seed):
     """Standalone certified-inequality checks; exit 0 iff everything holds."""
-    worst_slack = iteration_suite(trials, seed)
-    ok_iter = worst_slack >= 0.0
-    print("iteration_lemma: %s  trials=%d  worst_slack=%.3g"
-          % ("PASS" if ok_iter else "FAIL", trials, worst_slack))
-
-    mono_trials = 10 * trials
-    worst_ratio = monotonicity_check(*MONO_GAMMA, mono_trials, seed)
-    ok_mono = worst_ratio <= 1.0
-    print("monotonicity: %s  trials=%d  worst_ratio=%.6g"
-          % ("PASS" if ok_mono else "FAIL", mono_trials, worst_ratio))
-
-    lux_trials = max(1, trials // 100)
-    mesh = build(4)
+    cfg = {"iteration_trials": trials, "monotonicity_trials": 10 * trials,
+           "luxemburg_trials": max(1, trials // 100),
+           "gamma1": MONO_GAMMA[0], "gamma2": MONO_GAMMA[1]}
     field = ExponentField("sinusoidal", [2.0, 0.5, math.pi])
-    unit, homog, const = luxemburg_identity_checks(mesh, field, lux_trials,
-                                                   seed + 7919)
-    ok_lux = unit <= 1e-10 and homog <= 1e-9 and const <= 1e-9
-    print("luxemburg: %s  trials=%d  unit_dev=%.3g  homog_rel=%.3g  const_rel=%.3g"
-          % ("PASS" if ok_lux else "FAIL", lux_trials, unit, homog, const))
-
-    return 0 if (ok_iter and ok_mono and ok_lux) else 1
+    failed = False
+    for key, pairs in _verify_rows(cfg, build(4), field, seed):
+        for (quantity, contract, bound, upper), value in pairs:
+            detail = _bound_violation(quantity, value, bound, upper)
+            failed = failed or detail is not None
+            print("%s: %s  %s=%d  %s=%.3g" % (contract, "FAIL" if detail else "PASS",
+                                             key, cfg[key], quantity, value))
+    return 1 if failed else 0
 
 
 def main(argv=None):
@@ -868,6 +871,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "verify" and args.trials < 1:
         p_verify.error("--trials must be at least 1, got %d" % args.trials)
+    if args.command == "verify" and args.seed < 0:
+        p_verify.error("--seed must be >= 0, got %d" % args.seed)
     try:
         if args.command == "run":
             return run_command(args.config)

@@ -13,9 +13,9 @@ from .energy import EnergySetup, residual
 from .errors import PreconditionError
 from .exponent import ExponentField
 from .mesh import (ARC, GEOM_TOL, INTERIOR, THIN, TriMesh, ball_element_mask,
-                   checked_radii, extract_halfball_submesh)
+                   checked_center, checked_radii, extract_halfball_submesh)
 from .solver import ObstacleProblem, solve
-from .vxspace import FeFunction, modular
+from .vxspace import FeFunction, checked_sigma, modular
 
 
 @dataclass
@@ -167,7 +167,8 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
     normalized values are fitted against r in log-log coordinates. M is
     M_value, or else the M of build_reference(u, problem).
     """
-    center = np.asarray(center, dtype=float)
+    center = checked_center(center)
+    sigma0 = checked_sigma(sigma0, "sigma0")
     radii = checked_radii(radii, 3, center, u.mesh.h_max)
 
     if M_value is None:
@@ -177,7 +178,7 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
     else:
         report = ComparisonReport()
         report.M = float(M_value)
-    sigma1 = min(field.beta / 8.0, float(sigma0))
+    sigma1 = min(field.beta / 8.0, sigma0)
     report.sigma1 = sigma1
 
     # every submesh and exponent first, so a too-coarse ball fails before a solve

@@ -4,7 +4,7 @@ Vertices carry one of three tags: Interior, Arc (the curved Dirichlet
 boundary (dB1)+, including the corners (+-1, 0)), and Thin (the flat
 segment T1 where the unilateral constraint lives). Refinement is uniform
 red refinement with radial projection of new arc midpoints; optional
-grading bisects elements near T1.
+grading adds bisection rounds of the elements touching T1.
 """
 
 import hashlib
@@ -324,14 +324,23 @@ def _bisect_towards_thin(vertices, triangles):
     return np.asarray(verts, dtype=float), np.asarray(out, dtype=np.int64), parents
 
 
-def build(level, grading=0.0):
+def checked_grading(grading):
+    """grading as an int; a fraction or a negative count is no round count."""
+    rounds = float(grading)
+    if not (rounds >= 0.0 and rounds.is_integer()):
+        raise PreconditionError(f"grading must be a whole number >= 0, got {grading}")
+    return int(rounds)
+
+
+def build(level, grading=0):
     """Half-disk mesh: 4-triangle fan, `level` red refinements, optional grading.
 
     New arc midpoints are projected radially onto the unit circle, so
-    every refinement keeps boundary vertices on the arc. grading > 0 runs
-    round(grading) extra conforming bisection rounds of elements touching
-    the thin line. Each refinement and bisection round keeps the earlier
-    vertices in front and records its midpoint parents on the mesh.
+    every refinement keeps boundary vertices on the arc. grading, a whole
+    number >= 0, is the count of extra conforming bisection rounds of the
+    elements touching the thin line. Each refinement and bisection round
+    keeps the earlier vertices in front and records its midpoint parents on
+    the mesh.
     """
     level = int(level)
     if level < 0:
@@ -353,7 +362,7 @@ def build(level, grading=0.0):
         vertices, triangles, parents = _red_refine(vertices, triangles)
         hierarchy.append(parents)
 
-    for _ in range(int(round(float(grading)))):
+    for _ in range(checked_grading(grading)):
         if 2 * len(vertices) > NODE_BUDGET:
             raise ResourceError("grading would exceed the node budget")
         vertices, triangles, parents = _bisect_towards_thin(vertices, triangles)
@@ -371,6 +380,16 @@ def ball_element_mask(mesh, center, radius):
     widened by GEOM_TOL."""
     d = np.hypot(mesh.vertices[:, 0] - center[0], mesh.vertices[:, 1] - center[1])
     return (d <= radius + GEOM_TOL)[mesh.triangles].all(axis=1)
+
+
+def checked_center(center):
+    """center as a float array, after the half-ball rule: on T1, |x1| <= 1/2."""
+    center = np.asarray(center, dtype=float)
+    if abs(center[1]) > GEOM_TOL or abs(center[0]) > 0.5 + GEOM_TOL:
+        raise PreconditionError(
+            "half-ball centers must lie on the thin line with |x1| <= 1/2, "
+            f"got {tuple(float(c) for c in center)}")
+    return center
 
 
 def checked_radii(radii, count, center=None, h_max=0.0):
@@ -401,12 +420,8 @@ def extract_halfball_submesh(mesh, center, radius):
     Thin, all other submesh-boundary vertices become Arc (Dirichlet).
     Returns (submesh, vertex_map) with vertex_map[new_index] = old_index.
     """
-    center = np.asarray(center, dtype=float)
+    center = checked_center(center)
     radius = float(radius)
-    if abs(center[1]) > GEOM_TOL:
-        raise PreconditionError("half-ball center must lie on the thin line")
-    if abs(center[0]) > 0.5 + GEOM_TOL:
-        raise PreconditionError("half-ball center must satisfy |center| <= 1/2")
     if radius <= 2.0 * mesh.h_max:
         raise PreconditionError(
             f"radius {radius} must exceed twice the mesh size 2*h_max = {2 * mesh.h_max}")

@@ -1,8 +1,8 @@
 """Variable-exponent space functionals over discrete fields.
 
 Modulars and Luxemburg norms of piecewise-linear nodal functions and
-their piecewise-constant gradients on half-disk meshes, and Campanato
-profiles of the gradients.
+their piecewise-constant gradients on half-disk meshes, sampled checks of
+the Luxemburg norm identities, and Campanato profiles of the gradients.
 """
 
 import math
@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, PreconditionError, ResolutionError
+from .errors import (NumericError, PreconditionError, ResolutionError,
+                     checked_trials)
+from .exponent import ExponentField
 from .mesh import ball_element_mask, checked_radii, quadrature_rule
 
 REPORT_ORDER = 5
@@ -101,11 +103,17 @@ def _modular_terms(f, exponent_field):
     return mags, p, w
 
 
+def checked_sigma(sigma, name="sigma"):
+    """sigma as a float; the exponent gain (1 + sigma) p must not fall below p."""
+    sigma = float(sigma)
+    if not sigma >= 0.0:
+        raise PreconditionError(f"{name} must be >= 0, got {sigma}")
+    return sigma
+
+
 def modular(f, exponent_field, element_mask=None, sigma=0.0):
     """integral of |f|^{(1+sigma) p(x)} over the mesh (or a subset of elements)."""
-    sigma = float(sigma)
-    if sigma < 0.0:
-        raise PreconditionError("sigma must be >= 0")
+    sigma = checked_sigma(sigma)
     mask = _region_elements(f.mesh, element_mask)
     mags, p, w = _modular_terms(f, exponent_field)
     integrand = np.where(mags > 0.0, mags, 1.0) ** ((1.0 + sigma) * p)
@@ -139,6 +147,36 @@ def luxemburg_norm(f, exponent_field):
         if abs(step) <= ROUNDOFF * max(1.0, abs(t)):
             return top * math.exp(t)
     raise NumericError(f"Luxemburg Newton step still {step} after {LUXEMBURG_STEPS} steps")
+
+
+def luxemburg_identity_checks(mesh, field, trials, seed):
+    """Worst deviations of the three norm identities over random nodal fields.
+
+    Returns (unit modular deviation, homogeneity relative error, constant
+    exponent closed-form relative error).  The closed form uses p = 3.
+    """
+    trials = checked_trials(trials)
+    rng = np.random.default_rng(seed)
+    const_field = ExponentField("constant", [3.0])
+    worst_unit = 0.0
+    worst_homog = 0.0
+    worst_const = 0.0
+    n = mesh.num_vertices
+    for _ in range(trials):
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)
+        if not np.any(values):
+            continue
+        f = FeFunction(mesh, values)
+        nu = luxemburg_norm(f, field)
+        unit = abs(modular(FeFunction(mesh, values / nu), field) - 1.0)
+        worst_unit = max(worst_unit, unit)
+        s = 10.0 ** rng.uniform(-1.0, 1.0)
+        nu_scaled = luxemburg_norm(FeFunction(mesh, s * values), field)
+        worst_homog = max(worst_homog, abs(nu_scaled - s * nu) / (s * nu))
+        closed = modular(f, const_field) ** (1.0 / 3.0)
+        nu_const = luxemburg_norm(f, const_field)
+        worst_const = max(worst_const, abs(nu_const - closed) / closed)
+    return worst_unit, worst_homog, worst_const
 
 
 @dataclass

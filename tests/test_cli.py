@@ -597,6 +597,13 @@ def test_verify_subcommand_needs_a_trial(capsys, trials):
     ("holder", "radii = 0.1", "need at least 2 radii"),
     ("holder", "radii = 0.1, 0.2", "strictly decreasing"),
     ("holder", "radii = 0.2, 0.01", "2*h_max"),
+    ("holder", "alpha0 = 1.5", "alpha0 must lie in (0, 1)"),
+    ("holder", "centers = 0.0, 0.3", "thin line with |x1| <= 1/2"),
+    ("freeze", "center = 0.0, 0.1", "thin line with |x1| <= 1/2"),
+    ("freeze", "sigma0 = -1", "sigma0 must be >= 0"),
+    ("verify", "gamma1 = 0.9", "need 1 < gamma1 <= gamma2"),
+    ("scan", "sigma_grid = 0.1, 0.2", "sigma grid must have 0"),
+    ("scan", "radius = 0.5", "3/4 ball"),
 ])
 def test_bad_radii_are_rejected_before_any_solve(tmp_path, capsys, section, line,
                                                  fragment):
@@ -610,3 +617,142 @@ def test_bad_radii_are_rejected_before_any_solve(tmp_path, capsys, section, line
                    for row in (out / "summary.txt").read_text().splitlines())
     assert summary["failed_step"] == section
     assert not (out / "u.txt").exists()
+
+
+def _graded(tmp_path, text):
+    return write_config(tmp_path / "g.cfg", BASE.format(out=tmp_path / "o").replace(
+        "level = 3", "level = 3\ngrading = %s" % text))
+
+
+@pytest.mark.parametrize("text", ["-2", "0.4", "2.6"])
+def test_grading_must_be_a_whole_count(tmp_path, text):
+    with pytest.raises(ConfigError, match=r"\[mesh\] grading: grading must be a whole"):
+        parse_config(_graded(tmp_path, text))
+
+
+@pytest.mark.parametrize("text", ["2", "2.0"])
+def test_whole_gradings_are_counts(tmp_path, text):
+    assert parse_config(_graded(tmp_path, text))["mesh"]["grading"] == 2
+
+
+def test_negative_seeds_are_rejected(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "s.cfg", BASE.format(out=out) + "[solver]\nseed = -1\n")
+    assert main(["run", cfg]) == 2
+    assert "bad value for [solver] seed: a seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--seed", "-1"])
+    assert stop.value.code == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- contract table
+
+def _returning(value):
+    return lambda real: lambda *args, **kwargs: value
+
+
+def _changed(**attrs):
+    """The real function, with attributes of its result overwritten."""
+    def patch(real):
+        def changed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            for name, value in attrs.items():
+                setattr(result, name, value)
+            return result
+        return changed
+    return patch
+
+
+SMALL_VERIFY = """
+[verify]
+iteration_trials = 200
+monotonicity_trials = 500
+luxemburg_trials = 2
+"""
+FREEZE_L3 = """
+[freeze]
+center = 0, 0
+radii = 0.37, 0.35, 0.33
+"""
+FAKE_SCAN = SimpleNamespace(sigma_grid=[0.0], c_sigma=[2.0], sigma0=0.0,
+                            admissible_r=0.1, rh_radii=[], rh_ratios=[])
+
+
+# contract, experiment, extra config, patched cli name, patch, expected detail
+BOUNDED_CONTRACTS = [
+    ("vi_nonnegative", "solve", "", "vi_check", _returning(-1.0),
+     "vi_violation = 1 > 1e-08"),
+    ("ordering_u_ge_w", "reference", "", "reference_report",
+     _changed(ordering_margin=-1.0), "ordering_margin = -1 < -1e-08"),
+    ("odd_reflection_residual", "reference", "", "reference_report",
+     _changed(reflect_residual=1.0), "reflect_residual = 1 > 1e-08"),
+    ("frozen_energy_ordering", "freeze", FREEZE_L3, "comparison_decay",
+     _changed(energy_sub_u=[0.0] * 3, energy_sub_u0=[1.0] * 3),
+     "dugedu0_slack = -1 < -1e-10"),
+    ("c_at_sigma_zero", "scan", "", "higher_integrability_scan",
+     _returning(FAKE_SCAN), "c_zero = 2 > 1.000000001"),
+    ("iteration_lemma", "verify", SMALL_VERIFY, "iteration_suite",
+     _returning(-1.0), "iteration_worst_slack = -1 < 0.0"),
+    ("monotonicity_bound", "verify", SMALL_VERIFY, "monotonicity_check",
+     _returning(2.0), "monotonicity_worst = 2 > 1.0"),
+    ("luxemburg_unit_modular", "verify", SMALL_VERIFY, "luxemburg_identity_checks",
+     _returning((1.0, 0.0, 0.0)), "luxemburg_unit_dev = 1 > 1e-10"),
+    ("luxemburg_homogeneity", "verify", SMALL_VERIFY, "luxemburg_identity_checks",
+     _returning((0.0, 1.0, 0.0)), "luxemburg_homog_rel = 1 > 1e-09"),
+    ("luxemburg_constant_exponent", "verify", SMALL_VERIFY,
+     "luxemburg_identity_checks", _returning((0.0, 0.0, 1.0)),
+     "luxemburg_const_rel = 1 > 1e-09"),
+]
+
+
+@pytest.mark.parametrize("contract,experiment,extra,name,patch,detail",
+                         BOUNDED_CONTRACTS, ids=[c[0] for c in BOUNDED_CONTRACTS])
+def test_bounded_contract_violation_names_quantity_value_and_bound(
+        tmp_path, capsys, monkeypatch, contract, experiment, extra, name, patch,
+        detail):
+    monkeypatch.setattr(cli, name, patch(getattr(cli, name)))
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "c.cfg", BASE.format(out=out)
+                       + "[experiments]\nrun = %s\n" % experiment + extra)
+    assert main(["run", cfg]) == 1
+    assert "contract violated: %s (%s)\n" % (contract, detail) in capsys.readouterr().err
+    summary = dict(row.split(" = ", 1)
+                   for row in (out / "summary.txt").read_text().splitlines())
+    assert summary["contracts_failed"] == contract
+    quantity, value = detail.split(" ")[0], detail.split(" ")[2]
+    assert summary[quantity] == value
+
+
+def test_verify_subcommand_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "monotonicity_check", lambda *args: 2.0)
+    assert main(["verify", "--trials", "200"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == ("monotonicity_bound: FAIL  monotonicity_trials=2000  "
+                        "monotonicity_worst=2")
+    assert [line.split(":")[0] for line in lines] == [
+        "iteration_lemma", "monotonicity_bound", "luxemburg_unit_modular",
+        "luxemburg_homogeneity", "luxemburg_constant_exponent"]
+    assert sum("FAIL" in line for line in lines) == 1
+
+
+# summary.txt of an L3 solve, verify run named summary_pin, recorded before
+# the verify rows and checks were read from one table
+PINNED_SOLVE_VERIFY_SUMMARY = \
+    "dfb5fc6e0a271c5734433facb3ac99c47865269289f0fc5c9044c0dfaffe671f"
+
+
+def test_solve_verify_summary_keeps_its_bytes(tmp_path):
+    out = tmp_path / "summary_pin"
+    cfg = write_config(tmp_path / "p.cfg", BASE.format(out=out) + """
+[experiments]
+run = solve, verify
+[verify]
+iteration_trials = 200
+monotonicity_trials = 500
+luxemburg_trials = 4
+""")
+    assert main(["run", cfg]) == 0
+    digest = hashlib.sha256((out / "summary.txt").read_bytes()).hexdigest()
+    assert digest == PINNED_SOLVE_VERIFY_SUMMARY

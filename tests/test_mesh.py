@@ -107,6 +107,22 @@ def test_grading_refines_near_origin_only():
     assert abs(graded.areas.sum() - plain.areas.sum()) < 2e-2
 
 
+@pytest.mark.parametrize("grading", [-2, 0.4, 2.6, math.nan])
+def test_grading_is_a_whole_count_of_rounds(grading):
+    with pytest.raises(PreconditionError, match="whole number >= 0"):
+        build(2, grading)
+
+
+def test_whole_float_grading_builds_the_same_mesh():
+    assert mesh_text(build(2, 2.0)) == mesh_text(build(2, 2))
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.1), (0.6, 0.0), (-0.6, 0.0)])
+def test_halfball_centers_lie_on_the_thin_line_near_the_origin(mesh3, center):
+    with pytest.raises(PreconditionError, match=r"thin line with \|x1\| <= 1/2"):
+        extract_halfball_submesh(mesh3, center, 0.4)
+
+
 def test_submesh_extraction_containment_and_tags():
     mesh = build(5)
     sub, vmap = extract_halfball_submesh(mesh, np.array([0.0, 0.0]), 0.3)
