@@ -8,6 +8,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import PreconditionError, checked_trials
+from .exponent import checked_beta
 from .mesh import GEOM_TOL, ball_element_mask, checked_center, checked_radii
 from .vxspace import campanato_profile, modular
 
@@ -187,22 +188,29 @@ def _sample_tuples(rng, gamma1, gamma2, n):
     return xi1, xi2, p, eps
 
 
+def _worst_ratio(gamma1, gamma2, c, samples, seed):
+    """Max of LHS / (c (eps*vol + mono/eps)) over `samples` random tuples,
+    drawn 200,000 at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    while samples > 0:
+        n = min(200_000, samples)
+        xi1, xi2, p, eps = _sample_tuples(rng, gamma1, gamma2, n)
+        lhs, vol, mono = _mono_parts(xi1, xi2, p)
+        rhs = c * (eps * vol + mono / eps)
+        ok = rhs > 0.0
+        if ok.any():
+            worst = max(worst, float((lhs[ok] / rhs[ok]).max()))
+        samples -= n
+    return worst
+
+
 def calibrate_monotonicity(gamma1, gamma2, samples=1_000_000, seed=20123,
                            safety=1.05):
     """Required constant: max over samples of LHS/(eps*vol + mono/eps),
     floored by the antipodal worst family, times the safety factor."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    while done < samples:
-        n = min(200_000, samples - done)
-        xi1, xi2, p, eps = _sample_tuples(rng, gamma1, gamma2, n)
-        lhs, vol, mono = _mono_parts(xi1, xi2, p)
-        denom = eps * vol + mono / eps
-        ok = denom > 0.0
-        if ok.any():
-            worst = max(worst, float((lhs[ok] / denom[ok]).max()))
-        done += n
+    # c = 1 multiplies exactly, so this is the uncalibrated ratio
+    worst = _worst_ratio(gamma1, gamma2, 1.0, samples, seed)
     # antipodal equal-length pairs: denominator sup over eps in (0,1) is
     # attained at eps -> 1, yielding 2^p / 6 at the top exponent
     worst = max(worst, 2.0 ** gamma2 / 6.0)
@@ -220,23 +228,12 @@ def checked_gammas(gamma1, gamma2):
 def monotonicity_check(gamma1, gamma2, trials, seed):
     """Worst LHS/RHS ratio of the vector inequality over random tuples."""
     gamma1, gamma2 = checked_gammas(gamma1, gamma2)
-    remaining = checked_trials(trials)
+    trials = checked_trials(trials)
     if MONO_GAMMA[0] <= gamma1 and gamma2 <= MONO_GAMMA[1]:
         c = MONO_C
     else:
         c = calibrate_monotonicity(gamma1, gamma2, samples=100_000, seed=617)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    while remaining > 0:
-        n = min(200_000, remaining)
-        xi1, xi2, p, eps = _sample_tuples(rng, gamma1, gamma2, n)
-        lhs, vol, mono = _mono_parts(xi1, xi2, p)
-        rhs = c * (eps * vol + mono / eps)
-        ok = rhs > 0.0
-        if ok.any():
-            worst = max(worst, float((lhs[ok] / rhs[ok]).max()))
-        remaining -= n
-    return worst
+    return _worst_ratio(gamma1, gamma2, c, trials, seed)
 
 
 # ------------------------------------------------------------ radius, alpha
@@ -260,12 +257,10 @@ def admissible_radius(field, M):
 def theoretical_alpha(alpha0, beta, gamma2):
     """Hölder exponent of the gradient predicted by the decay argument."""
     alpha0 = float(alpha0)
-    beta = float(beta)
     gamma2 = float(gamma2)
     if not 0.0 < alpha0 < 1.0:
         raise PreconditionError("alpha0 must lie in (0, 1)")
-    if not 0.0 < beta <= 1.0:
-        raise PreconditionError("beta must lie in (0, 1]")
+    beta = checked_beta(beta)
     if not gamma2 > 1.0:
         raise PreconditionError("gamma2 must exceed 1")
     b0 = beta / 4.0

@@ -25,24 +25,13 @@ from .comparison import comparison_decay, reference_problem, reference_report
 from .energy import EnergySetup
 from .errors import (ConfigError, ConvergenceError, FormatError,
                      PreconditionError, PxthinError, ResolutionError,
-                     checked_trials)
-from .exponent import ExponentField
-from .mesh import (ARC, build, checked_center, checked_grading, checked_radii,
-                   save_mesh)
+                     ResourceError, checked_trials)
+from .exponent import FAMILIES, ExponentField, checked_beta
+from .mesh import (ARC, build, checked_center, checked_grading, checked_level,
+                   checked_radii, save_mesh)
 from .solver import ObstacleProblem, save_solution, solve, vi_check
 from .vxspace import checked_sigma, luxemburg_identity_checks
 
-EXPERIMENT_ORDER = ("solve", "reference", "freeze", "scan", "holder", "verify")
-
-# experiments pull in what they consume: u from solve, w and M from reference
-_NEEDS = {
-    "reference": ("solve",),
-    "freeze": ("solve", "reference"),
-    "scan": ("solve", "reference"),
-    "holder": ("solve",),
-}
-
-_FAMILIES = ("constant", "affine", "radial", "sinusoidal")
 _PRESETS = ("linear_xn", "signorini32", "offset_const", "custom")
 
 _REQUIRED = object()
@@ -70,11 +59,12 @@ def _conv_seed(text):
 
 
 def _checked(check, conv):
-    """conv, then a library check; its PreconditionError is a bad value."""
+    """conv, then a library check; its PreconditionError or ResourceError is
+    a bad value."""
     def converter(text):
         try:
             return check(conv(text))
-        except PreconditionError as exc:
+        except (PreconditionError, ResourceError) as exc:
             raise ValueError(str(exc))
     return converter
 
@@ -128,23 +118,24 @@ def _conv_experiments(text):
     names = [p.strip() for p in text.split(",") if p.strip()]
     if not names:
         raise ValueError("expected a comma separated list of experiments")
+    known = [row[0] for row in _EXPERIMENTS]
     for name in names:
-        if name not in EXPERIMENT_ORDER:
+        if name not in known:
             raise ValueError("unknown experiment %r; expected one of: %s"
-                             % (name, ", ".join(EXPERIMENT_ORDER)))
+                             % (name, ", ".join(known)))
     return names
 
 
 # schema: section -> key -> (converter, default); _REQUIRED marks mandatory keys
 _SCHEMA = {
     "exponent": {
-        "family": (_choice(_FAMILIES), _REQUIRED),
+        "family": (_choice(FAMILIES), _REQUIRED),
         "coefficients": (_conv_floats, _REQUIRED),
-        "beta": (_conv_float, 1.0),
+        "beta": (_checked(checked_beta, _conv_float), 1.0),
         "holder_seminorm": (_conv_float, None),
     },
     "mesh": {
-        "level": (_conv_int, _REQUIRED),
+        "level": (_checked(checked_level, _conv_int), _REQUIRED),
         "grading": (_checked(checked_grading, _conv_float), 0),
     },
     "boundary": {
@@ -193,7 +184,10 @@ _SCHEMA = {
 
 
 def parse_config(path):
-    """Read and validate a config file; raise ConfigError with a diagnostic."""
+    """Read and validate a config file; raise ConfigError with a diagnostic.
+
+    config["exponent"]["field"] is the ExponentField the section describes.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -256,21 +250,24 @@ def parse_config(path):
                               "(needed by preset = custom)")
     elif config["boundary"]["file"] is not None:
         raise ConfigError("[boundary] file is only valid with preset = custom")
+    exponent = config["exponent"]
+    try:
+        exponent["field"] = ExponentField(
+            exponent["family"], exponent["coefficients"], beta=exponent["beta"],
+            holder_seminorm=exponent["holder_seminorm"])
+    except PreconditionError as exc:
+        raise ConfigError("[exponent] %s" % exc)
     return config
 
 
 def normalize_experiments(requested):
-    # closure under data dependencies, then the fixed execution order
+    """The requested experiments and all they consume, in run order."""
     chosen = set(requested)
-    grew = True
-    while grew:
-        grew = False
-        for name in tuple(chosen):
-            for dep in _NEEDS.get(name, ()):
-                if dep not in chosen:
-                    chosen.add(dep)
-                    grew = True
-    return [name for name in EXPERIMENT_ORDER if name in chosen]
+    # an experiment needs only earlier ones, so one backward pass closes
+    for name, needs, _, _ in reversed(_EXPERIMENTS):
+        if name in chosen:
+            chosen.update(needs)
+    return [row[0] for row in _EXPERIMENTS if row[0] in chosen]
 
 
 def _f17(value):
@@ -750,12 +747,17 @@ def _verify_step(run):
             run.check_bound(contract, quantity, value, bound, upper)
 
 
-# checks that need only the config and the mesh, run before any step
-_PLANS = {"freeze": _freeze_plan, "scan": _scan_plan, "holder": _holder_plan,
-          "verify": _verify_plan}
-_STEPS = {"solve": _solve_step, "reference": _reference_step,
-          "freeze": _freeze_step, "scan": _scan_step, "holder": _holder_step,
-          "verify": _verify_step}
+# the experiments in run order: name, the experiments whose results it
+# consumes (u from solve, w and M from reference), its plan (the checks that
+# need only the config and the mesh, run before any step) and its step
+_EXPERIMENTS = (
+    ("solve", (), None, _solve_step),
+    ("reference", ("solve",), None, _reference_step),
+    ("freeze", ("solve", "reference"), _freeze_plan, _freeze_step),
+    ("scan", ("solve", "reference"), _scan_plan, _scan_step),
+    ("holder", ("solve",), _holder_plan, _holder_step),
+    ("verify", (), _verify_plan, _verify_step),
+)
 
 
 def run_command(config_path):
@@ -768,22 +770,21 @@ def run_command(config_path):
     experiments = normalize_experiments(config["experiments"]["run"])
     outdir = config["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
-    exponent = config["exponent"]
-    field = ExponentField(exponent["family"], exponent["coefficients"],
-                          beta=exponent["beta"],
-                          holder_seminorm=exponent["holder_seminorm"])
+    field = config["exponent"]["field"]
     mesh = build(config["mesh"]["level"], config["mesh"]["grading"])
     save_mesh(mesh, os.path.join(outdir, "mesh.txt"))
-    plans = [(name, _PLANS[name]) for name in experiments if name in _PLANS]
-    steps = [(name, _STEPS[name]) for name in experiments]
+    chosen = [row for row in _EXPERIMENTS if row[0] in experiments]
+    # every plan before the first step
+    work = ([(name, needs, plan) for name, needs, plan, _ in chosen if plan]
+            + [(name, needs, step) for name, needs, _, step in chosen])
     # the pool starts its one thread only when the solve step submits the
     # reference solve; leaving the block waits for that thread
     with ThreadPoolExecutor(max_workers=1) as pool:
         run = _Run(config, os.path.dirname(os.path.abspath(config_path)), field,
                    mesh, _run_rows(config, field, mesh, experiments),
                    experiments, pool)
-        for name, step in plans + steps:
-            if run.solve_failed and name in _NEEDS:
+        for name, needs, step in work:
+            if run.solve_failed and needs:
                 continue    # nothing that consumes u runs on an unconverged solve
             try:
                 step(run)
@@ -882,10 +883,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (FormatError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except PxthinError as exc:
+    except (PxthinError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

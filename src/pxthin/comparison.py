@@ -12,10 +12,11 @@ import numpy as np
 from .energy import EnergySetup, residual
 from .errors import PreconditionError
 from .exponent import ExponentField
-from .mesh import (ARC, GEOM_TOL, INTERIOR, THIN, TriMesh, ball_element_mask,
-                   checked_center, checked_radii, extract_halfball_submesh)
+from .mesh import (ARC, INTERIOR, THIN, TriMesh, ball_element_mask,
+                   checked_center, checked_radii, extract_halfball_submesh,
+                   on_arc, on_thin_line)
 from .solver import ObstacleProblem, solve
-from .vxspace import FeFunction, checked_sigma, modular
+from .vxspace import FeFunction, checked_sigma, gradient_mass, modular
 
 
 @dataclass
@@ -93,11 +94,7 @@ def reflect_full_disk(w):
     mesh = w.mesh
     verts = mesh.vertices
     nv = mesh.num_vertices
-    on_axis = verts[:, 1] <= GEOM_TOL
-    on_circle = np.abs(np.hypot(verts[:, 0], verts[:, 1]) - 1.0) <= GEOM_TOL
-    upper = ~on_axis
-    corner = on_axis & on_circle
-    mirror_src = upper | corner
+    mirror_src = ~on_thin_line(verts) | on_arc(verts)     # upper, or a corner
     n_new = int(mirror_src.sum())
     mirrored = verts[mirror_src] * np.array([1.0, -1.0])
     image = np.arange(nv)
@@ -106,9 +103,7 @@ def reflect_full_disk(w):
     # reflection flips orientation; swap two indices to keep triangles CCW
     refl_tris = image[mesh.triangles][:, [0, 2, 1]]
     full_tris = np.vstack([mesh.triangles, refl_tris])
-    tags = np.full(len(full_verts), INTERIOR, dtype=np.int8)
-    circle_all = np.abs(np.hypot(full_verts[:, 0], full_verts[:, 1]) - 1.0) <= GEOM_TOL
-    tags[circle_all] = ARC
+    tags = np.where(on_arc(full_verts), ARC, INTERIOR).astype(np.int8)
     full_mesh = TriMesh(full_verts, full_tris, tags)
     odd_vals = np.concatenate([w.values, -w.values[mirror_src]])
     return full_mesh, FeFunction(full_mesh, odd_vals)
@@ -127,7 +122,7 @@ def reflect_and_check(w, field):
     full_mesh, w_tilde = reflect_full_disk(w)
     setup = EnergySetup(full_mesh, _EvenExtensionField(field))
     r = residual(setup, w_tilde)
-    interior = np.hypot(full_mesh.vertices[:, 0], full_mesh.vertices[:, 1]) < 1.0 - 1e-12
+    interior = full_mesh.vertex_tags != ARC
     if not interior.any():
         return 0.0
     return float(np.abs(r[interior]).max())
@@ -144,18 +139,6 @@ def compute_M(u, w, field):
     area = float(u.mesh.areas.sum())
     return (modular(u.gradient_field(), field)
             + modular(w.gradient_field(), field) + area + 1.0)
-
-
-def _gradient_mass(areas, grads, power):
-    mags = np.hypot(grads[:, 0], grads[:, 1])
-    return float((areas * np.where(mags > 0.0, mags, 1.0) ** power
-                  * (mags > 0.0)).sum())
-
-
-def _ball_energy(u, center, radius, power):
-    # parent elements fully inside the ball; exact piecewise-constant sum
-    mask = ball_element_mask(u.mesh, center, radius)
-    return _gradient_mass(u.mesh.areas[mask], u.element_gradients()[mask], power)
 
 
 def comparison_decay(u, field, center, radii, problem=None, M_value=None,
@@ -184,6 +167,7 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
     # every submesh and exponent first, so a too-coarse ball fails before a solve
     pieces = [extract_halfball_submesh(u.mesh, center, r) for r in radii]
     p2s = [field.sup_inf_on_halfball(center, r)[1] for r in radii]
+    grad_u = u.element_gradients()
 
     for r, (submesh, vmap), p2 in zip(radii, pieces, p2s):
         # p frozen at p2, u's trace as Arc data, the obstacle on submesh Thin
@@ -192,16 +176,18 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
         u0, _ = solve(ObstacleProblem(frozen, g_sub), tol, eps_schedule)
         du = FeFunction(submesh, g_sub).element_gradients()
         du0 = u0.element_gradients()
-        err = _gradient_mass(submesh.areas, du - du0, p2)
-        e2r = _ball_energy(u, center, 2.0 * r, p2)
+        err = gradient_mass(submesh.areas, du - du0, p2)
+        # u's elements fully inside the 2r ball; exact piecewise-constant sum
+        ball = ball_element_mask(u.mesh, center, 2.0 * r)
+        e2r = gradient_mass(u.mesh.areas[ball], grad_u[ball], p2)
         majorant = report.M ** sigma1 * e2r + r * r
         report.radii.append(r)
         report.p2.append(p2)
         report.error.append(err)
         report.energy_2r.append(e2r)
         report.ratio.append(err / majorant)
-        report.energy_sub_u.append(_gradient_mass(submesh.areas, du, p2))
-        report.energy_sub_u0.append(_gradient_mass(submesh.areas, du0, p2))
+        report.energy_sub_u.append(gradient_mass(submesh.areas, du, p2))
+        report.energy_sub_u0.append(gradient_mass(submesh.areas, du0, p2))
 
     pos = [(r, q) for r, q in zip(report.radii, report.ratio) if q > 0.0]
     if len(pos) >= 2:

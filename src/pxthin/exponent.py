@@ -11,8 +11,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-
-DOMAIN_TOL = 1e-12
+from .mesh import in_half_disk, on_thin_line
 
 # exact one-sided ranges of the families over the closed half-disk
 
@@ -27,8 +26,16 @@ def _affine_spread(a1, a2):
     return down, up
 
 
-_FAMILIES = ("constant", "affine", "radial", "sinusoidal")
+FAMILIES = ("constant", "affine", "radial", "sinusoidal")
 _NCOEF = {"constant": 1, "affine": 3, "radial": 2, "sinusoidal": 3}
+
+
+def checked_beta(beta):
+    """beta as a float, after the Hoelder exponent's rule 0 < beta <= 1."""
+    beta = float(beta)
+    if not 0.0 < beta <= 1.0:
+        raise PreconditionError(f"beta must lie in (0, 1], got {beta}")
+    return beta
 
 
 class ExponentField:
@@ -43,7 +50,7 @@ class ExponentField:
 
     def __init__(self, family, coefficients, beta=1.0, holder_seminorm=None):
         family = str(family).lower()
-        if family not in _FAMILIES:
+        if family not in FAMILIES:
             raise PreconditionError(f"unknown exponent family '{family}'")
         coeffs = tuple(float(c) for c in coefficients)
         if len(coeffs) != _NCOEF[family]:
@@ -51,9 +58,7 @@ class ExponentField:
                 f"family '{family}' needs {_NCOEF[family]} coefficients, got {len(coeffs)}")
         if not all(math.isfinite(c) for c in coeffs):
             raise PreconditionError("non-finite coefficient")
-        beta = float(beta)
-        if not (0.0 < beta <= 1.0):
-            raise PreconditionError(f"beta must lie in (0, 1], got {beta}")
+        beta = checked_beta(beta)
 
         self.family = family
         self.coefficients = coeffs
@@ -119,13 +124,11 @@ class ExponentField:
         single = pts.ndim == 1
         if pts.shape[-1] != 2:
             raise PreconditionError("points must have shape (..., 2)")
-        x1 = pts[..., 0]
-        x2 = pts[..., 1]
-        inside = (x2 >= -DOMAIN_TOL) & (x1 * x1 + x2 * x2 <= (1.0 + DOMAIN_TOL) ** 2)
+        inside = in_half_disk(pts)
         if not np.all(inside):
             bad = pts[~inside][0] if not single else pts
             raise DomainError(f"point outside the closed half-disk: {bad}")
-        vals = np.clip(self._raw(x1, x2), self.gamma1, self.gamma2)
+        vals = np.clip(self._raw(pts[..., 0], pts[..., 1]), self.gamma1, self.gamma2)
         return float(vals) if single else vals
 
     def sup_inf_on_halfball(self, center, radius):
@@ -140,7 +143,7 @@ class ExponentField:
         radius = float(radius)
         if radius <= 0.0:
             raise PreconditionError("radius must be positive")
-        if abs(cy) > DOMAIN_TOL:
+        if not on_thin_line(np.array([cx, cy])):
             raise PreconditionError(
                 f"half-ball center must lie on the thin line, got x2 = {cy}")
 
@@ -150,7 +153,7 @@ class ExponentField:
         px = np.concatenate([cx + np.outer(rr, np.cos(th)).ravel(), ex])
         py = np.concatenate([cy + np.outer(rr, np.sin(th)).ravel(), ey])
 
-        keep = (py >= -DOMAIN_TOL) & (px * px + py * py <= (1.0 + DOMAIN_TOL) ** 2)
+        keep = in_half_disk(np.stack([px, py], axis=-1))
         px, py = px[keep], py[keep]
         if px.size == 0:
             raise DomainError("half-ball does not intersect the half-disk")
@@ -219,12 +222,10 @@ def estimate_holder_seminorm(field, beta, samples):
     random far pairs plus short probes along numerically estimated
     gradient directions, with a fixed seed for reproducibility.
     """
-    beta = float(beta)
     samples = int(samples)
     if samples < 2:
         raise PreconditionError("need at least 2 samples")
-    if not (0.0 < beta <= 1.0):
-        raise PreconditionError(f"beta must lie in (0, 1], got {beta}")
+    beta = checked_beta(beta)
 
     rng = np.random.default_rng(1905)
     n = samples
@@ -259,7 +260,7 @@ def estimate_holder_seminorm(field, beta, samples):
     interior = (pts[:, 1] > margin) & (r2 < (1.0 - margin) ** 2)
     probe = pts[interior]
     # points on T probe parallel to T; same margin on the radius
-    on_t = (np.abs(pts[:, 1]) <= DOMAIN_TOL) & (r2 < (1.0 - margin) ** 2)
+    on_t = on_thin_line(pts) & (r2 < (1.0 - margin) ** 2)
     axis = pts[on_t]
     if probe.shape[0] > 0:
         gx = (field.eval(probe + [h, 0.0]) - field.eval(probe - [h, 0.0])) / (2 * h)

@@ -29,6 +29,25 @@ TEXT_CHUNK = 1024
 
 GEOM_TOL = 1e-12
 NODE_BUDGET = 10_000_000
+MAX_LEVEL = 10
+
+
+# the half-disk's geometry, each part within GEOM_TOL: points are (..., 2)
+
+def on_arc(x):
+    """Flags of the points on the unit circle, which holds the arc (dB1)+."""
+    return np.abs(np.hypot(x[..., 0], x[..., 1]) - 1.0) <= GEOM_TOL
+
+
+def on_thin_line(x):
+    """Flags of the points on the line x2 = 0, which holds T1."""
+    return np.abs(x[..., 1]) <= GEOM_TOL
+
+
+def in_half_disk(x):
+    """Flags of the points in the closed unit half-disk."""
+    x1, x2 = x[..., 0], x[..., 1]
+    return (x2 >= -GEOM_TOL) & (x1 * x1 + x2 * x2 <= (1.0 + GEOM_TOL) ** 2)
 
 
 class TriMesh:
@@ -167,11 +186,8 @@ class HalfDiskMesh(TriMesh):
 
     def __init__(self, vertices, triangles, vertex_tags, parents=()):
         super().__init__(vertices, triangles, vertex_tags, parents)
-        x = self.vertices
-        if np.any(x[:, 1] < -GEOM_TOL):
-            raise PreconditionError("vertex below the thin line")
-        if np.any(np.einsum("ij,ij->i", x, x) > (1.0 + GEOM_TOL) ** 2):
-            raise PreconditionError("vertex outside the unit disk")
+        if not in_half_disk(self.vertices).all():
+            raise PreconditionError("vertex outside the closed half-disk")
 
 
 class QuadratureRule:
@@ -208,12 +224,8 @@ def quadrature_rule(order):
 
 
 def _tag_geometrically(vertices):
-    r = np.sqrt(np.einsum("ij,ij->i", vertices, vertices))
-    arc = np.abs(r - 1.0) <= GEOM_TOL
-    thin = (vertices[:, 1] <= GEOM_TOL) & ~arc
-    tags = np.zeros(len(vertices), dtype=np.int8)
-    tags[arc] = ARC
-    tags[thin] = THIN
+    tags = np.where(on_thin_line(vertices), THIN, INTERIOR).astype(np.int8)
+    tags[on_arc(vertices)] = ARC
     return tags
 
 
@@ -238,8 +250,7 @@ def _red_refine(vertices, triangles):
     parents = keys[first[order]]
 
     mid = 0.5 * (vertices[parents[:, 0]] + vertices[parents[:, 1]])
-    on_arc = np.abs(np.sqrt(np.einsum("ij,ij->i", vertices, vertices)) - 1.0) <= GEOM_TOL
-    arc_edge = on_arc[parents].all(axis=1)
+    arc_edge = on_arc(vertices)[parents].all(axis=1)
     mid[arc_edge] /= np.hypot(mid[arc_edge, 0], mid[arc_edge, 1])[:, None]
 
     new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
@@ -268,7 +279,7 @@ def _bisect_towards_thin(vertices, triangles):
     Returns (vertices, triangles, parents) as _red_refine does.
     """
     verts = [tuple(v) for v in vertices]
-    thin_touch = vertices[:, 1] <= GEOM_TOL
+    thin_touch = on_thin_line(vertices)
     mid = {}
 
     def midpoint(i, j):
@@ -332,6 +343,17 @@ def checked_grading(grading):
     return int(rounds)
 
 
+def checked_level(level):
+    """level as an int, after the rule 0 <= level <= MAX_LEVEL: a level-10
+    mesh has 2.1 million vertices, and each level about quadruples them."""
+    level = int(level)
+    if level < 0:
+        raise PreconditionError(f"level must be >= 0, got {level}")
+    if level > MAX_LEVEL:
+        raise ResourceError(f"level must be at most {MAX_LEVEL}, got {level}")
+    return level
+
+
 def build(level, grading=0):
     """Half-disk mesh: 4-triangle fan, `level` red refinements, optional grading.
 
@@ -342,14 +364,7 @@ def build(level, grading=0):
     keeps the earlier vertices in front and records its midpoint parents on
     the mesh.
     """
-    level = int(level)
-    if level < 0:
-        raise PreconditionError("level must be >= 0")
-    est_nodes = 2 * 4 ** level + 2 ** (level + 2)
-    if level > 10 or est_nodes > NODE_BUDGET:
-        raise ResourceError(
-            f"level {level} exceeds the node budget ({est_nodes} > {NODE_BUDGET})")
-
+    level = checked_level(level)
     s = math.sqrt(0.5)
     vertices = np.array([
         (0.0, 0.0),
@@ -369,8 +384,7 @@ def build(level, grading=0):
         hierarchy.append(parents)
 
     # snap rounding dust on the thin line to exactly zero
-    snap = np.abs(vertices[:, 1]) <= GEOM_TOL
-    vertices[snap, 1] = 0.0
+    vertices[on_thin_line(vertices), 1] = 0.0
     return HalfDiskMesh(vertices, triangles, _tag_geometrically(vertices),
                         hierarchy)
 
@@ -385,7 +399,7 @@ def ball_element_mask(mesh, center, radius):
 def checked_center(center):
     """center as a float array, after the half-ball rule: on T1, |x1| <= 1/2."""
     center = np.asarray(center, dtype=float)
-    if abs(center[1]) > GEOM_TOL or abs(center[0]) > 0.5 + GEOM_TOL:
+    if not on_thin_line(center) or abs(center[0]) > 0.5 + GEOM_TOL:
         raise PreconditionError(
             "half-ball centers must lie on the thin line with |x1| <= 1/2, "
             f"got {tuple(float(c) for c in center)}")
@@ -421,10 +435,7 @@ def extract_halfball_submesh(mesh, center, radius):
     Returns (submesh, vertex_map) with vertex_map[new_index] = old_index.
     """
     center = checked_center(center)
-    radius = float(radius)
-    if radius <= 2.0 * mesh.h_max:
-        raise PreconditionError(
-            f"radius {radius} must exceed twice the mesh size 2*h_max = {2 * mesh.h_max}")
+    [radius] = checked_radii([radius], 1, h_max=mesh.h_max)
 
     t_in = ball_element_mask(mesh, center, radius)
     if int(t_in.sum()) < 10:
@@ -445,7 +456,7 @@ def extract_halfball_submesh(mesh, center, radius):
     boundary_vertex[uniq[counts == 1].ravel()] = True
 
     tags = np.zeros(len(sub_verts), dtype=np.int8)
-    on_thin = np.abs(sub_verts[:, 1]) <= GEOM_TOL
+    on_thin = on_thin_line(sub_verts)
     tags[on_thin] = THIN
     tags[boundary_vertex & ~on_thin] = ARC
     return HalfDiskMesh(sub_verts, sub_tris, tags), used

@@ -174,6 +174,16 @@ def test_calibrated_constant_stays_below_frozen():
     assert c <= MONO_C
 
 
+def test_monotonicity_sampling_keeps_its_values():
+    # both callers share one sampling loop; values measured before the merge
+    assert monotonicity_check(1.1, 10.0, 450_001, 3) == 0.9205635198621411
+    # outside MONO_GAMMA the check first calibrates its constant
+    assert monotonicity_check(1.05, 12.0, 250_000, 4) == 0.8944838333365044
+    # a sampled maximum above the 2^gamma2 / 6 floor, so the loop decides it
+    assert calibrate_monotonicity(1.05, 1.5, samples=450_001, seed=3) \
+        == 1.4783786976331192
+
+
 # -------------------------------------------------- radii and rate formulas
 
 def test_admissible_radius_pinned_example():

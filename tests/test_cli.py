@@ -647,6 +647,27 @@ def test_negative_seeds_are_rejected(tmp_path, capsys):
     assert "--seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,fragment", [
+    ("coefficients = 2.0", "coefficients = 2.0\nbeta = 2",
+     "line 4: bad value for [exponent] beta: beta must lie in (0, 1], got 2.0"),
+    ("level = 3", "level = 11",
+     "line 6: bad value for [mesh] level: level must be at most 10, got 11"),
+    ("level = 3", "level = -1",
+     "line 6: bad value for [mesh] level: level must be >= 0, got -1"),
+    ("family = constant\ncoefficients = 2.0", "family = affine\ncoefficients = 2, 0.3",
+     "[exponent] family 'affine' needs 3 coefficients, got 2"),
+    ("coefficients = 2.0", "coefficients = 1.0",
+     "[exponent] exponent must stay > 1 on the half-disk; minimum is 1.0"),
+], ids=["beta_2", "level_11", "level_-1", "affine_2_coefficients", "constant_1"])
+def test_exponent_and_level_errors_are_config_errors(tmp_path, capsys, old, new,
+                                                     fragment):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "x.cfg", BASE.format(out=out).replace(old, new))
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % fragment
+    assert not out.exists()
+
+
 # ------------------------------------------------------- contract table
 
 def _returning(value):

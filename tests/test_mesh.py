@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pxthin import (FeFunction, FormatError, PreconditionError, ResolutionError,
                     build, extract_halfball_submesh, load_mesh, mesh_hash,
                     mesh_text, quadrature_rule, save_mesh)
+from pxthin.comparison import reflect_full_disk
 from pxthin.mesh import _TAG_CHAR, GEOM_TOL, TriMesh, ball_element_mask
 from pxthin.solver import solution_text
 
@@ -340,3 +341,21 @@ def test_p1_pattern_equals_the_unique_construction(level, grading):
     assert np.array_equal(got[1], keys % n)
     assert np.array_equal(got[2], scatter.ravel())
     assert got[2].dtype == scatter.dtype
+
+
+@settings(max_examples=18, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2))
+def test_geometry_predicates_keep_the_tags_and_the_reflected_interior(level, grading):
+    # the inline expressions the shared predicates replaced
+    mesh = build(level, grading)
+    x = mesh.vertices
+    arc = np.abs(np.sqrt(np.einsum("ij,ij->i", x, x)) - 1.0) <= 1e-12
+    thin = (x[:, 1] <= 1e-12) & ~arc
+    tags = np.zeros(len(x), dtype=np.int8)
+    tags[arc] = ARC
+    tags[thin] = THIN
+    assert np.array_equal(mesh.vertex_tags, tags)
+    full_mesh, _ = reflect_full_disk(FeFunction(mesh, np.zeros(len(x))))
+    y = full_mesh.vertices
+    assert np.array_equal(full_mesh.vertex_tags != ARC,
+                          np.hypot(y[:, 0], y[:, 1]) < 1.0 - 1e-12)
