@@ -2,12 +2,14 @@
 variable-exponent energies on the half-disk.
 """
 
-from .analysis import (IterationConstants, RegularityReport, admissible_radius,
-                       gradient_holder_fit, higher_integrability_scan,
-                       iteration_constants, iteration_suite, iteration_verify,
-                       monotonicity_check, theoretical_alpha)
-from .comparison import (ComparisonReport, build_reference, comparison_decay,
-                         compute_M, reference_report, reflect_and_check)
+from .analysis import (HolderReport, IterationConstants, ScanReport,
+                       admissible_radius, gradient_holder_fit,
+                       higher_integrability_scan, iteration_constants,
+                       iteration_suite, iteration_verify, monotonicity_check,
+                       theoretical_alpha)
+from .comparison import (DecayReport, ReferenceReport, build_reference,
+                         comparison_decay, compute_M, reference_report,
+                         reflect_and_check)
 from .energy import EnergySetup, energy, hessian, residual
 from .errors import (ConfigError, ConvergenceError, DomainError, FormatError,
                      NumericError, PreconditionError, PxthinError,
@@ -24,18 +26,18 @@ from .vxspace import (CampanatoProfile, ElementVectorField, FeFunction,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CampanatoProfile", "ComparisonReport", "ConfigError", "ConvergenceError",
+    "CampanatoProfile", "ConfigError", "ConvergenceError", "DecayReport",
     "DomainError", "ElementVectorField", "EnergySetup", "ExponentField",
-    "FeFunction", "FormatError", "HalfDiskMesh", "IterationConstants",
-    "NumericError", "ObstacleProblem", "PreconditionError", "PxthinError",
-    "QuadratureRule", "RegularityReport", "ResolutionError", "ResourceError",
-    "SolveReport", "TriMesh", "admissible_radius", "build", "build_reference",
-    "campanato_profile", "comparison_decay", "compute_M", "energy",
-    "estimate_holder_seminorm", "extract_halfball_submesh",
-    "gradient_holder_fit", "hessian", "higher_integrability_scan",
-    "iteration_constants", "iteration_suite", "iteration_verify",
-    "load_mesh", "load_solution", "luxemburg_norm", "mesh_hash", "mesh_text",
-    "modular", "monotonicity_check", "quadrature_rule", "reference_report",
-    "reflect_and_check", "residual", "save_mesh", "save_solution", "solve",
-    "theoretical_alpha", "vi_check",
+    "FeFunction", "FormatError", "HalfDiskMesh", "HolderReport",
+    "IterationConstants", "NumericError", "ObstacleProblem",
+    "PreconditionError", "PxthinError", "QuadratureRule", "ReferenceReport",
+    "ResolutionError", "ResourceError", "ScanReport", "SolveReport", "TriMesh",
+    "admissible_radius", "build", "build_reference", "campanato_profile",
+    "comparison_decay", "compute_M", "energy", "estimate_holder_seminorm",
+    "extract_halfball_submesh", "gradient_holder_fit", "hessian",
+    "higher_integrability_scan", "iteration_constants", "iteration_suite",
+    "iteration_verify", "load_mesh", "load_solution", "luxemburg_norm",
+    "mesh_hash", "mesh_text", "modular", "monotonicity_check",
+    "quadrature_rule", "reference_report", "reflect_and_check", "residual",
+    "save_mesh", "save_solution", "solve", "theoretical_alpha", "vi_check",
 ]

@@ -3,6 +3,7 @@ radius formulas, higher-integrability scans, and gradient Hölder fits.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -205,16 +206,15 @@ def _worst_ratio(gamma1, gamma2, c, samples, seed):
     return worst
 
 
-def calibrate_monotonicity(gamma1, gamma2, samples=1_000_000, seed=20123,
-                           safety=1.05):
+def calibrate_monotonicity(gamma1, gamma2, samples=1_000_000, seed=20123):
     """Required constant: max over samples of LHS/(eps*vol + mono/eps),
-    floored by the antipodal worst family, times the safety factor."""
+    floored by the antipodal worst family, with 5% headroom."""
     # c = 1 multiplies exactly, so this is the uncalibrated ratio
     worst = _worst_ratio(gamma1, gamma2, 1.0, samples, seed)
     # antipodal equal-length pairs: denominator sup over eps in (0,1) is
     # attained at eps -> 1, yielding 2^p / 6 at the top exponent
     worst = max(worst, 2.0 ** gamma2 / 6.0)
-    return safety * worst
+    return 1.05 * worst
 
 
 def checked_gammas(gamma1, gamma2):
@@ -274,18 +274,22 @@ DEFAULT_C_CAP = 1e3
 
 
 @dataclass
-class RegularityReport:
-    centers: list = dc_field(default_factory=list)
-    profiles: list = dc_field(default_factory=list)
-    alphas: list = dc_field(default_factory=list)
-    alpha_min: float = np.nan
-    sigma_grid: list = dc_field(default_factory=list)
-    c_sigma: list = dc_field(default_factory=list)
-    sigma0: float = np.nan
+class ScanReport:
+    radius: float             # the outer ball's radius r
+    admissible_r: float
+    sigma_grid: list
+    c_sigma: list
+    sigma0: float
     rh_radii: list = dc_field(default_factory=list)
     rh_ratios: list = dc_field(default_factory=list)
-    admissible_r: float = np.nan
-    alpha_theory: float = np.nan
+
+
+@dataclass
+class HolderReport:
+    centers: list
+    profiles: list
+    alphas: list
+    alpha_min: float
 
 
 def checked_sigma_grid(sigma_grid):
@@ -299,7 +303,7 @@ def checked_sigma_grid(sigma_grid):
     return grid
 
 
-def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
+def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None,
                               c_cap=DEFAULT_C_CAP):
     """Implied constants of the gradient self-improvement estimate.
 
@@ -307,16 +311,18 @@ def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
     element selection, so the sigma = 0 constant is below 1 by set
     inclusion alone. sigma0 is the largest grid sigma whose constant
     stays under c_cap. Reverse-Hölder ratios over dyadic shrinkages of
-    the outer ball use each ball's own average.
+    the outer ball use each ball's own average. r defaults to 0.95 times
+    the admissible radius, capped so that the 2r ball stays in the 3/4 ball.
     """
     from .comparison import compute_M
 
-    center = np.asarray(center, dtype=float)
-    r = float(r)
+    center = checked_center(center)
     sigma_grid = checked_sigma_grid(sigma_grid)
-    checked_radii([r], 1, center)
     M = compute_M(u, w, field)
     r_adm = admissible_radius(field, M)
+    if r is None:
+        r = min(0.95 * r_adm, (0.75 - math.hypot(*center)) / 2.0)
+    r = checked_radii([r], 1, center)[0]
     if r > r_adm + GEOM_TOL:
         raise PreconditionError(
             f"radius {r} exceeds the admissible radius {r_adm}")
@@ -330,17 +336,16 @@ def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
     du = u.gradient_field()
     dw = w.gradient_field()
 
-    report = RegularityReport()
-    report.admissible_r = r_adm
     base_2r = modular(du, field, element_mask=mask_2r) / area2
+    c_sigma = []
     for sigma in sigma_grid:
         lhs = modular(du, field, element_mask=mask_r, sigma=sigma) / area2
         rhs1 = base_2r ** (1.0 + sigma)
         rhs2 = modular(dw, field, element_mask=mask_2r, sigma=sigma) / area2
-        report.sigma_grid.append(sigma)
-        report.c_sigma.append(lhs / (rhs1 + rhs2 + 1.0))
-    passing = [s for s, c in zip(report.sigma_grid, report.c_sigma) if c <= c_cap]
-    report.sigma0 = max(passing) if passing else 0.0
+        c_sigma.append(lhs / (rhs1 + rhs2 + 1.0))
+    passing = [s for s, c in zip(sigma_grid, c_sigma) if c <= c_cap]
+    report = ScanReport(r, r_adm, sigma_grid, c_sigma,
+                        max(passing) if passing else 0.0)
 
     rho = 2.0 * r
     while rho > 2.0 * mesh.h_max and len(report.rh_radii) < 6:
@@ -350,7 +355,7 @@ def higher_integrability_scan(u, w, field, center, r, sigma_grid=None,
         area = float(mesh.areas[mask].sum())
         base = modular(du, field, element_mask=mask) / area
         row = []
-        for sigma in report.sigma_grid:
+        for sigma in sigma_grid:
             high = modular(du, field, element_mask=mask, sigma=sigma) / area
             row.append((high ** (1.0 / (1.0 + sigma)) / base)
                        if base > 0.0 else np.inf)
@@ -369,13 +374,10 @@ def gradient_holder_fit(u, field, centers, radii):
     """
     centers = [checked_center(center) for center in centers]
     radii = checked_radii(radii, 2, h_max=u.mesh.h_max)
-    report = RegularityReport()
     du = u.gradient_field()
-    for center in centers:
-        p2 = field.sup_inf_on_halfball(center, max(radii))[1]
-        prof = campanato_profile(du, p2, center, radii)
-        report.centers.append(tuple(center))
-        report.profiles.append(prof)
-        report.alphas.append(prof.alpha)
-    report.alpha_min = min(report.alphas) if report.alphas else np.nan
-    return report
+    profiles = [campanato_profile(
+        du, field.sup_inf_on_halfball(center, max(radii))[1], center, radii)
+        for center in centers]
+    alphas = [prof.alpha for prof in profiles]
+    return HolderReport([tuple(center) for center in centers], profiles, alphas,
+                        min(alphas) if alphas else np.nan)

@@ -17,10 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import (MONO_GAMMA, admissible_radius, checked_gammas,
-                       checked_sigma_grid, gradient_holder_fit,
-                       higher_integrability_scan, iteration_suite,
-                       monotonicity_check, theoretical_alpha)
+from .analysis import (MONO_GAMMA, checked_gammas, checked_sigma_grid,
+                       gradient_holder_fit, higher_integrability_scan,
+                       iteration_suite, monotonicity_check, theoretical_alpha)
 from .comparison import comparison_decay, reference_problem, reference_report
 from .energy import EnergySetup
 from .errors import (ConfigError, ConvergenceError, FormatError,
@@ -29,7 +28,8 @@ from .errors import (ConfigError, ConvergenceError, FormatError,
 from .exponent import FAMILIES, ExponentField, checked_beta
 from .mesh import (ARC, build, checked_center, checked_grading, checked_level,
                    checked_radii, save_mesh)
-from .solver import ObstacleProblem, save_solution, solve, vi_check
+from .solver import (ObstacleProblem, checked_eps_schedule, checked_tol,
+                     save_solution, solve, vi_check)
 from .vxspace import checked_sigma, luxemburg_identity_checks
 
 _PRESETS = ("linear_xn", "signorini32", "offset_const", "custom")
@@ -145,8 +145,8 @@ _SCHEMA = {
         "file": (_conv_str, None),
     },
     "solver": {
-        "tol": (_conv_float, 1e-10),
-        "eps_schedule": (_conv_floats, None),
+        "tol": (_checked(checked_tol, _conv_float), 1e-10),
+        "eps_schedule": (_checked(checked_eps_schedule, _conv_floats), None),
         "seed": (_conv_seed, 0),
         "vi_trials": (_conv_trials, 100),
     },
@@ -455,8 +455,8 @@ class _Run:
         self.solve_failed = False
         self.pending_w = None   # Future of the reference solve
         self.w = None
-        self.reference = None   # ComparisonReport: ordering, reflection, M
-        self.decay = None       # ComparisonReport of the freeze step
+        self.reference = None   # ReferenceReport: M, ordering, reflection
+        self.decay = None       # DecayReport of the freeze step
 
     def path(self, name):
         return os.path.join(self.outdir, name)
@@ -606,10 +606,9 @@ def _freeze_plan(run):
 
 def _freeze_step(run):
     cfg = run.config["freeze"]
-    decay = comparison_decay(
-        run.u, run.field, np.asarray(cfg["center"]), cfg["radii"],
-        M_value=run.reference.M, sigma0=cfg["sigma0"], tol=run.tol,
-        eps_schedule=run.eps_schedule)
+    decay = comparison_decay(run.u, run.field, cfg["center"], cfg["radii"],
+                             run.reference.M, sigma0=cfg["sigma0"], tol=run.tol,
+                             eps_schedule=run.eps_schedule)
     slack = min(a - b for a, b in zip(decay.energy_sub_u, decay.energy_sub_u0))
     run.summary.extend([
         ("freeze_center", _join17(cfg["center"])),
@@ -630,25 +629,17 @@ def _freeze_step(run):
 
 def _scan_step(run):
     cfg = run.config["scan"]
-    radius = cfg["radius"]
-    if radius is None:
-        # largest admissible radius that keeps the doubled ball inside
-        geom_cap = (0.75 - math.hypot(*cfg["center"])) / 2.0
-        radius = min(0.95 * admissible_radius(run.field, run.reference.M), geom_cap)
-    scan = higher_integrability_scan(run.u, run.w, run.field,
-                                     np.asarray(cfg["center"]), radius,
-                                     sigma_grid=cfg["sigma_grid"])
-    rows = [["c_sigma", _f17(radius), _f17(sigma), _f17(c)]
+    scan = higher_integrability_scan(run.u, run.w, run.field, cfg["center"],
+                                     cfg["radius"], sigma_grid=cfg["sigma_grid"])
+    rows = [["c_sigma", _f17(scan.radius), _f17(sigma), _f17(c)]
             for sigma, c in zip(scan.sigma_grid, scan.c_sigma)]
     for rho, ratios in zip(scan.rh_radii, scan.rh_ratios):
         rows.extend(["reverse_holder", _f17(rho), _f17(sigma), _f17(ratio)]
                     for sigma, ratio in zip(scan.sigma_grid, ratios))
     _write_csv(run.path("scan.csv"), ["kind", "radius", "sigma", "value"], rows)
-    run.summary.extend([
-        ("scan_center", _join17(cfg["center"])),
-        ("scan_radius", _f17(radius)),
-        ("admissible_r", _f17(scan.admissible_r)),
-    ])
+    run.summary.extend([("scan_center", _join17(cfg["center"])),
+                        ("scan_radius", _f17(scan.radius)),
+                        ("admissible_r", _f17(scan.admissible_r))])
     # the grid always holds 0, and sigma0 is a grid value
     c_sigma = dict(zip(scan.sigma_grid, scan.c_sigma))
     run.check_bound("c_at_sigma_zero", "c_zero", c_sigma[0.0], 1.0 + 1e-9)
@@ -659,6 +650,7 @@ def _scan_step(run):
 def _scan_plan(run):
     # higher_integrability_scan's checks; the default radius needs M
     cfg = run.config["scan"]
+    checked_center(cfg["center"])
     checked_sigma_grid(cfg["sigma_grid"])
     if cfg["radius"] is not None:
         checked_radii([cfg["radius"]], 1, cfg["center"])
@@ -691,8 +683,6 @@ def _holder_step(run):
     cfg = run.config["holder"]
     radii = _holder_radii(run)
     fit = gradient_holder_fit(run.u, run.field, cfg["centers"], radii)
-    fit.alpha_theory = theoretical_alpha(cfg["alpha0"], run.field.beta,
-                                         run.field.gamma2)
     rows = []
     for center, profile, alpha in zip(fit.centers, fit.profiles, fit.alphas):
         for radius, integral, mean in zip(profile.radii, profile.integrals,
@@ -708,7 +698,8 @@ def _holder_step(run):
         ("alpha_origin", _f17(fit.alphas[0])),
         ("alpha_min", _f17(fit.alpha_min)),
         ("alpha0_assumed", _f17(cfg["alpha0"])),
-        ("alpha_theory", _f17(fit.alpha_theory)),
+        ("alpha_theory", _f17(theoretical_alpha(cfg["alpha0"], run.field.beta,
+                                                run.field.gamma2))),
     ])
 
 

@@ -5,7 +5,7 @@ approaches the variable-exponent minimizer on shrinking half-balls. All
 integrals of piecewise-constant gradient quantities are exact sums.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +20,23 @@ from .vxspace import FeFunction, checked_sigma, gradient_mass, modular
 
 
 @dataclass
-class ComparisonReport:
-    M: float = np.nan
-    ordering_margin: float = np.nan       # min over nodes of u - w
-    reflect_residual: float = np.nan      # full-disk odd-extension residual sup
-    radii: list = dc_field(default_factory=list)
-    p2: list = dc_field(default_factory=list)
-    error: list = dc_field(default_factory=list)       # E(r) per radius
-    energy_2r: list = dc_field(default_factory=list)   # int over 2r ball of |Du|^p2
-    ratio: list = dc_field(default_factory=list)       # E / majorant
-    energy_sub_u: list = dc_field(default_factory=list)   # int over submesh |Du|^p2
-    energy_sub_u0: list = dc_field(default_factory=list)  # int over submesh |Du0|^p2
+class ReferenceReport:
+    M: float                  # energy bound of the pair (u, w), see compute_M
+    ordering_margin: float    # min over nodes of u - w
+    reflect_residual: float   # full-disk odd-extension residual sup
+
+
+@dataclass
+class DecayReport:
+    radii: list
+    p2: list
+    error: list           # E(r) per radius
+    energy_2r: list       # int over 2r ball of |Du|^p2
+    ratio: list           # E / majorant
+    energy_sub_u: list    # int over submesh |Du|^p2
+    energy_sub_u0: list   # int over submesh |Du0|^p2
+    sigma1: float
     fitted_rate: float = np.nan
-    sigma1: float = np.nan
 
 
 def reference_problem(problem, values):
@@ -60,13 +64,11 @@ def build_reference(u, problem, tol=1e-10, eps_schedule=None):
 
 
 def reference_report(u, w, field):
-    """ComparisonReport with the nodal ordering margin min(u - w), the odd
-    reflection residual of w and M filled in."""
-    report = ComparisonReport()
-    report.ordering_margin = float((u.values - w.values).min())
-    report.reflect_residual = reflect_and_check(w, field)
-    report.M = compute_M(u, w, field)
-    return report
+    """ReferenceReport of the pair: M, the nodal ordering margin min(u - w)
+    and the odd reflection residual of w."""
+    return ReferenceReport(ordering_margin=float((u.values - w.values).min()),
+                           reflect_residual=reflect_and_check(w, field),
+                           M=compute_M(u, w, field))
 
 
 class _EvenExtensionField:
@@ -130,45 +132,36 @@ def reflect_and_check(w, field):
 
 def compute_M(u, w, field):
     """Total energy mass of the pair plus domain area plus one."""
-    if u.mesh is not w.mesh:
-        same = (u.mesh.num_vertices == w.mesh.num_vertices
-                and np.array_equal(u.mesh.vertices, w.mesh.vertices)
-                and np.array_equal(u.mesh.triangles, w.mesh.triangles))
-        if not same:
-            raise PreconditionError("u and w live on different meshes")
+    if not (u.mesh is w.mesh
+            or np.array_equal(u.mesh.vertices, w.mesh.vertices)
+            and np.array_equal(u.mesh.triangles, w.mesh.triangles)):
+        raise PreconditionError("u and w live on different meshes")
     area = float(u.mesh.areas.sum())
     return (modular(u.gradient_field(), field)
             + modular(w.gradient_field(), field) + area + 1.0)
 
 
-def comparison_decay(u, field, center, radii, problem=None, M_value=None,
-                     sigma0=0.1, tol=1e-10, eps_schedule=None):
+def comparison_decay(u, field, center, radii, M, sigma0=0.1, tol=1e-10,
+                     eps_schedule=None):
     """Decay of the frozen-exponent comparison error over shrinking balls.
 
     For each radius r the submesh error E(r) = integral of |Du - Du0|^p2
     is normalized by M^sigma1 * (energy of u on the 2r ball) + r^2 and the
     normalized values are fitted against r in log-log coordinates. M is
-    M_value, or else the M of build_reference(u, problem).
+    the energy bound of u and its reference, as reference_report gives it.
     """
     center = checked_center(center)
     sigma0 = checked_sigma(sigma0, "sigma0")
     radii = checked_radii(radii, 3, center, u.mesh.h_max)
-
-    if M_value is None:
-        if problem is None:
-            raise PreconditionError("need either problem or M_value to normalize")
-        _, report = build_reference(u, problem, tol, eps_schedule)
-    else:
-        report = ComparisonReport()
-        report.M = float(M_value)
+    M = float(M)
     sigma1 = min(field.beta / 8.0, sigma0)
-    report.sigma1 = sigma1
 
     # every submesh and exponent first, so a too-coarse ball fails before a solve
     pieces = [extract_halfball_submesh(u.mesh, center, r) for r in radii]
     p2s = [field.sup_inf_on_halfball(center, r)[1] for r in radii]
     grad_u = u.element_gradients()
 
+    rows = []
     for r, (submesh, vmap), p2 in zip(radii, pieces, p2s):
         # p frozen at p2, u's trace as Arc data, the obstacle on submesh Thin
         g_sub = u.values[vmap]
@@ -180,14 +173,12 @@ def comparison_decay(u, field, center, radii, problem=None, M_value=None,
         # u's elements fully inside the 2r ball; exact piecewise-constant sum
         ball = ball_element_mask(u.mesh, center, 2.0 * r)
         e2r = gradient_mass(u.mesh.areas[ball], grad_u[ball], p2)
-        majorant = report.M ** sigma1 * e2r + r * r
-        report.radii.append(r)
-        report.p2.append(p2)
-        report.error.append(err)
-        report.energy_2r.append(e2r)
-        report.ratio.append(err / majorant)
-        report.energy_sub_u.append(gradient_mass(submesh.areas, du, p2))
-        report.energy_sub_u0.append(gradient_mass(submesh.areas, du0, p2))
+        majorant = M ** sigma1 * e2r + r * r
+        rows.append((r, p2, err, e2r, err / majorant,
+                     gradient_mass(submesh.areas, du, p2),
+                     gradient_mass(submesh.areas, du0, p2)))
+    # one list per DecayReport field, in field order
+    report = DecayReport(*map(list, zip(*rows)), sigma1=sigma1)
 
     pos = [(r, q) for r, q in zip(report.radii, report.ratio) if q > 0.0]
     if len(pos) >= 2:

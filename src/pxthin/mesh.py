@@ -344,8 +344,10 @@ def checked_grading(grading):
 
 
 def checked_level(level):
-    """level as an int, after the rule 0 <= level <= MAX_LEVEL: a level-10
-    mesh has 2.1 million vertices, and each level about quadruples them."""
+    """level as an int, after the rule: a whole number in [0, MAX_LEVEL]. A
+    level-10 mesh has 2.1 million vertices; each level about quadruples them."""
+    if not float(level).is_integer():
+        raise PreconditionError(f"level must be a whole number, got {level}")
     level = int(level)
     if level < 0:
         raise PreconditionError(f"level must be >= 0, got {level}")

@@ -214,21 +214,18 @@ def _solve_stage(problem, v, eps, tol):
         # if both searches failed, loop continues and stagnation will trip
 
 
-def solve(problem, tol, eps_schedule=None):
-    """Minimize over the admissible set; returns (FeFunction, SolveReport).
-
-    Feasibility is exact at every iterate: Dirichlet values pinned to g,
-    obstacle values >= 0. The reported energy is evaluated at eps = 0; KKT
-    residuals refer to the last continuation stage. A stage that stops
-    improving raises ConvergenceError with its best iterate as `best` and
-    the report, filled in from that iterate, as `info`.
-    """
+def checked_tol(tol):
+    """tol as a float, after the rule 1e-14 <= tol <= 1e-4."""
     tol = float(tol)
     if not (1e-14 <= tol <= 1e-4):
         raise PreconditionError(f"tol must lie in [1e-14, 1e-4], got {tol}")
-    if eps_schedule is None:
-        eps_schedule = DEFAULT_EPS_SCHEDULE
-    eps_schedule = tuple(float(e) for e in eps_schedule)
+    return tol
+
+
+def checked_eps_schedule(eps_schedule):
+    """The schedule as a float tuple, DEFAULT_EPS_SCHEDULE for None."""
+    eps_schedule = tuple(float(e) for e in (
+        DEFAULT_EPS_SCHEDULE if eps_schedule is None else eps_schedule))
     if not eps_schedule:
         raise PreconditionError("eps schedule must not be empty")
     for eps in eps_schedule:
@@ -239,7 +236,20 @@ def solve(problem, tol, eps_schedule=None):
         raise PreconditionError("eps schedule must be strictly decreasing")
     if eps_schedule[-1] > 1e-8:
         raise PreconditionError("eps schedule must end at or below 1e-8")
+    return eps_schedule
 
+
+def solve(problem, tol, eps_schedule=None):
+    """Minimize over the admissible set; returns (FeFunction, SolveReport).
+
+    Feasibility is exact at every iterate: Dirichlet values pinned to g,
+    obstacle values >= 0. The reported energy is evaluated at eps = 0; KKT
+    residuals refer to the last continuation stage. A stage that stops
+    improving raises ConvergenceError with its best iterate as `best` and
+    the report, filled in from that iterate, as `info`.
+    """
+    tol = checked_tol(tol)
+    eps_schedule = checked_eps_schedule(eps_schedule)
     t0 = time.perf_counter()
     report = SolveReport(eps_schedule=eps_schedule, tol=tol)
     v = problem.feasible_start()

@@ -133,8 +133,9 @@ def test_criterion_04_reference_ordering(config_suite):
 
 def test_criterion_05_frozen_exactness(solved_p2_sig32_l6):
     problem, u, _, _ = solved_p2_sig32_l6
+    _, ref = build_reference(u, problem)
     rep = comparison_decay(u, problem.setup.field, (-0.35, 0.0),
-                           [0.2, 0.1, 0.05], problem=problem)
+                           [0.2, 0.1, 0.05], ref.M)
     worst_err = max(rep.error)
     slack = min(a - b for a, b in zip(rep.energy_sub_u, rep.energy_sub_u0))
     passed = worst_err <= 1e-10 and slack >= -1e-10
@@ -148,8 +149,9 @@ def test_criterion_05_frozen_exactness(solved_p2_sig32_l6):
 
 def test_criterion_06_variable_exponent_decay(solved_sin_sig32_l6):
     problem, u, _, _ = solved_sin_sig32_l6
+    _, ref = build_reference(u, problem)
     rep = comparison_decay(u, problem.setup.field, (-0.35, 0.0),
-                           [0.2, 0.1, 0.05], problem=problem)
+                           [0.2, 0.1, 0.05], ref.M)
     decreasing = all(a > b for a, b in zip(rep.ratio, rep.ratio[1:]))
     passed = decreasing and rep.fitted_rate > 0.0
     record_criterion(6, passed,

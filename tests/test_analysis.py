@@ -1,5 +1,7 @@
 """Quantitative lemma constants, the sampled verifications, and the scans."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     ObstacleProblem, PreconditionError, admissible_radius,
-                    build_reference, gradient_holder_fit,
+                    build_reference, compute_M, gradient_holder_fit,
                     higher_integrability_scan, iteration_constants,
                     iteration_suite, iteration_verify, monotonicity_check,
                     solve, theoretical_alpha)
@@ -267,6 +269,20 @@ def test_scan_validation(scan_inputs):
     with pytest.raises(PreconditionError):
         # far beyond the admissible radius for this field
         higher_integrability_scan(u, w, field, (0.0, 0.0), 0.3)
+    with pytest.raises(PreconditionError, match=r"thin line with \|x1\| <= 1/2"):
+        higher_integrability_scan(u, w, field, (0.1, 0.2), 0.009)
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (-0.3, 0.0), (0.5, 0.0)])
+def test_scan_default_radius_is_the_former_cli_radius(scan_inputs, center):
+    # the expression the CLI's scan step used before the scan owned it
+    problem, u, w, field = scan_inputs
+    M = compute_M(u, w, field)
+    radius = min(0.95 * admissible_radius(field, M),
+                 (0.75 - math.hypot(*center)) / 2.0)
+    default = higher_integrability_scan(u, w, field, center)
+    assert default.radius == radius
+    assert default == higher_integrability_scan(u, w, field, center, radius)
 
 
 def test_scan_rejects_underresolved_balls(mesh3):

@@ -604,6 +604,7 @@ def test_verify_subcommand_needs_a_trial(capsys, trials):
     ("verify", "gamma1 = 0.9", "need 1 < gamma1 <= gamma2"),
     ("scan", "sigma_grid = 0.1, 0.2", "sigma grid must have 0"),
     ("scan", "radius = 0.5", "3/4 ball"),
+    ("scan", "center = 0.1, 0.2", "thin line with |x1| <= 1/2"),
 ])
 def test_bad_radii_are_rejected_before_any_solve(tmp_path, capsys, section, line,
                                                  fragment):
@@ -658,7 +659,13 @@ def test_negative_seeds_are_rejected(tmp_path, capsys):
      "[exponent] family 'affine' needs 3 coefficients, got 2"),
     ("coefficients = 2.0", "coefficients = 1.0",
      "[exponent] exponent must stay > 1 on the half-disk; minimum is 1.0"),
-], ids=["beta_2", "level_11", "level_-1", "affine_2_coefficients", "constant_1"])
+    ("[output]", "[solver]\ntol = 1\n[output]",
+     "line 12: bad value for [solver] tol: tol must lie in [1e-14, 1e-4], got 1.0"),
+    ("[output]", "[solver]\neps_schedule = 0.5, 1e-9\n[output]",
+     "line 12: bad value for [solver] eps_schedule: eps schedule values must "
+     "lie in (0, 1e-2], got 0.5"),
+], ids=["beta_2", "level_11", "level_-1", "affine_2_coefficients", "constant_1",
+        "tol_1", "eps_schedule_0.5"])
 def test_exponent_and_level_errors_are_config_errors(tmp_path, capsys, old, new,
                                                      fragment):
     out = tmp_path / "o"
@@ -697,8 +704,9 @@ FREEZE_L3 = """
 center = 0, 0
 radii = 0.37, 0.35, 0.33
 """
-FAKE_SCAN = SimpleNamespace(sigma_grid=[0.0], c_sigma=[2.0], sigma0=0.0,
-                            admissible_r=0.1, rh_radii=[], rh_ratios=[])
+FAKE_SCAN = SimpleNamespace(radius=0.05, sigma_grid=[0.0], c_sigma=[2.0],
+                            sigma0=0.0, admissible_r=0.1, rh_radii=[],
+                            rh_ratios=[])
 
 
 # contract, experiment, extra config, patched cli name, patch, expected detail

@@ -104,42 +104,41 @@ def test_compute_m_requires_matching_meshes(solved_p2_sig32_l5, mesh4, p2):
 def test_decay_radii_validation(solved_p2_sig32_l5, p2):
     _, u, _, _ = solved_p2_sig32_l5
     with pytest.raises(PreconditionError):
-        comparison_decay(u, p2, (0.0, 0.0), [0.2, 0.1], M_value=2.0)
+        comparison_decay(u, p2, (0.0, 0.0), [0.2, 0.1], 2.0)
     with pytest.raises(PreconditionError):
-        comparison_decay(u, p2, (0.0, 0.0), [0.1, 0.2, 0.3], M_value=2.0)
+        comparison_decay(u, p2, (0.0, 0.0), [0.1, 0.2, 0.3], 2.0)
     with pytest.raises(PreconditionError):
         # 2r ball pokes out of the 3/4 ball
-        comparison_decay(u, p2, (0.5, 0.0), [0.2, 0.1, 0.05], M_value=2.0)
-    with pytest.raises(PreconditionError):
-        comparison_decay(u, p2, (0.0, 0.0), [0.2, 0.1, 0.05])
+        comparison_decay(u, p2, (0.5, 0.0), [0.2, 0.1, 0.05], 2.0)
 
 
 def test_decay_normalization_and_fit(solved_p2_sig32_l5):
     problem, u, _, _ = solved_p2_sig32_l5
     field = problem.setup.field
-    rep = comparison_decay(u, field, (-0.05, 0.0), [0.3, 0.2, 0.1],
-                           problem=problem)
+    _, ref = build_reference(u, problem)
+    rep = comparison_decay(u, field, (-0.05, 0.0), [0.3, 0.2, 0.1], ref.M)
     assert rep.radii == [0.3, 0.2, 0.1]
     assert rep.p2 == [2.0, 2.0, 2.0]
     assert rep.sigma1 == pytest.approx(0.1)
     assert all(e >= 0.0 for e in rep.error)
     assert all(e2 > 0.0 for e2 in rep.energy_2r)
     for err, e2r, q, r in zip(rep.error, rep.energy_2r, rep.ratio, rep.radii):
-        assert q == pytest.approx(err / (rep.M ** rep.sigma1 * e2r + r * r))
+        assert q == pytest.approx(err / (ref.M ** rep.sigma1 * e2r + r * r))
     # these balls straddle the contact transition, so the locally resolved
     # competitor differs from the restriction by a mesh-scale amount
     assert all(e > 0.0 for e in rep.error)
     assert np.isfinite(rep.fitted_rate)
-    assert rep.M >= 1.0
-    assert rep.reflect_residual <= 1e-8
+    assert ref.M >= 1.0
+    assert ref.reflect_residual <= 1e-8
 
 
 def test_decay_is_exact_on_a_contact_ball_for_p2(solved_p2_sig32_l6):
     # inside the coincidence region the restricted solution already satisfies
     # the frozen optimality system, so every error vanishes identically
     problem, u, _, _ = solved_p2_sig32_l6
+    _, ref = build_reference(u, problem)
     rep = comparison_decay(u, problem.setup.field, (-0.35, 0.0),
-                           [0.2, 0.1, 0.05], problem=problem)
+                           [0.2, 0.1, 0.05], ref.M)
     assert rep.error == [0.0, 0.0, 0.0]
     assert rep.ratio == [0.0, 0.0, 0.0]
     assert np.isnan(rep.fitted_rate)
@@ -148,8 +147,8 @@ def test_decay_is_exact_on_a_contact_ball_for_p2(solved_p2_sig32_l6):
 def test_decay_sigma1_caps_at_beta_over_8(solved_p2_sig32_l5):
     _, u, _, _ = solved_p2_sig32_l5
     field = ExponentField("constant", [2.0], beta=0.4)
-    rep = comparison_decay(u, field, (-0.05, 0.0), [0.3, 0.2, 0.1],
-                           M_value=2.0, sigma0=0.3)
+    rep = comparison_decay(u, field, (-0.05, 0.0), [0.3, 0.2, 0.1], 2.0,
+                           sigma0=0.3)
     assert rep.sigma1 == pytest.approx(0.05)
 
 
@@ -160,15 +159,15 @@ def test_decay_rejects_a_negative_sigma0_before_any_solve(mesh3, p2, monkeypatch
     monkeypatch.setattr("pxthin.comparison.solve", None)
     u = FeFunction(mesh3, np.zeros(mesh3.num_vertices))
     with pytest.raises(PreconditionError, match="sigma0 must be >= 0"):
-        comparison_decay(u, p2, (0.0, 0.0), [0.37, 0.35, 0.33], M_value=1.0,
+        comparison_decay(u, p2, (0.0, 0.0), [0.37, 0.35, 0.33], 1.0,
                          sigma0=sigma0)
 
 
 def test_decay_variable_exponent_decreases(solved_sin_sig32_l6):
     problem, u, _, _ = solved_sin_sig32_l6
     field = problem.setup.field
-    rep = comparison_decay(u, field, (-0.35, 0.0), [0.2, 0.1, 0.05],
-                           problem=problem)
+    _, ref = build_reference(u, problem)
+    rep = comparison_decay(u, field, (-0.35, 0.0), [0.2, 0.1, 0.05], ref.M)
     assert rep.ratio[0] > rep.ratio[1] > rep.ratio[2] > 0.0
     assert rep.fitted_rate > 0.0
     # submesh energies recorded for both competitors, frozen one never larger

@@ -118,6 +118,18 @@ def test_whole_float_grading_builds_the_same_mesh():
     assert mesh_text(build(2, 2.0)) == mesh_text(build(2, 2))
 
 
+@pytest.mark.parametrize("level", [2.7, 0.5, -1.5, math.nan, math.inf])
+def test_level_is_a_whole_number(level):
+    # int() would truncate 2.7 to the level-2 mesh
+    with pytest.raises(PreconditionError, match="level must be a whole number"):
+        build(level)
+
+
+def test_whole_float_level_builds_the_same_mesh():
+    assert build(2).num_vertices == 45
+    assert mesh_text(build(2.0)) == mesh_text(build(2))
+
+
 @pytest.mark.parametrize("center", [(0.0, 0.1), (0.6, 0.0), (-0.6, 0.0)])
 def test_halfball_centers_lie_on_the_thin_line_near_the_origin(mesh3, center):
     with pytest.raises(PreconditionError, match=r"thin line with \|x1\| <= 1/2"):
