@@ -527,10 +527,11 @@ def _solve_step(run):
     iterations = ";".join(str(k) for k in report.iterations)
     _write_csv(run.path("solve_report.csv"),
                "newton_iterations,energy,free_residual,complementarity,"
-               "active_count,tol,wall_time".split(","),
+               "active_count,tol,cg_steps,wall_time".split(","),
                [[iterations, _f17(report.energy), _f17(report.free_residual),
                  _f17(report.complementarity), str(len(report.active_set)),
-                 _f17(report.tol), _f17(report.wall_time)]])
+                 _f17(report.tol), ";".join(str(k) for k in report.cg_steps),
+                 _f17(report.wall_time)]])
     run.summary.extend([
         ("energy", _f17(report.energy)),
         ("newton_iterations", iterations),

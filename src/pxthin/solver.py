@@ -26,7 +26,11 @@ STAGNATION_WINDOW = 200
 MG_COARSEST = 2
 MG_OMEGA = 0.6          # damped Jacobi weight
 MG_SWEEPS = 2           # pre- and post-smoothing sweeps
+# Inexact Newton (Eisenstat & Walker 1996): each system is solved to the
+# relative tolerance max(CG_RTOL, min(ETA_MAX, measure / first)), where
+# measure is the current KKT measure and first is the stage's first one
 CG_RTOL = 1e-12
+ETA_MAX = 1e-4
 CG_MAXITER = 200
 
 
@@ -61,7 +65,8 @@ class ObstacleProblem:
 
 @dataclass
 class SolveReport:
-    iterations: list = field(default_factory=list)
+    iterations: list = field(default_factory=list)  # Newton, per eps stage
+    cg_steps: list = field(default_factory=list)    # CG, per eps stage
     energy: float = np.nan            # at eps = 0
     free_residual: float = np.nan
     complementarity: float = np.nan
@@ -135,9 +140,10 @@ def _v_cycle(levels, coarse_solve, b):
     return x
 
 
-def _free_solve(H, free, rhs, prolongations):
-    """Solve H[free, free] x = rhs; None when CG does not converge or the
-    coarsest operator is singular.
+def _free_solve(H, free, rhs, prolongations, rtol=CG_RTOL, callback=None):
+    """Solve H[free, free] x = rhs to the relative residual rtol; None when
+    CG does not converge or the coarsest operator is singular. callback is
+    called after each CG step, as by `scipy.sparse.linalg.cg`.
 
     A mesh without a hierarchy has one level, so the preconditioner is the
     direct factorization and CG ends after one or two steps.
@@ -153,7 +159,8 @@ def _free_solve(H, free, rhs, prolongations):
     precond = spla.LinearOperator(
         (n, n), matvec=lambda b: _v_cycle(levels, coarse_solve, b), dtype=float)
     A = levels[0][0] if levels else coarse
-    x, info = spla.cg(A, rhs, rtol=CG_RTOL, maxiter=CG_MAXITER, M=precond)
+    x, info = spla.cg(A, rhs, rtol=rtol, maxiter=CG_MAXITER, M=precond,
+                      callback=callback)
     if info != 0 or not np.all(np.isfinite(x)):
         return None
     return x
@@ -161,21 +168,29 @@ def _free_solve(H, free, rhs, prolongations):
 
 def _solve_stage(problem, v, eps, tol):
     """Newton iterations at one eps; returns (v, free_res, comp, active,
-    n_iter, converged). On stagnation v is the iterate with the smallest
-    KKT measure and the KKT values are its own. The energy of v is
+    n_iter, cg_steps, converged). On stagnation v is the iterate with the
+    smallest KKT measure and the KKT values are its own. The energy of v is
     evaluated once, at the first step, and then taken from the accepted
     line-search step."""
     setup = problem.setup.with_epsilon(eps)
     e = None
     n_iter = 0
+    cg_steps = 0
+    first = None
     best = np.inf
     best_state = (v.copy(), np.nan, np.nan, np.zeros_like(problem.obstacle))
     since_improve = 0
+
+    def count_cg_step(_):
+        nonlocal cg_steps
+        cg_steps += 1
 
     while True:
         r = residual(setup, v)
         active, free, free_res, comp = _kkt(problem, v, r)
         measure = max(free_res, comp)
+        if first is None:
+            first = measure
         if measure < best - 1e-16:
             best = measure
             best_state = (v.copy(), free_res, comp, active)
@@ -183,9 +198,9 @@ def _solve_stage(problem, v, eps, tol):
         else:
             since_improve += 1
         if free_res <= tol and comp <= tol:
-            return v, free_res, comp, active, n_iter, True
+            return v, free_res, comp, active, n_iter, cg_steps, True
         if since_improve > STAGNATION_WINDOW:
-            return (*best_state, n_iter, False)
+            return (*best_state, n_iter, cg_steps, False)
         n_iter += 1
 
         d = np.zeros_like(v)
@@ -193,7 +208,9 @@ def _solve_stage(problem, v, eps, tol):
         H = hessian(setup, v)
         newton_ok = bool(free.any())
         if newton_ok:
-            df = _free_solve(H, free, -(r + H @ d)[free], setup.mesh.prolongations)
+            rtol = max(CG_RTOL, min(ETA_MAX, measure / first))
+            df = _free_solve(H, free, -(r + H @ d)[free], setup.mesh.prolongations,
+                             rtol=rtol, callback=count_cg_step)
             if df is None:
                 newton_ok = False
             else:
@@ -253,9 +270,11 @@ def solve(problem, tol, eps_schedule=None):
     t0 = time.perf_counter()
     report = SolveReport(eps_schedule=eps_schedule, tol=tol)
     v = problem.feasible_start()
-    for eps in eps_schedule:
-        v, free_res, comp, active, n_iter, converged = _solve_stage(problem, v, eps, tol)
+    for stage, eps in enumerate(eps_schedule, 1):
+        v, free_res, comp, active, n_iter, cg_steps, converged = _solve_stage(
+            problem, v, eps, tol)
         report.iterations.append(n_iter)
+        report.cg_steps.append(cg_steps)
         if not converged:
             break
 
@@ -270,7 +289,8 @@ def solve(problem, tol, eps_schedule=None):
         best = max(free_res, comp)
         raise ConvergenceError(
             f"no residual decrease over {STAGNATION_WINDOW} iterations "
-            f"(best KKT measure {best})", best=u, info=report)
+            f"in eps stage {eps:g} ({stage} of {len(eps_schedule)}); "
+            f"best KKT measure {best}", best=u, info=report)
     return u, report
 
 

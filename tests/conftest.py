@@ -1,6 +1,14 @@
 """Shared fixtures.  Meshes and solves are session scoped: they are pure
 functions of their arguments, so every test file reuses the same objects."""
 
+import os
+
+# one BLAS thread, as in bench/run.py, before numpy loads: a multithreaded
+# BLAS may sum in another order, and the sha256 pins would then depend on
+# the core count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -285,15 +285,15 @@ run = solve, reference
     assert ra[1].rsplit(",", 1)[0] == rb[1].rsplit(",", 1)[0]
 
 
-# sha256 of the artifacts of an L4 solve, reference, freeze, holder run,
-# recorded before the unrolled energy assembly and the joined text writers;
-# both must leave every byte as it was
+# sha256 of the artifacts of an L4 solve, reference, freeze, holder run at
+# one BLAS thread, recorded with inexact Newton systems (solver.ETA_MAX);
+# refactors must leave every byte as it is
 PINNED_L4_SHA256 = {
     "mesh.txt": "1131b3cd05eddc5211f347ba432081588dfd545a03a781aa6f31dcb5cde927c9",
-    "u.txt": "2243da7fc941d1a8eacb86d8e5083362af3a96a98834015c23af9c4c0b9a14d3",
-    "w.txt": "c236b4329cb06ee1116d3a3e1466fdcf2b147d960730b9bd5694ee0b44394509",
-    "comparison.csv": "2ea287596f475c2743f433ef828ec86b63427b1c6882391ac86836fe0f3308ac",
-    "holder.csv": "1d134e4657f19033132016239710b2c3f7df0f8fe5aa3b3134c47344b5f2627b",
+    "u.txt": "f80f9a6fa9d76d43c78811dfff2c695987fd37f172076b1a56a4359a4c5a429b",
+    "w.txt": "43205ce2120682c32255b4622101e49ee61d2dc781e977ec51220f49a56f68d7",
+    "comparison.csv": "030e9fa19df0084300c4638fd3cd914de66732846c7b7b16e0e624d83f4fd937",
+    "holder.csv": "ea2efbf385ecec98e67d444cc21af6855a2d082bf9f26487fc23b0617743ec86",
 }
 
 
@@ -766,10 +766,10 @@ def test_verify_subcommand_reports_a_failed_check(capsys, monkeypatch):
     assert sum("FAIL" in line for line in lines) == 1
 
 
-# summary.txt of an L3 solve, verify run named summary_pin, recorded before
-# the verify rows and checks were read from one table
+# summary.txt of an L3 solve, verify run named summary_pin, recorded with
+# inexact Newton systems at one BLAS thread
 PINNED_SOLVE_VERIFY_SUMMARY = \
-    "dfb5fc6e0a271c5734433facb3ac99c47865269289f0fc5c9044c0dfaffe671f"
+    "06ae2fa90ae40393d1c868a0a2cbc68f28fdd5299e2a5aa6b06d190c6173b531"
 
 
 def test_solve_verify_summary_keeps_its_bytes(tmp_path):
