@@ -303,6 +303,36 @@ def checked_sigma_grid(sigma_grid):
     return grid
 
 
+def checked_scan_radius(r, field, M, center):
+    """(r, admissible_radius(field, M)), after the rules: the 2r half-ball
+    inside the 3/4 ball, and r at most the admissible radius. r = None is
+    the default, 0.95 times the admissible radius, capped so that the 2r
+    ball stays in the 3/4 ball. The admissible radius does not grow with
+    M, and M >= 1, so at M = 1 both are upper bounds before any solve."""
+    r_adm = admissible_radius(field, M)
+    if r is None:
+        r = min(0.95 * r_adm, (0.75 - math.hypot(*center)) / 2.0)
+    r = checked_radii([r], 1, center)[0]
+    if r > r_adm + GEOM_TOL:
+        raise PreconditionError(
+            f"radius {r} exceeds the admissible radius {r_adm} at M = {M}")
+    return r, r_adm
+
+
+def scan_balls(mesh, center, r):
+    """Element flags of the scan's r and 2r balls about center, after the
+    rule that each holds at least 3 elements."""
+    masks = [ball_element_mask(mesh, center, s * r) for s in (1.0, 2.0)]
+    counts = [int(mask.sum()) for mask in masks]
+    if min(counts) < 3:
+        raise PreconditionError(
+            f"ball selections are too coarse: about "
+            f"{tuple(float(c) for c in center)}, radius {r} holds {counts[0]} "
+            f"elements and radius {2.0 * r} holds {counts[1]}; each needs at "
+            f"least 3, so refine the mesh")
+    return masks
+
+
 def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None,
                               c_cap=DEFAULT_C_CAP):
     """Implied constants of the gradient self-improvement estimate.
@@ -319,19 +349,9 @@ def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None,
     center = checked_center(center)
     sigma_grid = checked_sigma_grid(sigma_grid)
     M = compute_M(u, w, field)
-    r_adm = admissible_radius(field, M)
-    if r is None:
-        r = min(0.95 * r_adm, (0.75 - math.hypot(*center)) / 2.0)
-    r = checked_radii([r], 1, center)[0]
-    if r > r_adm + GEOM_TOL:
-        raise PreconditionError(
-            f"radius {r} exceeds the admissible radius {r_adm}")
-
+    r, r_adm = checked_scan_radius(r, field, M, center)
     mesh = u.mesh
-    mask_r = ball_element_mask(mesh, center, r)
-    mask_2r = ball_element_mask(mesh, center, 2.0 * r)
-    if mask_r.sum() < 3 or mask_2r.sum() < 3:
-        raise PreconditionError("ball selections are too coarse")
+    mask_r, mask_2r = scan_balls(mesh, center, r)
     area2 = float(mesh.areas[mask_2r].sum())
     du = u.gradient_field()
     dw = w.gradient_field()

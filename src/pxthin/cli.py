@@ -14,20 +14,22 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 
-from .analysis import (MONO_GAMMA, checked_gammas, checked_sigma_grid,
-                       gradient_holder_fit, higher_integrability_scan,
-                       iteration_suite, monotonicity_check, theoretical_alpha)
+from .analysis import (MONO_GAMMA, checked_gammas, checked_scan_radius,
+                       checked_sigma_grid, gradient_holder_fit,
+                       higher_integrability_scan, iteration_suite,
+                       monotonicity_check, scan_balls, theoretical_alpha)
 from .comparison import comparison_decay, reference_problem, reference_report
 from .energy import EnergySetup
 from .errors import (ConfigError, ConvergenceError, FormatError,
                      PreconditionError, PxthinError, ResolutionError,
                      ResourceError, checked_trials)
 from .exponent import FAMILIES, ExponentField, checked_beta
-from .mesh import (ARC, build, checked_center, checked_grading, checked_level,
-                   checked_radii, save_mesh)
+from .mesh import (ARC, TriMesh, build, checked_center, checked_grading,
+                   checked_level, checked_radii, save_mesh)
 from .solver import (ObstacleProblem, checked_eps_schedule, checked_tol,
                      save_solution, solve, vi_check)
 from .vxspace import checked_sigma, luxemburg_identity_checks
@@ -524,17 +526,21 @@ def _solve_step(run):
         run.solve_failed = True
     run.check("solve_converged", detail)
     save_solution(run.u, run.mesh, run.path("u.txt"))
-    iterations = ";".join(str(k) for k in report.iterations)
+    iterations, level_iterations = (";".join(map(str, counts)) for counts in (
+        report.iterations, report.level_iterations))
     _write_csv(run.path("solve_report.csv"),
                "newton_iterations,energy,free_residual,complementarity,"
-               "active_count,tol,cg_steps,wall_time".split(","),
+               "active_count,tol,cg_steps,level_newton_iterations,"
+               "level_cg_steps,wall_time".split(","),
                [[iterations, _f17(report.energy), _f17(report.free_residual),
                  _f17(report.complementarity), str(len(report.active_set)),
-                 _f17(report.tol), ";".join(str(k) for k in report.cg_steps),
+                 _f17(report.tol), ";".join(map(str, report.cg_steps)),
+                 level_iterations, ";".join(map(str, report.level_cg_steps)),
                  _f17(report.wall_time)]])
     run.summary.extend([
         ("energy", _f17(report.energy)),
         ("newton_iterations", iterations),
+        ("level_newton_iterations", level_iterations),
         ("free_residual", _f17(report.free_residual)),
         ("complementarity", _f17(report.complementarity)),
         ("active_count", str(len(report.active_set))),
@@ -553,13 +559,14 @@ def _start_reference(run):
     constrained one.
 
     w needs u only through min(u on Arc), and every solve pins u to g on
-    Arc bit for bit, so g gives the same reference problem. The mesh's
-    lazily filled caches that a solve reads are filled here first; the
-    worker then only reads shared state: from Python 3.12 a cached_property
-    takes no lock.
+    Arc bit for bit, so g gives the same reference problem. Every lazily
+    filled cache of the mesh is filled here first, so the two solves only
+    read shared state: from Python 3.12 a cached_property takes no lock.
+    Each solve builds its own coarse levels.
     """
-    run.mesh.p1_pattern     # both filled here, not on the worker
-    run.mesh.prolongations
+    for name, attr in vars(TriMesh).items():
+        if isinstance(attr, cached_property):
+            getattr(run.mesh, name)
     problem = reference_problem(run.problem, run.problem.g)
     run.pending_w = run.pool.submit(solve, problem, run.tol, run.eps_schedule)
 
@@ -649,12 +656,14 @@ def _scan_step(run):
 
 
 def _scan_plan(run):
-    # higher_integrability_scan's checks; the default radius needs M
+    # higher_integrability_scan's checks at M = 1, before M is known: the
+    # radius they allow and the default radius only shrink as M grows, and
+    # so do the ball selections, which fail here only if they fail for certain
     cfg = run.config["scan"]
-    checked_center(cfg["center"])
+    center = checked_center(cfg["center"])
     checked_sigma_grid(cfg["sigma_grid"])
-    if cfg["radius"] is not None:
-        checked_radii([cfg["radius"]], 1, cfg["center"])
+    r, _ = checked_scan_radius(cfg["radius"], run.field, 1.0, center)
+    scan_balls(run.mesh, center, r)
 
 
 def _holder_radii(run):

@@ -58,11 +58,13 @@ class TriMesh:
     hierarchy, coarse to fine: each level's vertices are the first ones of
     the next, and parents[k] holds the ends (i, j) of the level-k edge that
     each new vertex of level k + 1 halves, in the order of the new
-    vertices; the last level is this mesh. A mesh made any other way has
-    none.
+    vertices; the last level is this mesh. `level_triangles`, when given,
+    holds one triangle array per level but the last, coarse to fine, on
+    that level's vertices. A mesh made any other way has neither.
     """
 
-    def __init__(self, vertices, triangles, vertex_tags=None, parents=()):
+    def __init__(self, vertices, triangles, vertex_tags=None, parents=(),
+                 level_triangles=()):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -87,6 +89,10 @@ class TriMesh:
                     p.size and not 0 <= p.min() <= p.max() < n):
                 raise PreconditionError("prolongations do not chain to the mesh")
             n += len(p)
+        self.level_triangles = tuple(np.asarray(t, dtype=np.int64)
+                                     for t in level_triangles)
+        if self.level_triangles and len(self.level_triangles) != len(self.parents):
+            raise PreconditionError("one triangle array per coarse level required")
         self.digest = None      # mesh_hash, filled on first use
         # vxspace: read-only p at its report quadrature points, by repr(field)
         self.report_p = {}
@@ -184,8 +190,10 @@ class TriMesh:
 class HalfDiskMesh(TriMesh):
     """TriMesh constrained to the closed half-disk, with boundary tags."""
 
-    def __init__(self, vertices, triangles, vertex_tags, parents=()):
-        super().__init__(vertices, triangles, vertex_tags, parents)
+    def __init__(self, vertices, triangles, vertex_tags, parents=(),
+                 level_triangles=()):
+        super().__init__(vertices, triangles, vertex_tags, parents,
+                         level_triangles)
         if not in_half_disk(self.vertices).all():
             raise PreconditionError("vertex outside the closed half-disk")
 
@@ -363,8 +371,8 @@ def build(level, grading=0):
     every refinement keeps boundary vertices on the arc. grading, a whole
     number >= 0, is the count of extra conforming bisection rounds of the
     elements touching the thin line. Each refinement and bisection round
-    keeps the earlier vertices in front and records its midpoint parents on
-    the mesh.
+    keeps the earlier vertices in front and records its midpoint parents,
+    and the triangles it refined, on the mesh.
     """
     level = checked_level(level)
     s = math.sqrt(0.5)
@@ -374,21 +382,23 @@ def build(level, grading=0):
     ])
     triangles = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)], dtype=np.int64)
 
-    hierarchy = []
+    hierarchy, coarse = [], []
     for _ in range(level):
+        coarse.append(triangles)
         vertices, triangles, parents = _red_refine(vertices, triangles)
         hierarchy.append(parents)
 
     for _ in range(checked_grading(grading)):
         if 2 * len(vertices) > NODE_BUDGET:
             raise ResourceError("grading would exceed the node budget")
+        coarse.append(triangles)
         vertices, triangles, parents = _bisect_towards_thin(vertices, triangles)
         hierarchy.append(parents)
 
     # snap rounding dust on the thin line to exactly zero
     vertices[on_thin_line(vertices), 1] = 0.0
     return HalfDiskMesh(vertices, triangles, _tag_geometrically(vertices),
-                        hierarchy)
+                        hierarchy, coarse)
 
 
 def ball_element_mask(mesh, center, radius):

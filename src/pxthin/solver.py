@@ -3,7 +3,10 @@
 Each problem is solved with a primal-dual active set method wrapped in
 epsilon-continuation: each stage regularizes the energy with a fixed eps,
 warm-starting from the previous stage, and the last stage's minimizer is
-reported with its energy re-evaluated at eps = 0.
+reported with its energy re-evaluated at eps = 0. The continuation is
+nested over the mesh hierarchy: the multigrid's coarsest level runs every
+stage, and each finer level runs only the last one, from the prolonged
+coarser solution.
 """
 
 import time
@@ -11,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import MAX_EPSILON, energy, hessian, residual
+from .energy import MAX_EPSILON, EnergySetup, energy, hessian, residual
 from .errors import (ConvergenceError, FormatError, PreconditionError,
                      checked_trials)
-from .mesh import ARC, THIN, mesh_hash, _text_rows
+from .mesh import ARC, THIN, TriMesh, mesh_hash, _text_rows
 from .vxspace import FeFunction
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -54,19 +57,29 @@ class ObstacleProblem:
         tags = setup.mesh.vertex_tags
         self.arc = tags == ARC
         thin = tags == THIN
+        self.constrained = bool(obstacle)
         self.obstacle = thin if obstacle else np.zeros_like(thin)
         self.dirichlet = self.arc.copy() if obstacle else self.arc | thin
 
-    def feasible_start(self):
-        v = self.g.copy()
+    def feasible(self, v):
+        """v, in place, with g at the Dirichlet vertices and clamped to 0
+        from below at the obstacle vertices."""
+        v[self.dirichlet] = self.g[self.dirichlet]
         v[self.obstacle] = np.maximum(v[self.obstacle], 0.0)
         return v
+
+    def feasible_start(self):
+        return self.feasible(self.g.copy())
 
 
 @dataclass
 class SolveReport:
-    iterations: list = field(default_factory=list)  # Newton, per eps stage
-    cg_steps: list = field(default_factory=list)    # CG, per eps stage
+    # Newton systems and CG steps per eps stage, summed over mesh levels
+    iterations: list = field(default_factory=list)
+    cg_steps: list = field(default_factory=list)
+    # the same per mesh level of the nested iteration, coarse to fine
+    level_iterations: list = field(default_factory=list)
+    level_cg_steps: list = field(default_factory=list)
     energy: float = np.nan            # at eps = 0
     free_residual: float = np.nan
     complementarity: float = np.nan
@@ -89,9 +102,7 @@ def _line_search(setup, problem, v, d, r, e0):
     slope = float(r @ d)
     t = 1.0
     for _ in range(MAX_HALVINGS):
-        w = v + t * d
-        w[problem.dirichlet] = problem.g[problem.dirichlet]
-        w[problem.obstacle] = np.maximum(w[problem.obstacle], 0.0)
+        w = problem.feasible(v + t * d)
         ew = energy(setup, w)
         if ew <= e0 + ARMIJO_SLOPE * t * slope + 1e-15 * max(1.0, abs(e0)):
             return w, ew, True
@@ -256,39 +267,92 @@ def checked_eps_schedule(eps_schedule):
     return eps_schedule
 
 
+def _levels(mesh):
+    """Hierarchy levels of the nested iteration, coarse to fine: from the
+    multigrid's coarsest to the mesh itself, which is the only level of a
+    mesh that keeps no coarse triangles."""
+    top = len(mesh.parents)
+    return range(min(MG_COARSEST, top) if mesh.level_triangles else top, top + 1)
+
+
+def _coarse_problem(problem, k):
+    """problem on hierarchy level k below its mesh: a transient TriMesh over
+    the first vertices and level k's kept triangles, which shares the
+    mesh's prolongations up to level k, with the same field, the first
+    values of g and the same obstacle kind."""
+    mesh = problem.setup.mesh
+    n = mesh.prolongations[k].shape[1]
+    coarse = TriMesh(mesh.vertices[:n], mesh.level_triangles[k],
+                     mesh.vertex_tags[:n], mesh.parents[:k])
+    coarse.prolongations = mesh.prolongations[:k]   # fills the cached property
+    return ObstacleProblem(EnergySetup(coarse, problem.setup.field),
+                           problem.g[:n], obstacle=problem.constrained)
+
+
 def solve(problem, tol, eps_schedule=None):
     """Minimize over the admissible set; returns (FeFunction, SolveReport).
 
+    A nested iteration over the mesh hierarchy: the first level runs the
+    whole eps schedule from the feasible start, and each finer level runs
+    only the last eps stage, from the coarser solution prolonged and made
+    feasible. Each coarse level is dropped once the next one starts.
     Feasibility is exact at every iterate: Dirichlet values pinned to g,
     obstacle values >= 0. The reported energy is evaluated at eps = 0; KKT
     residuals refer to the last continuation stage. A stage that stops
-    improving raises ConvergenceError with its best iterate as `best` and
-    the report, filled in from that iterate, as `info`.
+    improving, on any level, raises ConvergenceError with its best iterate,
+    prolonged to problem's mesh, as `best` and the report, filled in from
+    that iterate, as `info`.
     """
     tol = checked_tol(tol)
     eps_schedule = checked_eps_schedule(eps_schedule)
     t0 = time.perf_counter()
     report = SolveReport(eps_schedule=eps_schedule, tol=tol)
-    v = problem.feasible_start()
-    for stage, eps in enumerate(eps_schedule, 1):
-        v, free_res, comp, active, n_iter, cg_steps, converged = _solve_stage(
-            problem, v, eps, tol)
-        report.iterations.append(n_iter)
-        report.cg_steps.append(cg_steps)
+    mesh = problem.setup.mesh
+    levels = _levels(mesh)
+    for k in levels:
+        level = problem if k == levels[-1] else _coarse_problem(problem, k)
+        if k == levels[0]:
+            v, stages = level.feasible_start(), eps_schedule
+        else:
+            v = level.feasible(mesh.prolongations[k - 1] @ v)
+            stages = eps_schedule[-1:]
+        report.level_iterations.append(0)
+        report.level_cg_steps.append(0)
+        for eps in stages:
+            v, free_res, comp, active, n_iter, cg_steps, converged = _solve_stage(
+                level, v, eps, tol)
+            # a count per stage; finer levels add theirs to the last one
+            if k == levels[0]:
+                report.iterations.append(0)
+                report.cg_steps.append(0)
+            report.iterations[-1] += n_iter
+            report.cg_steps[-1] += cg_steps
+            report.level_iterations[-1] += n_iter
+            report.level_cg_steps[-1] += cg_steps
+            if not converged:
+                break
         if not converged:
             break
 
+    if not converged:
+        best = max(free_res, comp)
+        for P in mesh.prolongations[k:]:
+            v = P @ v
+        v = problem.feasible(v)
+        r = residual(problem.setup.with_epsilon(eps), v)
+        active, _, free_res, comp = _kkt(problem, v, r)
     report.energy = energy(problem.setup.with_epsilon(0.0), v)
     report.free_residual = free_res
     report.complementarity = comp
     exact_zero = problem.obstacle & (v == 0.0)
     report.active_set = np.flatnonzero(active | exact_zero)
     report.wall_time = time.perf_counter() - t0
-    u = FeFunction(problem.setup.mesh, v)
+    u = FeFunction(mesh, v)
     if not converged:
-        best = max(free_res, comp)
+        stage = eps_schedule.index(eps) + 1
         raise ConvergenceError(
             f"no residual decrease over {STAGNATION_WINDOW} iterations "
+            f"on level {k} ({levels.index(k) + 1} of {len(levels)}) "
             f"in eps stage {eps:g} ({stage} of {len(eps_schedule)}); "
             f"best KKT measure {best}", best=u, info=report)
     return u, report

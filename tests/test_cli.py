@@ -286,14 +286,14 @@ run = solve, reference
 
 
 # sha256 of the artifacts of an L4 solve, reference, freeze, holder run at
-# one BLAS thread, recorded with inexact Newton systems (solver.ETA_MAX);
-# refactors must leave every byte as it is
+# one BLAS thread, recorded with inexact Newton systems (solver.ETA_MAX)
+# nested over the mesh levels; refactors must leave every byte as it is
 PINNED_L4_SHA256 = {
     "mesh.txt": "1131b3cd05eddc5211f347ba432081588dfd545a03a781aa6f31dcb5cde927c9",
-    "u.txt": "f80f9a6fa9d76d43c78811dfff2c695987fd37f172076b1a56a4359a4c5a429b",
-    "w.txt": "43205ce2120682c32255b4622101e49ee61d2dc781e977ec51220f49a56f68d7",
-    "comparison.csv": "030e9fa19df0084300c4638fd3cd914de66732846c7b7b16e0e624d83f4fd937",
-    "holder.csv": "ea2efbf385ecec98e67d444cc21af6855a2d082bf9f26487fc23b0617743ec86",
+    "u.txt": "d807c3e39fc25b5c564ed6f19b6e71a51756aa84d58469a2f71ee2e29264bc29",
+    "w.txt": "b39d286a5abacb2b120efa23dcb367addf7327751f56a47280ec19969a9447df",
+    "comparison.csv": "c69953c23a1ab9cae017b5e715ed37c91798514ec571e53690a241b58c634d9c",
+    "holder.csv": "2d259d303d4f35892bbca94f939084c473cd384d8777c911514d338192026dcf",
 }
 
 
@@ -368,7 +368,8 @@ dir = %s
 
 
 def test_failed_step_is_named_and_summarized(tmp_path, capsys):
-    # at L4 the admissible scan radius holds fewer than 3 whole elements
+    # at L4 even the largest scan radius any M allows holds fewer than 3
+    # whole elements, so the scan's plan stops the run before any solve
     out = tmp_path / "fail"
     cfg = write_config(tmp_path / "fail.cfg", """\
 [exponent]
@@ -394,8 +395,38 @@ dir = %s
                    for line in (out / "summary.txt").read_text().splitlines())
     assert summary["failed_step"] == "scan"
     assert summary["experiments"] == "solve;reference;scan"
-    assert "M" in summary and "scan_radius" not in summary
-    assert not (out / "scan.csv").exists()
+    assert "M" not in summary and "scan_radius" not in summary
+    assert not (out / "u.txt").exists() and not (out / "scan.csv").exists()
+
+
+README_EXAMPLE = """\
+[exponent]
+family = sinusoidal
+coefficients = 2.0, 0.5, 3.141592653589793
+[mesh]
+level = {level}
+[boundary]
+preset = signorini32
+[experiments]
+run = solve, reference, freeze, scan, holder, verify
+[output]
+dir = {out}
+"""
+
+
+def test_readme_example_scan_below_level_8_starts_no_solve(tmp_path, capsys,
+                                                           monkeypatch):
+    # the default scan radius is at most 0.0060 for this field whatever M
+    # is, and at L7 that ball holds no whole element
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path / "r.cfg", README_EXAMPLE.format(
+        level=7, out=tmp_path / "o"))
+    assert main(["run", cfg]) == 2
+    assert calls == []
+    assert re.search(r"error: scan: ball selections are too coarse: about "
+                     r"\(0\.0, 0\.0\), radius 0\.0060\d+ holds 0 elements and "
+                     r"radius 0\.012\d+ holds 4;", capsys.readouterr().err)
 
 
 def test_loglog_svg_writes_plot(tmp_path):
@@ -604,6 +635,8 @@ def test_verify_subcommand_needs_a_trial(capsys, trials):
     ("verify", "gamma1 = 0.9", "need 1 < gamma1 <= gamma2"),
     ("scan", "sigma_grid = 0.1, 0.2", "sigma grid must have 0"),
     ("scan", "radius = 0.5", "3/4 ball"),
+    ("scan", "radius = 0.2", "exceeds the admissible radius 0.125 at M = 1"),
+    ("scan", "radius = 0.1", "ball selections are too coarse"),
     ("scan", "center = 0.1, 0.2", "thin line with |x1| <= 1/2"),
 ])
 def test_bad_radii_are_rejected_before_any_solve(tmp_path, capsys, section, line,
@@ -704,6 +737,12 @@ FREEZE_L3 = """
 center = 0, 0
 radii = 0.37, 0.35, 0.33
 """
+# the admissible radius at M = 1: the scan's plan passes at L3, since this
+# ball holds the 4 elements at the origin
+SCAN_L3 = """
+[scan]
+radius = 0.125
+"""
 FAKE_SCAN = SimpleNamespace(radius=0.05, sigma_grid=[0.0], c_sigma=[2.0],
                             sigma0=0.0, admissible_r=0.1, rh_radii=[],
                             rh_ratios=[])
@@ -720,7 +759,7 @@ BOUNDED_CONTRACTS = [
     ("frozen_energy_ordering", "freeze", FREEZE_L3, "comparison_decay",
      _changed(energy_sub_u=[0.0] * 3, energy_sub_u0=[1.0] * 3),
      "dugedu0_slack = -1 < -1e-10"),
-    ("c_at_sigma_zero", "scan", "", "higher_integrability_scan",
+    ("c_at_sigma_zero", "scan", SCAN_L3, "higher_integrability_scan",
      _returning(FAKE_SCAN), "c_zero = 2 > 1.000000001"),
     ("iteration_lemma", "verify", SMALL_VERIFY, "iteration_suite",
      _returning(-1.0), "iteration_worst_slack = -1 < 0.0"),
@@ -767,9 +806,9 @@ def test_verify_subcommand_reports_a_failed_check(capsys, monkeypatch):
 
 
 # summary.txt of an L3 solve, verify run named summary_pin, recorded with
-# inexact Newton systems at one BLAS thread
+# inexact Newton systems nested over the mesh levels at one BLAS thread
 PINNED_SOLVE_VERIFY_SUMMARY = \
-    "06ae2fa90ae40393d1c868a0a2cbc68f28fdd5299e2a5aa6b06d190c6173b531"
+    "6df246d8b6a6f20e743082e1f1779a266127e29c678b3b44d0cf3149ef03b88b"
 
 
 def test_solve_verify_summary_keeps_its_bytes(tmp_path):

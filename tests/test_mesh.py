@@ -271,6 +271,28 @@ def test_lazy_prolongations_equal_a_csr_construction(shape):
     assert n_fine == mesh.num_vertices
 
 
+@settings(max_examples=20, deadline=None)
+@given(hierarchies)
+def test_kept_level_triangles_are_the_coarser_builds(shape):
+    # level k is the mesh that k refinements (then grading rounds) build, on
+    # the first vertices of the finer mesh
+    level, grading = shape
+    mesh = build(level, grading)
+    assert len(mesh.level_triangles) == len(mesh.parents)
+    for k, triangles in enumerate(mesh.level_triangles):
+        coarse = build(min(k, level), max(0, k - level))
+        assert np.array_equal(triangles, coarse.triangles)
+        assert np.array_equal(mesh.vertices[:coarse.num_vertices], coarse.vertices)
+        assert np.array_equal(mesh.vertex_tags[:coarse.num_vertices], coarse.vertex_tags)
+
+
+def test_one_triangle_array_per_coarse_level():
+    mesh = build(2)
+    args = mesh.vertices, mesh.triangles, mesh.vertex_tags, mesh.parents
+    with pytest.raises(PreconditionError, match="one triangle array per coarse level"):
+        TriMesh(*args, mesh.level_triangles[:1])
+
+
 def test_a_hierarchy_that_does_not_chain_is_rejected():
     mesh = build(2, 1)
     args = mesh.vertices, mesh.triangles, mesh.vertex_tags
@@ -291,9 +313,10 @@ def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
     mesh = build(3)
     path = tmp_path / "m.txt"
     save_mesh(mesh, str(path))
-    assert load_mesh(str(path)).prolongations == ()
+    loaded = load_mesh(str(path))
+    assert loaded.prolongations == () and loaded.level_triangles == ()
     sub, _ = extract_halfball_submesh(mesh, (0.0, 0.0), 0.5)
-    assert sub.prolongations == ()
+    assert sub.prolongations == () and sub.level_triangles == ()
 
 
 def _loop_mesh_text(mesh):
