@@ -13,8 +13,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +20,13 @@ from .analysis import (MONO_GAMMA, checked_gammas, checked_scan_radius,
                        checked_sigma_grid, gradient_holder_fit,
                        higher_integrability_scan, iteration_suite,
                        monotonicity_check, scan_balls, theoretical_alpha)
-from .comparison import comparison_decay, reference_problem, reference_report
+from .comparison import build_reference, comparison_decay
 from .energy import EnergySetup
 from .errors import (ConfigError, ConvergenceError, FormatError,
                      PreconditionError, PxthinError, ResolutionError,
                      ResourceError, checked_trials)
 from .exponent import FAMILIES, ExponentField, checked_beta
-from .mesh import (ARC, TriMesh, build, checked_center, checked_grading,
+from .mesh import (ARC, build, checked_center, checked_grading,
                    checked_level, checked_radii, save_mesh)
 from .solver import (ObstacleProblem, checked_eps_schedule, checked_tol,
                      save_solution, solve, vi_check)
@@ -437,8 +435,7 @@ class _Run:
     """What the experiment steps of one run share: inputs, results so far,
     summary rows and contract checks."""
 
-    def __init__(self, config, config_dir, field, mesh, summary, experiments,
-                 pool):
+    def __init__(self, config, config_dir, field, mesh, summary):
         self.config = config
         self.config_dir = config_dir
         self.field = field
@@ -448,14 +445,11 @@ class _Run:
         self.eps_schedule = config["solver"]["eps_schedule"]
         self.seed = config["solver"]["seed"]
         self.summary = summary
-        self.experiments = experiments
-        self.pool = pool        # runs the reference solve beside the solve step
         self.checks_run = 0
         self.violations = []
         self.problem = None
         self.u = None
         self.solve_failed = False
-        self.pending_w = None   # Future of the reference solve
         self.w = None
         self.reference = None   # ReferenceReport: M, ordering, reflection
         self.decay = None       # DecayReport of the freeze step
@@ -516,8 +510,6 @@ def _run_rows(config, field, mesh, experiments):
 def _solve_step(run):
     g = boundary_values(run.config, run.mesh, run.config_dir)
     run.problem = ObstacleProblem(EnergySetup(run.mesh, run.field), g)
-    if "reference" in run.experiments:
-        _start_reference(run)
     detail = None
     try:
         run.u, report = solve(run.problem, run.tol, eps_schedule=run.eps_schedule)
@@ -554,23 +546,6 @@ def _solve_step(run):
     run.check_bound("vi_nonnegative", "vi_violation", max(0.0, -vi_min), 1e-8)
 
 
-def _start_reference(run):
-    """Submit the reference solve to the worker, to run beside the
-    constrained one.
-
-    w needs u only through min(u on Arc), and every solve pins u to g on
-    Arc bit for bit, so g gives the same reference problem. Every lazily
-    filled cache of the mesh is filled here first, so the two solves only
-    read shared state: from Python 3.12 a cached_property takes no lock.
-    Each solve builds its own coarse levels.
-    """
-    for name, attr in vars(TriMesh).items():
-        if isinstance(attr, cached_property):
-            getattr(run.mesh, name)
-    problem = reference_problem(run.problem, run.problem.g)
-    run.pending_w = run.pool.submit(solve, problem, run.tol, run.eps_schedule)
-
-
 def _write_comparison(run):
     # the reference step writes the summary row; freeze rewrites the file
     # with its radius rows in front
@@ -591,8 +566,8 @@ def _write_comparison(run):
 
 
 def _reference_step(run):
-    run.w, _ = run.pending_w.result()
-    ref = run.reference = reference_report(run.u, run.w, run.field)
+    run.w, ref = build_reference(run.u, run.problem, run.tol, run.eps_schedule)
+    run.reference = ref
     save_solution(run.w, run.mesh, run.path("w.txt"))
     arc = np.flatnonzero(run.mesh.vertex_tags == ARC)[0]
     run.summary.append(("m_used", _f17(run.w.values[arc])))
@@ -778,21 +753,17 @@ def run_command(config_path):
     # every plan before the first step
     work = ([(name, needs, plan) for name, needs, plan, _ in chosen if plan]
             + [(name, needs, step) for name, needs, _, step in chosen])
-    # the pool starts its one thread only when the solve step submits the
-    # reference solve; leaving the block waits for that thread
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        run = _Run(config, os.path.dirname(os.path.abspath(config_path)), field,
-                   mesh, _run_rows(config, field, mesh, experiments),
-                   experiments, pool)
-        for name, needs, step in work:
-            if run.solve_failed and needs:
-                continue    # nothing that consumes u runs on an unconverged solve
-            try:
-                step(run)
-            except PxthinError as exc:
-                run.write_summary(("failed_step", name))
-                print("error: %s: %s" % (name, exc), file=sys.stderr)
-                return 2
+    run = _Run(config, os.path.dirname(os.path.abspath(config_path)), field,
+               mesh, _run_rows(config, field, mesh, experiments))
+    for name, needs, step in work:
+        if run.solve_failed and needs:
+            continue    # nothing that consumes u runs on an unconverged solve
+        try:
+            step(run)
+        except PxthinError as exc:
+            run.write_summary(("failed_step", name))
+            print("error: %s: %s" % (name, exc), file=sys.stderr)
+            return 2
     run.write_summary()
     if config["output"]["plots"]:
         _plot_from_csvs(outdir)

@@ -41,12 +41,7 @@ class DecayReport:
 
 def reference_problem(problem, values):
     """The reference problem on problem's setup: no obstacle, Dirichlet data
-    0 on Thin and, on Arc, the constant m = min of `values` over Arc.
-
-    For u solving `problem`, reference_problem(problem, problem.g) is the
-    same problem as reference_problem(problem, u.values): every solve pins
-    u to g on Arc.
-    """
+    0 on Thin and, on Arc, the constant m = min of `values` over Arc."""
     arc = problem.arc
     if not arc.any():
         raise PreconditionError("mesh has no Arc vertices")

@@ -509,32 +509,43 @@ def save_mesh(mesh, path):
         f.write(text)
 
 
-def load_mesh(path):
+def _text_lines(path):
+    """(line number, text) of each non-blank line of a text artifact."""
     with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("m "):
-        raise FormatError(f"{path}: missing mesh header")
-    try:
-        _, nv_s, nt_s = lines[0].split()
-        nv, nt = int(nv_s), int(nt_s)
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad mesh header {lines[0]!r}") from exc
-    if len(lines) != 1 + nv + nt:
+        return [(number, ln.strip()) for number, ln in enumerate(f, start=1)
+                if ln.strip()]
+
+
+def _text_record(path, line, tag, convs):
+    """The fields of the line `tag f1 f2 ...`, each through its converter; a
+    line that does not parse is a FormatError naming the file and the line."""
+    number, text = line
+    parts = text.split()
+    if len(parts) == 1 + len(convs) and parts[0] == tag:
+        try:
+            return [conv(part) for conv, part in zip(convs, parts[1:])]
+        except (ValueError, KeyError):
+            pass
+    raise FormatError(f"{path} line {number}: expected '{tag}' and "
+                      f"{len(convs)} fields, got {text!r}")
+
+
+def load_mesh(path):
+    lines = _text_lines(path)
+    if not lines:
+        raise FormatError(f"{path}: empty mesh file")
+    nv, nt = _text_record(path, lines[0], "m", (int, int))
+    if min(nv, nt) < 0 or len(lines) != 1 + nv + nt:
         raise FormatError(f"{path}: expected {1 + nv + nt} lines, found {len(lines)}")
     verts = np.empty((nv, 2))
     tags = np.empty(nv, dtype=np.int8)
-    for i in range(nv):
-        parts = lines[1 + i].split()
-        if len(parts) != 4 or parts[0] != "v" or parts[3] not in _CHAR_TAG:
-            raise FormatError(f"{path}: bad vertex line {lines[1 + i]!r}")
-        verts[i] = (float(parts[1]), float(parts[2]))
-        tags[i] = _CHAR_TAG[parts[3]]
+    for i, line in enumerate(lines[1:1 + nv]):
+        x, y, tags[i] = _text_record(path, line, "v",
+                                     (float, float, _CHAR_TAG.__getitem__))
+        verts[i] = x, y
     tris = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        parts = lines[1 + nv + i].split()
-        if len(parts) != 4 or parts[0] != "t":
-            raise FormatError(f"{path}: bad triangle line {lines[1 + nv + i]!r}")
-        tris[i] = (int(parts[1]), int(parts[2]), int(parts[3]))
+    for i, line in enumerate(lines[1 + nv:]):
+        tris[i] = _text_record(path, line, "t", (int, int, int))
     try:
         return HalfDiskMesh(verts, tris, tags)
     except PreconditionError as exc:

@@ -17,7 +17,8 @@ import numpy as np
 from .energy import MAX_EPSILON, EnergySetup, energy, hessian, residual
 from .errors import (ConvergenceError, FormatError, PreconditionError,
                      checked_trials)
-from .mesh import ARC, THIN, TriMesh, mesh_hash, _text_rows
+from .mesh import (ARC, THIN, TriMesh, mesh_hash, _text_lines, _text_record,
+                   _text_rows)
 from .vxspace import FeFunction
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -400,22 +401,18 @@ def save_solution(u, mesh, path):
 
 
 def load_solution(path, mesh):
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("s "):
-        raise FormatError(f"{path}: missing solution header")
-    parts = lines[0].split()
-    if len(parts) != 3:
-        raise FormatError(f"{path}: bad solution header")
-    if parts[1] != mesh_hash(mesh):
+    lines = _text_lines(path)
+    if not lines:
+        raise FormatError(f"{path}: empty solution file")
+    digest, n = _text_record(path, lines[0], "s", (str, int))
+    if digest != mesh_hash(mesh):
         raise FormatError(f"{path}: solution was computed on a different mesh")
-    n = int(parts[2])
     if n != mesh.num_vertices or len(lines) != 1 + n:
         raise FormatError(f"{path}: wrong number of values")
     vals = np.empty(n)
-    for i in range(n):
-        p = lines[1 + i].split()
-        if len(p) != 3 or p[0] != "u" or int(p[1]) != i:
-            raise FormatError(f"{path}: bad value line {lines[1 + i]!r}")
-        vals[i] = float(p[2])
+    for i, line in enumerate(lines[1:]):
+        index, vals[i] = _text_record(path, line, "u", (int, float))
+        if index != i:
+            raise FormatError(f"{path} line {line[0]}: expected index {i}, "
+                              f"got {index}")
     return FeFunction(mesh, vals)

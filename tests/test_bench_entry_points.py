@@ -42,3 +42,4 @@ def test_trace_run_times_the_scan_after_the_run(tmp_path):
          "trace.json", "1")
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["metrics"]["analysis.scan_s"] > 0.0
+    assert trace["metrics"]["comparison.reference_s"] > 0.0

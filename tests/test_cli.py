@@ -6,14 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pxthin import (ConfigError, EnergySetup, ExponentField, NumericError,
-                    ObstacleProblem, build)
-from pxthin import cli
+from pxthin import ConfigError, NumericError, build
+from pxthin import cli, comparison
 from pxthin.cli import (_loglog_svg, boundary_values, main,
                         normalize_experiments, parse_config)
 
@@ -21,6 +21,22 @@ from pxthin.cli import (_loglog_svg, boundary_values, main,
 def write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The problems that runs solve, in order: "constrained" or "reference"."""
+    kinds = []
+
+    def counted(real):
+        def solve(problem, *args, **kwargs):
+            kinds.append("constrained" if problem.obstacle.any() else "reference")
+            return real(problem, *args, **kwargs)
+        return solve
+
+    for module in (cli, comparison):
+        monkeypatch.setattr(module, "solve", counted(module.solve))
+    return kinds
 
 
 BASE = """\
@@ -415,15 +431,13 @@ dir = {out}
 
 
 def test_readme_example_scan_below_level_8_starts_no_solve(tmp_path, capsys,
-                                                           monkeypatch):
+                                                           solves):
     # the default scan radius is at most 0.0060 for this field whatever M
     # is, and at L7 that ball holds no whole element
-    calls = []
-    monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
     cfg = write_config(tmp_path / "r.cfg", README_EXAMPLE.format(
         level=7, out=tmp_path / "o"))
     assert main(["run", cfg]) == 2
-    assert calls == []
+    assert solves == []
     assert re.search(r"error: scan: ball selections are too coarse: about "
                      r"\(0\.0, 0\.0\), radius 0\.0060\d+ holds 0 elements and "
                      r"radius 0\.012\d+ holds 4;", capsys.readouterr().err)
@@ -491,14 +505,11 @@ dir = {out}
 
 def test_reference_worker_error_is_named_after_the_solve(tmp_path, capsys,
                                                          monkeypatch):
-    constrained_solve = cli.solve
-
     def failing(problem, *args, **kwargs):
-        if not problem.obstacle.any():
-            raise NumericError("reference solve broke")
-        return constrained_solve(problem, *args, **kwargs)
+        raise NumericError("reference solve broke")
 
-    monkeypatch.setattr(cli, "solve", failing)
+    # build_reference reaches solve through its own module
+    monkeypatch.setattr(comparison, "solve", failing)
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "r.cfg", REFERENCE_RUN.format(
         p=2.0, scale=1.0, tol=1e-10, out=out))
@@ -512,7 +523,7 @@ def test_reference_worker_error_is_named_after_the_solve(tmp_path, capsys,
 
 
 def test_stagnated_solve_skips_the_reference_and_the_process_ends(tmp_path):
-    # p = 8 with data x10 stagnates; the worker's reference solve is dropped
+    # p = 8 with data x10 stagnates; no reference solve is started
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "s.cfg", REFERENCE_RUN.format(
         p=8.0, scale=10.0, tol=1e-14, out=out))
@@ -567,22 +578,18 @@ luxemburg_trials = 2
     assert done.stdout.splitlines()[-1] == "[[], [], [], []]"
 
 
-def test_reference_is_submitted_after_the_mesh_caches_are_filled():
-    mesh = build(3)
-    problem = ObstacleProblem(EnergySetup(mesh, ExponentField("constant", [2.0])),
-                              mesh.vertices[:, 1])
-    filled_at_submit = []
-
-    class Pool:
-        def submit(self, fn, *args):
-            filled_at_submit.append(
-                [name in vars(mesh) for name in ("p1_pattern", "prolongations")])
-
-    assert "p1_pattern" not in vars(mesh) and "prolongations" not in vars(mesh)
-    run = SimpleNamespace(mesh=mesh, problem=problem, tol=1e-10,
-                          eps_schedule=None, pool=Pool())
-    cli._start_reference(run)
-    assert filled_at_submit == [[True, True]]
+@pytest.mark.parametrize("p,scale,tol,status,kinds", [
+    (2.0, 1.0, 1e-10, 0, ["constrained", "reference"]),
+    (8.0, 10.0, 1e-14, 1, ["constrained"]),     # the solve stagnates
+], ids=["converged", "stagnated"])
+def test_the_reference_is_solved_after_the_solve_and_only_on_success(
+        tmp_path, solves, p, scale, tol, status, kinds):
+    threads = threading.enumerate()
+    cfg = write_config(tmp_path / "r.cfg", REFERENCE_RUN.format(
+        p=p, scale=scale, tol=tol, out=tmp_path / "out"))
+    assert main(["run", cfg]) == status
+    assert solves == kinds
+    assert threading.enumerate() == threads
 
 
 # ------------------------------------------------------- early rejections
@@ -715,12 +722,14 @@ def _returning(value):
 
 
 def _changed(**attrs):
-    """The real function, with attributes of its result overwritten."""
+    """The real function, with attributes of its result overwritten; of a
+    (w, report) result, of the report."""
     def patch(real):
         def changed(*args, **kwargs):
             result = real(*args, **kwargs)
+            report = result[1] if isinstance(result, tuple) else result
             for name, value in attrs.items():
-                setattr(result, name, value)
+                setattr(report, name, value)
             return result
         return changed
     return patch
@@ -752,9 +761,9 @@ FAKE_SCAN = SimpleNamespace(radius=0.05, sigma_grid=[0.0], c_sigma=[2.0],
 BOUNDED_CONTRACTS = [
     ("vi_nonnegative", "solve", "", "vi_check", _returning(-1.0),
      "vi_violation = 1 > 1e-08"),
-    ("ordering_u_ge_w", "reference", "", "reference_report",
+    ("ordering_u_ge_w", "reference", "", "build_reference",
      _changed(ordering_margin=-1.0), "ordering_margin = -1 < -1e-08"),
-    ("odd_reflection_residual", "reference", "", "reference_report",
+    ("odd_reflection_residual", "reference", "", "build_reference",
      _changed(reflect_residual=1.0), "reflect_residual = 1 > 1e-08"),
     ("frozen_energy_ordering", "freeze", FREEZE_L3, "comparison_decay",
      _changed(energy_sub_u=[0.0] * 3, energy_sub_u0=[1.0] * 3),

@@ -5,6 +5,8 @@ Expected numbers were frozen from independent closed forms where available
 a converged run so regressions are loud.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -250,6 +252,42 @@ def test_truncated_solution_file_rejected(tmp_path, mesh4, p2):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(FormatError):
         load_solution(str(path), mesh4)
+
+
+# a malformed number in each numeric field the two readers parse: the file,
+# the index of its line to corrupt, the field and its new text
+MALFORMED_NUMBERS = [
+    ("u.txt", 0, 2, "1.5"),         # the solution header's value count
+    ("u.txt", 1, 1, "x"),           # a value line's vertex index
+    ("u.txt", 2, 2, "1,5"),         # a value
+    ("mesh.txt", 1, 1, "1e"),       # a vertex coordinate
+    ("mesh.txt", -1, 3, "two"),     # a triangle's vertex index
+]
+
+
+@pytest.mark.parametrize("name,index,field,text", MALFORMED_NUMBERS,
+                         ids=["count", "u_index", "value", "coordinate",
+                              "triangle_index"])
+def test_malformed_numbers_name_the_file_and_the_line(tmp_path, name, index,
+                                                      field, text):
+    mesh = build(1)
+    save_mesh(mesh, str(tmp_path / "mesh.txt"))
+    save_solution(FeFunction(mesh, mesh.vertices[:, 1].copy()), mesh,
+                  str(tmp_path / "u.txt"))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    parts = lines[index].split()
+    parts[field] = text
+    lines[index] = " ".join(parts)
+    # a leading blank line: the readers skip it, and the numbers count it
+    path.write_text("\n" + "\n".join(lines) + "\n")
+    number = index % len(lines) + 2
+    with pytest.raises(FormatError, match="^%s line %d: " % (re.escape(str(path)),
+                                                            number)):
+        if name == "u.txt":
+            load_solution(str(path), mesh)
+        else:
+            load_mesh(str(path))
 
 
 def test_fe_function_data_accepted(mesh4, p2):
