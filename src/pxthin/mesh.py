@@ -54,17 +54,16 @@ class TriMesh:
     """Plain conforming triangle mesh; no domain assumption.
 
     Carries per-element signed areas and P1 hat-function gradients so
-    assembly code does not recompute geometry. `parents` is the refinement
-    hierarchy, coarse to fine: each level's vertices are the first ones of
-    the next, and parents[k] holds the ends (i, j) of the level-k edge that
-    each new vertex of level k + 1 halves, in the order of the new
-    vertices; the last level is this mesh. `level_triangles`, when given,
-    holds one triangle array per level but the last, coarse to fine, on
-    that level's vertices. A mesh made any other way has neither.
+    assembly code does not recompute geometry. A refined mesh keeps the
+    mesh it refines as `coarser`, whose vertices are its first ones, and
+    that refinement's `parents`: the ends (i, j) of the coarser edge that
+    each new vertex halves, in the order of the new vertices. Its
+    `hierarchy` is that chain, coarse to fine. A mesh made any other way
+    has no coarser mesh and is its own one-level hierarchy.
     """
 
-    def __init__(self, vertices, triangles, vertex_tags=None, parents=(),
-                 level_triangles=()):
+    def __init__(self, vertices, triangles, vertex_tags=None, coarser=None,
+                 parents=()):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -81,18 +80,17 @@ class TriMesh:
         self.vertex_tags = np.ascontiguousarray(vertex_tags, dtype=np.int8)
         if self.vertex_tags.shape != (nv,):
             raise PreconditionError("one tag per vertex required")
-        self.parents = tuple(np.asarray(p, dtype=np.int64) for p in parents)
-        n = nv - sum(len(p) for p in self.parents)      # level 0's vertices
-        for p in self.parents:
-            # a new vertex halves an edge of the level it refines
-            if n < 1 or p.ndim != 2 or p.shape[1] != 2 or (
-                    p.size and not 0 <= p.min() <= p.max() < n):
-                raise PreconditionError("prolongations do not chain to the mesh")
-            n += len(p)
-        self.level_triangles = tuple(np.asarray(t, dtype=np.int64)
-                                     for t in level_triangles)
-        if self.level_triangles and len(self.level_triangles) != len(self.parents):
-            raise PreconditionError("one triangle array per coarse level required")
+        self.coarser = coarser
+        self.parents = p = np.asarray(parents, dtype=np.int64)
+        # a new vertex halves an edge of the mesh it refines
+        if coarser is None:
+            chained = p.size == 0
+        else:
+            n = coarser.num_vertices
+            chained = n >= 1 and p.shape == (nv - n, 2) and (
+                p.size == 0 or 0 <= p.min() <= p.max() < n)
+        if not chained:
+            raise PreconditionError("prolongations do not chain to the mesh")
         self.digest = None      # mesh_hash, filled on first use
         # vxspace: read-only p at its report quadrature points, by repr(field)
         self.report_p = {}
@@ -124,17 +122,21 @@ class TriMesh:
         self.h_max = (float(np.sqrt(max((e * e).sum(axis=1).max() for e in (e1, e3, e2))))
                       if nt else 0.0)
 
+    @property
+    def hierarchy(self):
+        """The meshes of the refinement chain, coarse to fine, ending with
+        this one."""
+        return (() if self.coarser is None else self.coarser.hierarchy) + (self,)
+
     @cached_property
     def prolongations(self):
         """The P1 prolongations as CSR matrices, coarse to fine:
-        prolongations[k] takes level k to level k + 1. Built on first read,
-        so a run that never solves never imports scipy."""
-        n = self.num_vertices - sum(len(p) for p in self.parents)
-        out = []
-        for p in self.parents:
-            n += len(p)
-            out.append(_prolongation(p, n))
-        return tuple(out)
+        prolongations[k] takes hierarchy[k] to hierarchy[k + 1]. Built on
+        first read and shared with the coarser meshes, so a run that never
+        solves never imports scipy."""
+        if self.coarser is None:
+            return ()
+        return self.coarser.prolongations + (_prolongation(self.parents, self.num_vertices),)
 
     @cached_property
     def p1_pattern(self):
@@ -190,10 +192,8 @@ class TriMesh:
 class HalfDiskMesh(TriMesh):
     """TriMesh constrained to the closed half-disk, with boundary tags."""
 
-    def __init__(self, vertices, triangles, vertex_tags, parents=(),
-                 level_triangles=()):
-        super().__init__(vertices, triangles, vertex_tags, parents,
-                         level_triangles)
+    def __init__(self, vertices, triangles, vertex_tags, coarser=None, parents=()):
+        super().__init__(vertices, triangles, vertex_tags, coarser, parents)
         if not in_half_disk(self.vertices).all():
             raise PreconditionError("vertex outside the closed half-disk")
 
@@ -371,10 +371,12 @@ def build(level, grading=0):
     every refinement keeps boundary vertices on the arc. grading, a whole
     number >= 0, is the count of extra conforming bisection rounds of the
     elements touching the thin line. Each refinement and bisection round
-    keeps the earlier vertices in front and records its midpoint parents,
-    and the triangles it refined, on the mesh.
+    keeps the earlier vertices in front and records its midpoint parents;
+    the mesh of each round is linked as the next one's coarser mesh, over
+    the first vertices of the finest.
     """
     level = checked_level(level)
+    rounds = [_red_refine] * level + [_bisect_towards_thin] * checked_grading(grading)
     s = math.sqrt(0.5)
     vertices = np.array([
         (0.0, 0.0),
@@ -382,23 +384,21 @@ def build(level, grading=0):
     ])
     triangles = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)], dtype=np.int64)
 
-    hierarchy, coarse = [], []
-    for _ in range(level):
-        coarse.append(triangles)
-        vertices, triangles, parents = _red_refine(vertices, triangles)
-        hierarchy.append(parents)
-
-    for _ in range(checked_grading(grading)):
-        if 2 * len(vertices) > NODE_BUDGET:
+    chain, parents = [], ()     # (vertex count, triangles, parents) per round
+    for refine in rounds:
+        if refine is _bisect_towards_thin and 2 * len(vertices) > NODE_BUDGET:
             raise ResourceError("grading would exceed the node budget")
-        coarse.append(triangles)
-        vertices, triangles, parents = _bisect_towards_thin(vertices, triangles)
-        hierarchy.append(parents)
+        chain.append((len(vertices), triangles, parents))
+        vertices, triangles, parents = refine(vertices, triangles)
+    chain.append((len(vertices), triangles, parents))
 
     # snap rounding dust on the thin line to exactly zero
     vertices[on_thin_line(vertices), 1] = 0.0
-    return HalfDiskMesh(vertices, triangles, _tag_geometrically(vertices),
-                        hierarchy, coarse)
+    tags = _tag_geometrically(vertices)
+    mesh = None
+    for n, triangles, parents in chain:
+        mesh = HalfDiskMesh(vertices[:n], triangles, tags[:n], mesh, parents)
+    return mesh
 
 
 def ball_element_mask(mesh, center, radius):
@@ -516,6 +516,14 @@ def _text_lines(path):
                 if ln.strip()]
 
 
+def _finite(text):
+    """float(text), which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _text_record(path, line, tag, convs):
     """The fields of the line `tag f1 f2 ...`, each through its converter; a
     line that does not parse is a FormatError naming the file and the line."""
@@ -524,7 +532,7 @@ def _text_record(path, line, tag, convs):
     if len(parts) == 1 + len(convs) and parts[0] == tag:
         try:
             return [conv(part) for conv, part in zip(convs, parts[1:])]
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, OverflowError):
             pass
     raise FormatError(f"{path} line {number}: expected '{tag}' and "
                       f"{len(convs)} fields, got {text!r}")
@@ -541,11 +549,11 @@ def load_mesh(path):
     tags = np.empty(nv, dtype=np.int8)
     for i, line in enumerate(lines[1:1 + nv]):
         x, y, tags[i] = _text_record(path, line, "v",
-                                     (float, float, _CHAR_TAG.__getitem__))
+                                     (_finite, _finite, _CHAR_TAG.__getitem__))
         verts[i] = x, y
     tris = np.empty((nt, 3), dtype=np.int64)
     for i, line in enumerate(lines[1 + nv:]):
-        tris[i] = _text_record(path, line, "t", (int, int, int))
+        tris[i] = _text_record(path, line, "t", (np.int64,) * 3)
     try:
         return HalfDiskMesh(verts, tris, tags)
     except PreconditionError as exc:

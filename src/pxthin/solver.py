@@ -17,7 +17,7 @@ import numpy as np
 from .energy import MAX_EPSILON, EnergySetup, energy, hessian, residual
 from .errors import (ConvergenceError, FormatError, PreconditionError,
                      checked_trials)
-from .mesh import (ARC, THIN, TriMesh, mesh_hash, _text_lines, _text_record,
+from .mesh import (ARC, THIN, mesh_hash, _finite, _text_lines, _text_record,
                    _text_rows)
 from .vxspace import FeFunction
 
@@ -268,35 +268,13 @@ def checked_eps_schedule(eps_schedule):
     return eps_schedule
 
 
-def _levels(mesh):
-    """Hierarchy levels of the nested iteration, coarse to fine: from the
-    multigrid's coarsest to the mesh itself, which is the only level of a
-    mesh that keeps no coarse triangles."""
-    top = len(mesh.parents)
-    return range(min(MG_COARSEST, top) if mesh.level_triangles else top, top + 1)
-
-
-def _coarse_problem(problem, k):
-    """problem on hierarchy level k below its mesh: a transient TriMesh over
-    the first vertices and level k's kept triangles, which shares the
-    mesh's prolongations up to level k, with the same field, the first
-    values of g and the same obstacle kind."""
-    mesh = problem.setup.mesh
-    n = mesh.prolongations[k].shape[1]
-    coarse = TriMesh(mesh.vertices[:n], mesh.level_triangles[k],
-                     mesh.vertex_tags[:n], mesh.parents[:k])
-    coarse.prolongations = mesh.prolongations[:k]   # fills the cached property
-    return ObstacleProblem(EnergySetup(coarse, problem.setup.field),
-                           problem.g[:n], obstacle=problem.constrained)
-
-
 def solve(problem, tol, eps_schedule=None):
     """Minimize over the admissible set; returns (FeFunction, SolveReport).
 
-    A nested iteration over the mesh hierarchy: the first level runs the
-    whole eps schedule from the feasible start, and each finer level runs
-    only the last eps stage, from the coarser solution prolonged and made
-    feasible. Each coarse level is dropped once the next one starts.
+    A nested iteration over the mesh's hierarchy, from the multigrid's
+    coarsest level to the mesh: the first level runs the whole eps schedule
+    from the feasible start, and each finer level runs only the last eps
+    stage, from the coarser solution prolonged and made feasible.
     Feasibility is exact at every iterate: Dirichlet values pinned to g,
     obstacle values >= 0. The reported energy is evaluated at eps = 0; KKT
     residuals refer to the last continuation stage. A stage that stops
@@ -309,10 +287,15 @@ def solve(problem, tol, eps_schedule=None):
     t0 = time.perf_counter()
     report = SolveReport(eps_schedule=eps_schedule, tol=tol)
     mesh = problem.setup.mesh
-    levels = _levels(mesh)
-    for k in levels:
-        level = problem if k == levels[-1] else _coarse_problem(problem, k)
-        if k == levels[0]:
+    hierarchy = mesh.hierarchy
+    first = min(MG_COARSEST, len(hierarchy) - 1)
+    for k in range(first, len(hierarchy)):
+        # problem on level k: the same field, the first values of g and the
+        # same obstacle kind
+        level = problem if hierarchy[k] is mesh else ObstacleProblem(
+            EnergySetup(hierarchy[k], problem.setup.field),
+            problem.g[:hierarchy[k].num_vertices], obstacle=problem.constrained)
+        if k == first:
             v, stages = level.feasible_start(), eps_schedule
         else:
             v = level.feasible(mesh.prolongations[k - 1] @ v)
@@ -323,7 +306,7 @@ def solve(problem, tol, eps_schedule=None):
             v, free_res, comp, active, n_iter, cg_steps, converged = _solve_stage(
                 level, v, eps, tol)
             # a count per stage; finer levels add theirs to the last one
-            if k == levels[0]:
+            if k == first:
                 report.iterations.append(0)
                 report.cg_steps.append(0)
             report.iterations[-1] += n_iter
@@ -353,7 +336,7 @@ def solve(problem, tol, eps_schedule=None):
         stage = eps_schedule.index(eps) + 1
         raise ConvergenceError(
             f"no residual decrease over {STAGNATION_WINDOW} iterations "
-            f"on level {k} ({levels.index(k) + 1} of {len(levels)}) "
+            f"on level {k} ({k - first + 1} of {len(hierarchy) - first}) "
             f"in eps stage {eps:g} ({stage} of {len(eps_schedule)}); "
             f"best KKT measure {best}", best=u, info=report)
     return u, report
@@ -411,7 +394,7 @@ def load_solution(path, mesh):
         raise FormatError(f"{path}: wrong number of values")
     vals = np.empty(n)
     for i, line in enumerate(lines[1:]):
-        index, vals[i] = _text_record(path, line, "u", (int, float))
+        index, vals[i] = _text_record(path, line, "u", (int, _finite))
         if index != i:
             raise FormatError(f"{path} line {line[0]}: expected index {i}, "
                               f"got {index}")

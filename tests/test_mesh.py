@@ -255,56 +255,58 @@ def test_lazy_prolongations_equal_a_csr_construction(shape):
     # rows of level k + 1: identity on level k's vertices, then 1/2 on the
     # two ends of the edge each new vertex halves
     mesh = build(*shape)
-    assert "prolongations" not in vars(mesh)
-    n_fine = mesh.num_vertices - sum(len(p) for p in mesh.parents)
-    for P, parents in zip(mesh.prolongations, mesh.parents):
-        n_coarse, n_fine = n_fine, n_fine + len(parents)
+    assert all("prolongations" not in vars(m) for m in mesh.hierarchy)
+    assert len(mesh.prolongations) == len(mesh.hierarchy) - 1
+    for P, coarse, fine in zip(mesh.prolongations, mesh.hierarchy, mesh.hierarchy[1:]):
+        n_coarse, n_fine = coarse.num_vertices, fine.num_vertices
         rows = np.concatenate([np.arange(n_coarse),
                                np.repeat(np.arange(n_coarse, n_fine), 2)])
-        cols = np.concatenate([np.arange(n_coarse), parents.ravel()])
-        data = np.concatenate([np.ones(n_coarse), np.full(2 * len(parents), 0.5)])
+        cols = np.concatenate([np.arange(n_coarse), fine.parents.ravel()])
+        data = np.concatenate([np.ones(n_coarse), np.full(2 * len(fine.parents), 0.5)])
         want = sp.csr_matrix((data, (rows, cols)), shape=(n_fine, n_coarse))
         assert P.shape == want.shape
         assert np.array_equal(P.data, want.data)
         assert np.array_equal(P.indices, want.indices)
         assert np.array_equal(P.indptr, want.indptr)
-    assert n_fine == mesh.num_vertices
+        # each coarser mesh holds the first prolongations, the same objects
+        assert all(a is b for a, b in zip(fine.prolongations, mesh.prolongations))
 
 
 @settings(max_examples=20, deadline=None)
 @given(hierarchies)
-def test_kept_level_triangles_are_the_coarser_builds(shape):
+def test_hierarchy_levels_are_the_coarser_builds(shape):
     # level k is the mesh that k refinements (then grading rounds) build, on
     # the first vertices of the finer mesh
     level, grading = shape
     mesh = build(level, grading)
-    assert len(mesh.level_triangles) == len(mesh.parents)
-    for k, triangles in enumerate(mesh.level_triangles):
-        coarse = build(min(k, level), max(0, k - level))
-        assert np.array_equal(triangles, coarse.triangles)
-        assert np.array_equal(mesh.vertices[:coarse.num_vertices], coarse.vertices)
-        assert np.array_equal(mesh.vertex_tags[:coarse.num_vertices], coarse.vertex_tags)
-
-
-def test_one_triangle_array_per_coarse_level():
-    mesh = build(2)
-    args = mesh.vertices, mesh.triangles, mesh.vertex_tags, mesh.parents
-    with pytest.raises(PreconditionError, match="one triangle array per coarse level"):
-        TriMesh(*args, mesh.level_triangles[:1])
+    hierarchy = mesh.hierarchy
+    assert len(hierarchy) == level + grading + 1 and hierarchy[-1] is mesh
+    assert hierarchy[0].coarser is None
+    for k, coarse in enumerate(hierarchy):
+        want = build(min(k, level), max(0, k - level))
+        assert np.array_equal(coarse.vertices, want.vertices)
+        assert np.array_equal(coarse.triangles, want.triangles)
+        assert np.array_equal(coarse.vertex_tags, want.vertex_tags)
+        assert np.shares_memory(coarse.vertices, mesh.vertices)
+        if k + 1 < len(hierarchy):
+            assert hierarchy[k + 1].coarser is hierarchy[k]
 
 
 def test_a_hierarchy_that_does_not_chain_is_rejected():
     mesh = build(2, 1)
     args = mesh.vertices, mesh.triangles, mesh.vertex_tags
-    first, second, graded = mesh.parents
-    bad = [(first, second, graded, first),         # more new vertices than the mesh
-           (second, first, graded),                # a parent beyond its level
-           (first, second, graded.ravel()),        # not (new vertices, 2)
-           (first - 1, second, graded)]            # a negative parent
-    for parents in bad:
+    coarser, parents = mesh.coarser, mesh.parents
+    bad = [(coarser, parents[:-1]),                 # fewer parents than new vertices
+           (coarser.coarser, parents),              # more new vertices than parents
+           (coarser, parents + coarser.num_vertices),  # a parent beyond it
+           (coarser, parents.ravel()),              # not (new vertices, 2)
+           (coarser, parents.reshape(-1, 1)),
+           (coarser, parents - 1),                  # a negative parent
+           (None, parents)]                         # parents of no coarser mesh
+    for chain in bad:
         with pytest.raises(PreconditionError, match="do not chain"):
-            TriMesh(*args, parents)
-    same = TriMesh(*args, mesh.parents)
+            TriMesh(*args, *chain)
+    same = TriMesh(*args, coarser, parents)
     for P, Q in zip(same.prolongations, mesh.prolongations):
         assert (P != Q).nnz == 0
 
@@ -314,9 +316,11 @@ def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
     path = tmp_path / "m.txt"
     save_mesh(mesh, str(path))
     loaded = load_mesh(str(path))
-    assert loaded.prolongations == () and loaded.level_triangles == ()
     sub, _ = extract_halfball_submesh(mesh, (0.0, 0.0), 0.5)
-    assert sub.prolongations == () and sub.level_triangles == ()
+    disk, _ = reflect_full_disk(FeFunction(mesh, np.zeros(mesh.num_vertices)))
+    for flat in (loaded, sub, disk):
+        assert flat.coarser is None and flat.hierarchy == (flat,)
+        assert flat.prolongations == ()
 
 
 def _loop_mesh_text(mesh):

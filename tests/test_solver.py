@@ -18,10 +18,10 @@ from pxthin import (ConvergenceError, EnergySetup, ExponentField, FeFunction,
                     FormatError, ObstacleProblem, PreconditionError, build,
                     energy, hessian, load_mesh, load_solution, save_mesh,
                     save_solution, solve, vi_check)
-from pxthin import solver
+from pxthin import comparison, solver
 from pxthin.cli import boundary_values
 from pxthin.comparison import reference_problem
-from pxthin.mesh import INTERIOR, THIN
+from pxthin.mesh import INTERIOR, THIN, TriMesh
 from conftest import FAMILIES, g_signorini32
 
 
@@ -262,12 +262,17 @@ MALFORMED_NUMBERS = [
     ("u.txt", 2, 2, "1,5"),         # a value
     ("mesh.txt", 1, 1, "1e"),       # a vertex coordinate
     ("mesh.txt", -1, 3, "two"),     # a triangle's vertex index
+    ("mesh.txt", -1, 3, "1" + "0" * 30),   # an index beyond int64
+    ("u.txt", 2, 2, "nan"),         # values that are not finite
+    ("u.txt", 2, 2, "inf"),
+    ("u.txt", 2, 2, "1e999"),
 ]
 
 
 @pytest.mark.parametrize("name,index,field,text", MALFORMED_NUMBERS,
                          ids=["count", "u_index", "value", "coordinate",
-                              "triangle_index"])
+                              "triangle_index", "int64_overflow", "nan", "inf",
+                              "overflow"])
 def test_malformed_numbers_name_the_file_and_the_line(tmp_path, name, index,
                                                       field, text):
     mesh = build(1)
@@ -343,7 +348,7 @@ def test_nested_solve_agrees_with_the_plain_ladder(tmp_path_factory, level, fiel
     path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
     save_mesh(mesh, str(path))
     flat = load_mesh(str(path))
-    assert flat.prolongations == () and flat.level_triangles == ()
+    assert flat.coarser is None and flat.hierarchy == (flat,)
     boundary = {"preset": preset, "scale": 1.0, "offset": -0.5, "file": None}
     results = []
     for m in (mesh, flat):
@@ -358,6 +363,35 @@ def test_nested_solve_agrees_with_the_plain_ladder(tmp_path_factory, level, fiel
     assert np.array_equal(report.active_set, report_flat.active_set)
     assert report.energy == pytest.approx(report_flat.energy, rel=1e-12)
     assert np.abs(u.values - u_flat.values).max() <= 20 * 1e-10
+
+
+def test_solves_walk_the_mesh_hierarchy_and_build_no_mesh(monkeypatch, sin_field):
+    # the coarse levels are the meshes build linked, so their CSR patterns
+    # are built once and serve the constrained and the reference solve
+    mesh = build(5)
+    problem = ObstacleProblem(EnergySetup(mesh, sin_field), g_signorini32(mesh))
+    made = []
+    init = TriMesh.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        before = len(made)
+        result = solve(*args, **kwargs)
+        assert len(made) == before, "a solve constructed a mesh"
+        return result
+
+    monkeypatch.setattr(TriMesh, "__init__", counted_init)
+    monkeypatch.setattr(comparison, "solve", counted_solve)
+    u, report = counted_solve(problem, 1e-10)
+    coarse = mesh.hierarchy[solver.MG_COARSEST:-1]
+    assert len(report.level_iterations) == len(coarse) + 1
+    assert all("p1_pattern" in vars(m) for m in coarse)
+    patterns = [m.p1_pattern for m in coarse]
+    comparison.build_reference(u, problem)
+    assert all(m.p1_pattern is p for m, p in zip(coarse, patterns))
 
 
 @pytest.mark.parametrize("reference", [False, True])
