@@ -10,6 +10,7 @@ violated invariant is named on stderr), 2 configuration or I/O failure.
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -26,22 +27,16 @@ from .errors import (ConfigError, ConvergenceError, FormatError,
                      PreconditionError, PxthinError, ResolutionError,
                      ResourceError, checked_trials)
 from .exponent import FAMILIES, ExponentField, checked_beta
-from .mesh import (ARC, build, checked_center, checked_grading,
-                   checked_level, checked_radii, save_mesh)
+from .mesh import (ARC, _finite, _text_lines, _write_text, build,
+                   checked_center, checked_grading, checked_level,
+                   checked_radii, save_mesh)
 from .solver import (ObstacleProblem, checked_eps_schedule, checked_tol,
-                     save_solution, solve, vi_check)
+                     load_solution, save_solution, solve, vi_check)
 from .vxspace import checked_sigma, luxemburg_identity_checks
 
 _PRESETS = ("linear_xn", "signorini32", "offset_const", "custom")
 
 _REQUIRED = object()
-
-
-def _conv_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
 
 
 def _conv_int(text):
@@ -85,7 +80,7 @@ def _conv_floats(text):
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(p == "" for p in parts):
         raise ValueError("expected a comma separated list of numbers")
-    return [_conv_float(p) for p in parts]
+    return [_finite(p) for p in parts]
 
 
 def _conv_point(text):
@@ -131,21 +126,21 @@ _SCHEMA = {
     "exponent": {
         "family": (_choice(FAMILIES), _REQUIRED),
         "coefficients": (_conv_floats, _REQUIRED),
-        "beta": (_checked(checked_beta, _conv_float), 1.0),
-        "holder_seminorm": (_conv_float, None),
+        "beta": (_checked(checked_beta, _finite), 1.0),
+        "holder_seminorm": (_finite, None),
     },
     "mesh": {
         "level": (_checked(checked_level, _conv_int), _REQUIRED),
-        "grading": (_checked(checked_grading, _conv_float), 0),
+        "grading": (_checked(checked_grading, _finite), 0),
     },
     "boundary": {
         "preset": (_choice(_PRESETS), _REQUIRED),
-        "offset": (_conv_float, 1.0),
-        "scale": (_conv_float, 1.0),
+        "offset": (_finite, 1.0),
+        "scale": (_finite, 1.0),
         "file": (_conv_str, None),
     },
     "solver": {
-        "tol": (_checked(checked_tol, _conv_float), 1e-10),
+        "tol": (_checked(checked_tol, _finite), 1e-10),
         "eps_schedule": (_checked(checked_eps_schedule, _conv_floats), None),
         "seed": (_conv_seed, 0),
         "vi_trials": (_conv_trials, 100),
@@ -156,24 +151,24 @@ _SCHEMA = {
     "freeze": {
         "center": (_conv_point, [-0.35, 0.0]),
         "radii": (_conv_floats, [0.2, 0.1, 0.05]),
-        "sigma0": (_conv_float, 0.1),
+        "sigma0": (_finite, 0.1),
     },
     "scan": {
         "center": (_conv_point, [0.0, 0.0]),
-        "radius": (_conv_float, None),
+        "radius": (_finite, None),
         "sigma_grid": (_conv_floats, None),
     },
     "holder": {
         "centers": (_conv_points, [[0.0, 0.0]]),
         "radii": (_conv_floats, None),
-        "alpha0": (_conv_float, 0.5),
+        "alpha0": (_finite, 0.5),
     },
     "verify": {
         "iteration_trials": (_conv_trials, 10000),
         "monotonicity_trials": (_conv_trials, 100000),
         "luxemburg_trials": (_conv_trials, 100),
-        "gamma1": (_conv_float, MONO_GAMMA[0]),
-        "gamma2": (_conv_float, MONO_GAMMA[1]),
+        "gamma1": (_finite, MONO_GAMMA[0]),
+        "gamma2": (_finite, MONO_GAMMA[1]),
     },
     "output": {
         "dir": (_conv_str, _REQUIRED),
@@ -189,14 +184,13 @@ def parse_config(path):
     config["exponent"]["field"] is the ExponentField the section describes.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ConfigError("cannot read config %r: %s" % (path, exc))
+        lines = _text_lines(path)
+    except FormatError as exc:
+        raise ConfigError("cannot read config %s" % exc)
 
     raw = {}
     section = None
-    for number, line in enumerate(lines, start=1):
+    for number, line in lines:
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -278,16 +272,17 @@ def _join17(values):
     return ";".join(_f17(v) for v in values)
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, text.getvalue())
+
+
+def _csv_rows(path):
+    """The rows of a CSV file as dicts by its header."""
+    return list(csv.DictReader(line for _, line in _text_lines(path)))
 
 
 def boundary_values(config, mesh, config_dir):
@@ -308,44 +303,8 @@ def boundary_values(config, mesh, config_dir):
         path = section["file"]
         if not os.path.isabs(path):
             path = os.path.join(config_dir, path)
-        base = _read_nodal_file(path, mesh.num_vertices)
+        base = load_solution(path, mesh).values
     return scale * base
-
-
-def _read_nodal_file(path, num_vertices):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise FormatError("cannot read nodal file %r: %s" % (path, exc))
-    values = np.full(num_vertices, np.nan)
-    count = 0
-    for number, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise FormatError("%s line %d: expected '<index> <value>'" % (path, number))
-        try:
-            index = int(parts[0], 10)
-            value = float(parts[1])
-        except ValueError:
-            raise FormatError("%s line %d: expected '<index> <value>'" % (path, number))
-        if not 0 <= index < num_vertices:
-            raise FormatError("%s line %d: vertex index %d out of range [0, %d)"
-                              % (path, number, index, num_vertices))
-        if not math.isfinite(value):
-            raise FormatError("%s line %d: value is not finite" % (path, number))
-        if not math.isnan(values[index]):
-            raise FormatError("%s line %d: duplicate vertex index %d"
-                              % (path, number, index))
-        values[index] = value
-        count += 1
-    if count != num_vertices:
-        raise FormatError("%s: got %d nodal values, mesh has %d vertices"
-                          % (path, count, num_vertices))
-    return values
 
 
 def _loglog_svg(path, title, xs, ys, xlabel, ylabel):
@@ -402,16 +361,14 @@ def _plot_from_csvs(outdir):
     # plots are rebuilt from the emitted CSV data, never from in-memory state
     comparison = os.path.join(outdir, "comparison.csv")
     if os.path.exists(comparison):
-        with open(comparison, "r", encoding="utf-8", newline="") as handle:
-            rows = [r for r in csv.DictReader(handle) if r["kind"] == "radius"]
+        rows = [r for r in _csv_rows(comparison) if r["kind"] == "radius"]
         _loglog_svg(os.path.join(outdir, "decay.svg"),
                     "normalized frozen-exponent comparison error",
                     [float(r["radius"]) for r in rows],
                     [float(r["ratio"]) for r in rows], "radius", "normalized error")
     holder = os.path.join(outdir, "holder.csv")
     if os.path.exists(holder):
-        with open(holder, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
+        rows = _csv_rows(holder)
         # the profile of the first center only
         first = [r for r in rows if (r["center_x1"], r["center_x2"])
                  == (rows[0]["center_x1"], rows[0]["center_x2"])]
@@ -789,15 +746,12 @@ def report_command(directory):
     keys = set()
     for path in sorted(paths):
         pairs = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle.read().splitlines(), start=1):
-                if not raw.strip():
-                    continue
-                if "=" not in raw:
-                    raise FormatError("%s line %d: expected 'key = value'"
-                                      % (path, number))
-                key, value = raw.split("=", 1)
-                pairs[key.strip()] = value.strip()
+        for number, line in _text_lines(path):
+            if "=" not in line:
+                raise FormatError("%s line %d: expected 'key = value'"
+                                  % (path, number))
+            key, value = line.split("=", 1)
+            pairs[key.strip()] = value.strip()
         run_name = pairs.get("name") or \
             os.path.relpath(os.path.dirname(path), directory)
         runs.append((run_name, path, pairs))

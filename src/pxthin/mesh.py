@@ -5,6 +5,9 @@ boundary (dB1)+, including the corners (+-1, 0)), and Thin (the flat
 segment T1 where the unilateral constraint lives). Refinement is uniform
 red refinement with radial projection of new arc midpoints; optional
 grading adds bisection rounds of the elements touching T1.
+
+The module also holds the text reader and writer of every file pxthin
+reads or writes.
 """
 
 import hashlib
@@ -505,22 +508,33 @@ def mesh_hash(mesh):
 def save_mesh(mesh, path):
     text = mesh_text(mesh)
     _remember_digest(mesh, text)
-    with open(path, "w", encoding="ascii") as f:
+    _write_text(path, text)
+
+
+# the one writer and the one reader of every file pxthin touches: UTF-8,
+# with "\n" line ends
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
 
 
 def _text_lines(path):
-    """(line number, text) of each non-blank line of a text artifact."""
-    with open(path, "r", encoding="ascii") as f:
-        return [(number, ln.strip()) for number, ln in enumerate(f, start=1)
-                if ln.strip()]
+    """(line number, stripped text) of each non-blank line of a text file; a
+    file that cannot be opened or decoded is a FormatError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return [(number, ln.strip()) for number, ln in enumerate(f, start=1)
+                    if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _finite(text):
     """float(text), which must be finite."""
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(text)
+        raise ValueError("not a finite number")
     return value
 
 

@@ -18,7 +18,7 @@ from .energy import MAX_EPSILON, EnergySetup, energy, hessian, residual
 from .errors import (ConvergenceError, FormatError, PreconditionError,
                      checked_trials)
 from .mesh import (ARC, THIN, mesh_hash, _finite, _text_lines, _text_record,
-                   _text_rows)
+                   _text_rows, _write_text)
 from .vxspace import FeFunction
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -379,8 +379,7 @@ def solution_text(u, mesh):
 
 
 def save_solution(u, mesh, path):
-    with open(path, "w", encoding="ascii") as f:
-        f.write(solution_text(u, mesh))
+    _write_text(path, solution_text(u, mesh))
 
 
 def load_solution(path, mesh):

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pxthin import ConfigError, NumericError, build
+from pxthin import (ConfigError, FeFunction, NumericError, build, load_solution,
+                    save_solution)
 from pxthin import cli, comparison
 from pxthin.cli import (_loglog_svg, boundary_values, main,
                         normalize_experiments, parse_config)
@@ -153,17 +154,6 @@ def test_boundary_presets(tmp_path):
     assert np.all(boundary_values(cfg, mesh, str(tmp_path)) == 0.75)
 
 
-def test_custom_nodal_file(tmp_path):
-    mesh = build(3)
-    lines = [f"{i} {0.5}" for i in range(mesh.num_vertices)]
-    (tmp_path / "g.txt").write_text("\n".join(lines) + "\n")
-    cfg = parse_config(write_config(tmp_path / "a.cfg", BASE.format(
-        out=tmp_path / "o").replace("preset = signorini32",
-                                    "preset = custom\nfile = g.txt")))
-    g = boundary_values(cfg, mesh, str(tmp_path))
-    assert np.all(g == 0.5)
-
-
 # ----------------------------------------------------------------- commands
 
 @pytest.fixture(scope="module")
@@ -270,13 +260,68 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+def custom_config(tmp_path, data_path):
+    """A BASE config at level 3 whose arc data is the solution file data_path."""
+    return write_config(tmp_path / "c.cfg", BASE.format(out=tmp_path / "o").replace(
+        "preset = signorini32", "preset = custom\nfile = %s" % data_path))
+
+
+def test_custom_nodal_file(tmp_path, run_dir):
+    # a run's own u.txt, at the same level, is custom data g equal to u
+    u_path = run_dir / "u.txt"
+    mesh = build(3)
+    g = boundary_values(parse_config(custom_config(tmp_path, u_path)), mesh,
+                        str(tmp_path))
+    assert g.tobytes() == load_solution(str(u_path), mesh).values.tobytes()
+    save_solution(FeFunction(mesh, g), mesh, str(tmp_path / "g.txt"))
+    assert (tmp_path / "g.txt").read_bytes() == u_path.read_bytes()
+    # relative to the config's directory, and through a whole run
+    assert main(["run", custom_config(tmp_path, "g.txt")]) == 0
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    assert "preset_file = g.txt\n" in summary
+
+
 def test_custom_file_errors_exit_2(tmp_path, capsys):
-    out = tmp_path / "o"
-    text = BASE.format(out=out).replace(
-        "preset = signorini32", "preset = custom\nfile = g.txt")
-    cfg = write_config(tmp_path / "c.cfg", text)
-    (tmp_path / "g.txt").write_text("0 1.0\n0 2.0\n")
+    g = tmp_path / "g.txt"
+    cfg = custom_config(tmp_path, g)
+    # the old '<index> <value>' format is no solution file
+    mesh = build(3)
+    g.write_text("".join("%d 0.5\n" % i for i in range(mesh.num_vertices)))
     assert main(["run", cfg]) == 2
+    assert "%s line 1: " % g in capsys.readouterr().err
+    # a solution of another level or grading is on a different mesh
+    for other in (build(2), build(3, grading=1)):
+        save_solution(FeFunction(other, other.vertices[:, 1].copy()), other, str(g))
+        assert main(["run", cfg]) == 2
+        assert "different mesh" in capsys.readouterr().err
+
+
+# every input the CLI reads, as a file with one byte that is not UTF-8 or as
+# a path that does not exist: the CLI exits 2 with one diagnostic line naming
+# the file, so no traceback
+@pytest.mark.parametrize("case", ["undecodable", "missing"])
+@pytest.mark.parametrize("reader", ["config", "custom", "summary"])
+def test_unreadable_inputs_exit_2_naming_the_file(tmp_path, capsys, reader, case):
+    bad = tmp_path / "bad.txt"
+    if case == "undecodable":
+        bad.write_bytes(b"x = \xff\n")
+    named = bad
+    if reader == "config":
+        argv, prefix = ["run", str(bad)], "config error: cannot read config "
+    elif reader == "custom":
+        argv, prefix = ["run", custom_config(tmp_path, bad)], "error: solve: "
+    else:
+        named = tmp_path / "runs" / "a" / "summary.txt"
+        named.parent.mkdir(parents=True)
+        named.symlink_to(bad)
+        argv, prefix = ["report", str(tmp_path / "runs")], "error: "
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + str(named) + ": ")
+    assert len(err.splitlines()) == 1
+    if reader == "custom":
+        summary = (tmp_path / "o" / "summary.txt").read_text()
+        assert summary.endswith("failed_step = solve\n")
 
 
 def test_determinism_modulo_wall_time(tmp_path):

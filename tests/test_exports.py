@@ -1,4 +1,7 @@
-"""The package's export list: every name resolves and is listed once."""
+"""The package's surface: every export resolves and is listed once, and
+files are opened in one place."""
+
+import pathlib
 
 import pxthin
 
@@ -8,3 +11,11 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(pxthin, name)]
     assert missing == []
+
+
+def test_one_reader_and_one_writer_open_files():
+    # mesh._text_lines and mesh._write_text serve every file pxthin touches
+    source = pathlib.Path(pxthin.__file__).parent
+    counts = {path.name: path.read_text().count("open(")
+              for path in sorted(source.glob("*.py"))}
+    assert {name: n for name, n in counts.items() if n} == {"mesh.py": 2}

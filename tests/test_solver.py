@@ -295,6 +295,18 @@ def test_malformed_numbers_name_the_file_and_the_line(tmp_path, name, index,
             load_mesh(str(path))
 
 
+@pytest.mark.parametrize("case", ["undecodable", "missing"])
+def test_unreadable_files_are_format_errors_naming_the_file(tmp_path, case):
+    path = tmp_path / "in.txt"
+    if case == "undecodable":
+        path.write_bytes(b"m 0 \xff\n")
+    expected = "^%s: " % re.escape(str(path))
+    with pytest.raises(FormatError, match=expected):
+        load_mesh(str(path))
+    with pytest.raises(FormatError, match=expected):
+        load_solution(str(path), build(1))
+
+
 def test_fe_function_data_accepted(mesh4, p2):
     g = FeFunction(mesh4, mesh4.vertices[:, 1].copy())
     problem = ObstacleProblem(EnergySetup(mesh4, p2), g)
