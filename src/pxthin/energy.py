@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .mesh import quadrature_rule
+from .sparse import PatternMatrix
 from .vxspace import FeFunction
 
 ASSEMBLY_ORDER = 2      # the 3-point rule, whose points the sums below add
@@ -120,17 +121,15 @@ def _hessian_weights(setup, s):
 
 
 def hessian(setup, v):
-    """Generalized second variation as a CSR matrix; requires eps > 0.
+    """Generalized second variation as a PatternMatrix; requires eps > 0.
 
     Element tensor a [ I + (p-2) (Dv x Dv)/(|Dv|^2+eps^2) ]; symmetric by
     construction and positive definite for p > 1. Each element matrix is
     built from its upper triangle, since entry (j, i) is the same product
     as (i, j), and scattered in (t, i, j) order, the order of the cached
-    scatter map. The matrix shares its read-only index arrays with every
+    scatter map. The matrix shares its read-only pattern with every
     Hessian on the same mesh.
     """
-    import scipy.sparse as sp
-
     if setup.epsilon <= 0.0:
         raise PreconditionError("hessian requires a positive regularization epsilon")
     mesh = setup.mesh
@@ -143,7 +142,7 @@ def hessian(setup, v):
             K[:, i, j] = K[:, j, i] = (c1 * (hx[i] * hx[j] + hy[i] * hy[j])
                                        + c2 * (hg[i] * hg[j]))
 
-    indptr, indices, scatter = mesh.p1_pattern
-    data = np.bincount(scatter, weights=K.ravel(), minlength=len(indices))
-    n = mesh.num_vertices
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    pattern = mesh.p1_pattern
+    values = np.bincount(pattern.scatter, weights=K.ravel(),
+                         minlength=pattern.width * pattern.n)
+    return PatternMatrix(pattern, values.reshape(pattern.width, pattern.n))

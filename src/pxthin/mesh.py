@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (FormatError, PreconditionError, ResolutionError,
                      ResourceError)
+from .sparse import P1Pattern, Prolongation, galerkin_map
 
 INTERIOR = 0
 ARC = 1
@@ -62,7 +63,10 @@ class TriMesh:
     that refinement's `parents`: the ends (i, j) of the coarser edge that
     each new vertex halves, in the order of the new vertices. Its
     `hierarchy` is that chain, coarse to fine. A mesh made any other way
-    has no coarser mesh and is its own one-level hierarchy.
+    has no coarser mesh and is its own one-level hierarchy. A submesh (a
+    half-ball, or the part of a coarser mesh that holds one) keeps the mesh
+    it was cut from as `source`, with `vertex_map` giving each of its
+    vertices' index there.
     """
 
     def __init__(self, vertices, triangles, vertex_tags=None, coarser=None,
@@ -94,6 +98,8 @@ class TriMesh:
                 p.size == 0 or 0 <= p.min() <= p.max() < n)
         if not chained:
             raise PreconditionError("prolongations do not chain to the mesh")
+        self.source = None
+        self.vertex_map = None
         self.digest = None      # mesh_hash, filled on first use
         # vxspace: read-only p at its report quadrature points, by repr(field)
         self.report_p = {}
@@ -132,44 +138,60 @@ class TriMesh:
         return (() if self.coarser is None else self.coarser.hierarchy) + (self,)
 
     @cached_property
-    def prolongations(self):
-        """The P1 prolongations as CSR matrices, coarse to fine:
-        prolongations[k] takes hierarchy[k] to hierarchy[k + 1]. Built on
-        first read and shared with the coarser meshes, so a run that never
-        solves never imports scipy."""
+    def below(self):
+        """The next coarser mesh of this mesh's multigrid V-cycle: `coarser`,
+        or for a submesh the part of its source's coarser mesh that holds
+        it, cut as a submesh of that mesh."""
+        if self.source is None or self.source.coarser is None:
+            return self.coarser
+        coarse = self.source.coarser
+        # a refinement puts each new vertex on an edge of the triangle it
+        # splits, so the ends of a triangle's vertices are the three corners
+        # of the coarse triangle that holds it
+        nt = self.num_triangles
+        ends = np.sort(self._source_ends[self.triangles].reshape(nt, 6), axis=1)
+        corners = np.concatenate(
+            [ends[:, :1], ends[:, 1:][np.diff(ends, axis=1) != 0].reshape(nt, 2)], axis=1)
+        corners = np.unique(corners, axis=0)
+        p0, p1, p2 = (coarse.vertices[corners[:, k]] for k in range(3))
+        clockwise = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+                     - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])) < 0.0
+        corners[clockwise] = corners[clockwise][:, ::-1]
+        used, triangles = _renumbered(corners, coarse.num_vertices)
+        cut = TriMesh(coarse.vertices[used], triangles, coarse.vertex_tags[used])
+        cut.source, cut.vertex_map = coarse, used
+        return cut
+
+    @property
+    def _source_ends(self):
+        """The prolongation ends of this submesh's vertices in its source."""
+        return self.source.prolongation.ends[self.vertex_map]
+
+    @cached_property
+    def prolongation(self):
+        """The Prolongation onto this mesh from `below`, None without it. A
+        submesh takes its source's rows at its vertices."""
+        if self.source is not None:
+            if self.below is None:
+                return None
+            local = np.empty(self.source.coarser.num_vertices, dtype=np.int64)
+            local[self.below.vertex_map] = np.arange(self.below.num_vertices)
+            return Prolongation(local[self._source_ends], self.below.num_vertices)
         if self.coarser is None:
-            return ()
-        return self.coarser.prolongations + (_prolongation(self.parents, self.num_vertices),)
+            return None
+        n = self.coarser.num_vertices
+        copies = np.repeat(np.arange(n), 2).reshape(n, 2)
+        return Prolongation(np.concatenate([copies, self.parents]), n)
 
     @cached_property
     def p1_pattern(self):
-        """CSR pattern (indptr, indices) of the P1 stiffness matrix, and the
-        scatter map taking element entry (t, i, j), flattened in that order,
-        to its position in the CSR data."""
-        n = self.num_vertices
-        tri = self.triangles
-        # key row * n + col of entry (t, i, j), sorted once; the scatter map
-        # is each entry's rank among the distinct keys, np.unique's inverse,
-        # built in the sorted keys' buffer instead of further copies
-        ranks = (tri[:, :, None] * n + tri[:, None, :]).ravel()
-        order = ranks.argsort()
-        ranks = ranks[order]
-        first = np.empty(len(ranks), dtype=bool)
-        first[:1] = True
-        np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
-        keys = ranks[first]
-        np.cumsum(first, out=ranks)
-        ranks -= 1
-        scatter = np.empty_like(order)
-        scatter[order] = ranks
-        del order, ranks
-        # the index type scipy would pick, so matrices share these arrays
-        index = np.int32 if len(keys) < 2 ** 31 else np.int64
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-        pattern = indptr.astype(index), (keys % n).astype(index), scatter
-        for a in pattern:
-            a.flags.writeable = False   # shared by every hessian() matrix
-        return pattern
+        """The P1Pattern of the stiffness matrix, shared by every hessian()."""
+        return P1Pattern(self.triangles, self.num_vertices)
+
+    @cached_property
+    def coarse_map(self):
+        """galerkin_map of this mesh's pattern onto the pattern of `below`."""
+        return galerkin_map(self.p1_pattern, self.prolongation, self.below.p1_pattern)
 
     @property
     def num_vertices(self):
@@ -267,21 +289,6 @@ def _red_refine(vertices, triangles):
     new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
                         axis=1).reshape(-1, 3)
     return np.concatenate([vertices, mid]), new_tris, parents
-
-
-def _prolongation(parents, n_fine):
-    """P1 prolongation (n_fine, n_coarse) as CSR: identity on the coarse
-    vertices, which come first, and weights 1/2, 1/2 on the ends of the
-    edge each new vertex halves."""
-    import scipy.sparse as sp
-
-    n_new = len(parents)
-    n_coarse = n_fine - n_new
-    indptr = np.concatenate([np.arange(n_coarse + 1),
-                             n_coarse + 2 * np.arange(1, n_new + 1)])
-    indices = np.concatenate([np.arange(n_coarse), parents.ravel()])
-    data = np.concatenate([np.ones(n_coarse), np.full(2 * n_new, 0.5)])
-    return sp.csr_matrix((data, indices, indptr), shape=(n_fine, n_coarse))
 
 
 def _bisect_towards_thin(vertices, triangles):
@@ -442,12 +449,23 @@ def checked_radii(radii, count, center=None, h_max=0.0):
     return radii
 
 
+def _renumbered(triangles, n):
+    """(used, local): the sorted indices of the vertices, out of n, that the
+    triangles use, and the triangles over those vertices."""
+    used = np.unique(triangles)
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return used, remap[triangles]
+
+
 def extract_halfball_submesh(mesh, center, radius):
     """Submesh of triangles fully inside the closed half-ball, plus vertex map.
 
     Re-tags for the local obstacle problem: vertices on the thin line stay
     Thin, all other submesh-boundary vertices become Arc (Dirichlet).
-    Returns (submesh, vertex_map) with vertex_map[new_index] = old_index.
+    Returns (submesh, vertex_map) with vertex_map[new_index] = old_index;
+    the submesh keeps both as its source, so its multigrid V-cycle steps to
+    the part of the source's coarser mesh that holds it.
     """
     center = checked_center(center)
     [radius] = checked_radii([radius], 1, h_max=mesh.h_max)
@@ -457,11 +475,7 @@ def extract_halfball_submesh(mesh, center, radius):
         raise ResolutionError(
             f"only {int(t_in.sum())} triangles inside the half-ball; mesh too coarse")
 
-    tris_old = mesh.triangles[t_in]
-    used = np.unique(tris_old)
-    remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    sub_tris = remap[tris_old]
+    used, sub_tris = _renumbered(mesh.triangles[t_in], mesh.num_vertices)
     sub_verts = mesh.vertices[used]
 
     edges = np.concatenate([sub_tris[:, [0, 1]], sub_tris[:, [1, 2]], sub_tris[:, [2, 0]]])
@@ -474,7 +488,9 @@ def extract_halfball_submesh(mesh, center, radius):
     on_thin = on_thin_line(sub_verts)
     tags[on_thin] = THIN
     tags[boundary_vertex & ~on_thin] = ARC
-    return HalfDiskMesh(sub_verts, sub_tris, tags), used
+    submesh = HalfDiskMesh(sub_verts, sub_tris, tags)
+    submesh.source, submesh.vertex_map = mesh, used
+    return submesh, used
 
 
 def _text_rows(fmt, *columns):

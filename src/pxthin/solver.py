@@ -9,6 +9,7 @@ stage, and each finer level runs only the last one, from the prolonged
 coarser solution.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -16,9 +17,10 @@ import numpy as np
 
 from .energy import MAX_EPSILON, EnergySetup, energy, hessian, residual
 from .errors import (ConvergenceError, FormatError, PreconditionError,
-                     checked_trials)
+                     ResourceError, checked_trials)
 from .mesh import (ARC, THIN, mesh_hash, _finite, _text_lines, _text_record,
                    _text_rows, _write_text)
+from .sparse import galerkin
 from .vxspace import FeFunction
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -26,10 +28,14 @@ ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 40
 STAGNATION_WINDOW = 200
 # Newton systems: CG preconditioned by one V-cycle over the mesh hierarchy,
-# down to the mesh after MG_COARSEST refinements, which is factorized
+# down to the mesh after MG_COARSEST refinements, whose block is solved
+# densely. A mesh with no coarser mesh is solved densely as a whole, up to
+# DENSE_MAX free vertices: a 50 MB block at that size, whose LU takes
+# 0.35-0.39 s per CG step with one OpenBLAS thread on a 2-core x86-64 host.
 MG_COARSEST = 2
 MG_OMEGA = 0.6          # damped Jacobi weight
 MG_SWEEPS = 2           # pre- and post-smoothing sweeps
+DENSE_MAX = 2500
 # Inexact Newton (Eisenstat & Walker 1996): each system is solved to the
 # relative tolerance max(CG_RTOL, min(ETA_MAX, measure / first)), where
 # measure is the current KKT measure and first is the stage's first one
@@ -100,80 +106,132 @@ def _kkt(problem, v, r):
 
 
 def _line_search(setup, problem, v, d, r, e0):
-    slope = float(r @ d)
+    """Backtracking along the projected arc t -> feasible(v + t d), with the
+    Armijo test on the step actually taken (Bertsekas 1982): where the
+    obstacle clamps a component, it adds nothing to the predicted decrease."""
     t = 1.0
     for _ in range(MAX_HALVINGS):
         w = problem.feasible(v + t * d)
         ew = energy(setup, w)
-        if ew <= e0 + ARMIJO_SLOPE * t * slope + 1e-15 * max(1.0, abs(e0)):
+        if ew <= e0 + ARMIJO_SLOPE * float(r @ (w - v)) + 1e-15 * max(1.0, abs(e0)):
             return w, ew, True
         t *= 0.5
     return v, e0, False
 
 
-def _multigrid_levels(H, free, prolongations):
+def _v_cycle_meshes(mesh):
+    """mesh and the meshes below it in its V-cycle, fine to coarse, down to
+    the one at MG_COARSEST refinements (those of its source, for a
+    submesh); just mesh when it has no `below`."""
+    meshes = [mesh]
+    while (len((meshes[-1].source or meshes[-1]).hierarchy) > MG_COARSEST + 1
+           and meshes[-1].below is not None):
+        meshes.append(meshes[-1].below)
+    return meshes
+
+
+def _multigrid_levels(H, free, mesh):
     """Level operators for the free block of H, finest first.
 
-    Level 0 is H restricted to the free vertices. Each coarser level keeps
-    the coarse vertices whose fine counterpart is kept (so Dirichlet and
-    active vertices are truncated on every level), takes the prolongation
-    restricted to kept rows and columns, and the Galerkin operator P^T A P.
-    Returns ([(A, MG_OMEGA * (1/diag A), P, P^T), ...], coarsest
-    operator). The smoother weight is formed in that order: MG_OMEGA /
-    diag A rounds differently.
+    Level 0 is H with the free vertices kept. Each coarser level keeps the
+    coarse vertices whose own fine vertex is kept (so Dirichlet and active
+    vertices are truncated on every level, and so are coarse vertices
+    outside a submesh) and takes the truncated Galerkin operator P^T A P.
+    Vectors of a level have one entry per vertex and vanish off the kept
+    ones. Returns ([(A, MG_OMEGA * (1/diag A), kept, P, coarse kept), ...],
+    the coarsest kept block as a dense array, its kept flags). The smoother
+    weight is formed in that order: MG_OMEGA / diag A rounds differently.
     """
-    kept = np.flatnonzero(free)
-    A = H[kept][:, kept]
+    meshes = _v_cycle_meshes(mesh)
+    A, kept = H, free
     levels = []
-    for P in reversed(prolongations[MG_COARSEST:]):
-        kept_coarse = kept[kept < P.shape[1]]
-        P = P[kept][:, kept_coarse]
-        PT = P.T.tocsr()
-        levels.append((A, MG_OMEGA * (1.0 / A.diagonal()), P, PT))
-        A = PT @ (A @ P)
+    for fine, coarse in zip(meshes, meshes[1:]):
+        P = fine.prolongation
+        wdinv = np.zeros(len(kept))
+        wdinv[kept] = MG_OMEGA * (1.0 / A.diagonal()[kept])
+        kept_coarse = P.coarse_kept(kept)
+        levels.append((A, wdinv, kept, P, kept_coarse))
+        A = galerkin(A, kept, P, fine.coarse_map, coarse.p1_pattern)
         kept = kept_coarse
-    return levels, A
+    return levels, A.dense(kept), kept
 
 
-def _v_cycle(levels, coarse_solve, b):
-    """One symmetric V-cycle with damped Jacobi smoothing, as a loop."""
+def _v_cycle(levels, coarse, coarse_kept, b):
+    """One symmetric V-cycle with damped Jacobi smoothing, as a loop, down
+    to a dense solve of the coarsest kept block."""
     down = []
-    for A, wdinv, _, PT in levels:
+    for A, wdinv, kept, P, kept_coarse in levels:
         x = wdinv * b
         for _ in range(MG_SWEEPS - 1):
             x += wdinv * (b - A @ x)
         down.append((x, b))
-        b = PT @ (b - A @ x)
-    x = coarse_solve(b)
-    for (A, wdinv, P, _), (x_fine, b) in zip(reversed(levels), reversed(down)):
-        x = x_fine + P @ x
+        b = P.restrict(kept * (b - A @ x)) * kept_coarse
+    x = np.zeros_like(b)
+    x[coarse_kept] = np.linalg.solve(coarse, b[coarse_kept])
+    for (A, wdinv, kept, P, _), (x_fine, b) in zip(reversed(levels), reversed(down)):
+        x = x_fine + kept * (P @ x)
         for _ in range(MG_SWEEPS):
             x += wdinv * (b - A @ x)
     return x
 
 
-def _free_solve(H, free, rhs, prolongations, rtol=CG_RTOL, callback=None):
+def _cg(A, M, b, rtol, callback):
+    """Preconditioned CG from 0, step for step as `scipy.sparse.linalg.cg`:
+    it stops once |r| < rtol |b|, calls callback after each step, and gives
+    None after CG_MAXITER steps."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    if bnorm == 0.0:
+        return x
+    atol = rtol * float(bnorm)
+    r = b.copy()
+    for iteration in range(CG_MAXITER):
+        if np.linalg.norm(r) < atol:
+            return x
+        z = M(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return None
+
+
+def _free_solve(H, free, rhs, mesh, rtol=CG_RTOL, callback=None):
     """Solve H[free, free] x = rhs to the relative residual rtol; None when
     CG does not converge or the coarsest operator is singular. callback is
-    called after each CG step, as by `scipy.sparse.linalg.cg`.
+    called after each CG step.
 
-    A mesh without a hierarchy has one level, so the preconditioner is the
-    direct factorization and CG ends after one or two steps.
+    The preconditioner is one V-cycle over mesh's multigrid levels. A mesh
+    without a coarser level is its own coarsest level, so the preconditioner
+    is a dense solve and CG ends after one or two steps.
     """
-    import scipy.sparse.linalg as spla
+    levels, coarse, coarse_kept = _multigrid_levels(H, free, mesh)
+    index = np.flatnonzero(free)
+    full = np.zeros(len(free))
 
-    levels, coarse = _multigrid_levels(H, free, prolongations)
+    def on_free(apply):
+        """apply, which takes and gives one entry per vertex, on the free ones."""
+        def applied(x):
+            full[index] = x
+            return apply(full)[index]
+        return applied
+
     try:
-        coarse_solve = spla.splu(coarse.tocsc()).solve
-    except RuntimeError:        # exactly singular
+        x = _cg(on_free(H.__matmul__),
+                on_free(functools.partial(_v_cycle, levels, coarse, coarse_kept)),
+                rhs, rtol, callback)
+    except np.linalg.LinAlgError:       # exactly singular
         return None
-    n = len(rhs)
-    precond = spla.LinearOperator(
-        (n, n), matvec=lambda b: _v_cycle(levels, coarse_solve, b), dtype=float)
-    A = levels[0][0] if levels else coarse
-    x, info = spla.cg(A, rhs, rtol=rtol, maxiter=CG_MAXITER, M=precond,
-                      callback=callback)
-    if info != 0 or not np.all(np.isfinite(x)):
+    if x is None or not np.all(np.isfinite(x)):
         return None
     return x
 
@@ -221,7 +279,7 @@ def _solve_stage(problem, v, eps, tol):
         newton_ok = bool(free.any())
         if newton_ok:
             rtol = max(CG_RTOL, min(ETA_MAX, measure / first))
-            df = _free_solve(H, free, -(r + H @ d)[free], setup.mesh.prolongations,
+            df = _free_solve(H, free, -(r + H @ d)[free], setup.mesh,
                              rtol=rtol, callback=count_cg_step)
             if df is None:
                 newton_ok = False
@@ -280,13 +338,21 @@ def solve(problem, tol, eps_schedule=None):
     residuals refer to the last continuation stage. A stage that stops
     improving, on any level, raises ConvergenceError with its best iterate,
     prolonged to problem's mesh, as `best` and the report, filled in from
-    that iterate, as `info`.
+    that iterate, as `info`. A mesh with no `below` is solved densely, so
+    with more than DENSE_MAX free vertices it raises ResourceError before
+    any Newton system.
     """
     tol = checked_tol(tol)
     eps_schedule = checked_eps_schedule(eps_schedule)
+    mesh = problem.setup.mesh
+    if mesh.below is None:
+        free = int(np.count_nonzero(~problem.dirichlet))
+        if free > DENSE_MAX:
+            raise ResourceError(
+                f"a mesh with no coarser mesh is solved densely, which allows at "
+                f"most {DENSE_MAX} free vertices; this one has {free}")
     t0 = time.perf_counter()
     report = SolveReport(eps_schedule=eps_schedule, tol=tol)
-    mesh = problem.setup.mesh
     hierarchy = mesh.hierarchy
     first = min(MG_COARSEST, len(hierarchy) - 1)
     for k in range(first, len(hierarchy)):
@@ -298,7 +364,7 @@ def solve(problem, tol, eps_schedule=None):
         if k == first:
             v, stages = level.feasible_start(), eps_schedule
         else:
-            v = level.feasible(mesh.prolongations[k - 1] @ v)
+            v = level.feasible(hierarchy[k].prolongation @ v)
             stages = eps_schedule[-1:]
         report.level_iterations.append(0)
         report.level_cg_steps.append(0)
@@ -320,8 +386,8 @@ def solve(problem, tol, eps_schedule=None):
 
     if not converged:
         best = max(free_res, comp)
-        for P in mesh.prolongations[k:]:
-            v = P @ v
+        for finer in hierarchy[k + 1:]:
+            v = finer.prolongation @ v
         v = problem.feasible(v)
         r = residual(problem.setup.with_epsilon(eps), v)
         active, _, free_res, comp = _kkt(problem, v, r)

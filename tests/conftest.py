@@ -39,6 +39,23 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+def csr(matrix):
+    """scipy CSR copy of a hessian() PatternMatrix or of a Prolongation, the
+    oracle the tests compare pxthin's numpy kernels with."""
+    import scipy.sparse as sp
+
+    if hasattr(matrix, "pattern"):
+        rows, cols, pos = matrix.pattern.entries()
+        n = matrix.pattern.n
+        return sp.csr_matrix((matrix.values.ravel()[pos], (rows, cols)), shape=(n, n))
+    n_fine, n_coarse = matrix.shape
+    rows = np.repeat(np.arange(n_fine), 2)
+    keep = matrix.weights.ravel() != 0.0
+    return sp.csr_matrix((matrix.weights.ravel()[keep],
+                          (rows[keep], matrix.ends.ravel()[keep])),
+                         shape=(n_fine, n_coarse))
+
+
 def g_signorini32(mesh):
     # arc data r^{3/2} cos(3 theta / 2); vanishing normal trace at theta = pi
     x = mesh.vertices

@@ -348,13 +348,15 @@ run = solve, reference
 
 # sha256 of the artifacts of an L4 solve, reference, freeze, holder run at
 # one BLAS thread, recorded with inexact Newton systems (solver.ETA_MAX)
-# nested over the mesh levels; refactors must leave every byte as it is
+# nested over the mesh levels, on the numpy Galerkin operators and dense
+# coarse solves (the same at two BLAS threads); refactors must leave every
+# byte as it is
 PINNED_L4_SHA256 = {
     "mesh.txt": "1131b3cd05eddc5211f347ba432081588dfd545a03a781aa6f31dcb5cde927c9",
-    "u.txt": "d807c3e39fc25b5c564ed6f19b6e71a51756aa84d58469a2f71ee2e29264bc29",
-    "w.txt": "b39d286a5abacb2b120efa23dcb367addf7327751f56a47280ec19969a9447df",
-    "comparison.csv": "c69953c23a1ab9cae017b5e715ed37c91798514ec571e53690a241b58c634d9c",
-    "holder.csv": "2d259d303d4f35892bbca94f939084c473cd384d8777c911514d338192026dcf",
+    "u.txt": "6c6ce26aa61ae71f4e2d96a23b18681e1a567de3d10fe126d8a45291ce8c0e88",
+    "w.txt": "70ebca312a127c9fe302560e4c9e4f980b7e36c8c60447a2c361c180528f77c3",
+    "comparison.csv": "c22c897697967d6a987c3acfed4bacb9eda38952e76f5d4d233c8a6e0cc64f64",
+    "holder.csv": "1223e17715a24264f28282515d2bf0677fb99752503802ec9a85ebcebe06c2a7",
 }
 
 
@@ -585,7 +587,7 @@ def test_stagnated_solve_skips_the_reference_and_the_process_ends(tmp_path):
     assert (out / "u.txt").exists() and not (out / "w.txt").exists()
 
 
-# ------------------------------------------------------- no scipy in verify
+# ------------------------------------------------------- no scipy in any run
 
 NO_SCIPY_CHILD = """\
 import sys
@@ -606,14 +608,27 @@ print(seen)
 
 
 def test_verify_runs_never_import_scipy(tmp_path):
-    # scipy is loaded by the first sparse assembly, which verify never makes
-    cfg = write_config(tmp_path / "v.cfg", BASE.format(out=tmp_path / "o") + """
+    # the solves assemble and solve on numpy kernels, so a run of every
+    # experiment, and the verify subcommand, load no scipy module
+    cfg = write_config(tmp_path / "v.cfg", f"""\
+[exponent]
+family = constant
+coefficients = 2.0
+[mesh]
+level = 5
+[boundary]
+preset = linear_xn
 [experiments]
-run = verify
+run = solve, reference, freeze, scan, holder, verify
+[freeze]
+center = 0, 0
+radii = 0.3, 0.2, 0.12
 [verify]
 iteration_trials = 50
 monotonicity_trials = 1000
 luxemburg_trials = 2
+[output]
+dir = {tmp_path / "o"}
 """)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, cfg],
@@ -621,6 +636,11 @@ luxemburg_trials = 2
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[[], [], [], []]"
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    assert "contracts_failed = none" in summary
+    for key in ("energy", "M", "freeze_ratio", "c_zero", "alpha_origin",
+                "luxemburg_unit_dev"):
+        assert f"\n{key} = " in summary, key
 
 
 @pytest.mark.parametrize("p,scale,tol,status,kinds", [
@@ -860,9 +880,10 @@ def test_verify_subcommand_reports_a_failed_check(capsys, monkeypatch):
 
 
 # summary.txt of an L3 solve, verify run named summary_pin, recorded with
-# inexact Newton systems nested over the mesh levels at one BLAS thread
+# inexact Newton systems nested over the mesh levels, on the numpy Galerkin
+# operators and dense coarse solves, at one BLAS thread (and the same at two)
 PINNED_SOLVE_VERIFY_SUMMARY = \
-    "6df246d8b6a6f20e743082e1f1779a266127e29c678b3b44d0cf3149ef03b88b"
+    "23129cbb290a7c66f62bfe26c5dcfbe1ba13b68bb006fbd906dcee27473fdaed"
 
 
 def test_solve_verify_summary_keeps_its_bytes(tmp_path):

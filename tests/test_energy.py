@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from pxthin import (EnergySetup, ExponentField, PreconditionError, build,
                     energy, hessian, residual)
 from pxthin.mesh import TriMesh
+from pxthin.sparse import galerkin
 from pxthin.solver import DEFAULT_EPS_SCHEDULE
-from conftest import FAMILIES
+from conftest import FAMILIES, csr
 
 
 def _random_state(mesh, seed):
@@ -89,7 +90,7 @@ def test_hessian_matches_residual_differences(mesh3, sin_field):
 
 def test_hessian_is_exactly_symmetric(mesh3, sin_field):
     setup = EnergySetup(mesh3, sin_field).with_epsilon(1e-2)
-    H = hessian(setup, _random_state(mesh3, 3))
+    H = csr(hessian(setup, _random_state(mesh3, 3)))
     assert abs(H - H.T).max() == 0.0
 
 
@@ -153,7 +154,7 @@ def test_cached_pattern_hessian_matches_coo_assembly(level, grading, field, eps,
     mesh = build(level, grading)
     setup = EnergySetup(mesh, field, epsilon=eps)
     v = _random_state(mesh, seed)
-    H = hessian(setup, v)
+    H = csr(hessian(setup, v))
     ref = _coo_hessian(setup, v)
     ref.sum_duplicates()
     assert np.array_equal(H.indptr, ref.indptr)
@@ -199,8 +200,9 @@ def _einsum_hessian_data(setup, v):
     Gg = np.einsum("tid,td->ti", G, g)
     K = (c1[:, None, None] * np.einsum("tid,tjd->tij", G, G)
          + c2[:, None, None] * np.einsum("ti,tj->tij", Gg, Gg))
-    _, indices, scatter = mesh.p1_pattern
-    return np.bincount(scatter, weights=K.ravel(), minlength=len(indices))
+    pattern = mesh.p1_pattern
+    return np.bincount(pattern.scatter, weights=K.ravel(),
+                       minlength=pattern.width * pattern.n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,7 +224,8 @@ def test_unrolled_assembly_is_bit_identical_to_einsum(level, grading, family, ep
     assert energy(setup, v) == _einsum_energy(setup, v)
     assert np.array_equal(residual(setup, v), _einsum_residual(setup, v))
     if eps > 0.0:
-        assert np.array_equal(hessian(setup, v).data, _einsum_hessian_data(setup, v))
+        assert np.array_equal(hessian(setup, v).values.ravel(),
+                              _einsum_hessian_data(setup, v))
 
 
 def _traced_peak(fn, *args):
@@ -236,11 +239,19 @@ def _traced_peak(fn, *args):
 
 def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
     # measured at L6: 253 bytes per triangle for the pattern (614 with
-    # np.unique) and 236 for one Hessian (381 with copies of the hat
-    # gradients and of K transposed)
+    # np.unique), 236 for one Hessian (381 with copies of the hat gradients
+    # and of K transposed), 120 for the coarse-operator map (57 of them its
+    # result) and 76 for one Galerkin operator
     nt = mesh6.num_triangles
+    mesh6.coarser.p1_pattern
     assert _traced_peak(TriMesh.p1_pattern.func, mesh6) <= 300 * nt
     mesh6.p1_pattern
+    mesh6.prolongation
+    assert _traced_peak(TriMesh.coarse_map.func, mesh6) <= 150 * nt
     setup = EnergySetup(mesh6, sin_field, epsilon=1e-3)
     v = _random_state(mesh6, 0)
     assert _traced_peak(hessian, setup, v) <= 280 * nt
+    H = hessian(setup, v)
+    kept = np.random.default_rng(1).random(mesh6.num_vertices) < 0.9
+    assert _traced_peak(galerkin, H, kept, mesh6.prolongation, mesh6.coarse_map,
+                        mesh6.coarser.p1_pattern) <= 100 * nt

@@ -2,6 +2,7 @@
 files are opened in one place."""
 
 import pathlib
+import re
 
 import pxthin
 
@@ -19,3 +20,11 @@ def test_one_reader_and_one_writer_open_files():
     counts = {path.name: path.read_text().count("open(")
               for path in sorted(source.glob("*.py"))}
     assert {name: n for name, n in counts.items() if n} == {"mesh.py": 2}
+
+
+def test_the_package_imports_no_scipy():
+    # numpy kernels on the P1 pattern serve every solve; scipy is a test oracle
+    source = pathlib.Path(pxthin.__file__).parent
+    importing = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    assert [path.name for path in sorted(source.glob("*.py"))
+            if importing.search(path.read_text())] == []

@@ -15,6 +15,7 @@ from pxthin import (FeFunction, FormatError, PreconditionError, ResolutionError,
 from pxthin.comparison import reflect_full_disk
 from pxthin.mesh import _TAG_CHAR, GEOM_TOL, TriMesh, ball_element_mask
 from pxthin.solver import solution_text
+from conftest import csr
 
 INTERIOR, ARC, THIN = 0, 1, 2
 
@@ -201,9 +202,12 @@ hierarchies = st.tuples(st.integers(0, 5), st.integers(0, 2))
 def test_prolongation_rows_sum_to_one(shape):
     level, grading = shape
     mesh = build(level, grading)
-    assert len(mesh.prolongations) == level + grading
-    for P in mesh.prolongations:
-        assert np.array_equal(np.asarray(P.sum(axis=1)).ravel(), np.ones(P.shape[0]))
+    assert mesh.hierarchy[0].prolongation is None
+    prolongations = [m.prolongation for m in mesh.hierarchy[1:]]
+    assert len(prolongations) == level + grading
+    for P in prolongations:
+        assert np.array_equal(np.asarray(csr(P).sum(axis=1)).ravel(), np.ones(P.shape[0]))
+        assert np.array_equal(P @ np.ones(P.shape[1]), np.ones(P.shape[0]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,7 +217,7 @@ def test_prolongation_reproduces_affine_functions_off_the_arc(shape, coeffs):
     mesh = build(*shape)
     a, b, c = coeffs
     affine = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
-    for P in mesh.prolongations:
+    for P in (m.prolongation for m in mesh.hierarchy[1:]):
         n_fine, n_coarse = P.shape
         off_arc = mesh.vertex_tags[:n_fine] != ARC
         err = np.abs(P @ affine[:n_coarse] - affine[:n_fine])[off_arc]
@@ -253,11 +257,14 @@ def test_submesh_keeps_exactly_the_masked_triangles(ball):
 @given(hierarchies)
 def test_lazy_prolongations_equal_a_csr_construction(shape):
     # rows of level k + 1: identity on level k's vertices, then 1/2 on the
-    # two ends of the edge each new vertex halves
+    # two ends of the edge each new vertex halves; products and restrictions
+    # have the bits of the CSR ones
     mesh = build(*shape)
-    assert all("prolongations" not in vars(m) for m in mesh.hierarchy)
-    assert len(mesh.prolongations) == len(mesh.hierarchy) - 1
-    for P, coarse, fine in zip(mesh.prolongations, mesh.hierarchy, mesh.hierarchy[1:]):
+    assert all("prolongation" not in vars(m) for m in mesh.hierarchy)
+    x = np.random.default_rng(len(mesh.hierarchy)).standard_normal(mesh.num_vertices)
+    for coarse, fine in zip(mesh.hierarchy, mesh.hierarchy[1:]):
+        P = csr(fine.prolongation)
+        assert fine.below is coarse
         n_coarse, n_fine = coarse.num_vertices, fine.num_vertices
         rows = np.concatenate([np.arange(n_coarse),
                                np.repeat(np.arange(n_coarse, n_fine), 2)])
@@ -268,8 +275,11 @@ def test_lazy_prolongations_equal_a_csr_construction(shape):
         assert np.array_equal(P.data, want.data)
         assert np.array_equal(P.indices, want.indices)
         assert np.array_equal(P.indptr, want.indptr)
-        # each coarser mesh holds the first prolongations, the same objects
-        assert all(a is b for a, b in zip(fine.prolongations, mesh.prolongations))
+        assert np.array_equal(fine.prolongation @ x[:n_coarse], want @ x[:n_coarse])
+        assert np.array_equal(fine.prolongation.restrict(x[:n_fine]), want.T @ x[:n_fine])
+        # each mesh builds its own prolongation once
+        assert fine.prolongation is fine.prolongation
+    assert all("prolongation" in vars(m) for m in mesh.hierarchy[1:])
 
 
 @settings(max_examples=20, deadline=None)
@@ -307,8 +317,7 @@ def test_a_hierarchy_that_does_not_chain_is_rejected():
         with pytest.raises(PreconditionError, match="do not chain"):
             TriMesh(*args, *chain)
     same = TriMesh(*args, coarser, parents)
-    for P, Q in zip(same.prolongations, mesh.prolongations):
-        assert (P != Q).nnz == 0
+    assert (csr(same.prolongation) != csr(mesh.prolongation)).nnz == 0
 
 
 def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
@@ -320,7 +329,19 @@ def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
     disk, _ = reflect_full_disk(FeFunction(mesh, np.zeros(mesh.num_vertices)))
     for flat in (loaded, sub, disk):
         assert flat.coarser is None and flat.hierarchy == (flat,)
-        assert flat.prolongations == ()
+    for flat in (loaded, disk):
+        assert flat.below is None and flat.prolongation is None
+    # a half-ball submesh steps to the coarse triangles that hold its own,
+    # cut from the coarser mesh of its source, through the source's
+    # prolongation rows at its vertices
+    below = sub.below
+    assert sub.source is mesh and below.source is mesh.coarser
+    rows = csr(mesh.prolongation)[sub.vertex_map]
+    want = rows[:, below.vertex_map]
+    assert want.nnz == rows.nnz and (csr(sub.prolongation) != want).nnz == 0
+    coarse_triangles = {tuple(t) for t in np.sort(mesh.coarser.triangles, axis=1)}
+    assert {tuple(t) for t in np.sort(below.vertex_map[below.triangles], axis=1)} \
+        <= coarse_triangles
 
 
 def _loop_mesh_text(mesh):
@@ -374,12 +395,21 @@ def test_p1_pattern_equals_the_unique_construction(level, grading):
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     keys, scatter = np.unique(rows * n + cols, return_inverse=True)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
     got = mesh.p1_pattern
-    assert np.array_equal(got[0], indptr)
-    assert np.array_equal(got[1], keys % n)
-    assert np.array_equal(got[2], scatter.ravel())
-    assert got[2].dtype == scatter.dtype
+    counts = np.bincount(keys // n, minlength=n)
+    assert np.array_equal(got.counts, counts)
+    assert got.width == counts.max()
+    # the entries in row-major order are the distinct keys; slot k of a row
+    # holds its k-th column, the unused slots repeat the row
+    got_rows, got_cols, pos = got.entries()
+    order = np.lexsort((got_cols, got_rows))
+    assert np.array_equal(got_rows[order] * n + got_cols[order], keys)
+    slots = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys // n]
+    assert np.array_equal(pos[order] // n, slots)
+    unused = np.arange(got.width)[:, None] >= counts
+    assert np.array_equal(got.cols[unused], np.broadcast_to(np.arange(n), got.cols.shape)[unused])
+    assert np.array_equal(got.scatter, pos[order][scatter.ravel()])
+    assert np.array_equal(got.cols.ravel()[got.diagonal], np.arange(n))
 
 
 @settings(max_examples=18, deadline=None)

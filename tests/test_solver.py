@@ -9,20 +9,21 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pxthin import (ConvergenceError, EnergySetup, ExponentField, FeFunction,
-                    FormatError, ObstacleProblem, PreconditionError, build,
-                    energy, hessian, load_mesh, load_solution, save_mesh,
-                    save_solution, solve, vi_check)
+                    FormatError, ObstacleProblem, PreconditionError,
+                    ResolutionError, ResourceError, build,
+                    energy, extract_halfball_submesh, hessian, load_mesh,
+                    load_solution, save_mesh, save_solution, solve, vi_check)
 from pxthin import comparison, solver
 from pxthin.cli import boundary_values
 from pxthin.comparison import reference_problem
 from pxthin.mesh import INTERIOR, THIN, TriMesh
-from conftest import FAMILIES, g_signorini32
+from pxthin.sparse import PatternMatrix
+from conftest import FAMILIES, csr, g_signorini32
 
 
 def _linear_problem(mesh, field):
@@ -314,9 +315,12 @@ def test_fe_function_data_accepted(mesh4, p2):
     assert u.values.shape == (mesh4.num_vertices,)
 
 
-def _newton_system(level, grading, field, eps, seed):
-    """hessian() at a random state, with a random active subset of Thin."""
+def _newton_system(level, grading, field, eps, seed, ball=None):
+    """hessian() at a random state, with a random active subset of Thin; on
+    the half-ball submesh about (x1, 0) of radius r when ball = (x1, r)."""
     mesh = build(level, grading)
+    if ball is not None:
+        mesh, _ = extract_halfball_submesh(mesh, (ball[0], 0.0), ball[1])
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, mesh.num_vertices)
     H = hessian(EnergySetup(mesh, field, epsilon=eps), v)
@@ -325,13 +329,20 @@ def _newton_system(level, grading, field, eps, seed):
     return mesh, H, free, rng.standard_normal(int(free.sum()))
 
 
+# a half-ball submesh's V-cycle steps to cuts of its source's coarser
+# meshes, with the coarse vertices that have no kept fine copy truncated
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 2), st.sampled_from(FAMILIES),
-       st.sampled_from(solver.DEFAULT_EPS_SCHEDULE), st.integers(0, 2 ** 32 - 1))
-def test_multigrid_direction_matches_direct_solve(level, grading, field, eps, seed):
-    mesh, H, free, rhs = _newton_system(level, grading, field, eps, seed)
-    x = solver._free_solve(H, free, rhs, mesh.prolongations)
-    direct = spla.spsolve(H[free][:, free].tocsc(), rhs)
+       st.sampled_from(solver.DEFAULT_EPS_SCHEDULE), st.integers(0, 2 ** 32 - 1),
+       st.none() | st.tuples(st.floats(-0.5, 0.5), st.floats(0.25, 0.75)))
+def test_multigrid_direction_matches_direct_solve(level, grading, field, eps, seed,
+                                                  ball):
+    try:
+        mesh, H, free, rhs = _newton_system(level, grading, field, eps, seed, ball)
+    except (PreconditionError, ResolutionError):    # a ball the mesh cannot resolve
+        assume(False)
+    x = solver._free_solve(H, free, rhs, mesh)
+    direct = spla.spsolve(csr(H)[free][:, free].tocsc(), rhs)
     assert x is not None
     assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -339,12 +350,52 @@ def test_multigrid_direction_matches_direct_solve(level, grading, field, eps, se
 def test_unconverged_cg_gives_no_direction(monkeypatch):
     mesh, H, free, rhs = _newton_system(5, 0, FAMILIES[3], 1e-8, 0)
     monkeypatch.setattr(solver, "CG_MAXITER", 2)
-    assert solver._free_solve(H, free, rhs, mesh.prolongations) is None
+    assert solver._free_solve(H, free, rhs, mesh) is None
 
 
 def test_singular_free_block_gives_no_direction():
+    mesh = TriMesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                   [(0, 1, 2), (0, 2, 3)])
+    H = PatternMatrix(mesh.p1_pattern, np.zeros((mesh.p1_pattern.width, 4)))
     free = np.ones(4, dtype=bool)
-    assert solver._free_solve(sp.csr_matrix((4, 4)), free, np.ones(4), ()) is None
+    assert solver._free_solve(H, free, np.ones(4), mesh) is None
+
+
+def test_a_mesh_without_a_coarser_mesh_is_solved_densely_up_to_a_size(
+        tmp_path, monkeypatch, p2):
+    mesh = build(3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, str(path))
+    flat = load_mesh(str(path))
+    problem = ObstacleProblem(EnergySetup(flat, p2), g_signorini32(flat))
+    free = int(np.count_nonzero(~problem.dirichlet))
+    monkeypatch.setattr(solver, "DENSE_MAX", free)
+    u, _ = solve(problem, 1e-10)
+    # one vertex fewer allowed: rejected before any Newton system, by count
+    monkeypatch.setattr(solver, "DENSE_MAX", free - 1)
+    monkeypatch.setattr(solver, "hessian", None)
+    with pytest.raises(ResourceError, match=f"at most {free - 1} free vertices; "
+                                            f"this one has {free}$"):
+        solve(problem, 1e-10)
+    # the built mesh of the same size walks its hierarchy instead
+    monkeypatch.setattr(solver, "hessian", hessian)
+    built, _ = solve(ObstacleProblem(EnergySetup(mesh, p2), problem.g), 1e-10)
+    assert np.abs(built.values - u.values).max() <= 20 * 1e-10
+
+
+def test_projected_steps_pass_armijo_along_the_projected_arc():
+    # p = 8 with ten times the signorini32 data: early Newton directions are
+    # no descent directions, and the projected gradient fallback clamps at
+    # the obstacle where -r pushes a vertex at 0 further down. Armijo tested
+    # against t r.d counted those clamped components, so no step passed
+    # and the solve stalled at a KKT measure of 1.6e5; measured 31 systems
+    mesh = build(2)
+    problem = ObstacleProblem(EnergySetup(mesh, ExponentField("constant", [8.0])),
+                              10.0 * g_signorini32(mesh))
+    u, report = solve(problem, 1e-7)
+    assert max(report.free_residual, report.complementarity) <= 1e-7
+    assert sum(report.iterations) <= 40
+    assert vi_check(problem, u, 100, 0) >= -1e-6
 
 
 # Over all 72 (level, family, preset, problem) cases the largest nodal
