@@ -101,8 +101,10 @@ class TriMesh:
         self.source = None
         self.vertex_map = None
         self.digest = None      # mesh_hash, filled on first use
-        # vxspace: read-only p at its report quadrature points, by repr(field)
+        # vxspace: read-only p at its report quadrature points, by repr(field),
+        # and the weights there, once the first modular or norm needs them
         self.report_p = {}
+        self.report_w = None
 
         p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
         e1 = p1 - p0

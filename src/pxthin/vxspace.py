@@ -7,6 +7,7 @@ the Luxemburg norm identities, and Campanato profiles of the gradients.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,11 @@ ROUNDOFF = 4.0 * np.finfo(float).eps
 # fields whose p a mesh keeps: the run's field and verify's constant p = 3;
 # each costs 56 bytes per element, so a sweep over fields must not pile up
 P_CACHE_FIELDS = 2
+# quadrature values per block of the Luxemburg Newton step's sums, of
+# modular's terms and of at_quad_points: 0.5 MB per temporary, which stays
+# in cache, where an L8 mesh's 1.8 M values take 14.7 MB per temporary and
+# the step is bound by memory traffic
+_SUM_BLOCK = 65_536
 
 
 class FeFunction:
@@ -44,12 +50,27 @@ class FeFunction:
         return ElementVectorField(self.mesh, self.element_gradients())
 
     def at_quad_points(self, rule):
-        """Values at quadrature points, shape (nt, nq)."""
+        """Values at quadrature points, shape (nt, nq), filled _SUM_BLOCK
+        values at a time."""
         tri_vals = self.values[self.mesh.triangles]
-        xi = rule.points[:, 0][None, :]
-        eta = rule.points[:, 1][None, :]
-        return (tri_vals[:, 0:1] * (1.0 - xi - eta)
-                + tri_vals[:, 1:2] * xi + tri_vals[:, 2:3] * eta)
+        xi, eta = rule.points[:, 0], rule.points[:, 1]
+        out = np.empty((len(tri_vals), len(xi)))
+        rows = _SUM_BLOCK // len(xi)
+        for lo in range(0, len(out), rows):
+            vals, block = tri_vals[lo:lo + rows], out[lo:lo + rows]
+            np.multiply(vals[:, 0:1], 1.0 - xi - eta, out=block)
+            block += vals[:, 1:2] * xi
+            block += vals[:, 2:3] * eta
+        return out
+
+    @cached_property
+    def report_mags(self):
+        """|f| at the report quadrature points, (nt, nq), read-only: computed
+        once per function, for the modulars and norms of f to share."""
+        mags = self.at_quad_points(quadrature_rule(REPORT_ORDER))
+        np.abs(mags, out=mags)
+        mags.flags.writeable = False
+        return mags
 
 
 class ElementVectorField:
@@ -65,31 +86,30 @@ class ElementVectorField:
 
 
 def _region_elements(mesh, element_mask):
-    """Index of the selected elements; all of them, as a view, without a mask."""
+    """Indices of the selected elements; None, for all of them, without a mask."""
     if element_mask is None:
-        return slice(None)
+        return None
     mask = np.asarray(element_mask, dtype=bool)
     if mask.shape != (mesh.num_triangles,):
         raise PreconditionError("element mask must have one flag per element")
-    return mask
+    return np.flatnonzero(mask)
 
 
-def _modular_terms(f, exponent_field):
-    """|f|, p and the quadrature weights at the quadrature points, each (nt, nq).
+def _report_terms(mesh, exponent_field):
+    """p and the quadrature weights at the report quadrature points, each
+    (nt, nq) and read-only, kept on the mesh.
 
-    p is evaluated once per (mesh, field) and kept read-only on the mesh,
+    The weights are computed once per mesh (`TriMesh.report_w`). p is
+    evaluated once per (mesh, field) and kept in `TriMesh.report_p`,
     keyed by repr(field): it fixes the family, coefficients and bounds
     that `eval` reads, so an entry cannot go stale. The mesh keeps p of
     the last P_CACHE_FIELDS fields evaluated on it and drops the oldest.
     """
-    mesh = f.mesh
     rule = quadrature_rule(REPORT_ORDER)
-    w = mesh.quad_weights(rule)
-    if isinstance(f, ElementVectorField):
-        mags = np.hypot(f.values[:, 0], f.values[:, 1])
-        mags = np.repeat(mags[:, None], len(rule.weights), axis=1)
-    else:
-        mags = np.abs(f.at_quad_points(rule))
+    w = mesh.report_w
+    if w is None:
+        w = mesh.report_w = mesh.quad_weights(rule)
+        w.flags.writeable = False
     cache = mesh.report_p
     key = repr(exponent_field)
     p = cache.get(key)
@@ -100,7 +120,34 @@ def _modular_terms(f, exponent_field):
         if len(cache) >= P_CACHE_FIELDS:
             del cache[next(iter(cache))]
         cache[key] = p
-    return mags, p, w
+    return p, w
+
+
+def _magnitudes(f, rows, nq):
+    """|f| at the nq report quadrature points of the elements `rows`."""
+    if isinstance(f, ElementVectorField):
+        values = f.values[rows]
+        mags = np.hypot(values[:, 0], values[:, 1])
+        return np.repeat(mags[:, None], nq, axis=1)
+    return f.report_mags[rows]
+
+
+def _pairwise_sums(block_sums, lo, hi, block):
+    """The sums of the values lo to hi, added along numpy's pairwise tree.
+
+    block_sums(lo, hi) returns the sums, each a numpy `.sum()`, of the
+    values lo to hi, for at most `block` (>= 128) of them. A longer range
+    is split as numpy's pairwise sum splits it, at n2 = n//2 - (n//2 mod 8),
+    and the halves' sums are added, so each result equals the `.sum()` of
+    all the values: numpy sums a contiguous float64 array pairwise over the
+    same tree, down to leaves of at most 128 values.
+    """
+    if hi - lo <= block:
+        return block_sums(lo, hi)
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    return tuple(a + b for a, b in zip(_pairwise_sums(block_sums, lo, mid, block),
+                                       _pairwise_sums(block_sums, mid, hi, block)))
 
 
 def checked_sigma(sigma, name="sigma"):
@@ -112,13 +159,27 @@ def checked_sigma(sigma, name="sigma"):
 
 
 def modular(f, exponent_field, element_mask=None, sigma=0.0):
-    """integral of |f|^{(1+sigma) p(x)} over the mesh (or a subset of elements)."""
+    """integral of |f|^{(1+sigma) p(x)} over the mesh (or a subset of elements).
+
+    Only the selected elements are evaluated, in blocks of at most
+    _SUM_BLOCK quadrature values; each element's terms are summed, and
+    the element sums are added in numpy's pairwise order.
+    """
     sigma = checked_sigma(sigma)
-    mask = _region_elements(f.mesh, element_mask)
-    mags, p, w = _modular_terms(f, exponent_field)
-    integrand = np.where(mags > 0.0, mags, 1.0) ** ((1.0 + sigma) * p)
-    integrand = np.where(mags > 0.0, integrand, 0.0)
-    return float((integrand * w)[mask].sum(axis=1).sum())
+    elements = _region_elements(f.mesh, element_mask)
+    p, w = _report_terms(f.mesh, exponent_field)
+    nq = w.shape[1]
+
+    def block_sums(lo, hi):
+        rows = slice(lo, hi) if elements is None else elements[lo:hi]
+        mags = _magnitudes(f, rows, nq)
+        positive = mags > 0.0
+        integrand = np.where(positive, mags, 1.0) ** ((1.0 + sigma) * p[rows])
+        integrand = np.where(positive, integrand, 0.0)
+        return ((integrand * w[rows]).sum(axis=1).sum(),)
+
+    count = len(w) if elements is None else len(elements)
+    return float(_pairwise_sums(block_sums, 0, count, _SUM_BLOCK // nq)[0])
 
 
 def gradient_mass(areas, grads, power):
@@ -139,18 +200,27 @@ def luxemburg_norm(f, exponent_field):
     below the root and increases to it) and is exact in one step for a
     constant exponent. It starts at lambda = max|f|, where no term
     exceeds its weight, and stops when the step is at round-off. Returns 0
-    for the zero field.
+    for the zero field. Each step evaluates its two sums _SUM_BLOCK
+    quadrature values at a time, added along numpy's pairwise tree, so
+    they equal the sums over the whole mesh at once.
     """
-    mags, p, w = _modular_terms(f, exponent_field)
+    p, w = _report_terms(f.mesh, exponent_field)
+    mags = _magnitudes(f, slice(None), w.shape[1])
     top = float(mags.max())
     if top == 0.0:
         return 0.0
-    scaled = mags / top
+    mags, p, w = (a.reshape(-1) for a in (mags, p, w))
     t = 0.0
     for _ in range(LUXEMBURG_STEPS):
-        terms = w * (scaled * math.exp(-t)) ** p
-        rho = float(terms.sum())
-        step = rho * math.log(rho) / float((p * terms).sum())
+        shrink = math.exp(-t)
+
+        def block_sums(lo, hi):
+            terms = w[lo:hi] * (mags[lo:hi] / top * shrink) ** p[lo:hi]
+            return terms.sum(), (p[lo:hi] * terms).sum()
+
+        rho, slope = (float(total) for total
+                      in _pairwise_sums(block_sums, 0, len(w), _SUM_BLOCK))
+        step = rho * math.log(rho) / slope
         t += step
         if abs(step) <= ROUNDOFF * max(1.0, abs(t)):
             return top * math.exp(t)

@@ -2,6 +2,7 @@
 functions of their arguments, so every test file reuses the same objects."""
 
 import os
+import tracemalloc
 
 # one BLAS thread, as in bench/run.py, before numpy loads: a multithreaded
 # BLAS may sum in another order, and the sha256 pins would then depend on
@@ -54,6 +55,16 @@ def csr(matrix):
     return sp.csr_matrix((matrix.weights.ravel()[keep],
                           (rows[keep], matrix.ends.ravel()[keep])),
                          shape=(n_fine, n_coarse))
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory that fn(*args) allocates, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def g_signorini32(mesh):

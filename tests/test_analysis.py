@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
@@ -13,9 +13,10 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     higher_integrability_scan, iteration_constants,
                     iteration_suite, iteration_verify, monotonicity_check,
                     solve, theoretical_alpha)
-from pxthin.analysis import _GRID_HALVINGS, MONO_C, calibrate_monotonicity
+from pxthin.analysis import (_GRID_HALVINGS, _MONO_BLOCK, _MONO_DRAW, MONO_C,
+                             _tuple_blocks, calibrate_monotonicity)
 from pxthin.cli import luxemburg_identity_checks
-from conftest import g_signorini32
+from conftest import g_signorini32, traced_peak
 
 
 # ---------------------------------------------------------------- iteration
@@ -184,6 +185,46 @@ def test_monotonicity_sampling_keeps_its_values():
     # a sampled maximum above the 2^gamma2 / 6 floor, so the loop decides it
     assert calibrate_monotonicity(1.05, 1.5, samples=450_001, seed=3) \
         == 1.4783786976331192
+
+
+def _sample_tuples(rng, gamma1, gamma2, n):
+    # the sampler before the draws were streamed: one draw's arrays at once
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 1))
+    xi1 = rng.uniform(-1.0, 1.0, size=(n, 2)) * scale
+    xi2 = rng.uniform(-1.0, 1.0, size=(n, 2)) * scale
+    p = rng.uniform(gamma1, gamma2, size=n)
+    eps = np.maximum(rng.uniform(0.0, 1.0, size=n), 1e-300)
+    return xi1, xi2, p, eps
+
+
+_EDGE_SIZES = (1, _MONO_BLOCK - 1, _MONO_BLOCK, _MONO_BLOCK + 1, 2 * _MONO_BLOCK + 1,
+               _MONO_DRAW - 1, _MONO_DRAW, _MONO_DRAW + 1, _MONO_DRAW + _MONO_BLOCK,
+               450_003)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(1, 450_003)),
+       st.integers(0, 2 ** 64 - 1), st.floats(1.01, 3.0), st.floats(0.0, 9.0))
+@example(450_003, 3, 1.1, 8.9)
+def test_streamed_tuples_equal_the_whole_draws(samples, seed, gamma1, spread):
+    gamma2 = gamma1 + spread
+    streamed = np.random.default_rng(seed)
+    blocks = list(_tuple_blocks(streamed, gamma1, gamma2, samples))
+    assert all(len(block[2]) <= _MONO_BLOCK for block in blocks)
+    whole = np.random.default_rng(seed)
+    draws = []
+    left = samples
+    while left > 0:
+        draws.append(_sample_tuples(whole, gamma1, gamma2, min(_MONO_DRAW, left)))
+        left -= _MONO_DRAW
+    for got, want in zip(zip(*blocks), zip(*draws)):
+        assert np.array_equal(np.concatenate(got), np.concatenate(want))
+    assert streamed.bit_generator.state == whole.bit_generator.state
+
+
+def test_monotonicity_check_streams_its_draws():
+    # whole 200,000-tuple draws traced 36 MB; 16,384-tuple blocks trace 3.8 MB
+    assert traced_peak(monotonicity_check, 1.1, 10.0, 450_001, 3) <= 6_000_000
 
 
 # -------------------------------------------------- radii and rate formulas

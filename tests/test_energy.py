@@ -2,7 +2,6 @@
 derivatives of each other; that is what the finite-difference probes pin."""
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from pxthin import (EnergySetup, ExponentField, PreconditionError, build,
 from pxthin.mesh import TriMesh
 from pxthin.sparse import galerkin
 from pxthin.solver import DEFAULT_EPS_SCHEDULE
-from conftest import FAMILIES, csr
+from conftest import FAMILIES, csr, traced_peak
 
 
 def _random_state(mesh, seed):
@@ -228,15 +227,6 @@ def test_unrolled_assembly_is_bit_identical_to_einsum(level, grading, family, ep
                               _einsum_hessian_data(setup, v))
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
     # measured at L6: 253 bytes per triangle for the pattern (614 with
     # np.unique), 236 for one Hessian (381 with copies of the hat gradients
@@ -244,14 +234,14 @@ def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
     # result) and 76 for one Galerkin operator
     nt = mesh6.num_triangles
     mesh6.coarser.p1_pattern
-    assert _traced_peak(TriMesh.p1_pattern.func, mesh6) <= 300 * nt
+    assert traced_peak(TriMesh.p1_pattern.func, mesh6) <= 300 * nt
     mesh6.p1_pattern
     mesh6.prolongation
-    assert _traced_peak(TriMesh.coarse_map.func, mesh6) <= 150 * nt
+    assert traced_peak(TriMesh.coarse_map.func, mesh6) <= 150 * nt
     setup = EnergySetup(mesh6, sin_field, epsilon=1e-3)
     v = _random_state(mesh6, 0)
-    assert _traced_peak(hessian, setup, v) <= 280 * nt
+    assert traced_peak(hessian, setup, v) <= 280 * nt
     H = hessian(setup, v)
     kept = np.random.default_rng(1).random(mesh6.num_vertices) < 0.9
-    assert _traced_peak(galerkin, H, kept, mesh6.prolongation, mesh6.coarse_map,
-                        mesh6.coarser.p1_pattern) <= 100 * nt
+    assert traced_peak(galerkin, H, kept, mesh6.prolongation, mesh6.coarse_map,
+                       mesh6.coarser.p1_pattern) <= 100 * nt

@@ -3,16 +3,20 @@ defining identity to 1e-10 and scale exactly; the Campanato fit must recover
 known oscillation exponents."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pxthin import (ElementVectorField, ExponentField, FeFunction,
                     PreconditionError, build, campanato_profile, luxemburg_norm,
                     modular)
-from conftest import FAMILIES
+from pxthin.mesh import quadrature_rule
+from pxthin.vxspace import (LUXEMBURG_STEPS, REPORT_ORDER, ROUNDOFF, _SUM_BLOCK,
+                            _pairwise_sums, luxemburg_identity_checks)
+from conftest import FAMILIES, traced_peak
 
 _mesh = functools.lru_cache(maxsize=None)(build)    # one mesh per level
 
@@ -207,3 +211,107 @@ def test_campanato_rejects_a_nodal_field(mesh4):
     f = FeFunction(mesh4, np.zeros(mesh4.num_vertices))
     with pytest.raises(PreconditionError):
         campanato_profile(f, 2.0, np.array([0.0, 0.0]), [0.4, 0.3, 0.2])
+
+
+def _whole_mesh_terms(f, field):
+    # |f|, p and the weights at the report quadrature points of every element,
+    # by the expressions modular and luxemburg_norm evaluated before blocks
+    mesh = f.mesh
+    rule = quadrature_rule(REPORT_ORDER)
+    pts, w = mesh.quad_points(rule)
+    p = field.eval(pts.reshape(-1, 2)).reshape(w.shape)
+    if isinstance(f, ElementVectorField):
+        mags = np.hypot(f.values[:, 0], f.values[:, 1])
+        return np.repeat(mags[:, None], len(rule.weights), axis=1), p, w
+    tri_vals = f.values[mesh.triangles]
+    xi = rule.points[:, 0][None, :]
+    eta = rule.points[:, 1][None, :]
+    return np.abs(tri_vals[:, 0:1] * (1.0 - xi - eta)
+                  + tri_vals[:, 1:2] * xi + tri_vals[:, 2:3] * eta), p, w
+
+
+def _modular_after_mask(f, field, mask, sigma):
+    # modular's terms on the whole mesh, masked afterwards
+    mags, p, w = _whole_mesh_terms(f, field)
+    integrand = np.where(mags > 0.0, mags, 1.0) ** ((1.0 + sigma) * p)
+    integrand = np.where(mags > 0.0, integrand, 0.0)
+    return float((integrand * w)[mask].sum(axis=1).sum())
+
+
+def _whole_mesh_norm(f, field):
+    # the Newton loop in log lambda over whole-mesh arrays
+    mags, p, w = _whole_mesh_terms(f, field)
+    top = float(mags.max())
+    scaled = mags / top
+    t = 0.0
+    for _ in range(LUXEMBURG_STEPS):
+        terms = w * (scaled * math.exp(-t)) ** p
+        rho = float(terms.sum())
+        step = rho * math.log(rho) / float((p * terms).sum())
+        t += step
+        if abs(step) <= ROUNDOFF * max(1.0, abs(t)):
+            return top * math.exp(t)
+    raise AssertionError("no convergence")
+
+
+def _random_function(mesh, gradient, seed, scale=0.0):
+    rng = np.random.default_rng(seed)
+    f = FeFunction(mesh, rng.standard_normal(mesh.num_vertices) * 10.0 ** scale)
+    return f.gradient_field() if gradient else f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(FAMILIES), st.booleans(),
+       st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
+@example(6, FAMILIES[3], False, 0.9, 0.1, 5)     # masked elements in 2 blocks
+def test_masked_modular_equals_the_mask_after_expression(level, field, gradient,
+                                                         density, sigma, seed):
+    mesh = _mesh(level)
+    f = _random_function(mesh, gradient, seed)
+    mask = np.random.default_rng(seed + 1).random(mesh.num_triangles) < density
+    assert (modular(f, field, element_mask=mask, sigma=sigma)
+            == _modular_after_mask(f, field, mask, sigma))
+
+
+_FLAT_SIZES = (1, 127, 128, 129, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
+               2 * _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 17)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from(_FLAT_SIZES), st.integers(1, 3 * _SUM_BLOCK + 17)),
+       st.floats(0.0, 12.0), st.integers(0, 2 ** 32 - 1))
+def test_blocked_sums_equal_the_whole_array_sums(n, spread, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-spread, spread, n)
+    squares = values * values
+    blocked = _pairwise_sums(lambda lo, hi: (values[lo:hi].sum(), squares[lo:hi].sum()),
+                             0, n, _SUM_BLOCK)
+    assert blocked == (values.sum(), squares.sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.sampled_from((0, 2)),
+       st.sampled_from(("constant", "affine", "radial", "sinusoidal")),
+       st.floats(1.1, 5.0), st.floats(0.0, 5.0), st.floats(0.5, 3.0), st.booleans(),
+       st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@example(6, 2, "sinusoidal", 5.0, 5.0, 1.0, False, 0.0, 0.5, 0)
+@example(6, 0, "affine", 1.1, 8.9, 2.0, True, 1.0, 0.0, 1)
+def test_blocked_norm_and_modular_equal_the_whole_mesh_loop(
+        level, grading, family, low, spread, k, gradient, scale, sigma, seed):
+    # p up to 10 on meshes whose 7 values per element span 1 to 2 blocks of
+    # the Newton step's sums (L6, graded or not) and modular's element sums
+    mesh = _mesh(level, grading)
+    field = _exponent(family, low, low + spread, k)
+    f = _random_function(mesh, gradient, seed, scale)
+    assert luxemburg_norm(f, field) == _whole_mesh_norm(f, field)
+    assert (modular(f, field, sigma=sigma)
+            == _modular_after_mask(f, field, slice(None), sigma))
+
+
+def test_luxemburg_checks_stay_within_a_per_element_bound(mesh6, sin_field):
+    # measured at L6 with p and the weights kept on the mesh: 208 bytes per
+    # element over 1 to 20 trials (344 with whole-mesh temporaries); two
+    # trials leave p of both fields on the mesh, whatever it held before
+    luxemburg_identity_checks(mesh6, sin_field, 2, 0)
+    peak = traced_peak(luxemburg_identity_checks, mesh6, sin_field, 4, 11)
+    assert peak <= 250 * mesh6.num_triangles
