@@ -8,6 +8,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .comparison import compute_M
 from .errors import PreconditionError, checked_trials
 from .exponent import checked_beta
 from .mesh import GEOM_TOL, ball_element_mask, checked_center, checked_radii
@@ -80,23 +81,6 @@ def iteration_constants(A, alpha1, alpha2, B=0.0):
                              alpha3=alpha3, kappa=kappa, eps0=eps0, c=c)
     out.validate()
     return out
-
-
-def iteration_verify(consts, trials, seed):
-    """Adversarial check of the iteration conclusion on dyadic grids.
-
-    Each trial builds the largest monotone step function satisfying the
-    hypothesis (perturbation eps drawn in [0, eps0)), then measures the
-    minimal slack of the conclusion over all grid pairs. Non-negative
-    slack in every trial certifies the constant c. The trials run
-    together: the recurrence in k fills a (trials, K + 1) array, one row
-    per trial and a block of trials at a time, with each entry computed
-    exactly as a lone trial would.
-    """
-    consts.validate()
-    trials = checked_trials(trials)
-    rng = np.random.default_rng(seed)
-    return _worst_slack(_draw_trial(rng, consts) for _ in range(trials))
 
 
 def iteration_suite(trials, seed):
@@ -298,7 +282,8 @@ def theoretical_alpha(alpha0, beta, gamma2):
 # ------------------------------------------------------------------ reports
 
 DEFAULT_SIGMA_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
-DEFAULT_C_CAP = 1e3
+# the largest implied constant the scan's sigma0 admits
+C_CAP = 1e3
 
 
 @dataclass
@@ -361,19 +346,16 @@ def scan_balls(mesh, center, r):
     return masks
 
 
-def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None,
-                              c_cap=DEFAULT_C_CAP):
+def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None):
     """Implied constants of the gradient self-improvement estimate.
 
     All three quantities are normalized by the area of the outer ball's
     element selection, so the sigma = 0 constant is below 1 by set
     inclusion alone. sigma0 is the largest grid sigma whose constant
-    stays under c_cap. Reverse-Hölder ratios over dyadic shrinkages of
+    stays under C_CAP. Reverse-Hölder ratios over dyadic shrinkages of
     the outer ball use each ball's own average. r defaults to 0.95 times
     the admissible radius, capped so that the 2r ball stays in the 3/4 ball.
     """
-    from .comparison import compute_M
-
     center = checked_center(center)
     sigma_grid = checked_sigma_grid(sigma_grid)
     M = compute_M(u, w, field)
@@ -391,7 +373,7 @@ def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None,
         rhs1 = base_2r ** (1.0 + sigma)
         rhs2 = modular(dw, field, element_mask=mask_2r, sigma=sigma) / area2
         c_sigma.append(lhs / (rhs1 + rhs2 + 1.0))
-    passing = [s for s, c in zip(sigma_grid, c_sigma) if c <= c_cap]
+    passing = [s for s, c in zip(sigma_grid, c_sigma) if c <= C_CAP]
     report = ScanReport(r, r_adm, sigma_grid, c_sigma,
                         max(passing) if passing else 0.0)
 

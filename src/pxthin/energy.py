@@ -16,30 +16,26 @@ ASSEMBLY_ORDER = 2      # the 3-point rule, whose points the sums below add
 MAX_EPSILON = 1e-2
 
 
-def _checked_epsilon(epsilon):
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon <= MAX_EPSILON:
-        raise PreconditionError(
-            f"epsilon must lie in [0, 1e-2], got {epsilon}")
-    return epsilon
-
-
 class EnergySetup:
-    """Mesh + exponent field + regularization, with cached quadrature data."""
+    """Mesh + exponent field + regularization, with cached quadrature data.
+    The regularization starts at 0; with_epsilon sets it."""
 
-    def __init__(self, mesh, exponent_field, epsilon=0.0):
+    def __init__(self, mesh, exponent_field):
         self.mesh = mesh
         self.field = exponent_field
-        self.epsilon = _checked_epsilon(epsilon)
+        self.epsilon = 0.0
         pts, w = mesh.quad_points(quadrature_rule(ASSEMBLY_ORDER))
         self.quad_w = w                                          # (nt, 3)
         self.quad_p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
 
     def with_epsilon(self, epsilon):
+        epsilon = float(epsilon)
+        if not 0.0 <= epsilon <= MAX_EPSILON:
+            raise PreconditionError(f"epsilon must lie in [0, 1e-2], got {epsilon}")
         clone = object.__new__(EnergySetup)
         clone.mesh = self.mesh
         clone.field = self.field
-        clone.epsilon = _checked_epsilon(epsilon)
+        clone.epsilon = epsilon
         clone.quad_w = self.quad_w
         clone.quad_p = self.quad_p
         return clone

@@ -13,6 +13,7 @@ reads or writes.
 import hashlib
 import math
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ ARC = 1
 THIN = 2
 
 _TAG_CHAR = {INTERIOR: "i", ARC: "a", THIN: "t"}
-_CHAR_TAG = {v: k for k, v in _TAG_CHAR.items()}
 _TAG_CHARS = np.array([_TAG_CHAR[tag] for tag in range(len(_TAG_CHAR))])
 # rows per .tolist() in the text writers: bounds the Python numbers alive at
 # once, so writing a mesh does not grow the heap with its size
@@ -216,46 +216,33 @@ class TriMesh:
         return rule.weights[None, :] * (2.0 * self.areas[:, None])
 
 
-class HalfDiskMesh(TriMesh):
-    """TriMesh constrained to the closed half-disk, with boundary tags."""
+def _rule(points, weights):
+    """A rule on the reference triangle {x>=0, y>=0, x+y<=1}: read-only
+    points (nq, 2) and weights (nq,), which sum to its area 1/2."""
+    rule = SimpleNamespace(points=np.array(points), weights=np.array(weights))
+    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
-    def __init__(self, vertices, triangles, vertex_tags, coarser=None, parents=()):
-        super().__init__(vertices, triangles, vertex_tags, coarser, parents)
-        if not in_half_disk(self.vertices).all():
-            raise PreconditionError("vertex outside the closed half-disk")
 
-
-class QuadratureRule:
-    """Symmetric rule on the reference triangle {x>=0, y>=0, x+y<=1}."""
-
-    def __init__(self, order, points, weights):
-        self.order = order
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        if np.any(self.weights <= 0.0):
-            raise PreconditionError("quadrature weights must be positive")
-        if abs(self.weights.sum() - 0.5) > 1e-14:
-            raise PreconditionError("quadrature weights must sum to the reference area 1/2")
+_S15 = math.sqrt(15.0)
+_A5, _B5 = (6.0 + _S15) / 21.0, (6.0 - _S15) / 21.0
+_WA5, _WB5 = (155.0 + _S15) / 2400.0, (155.0 - _S15) / 2400.0
+# the symmetric rules of order 2 (3-point) and 5 (7-point), built once
+_RULES = {
+    2: _rule([(1 / 6, 1 / 6), (2 / 3, 1 / 6), (1 / 6, 2 / 3)], [1 / 6] * 3),
+    5: _rule([(1 / 3, 1 / 3),
+              (_A5, _A5), (1 - 2 * _A5, _A5), (_A5, 1 - 2 * _A5),
+              (_B5, _B5), (1 - 2 * _B5, _B5), (_B5, 1 - 2 * _B5)],
+             [9 / 80, _WA5, _WA5, _WA5, _WB5, _WB5, _WB5]),
+}
 
 
 def quadrature_rule(order):
-    """Rules of order 2 (3-point) and 5 (7-point)."""
-    if order == 2:
-        pts = [(1 / 6, 1 / 6), (2 / 3, 1 / 6), (1 / 6, 2 / 3)]
-        wts = [1 / 6, 1 / 6, 1 / 6]
-    elif order == 5:
-        s15 = math.sqrt(15.0)
-        a = (6.0 + s15) / 21.0
-        b = (6.0 - s15) / 21.0
-        wa = (155.0 + s15) / 2400.0
-        wb = (155.0 - s15) / 2400.0
-        pts = [(1 / 3, 1 / 3),
-               (a, a), (1 - 2 * a, a), (a, 1 - 2 * a),
-               (b, b), (1 - 2 * b, b), (b, 1 - 2 * b)]
-        wts = [9 / 80, wa, wa, wa, wb, wb, wb]
-    else:
+    """The rule of order 2 (3-point) or 5 (7-point)."""
+    rule = _RULES.get(order)
+    if rule is None:
         raise PreconditionError(f"quadrature order must be 2 or 5, got {order}")
-    return QuadratureRule(order, pts, wts)
+    return rule
 
 
 def _tag_geometrically(vertices):
@@ -409,7 +396,7 @@ def build(level, grading=0):
     tags = _tag_geometrically(vertices)
     mesh = None
     for n, triangles, parents in chain:
-        mesh = HalfDiskMesh(vertices[:n], triangles, tags[:n], mesh, parents)
+        mesh = TriMesh(vertices[:n], triangles, tags[:n], mesh, parents)
     return mesh
 
 
@@ -490,7 +477,7 @@ def extract_halfball_submesh(mesh, center, radius):
     on_thin = on_thin_line(sub_verts)
     tags[on_thin] = THIN
     tags[boundary_vertex & ~on_thin] = ARC
-    submesh = HalfDiskMesh(sub_verts, sub_tris, tags)
+    submesh = TriMesh(sub_verts, sub_tris, tags)
     submesh.source, submesh.vertex_map = mesh, used
     return submesh, used
 
@@ -564,29 +551,7 @@ def _text_record(path, line, tag, convs):
     if len(parts) == 1 + len(convs) and parts[0] == tag:
         try:
             return [conv(part) for conv, part in zip(convs, parts[1:])]
-        except (ValueError, KeyError, OverflowError):
+        except ValueError:
             pass
     raise FormatError(f"{path} line {number}: expected '{tag}' and "
                       f"{len(convs)} fields, got {text!r}")
-
-
-def load_mesh(path):
-    lines = _text_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty mesh file")
-    nv, nt = _text_record(path, lines[0], "m", (int, int))
-    if min(nv, nt) < 0 or len(lines) != 1 + nv + nt:
-        raise FormatError(f"{path}: expected {1 + nv + nt} lines, found {len(lines)}")
-    verts = np.empty((nv, 2))
-    tags = np.empty(nv, dtype=np.int8)
-    for i, line in enumerate(lines[1:1 + nv]):
-        x, y, tags[i] = _text_record(path, line, "v",
-                                     (_finite, _finite, _CHAR_TAG.__getitem__))
-        verts[i] = x, y
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i, line in enumerate(lines[1 + nv:]):
-        tris[i] = _text_record(path, line, "t", (np.int64,) * 3)
-    try:
-        return HalfDiskMesh(verts, tris, tags)
-    except PreconditionError as exc:
-        raise FormatError(f"{path}: invalid mesh ({exc})") from exc

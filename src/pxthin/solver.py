@@ -200,12 +200,11 @@ def _cg(A, M, b, rtol, callback):
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-        if callback is not None:
-            callback(x)
+        callback(x)
     return None
 
 
-def _free_solve(H, free, rhs, mesh, rtol=CG_RTOL, callback=None):
+def _free_solve(H, free, rhs, mesh, rtol, callback):
     """Solve H[free, free] x = rhs to the relative residual rtol; None when
     CG does not converge or the coarsest operator is singular. callback is
     called after each CG step.
@@ -279,8 +278,8 @@ def _solve_stage(problem, v, eps, tol):
         newton_ok = bool(free.any())
         if newton_ok:
             rtol = max(CG_RTOL, min(ETA_MAX, measure / first))
-            df = _free_solve(H, free, -(r + H @ d)[free], setup.mesh,
-                             rtol=rtol, callback=count_cg_step)
+            df = _free_solve(H, free, -(r + H @ d)[free], setup.mesh, rtol,
+                             count_cg_step)
             if df is None:
                 newton_ok = False
             else:

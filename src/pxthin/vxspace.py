@@ -103,7 +103,8 @@ def _report_terms(mesh, exponent_field):
     evaluated once per (mesh, field) and kept in `TriMesh.report_p`,
     keyed by repr(field): it fixes the family, coefficients and bounds
     that `eval` reads, so an entry cannot go stale. The mesh keeps p of
-    the last P_CACHE_FIELDS fields evaluated on it and drops the oldest.
+    the last P_CACHE_FIELDS fields used on it and drops the least recently
+    used one.
     """
     rule = quadrature_rule(REPORT_ORDER)
     w = mesh.report_w
@@ -112,14 +113,14 @@ def _report_terms(mesh, exponent_field):
         w.flags.writeable = False
     cache = mesh.report_p
     key = repr(exponent_field)
-    p = cache.get(key)
+    p = cache.pop(key, None)
     if p is None:
         pts, _ = mesh.quad_points(rule)
         p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
         p.flags.writeable = False
         if len(cache) >= P_CACHE_FIELDS:
             del cache[next(iter(cache))]
-        cache[key] = p
+    cache[key] = p          # a hit moves to the end: the dict is in use order
     return p, w
 
 

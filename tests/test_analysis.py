@@ -11,15 +11,32 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     ObstacleProblem, PreconditionError, admissible_radius,
                     build_reference, compute_M, gradient_holder_fit,
                     higher_integrability_scan, iteration_constants,
-                    iteration_suite, iteration_verify, monotonicity_check,
-                    solve, theoretical_alpha)
+                    iteration_suite, monotonicity_check, solve,
+                    theoretical_alpha)
+from pxthin import analysis
 from pxthin.analysis import (_GRID_HALVINGS, _MONO_BLOCK, _MONO_DRAW, MONO_C,
-                             _tuple_blocks, calibrate_monotonicity)
+                             _draw_trial, _tuple_blocks, _worst_slack,
+                             calibrate_monotonicity)
 from pxthin.cli import luxemburg_identity_checks
+from pxthin.errors import checked_trials
 from conftest import g_signorini32, traced_peak
 
 
 # ---------------------------------------------------------------- iteration
+
+def iteration_verify(consts, trials, seed):
+    """Adversarial check of the iteration conclusion on dyadic grids, for
+    one fixed set of constants: the oracle of iteration_suite's kernel.
+
+    Each trial builds the largest monotone step function satisfying the
+    hypothesis (perturbation eps drawn in [0, eps0)), then measures the
+    minimal slack of the conclusion over all grid pairs. Non-negative
+    slack in every trial certifies the constant c.
+    """
+    consts.validate()
+    rng = np.random.default_rng(seed)
+    return _worst_slack(_draw_trial(rng, consts) for _ in range(checked_trials(trials)))
+
 
 def test_iteration_constants_pinned_example():
     c = iteration_constants(1.0, 2.0, 1.0)
@@ -73,8 +90,7 @@ def test_iteration_constants_reject_a_bad_B(B):
 
 @pytest.mark.parametrize("trials", [0, -5])
 def test_no_sampled_check_passes_on_no_trials(mesh3, trials):
-    checks = [lambda: iteration_verify(iteration_constants(1.0, 2.0, 1.0), trials, 0),
-              lambda: iteration_suite(trials, 0),
+    checks = [lambda: iteration_suite(trials, 0),
               lambda: monotonicity_check(1.1, 10.0, trials, 0),
               lambda: luxemburg_identity_checks(mesh3, ExponentField("constant", [2.0]),
                                                 trials, 0)]
@@ -290,13 +306,13 @@ def test_scan_structural_bounds(scan_inputs):
     assert all(a > b for a, b in zip(rep.rh_radii, rep.rh_radii[1:]))
 
 
-def test_scan_default_cap_keeps_the_whole_grid(scan_inputs):
+def test_scan_default_cap_keeps_the_whole_grid(scan_inputs, monkeypatch):
     problem, u, w, field = scan_inputs
     rep = higher_integrability_scan(u, w, field, (0.0, 0.0), 0.035)
     assert rep.sigma0 == max(rep.sigma_grid)
     # a crushing cap forces sigma0 back to the trivial value
-    tight = higher_integrability_scan(u, w, field, (0.0, 0.0), 0.035,
-                                      c_cap=1e-12)
+    monkeypatch.setattr(analysis, "C_CAP", 1e-12)
+    tight = higher_integrability_scan(u, w, field, (0.0, 0.0), 0.035)
     assert tight.sigma0 == 0.0
 
 

@@ -151,7 +151,7 @@ def _coo_hessian(setup, v):
        st.sampled_from((1e-2, 1e-5, 1e-8)), st.integers(0, 2 ** 32 - 1))
 def test_cached_pattern_hessian_matches_coo_assembly(level, grading, field, eps, seed):
     mesh = build(level, grading)
-    setup = EnergySetup(mesh, field, epsilon=eps)
+    setup = EnergySetup(mesh, field).with_epsilon(eps)
     v = _random_state(mesh, seed)
     H = csr(hessian(setup, v))
     ref = _coo_hessian(setup, v)
@@ -238,7 +238,7 @@ def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
     mesh6.p1_pattern
     mesh6.prolongation
     assert traced_peak(TriMesh.coarse_map.func, mesh6) <= 150 * nt
-    setup = EnergySetup(mesh6, sin_field, epsilon=1e-3)
+    setup = EnergySetup(mesh6, sin_field).with_epsilon(1e-3)
     v = _random_state(mesh6, 0)
     assert traced_peak(hessian, setup, v) <= 280 * nt
     H = hessian(setup, v)

@@ -1,17 +1,18 @@
 """Half-disk triangulation: refinement bookkeeping, boundary tags, quadrature
-exactness, submesh extraction, and the text round trip."""
+exactness, submesh extraction, and the canonical text form."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pxthin import (FeFunction, FormatError, PreconditionError, ResolutionError,
-                    build, extract_halfball_submesh, load_mesh, mesh_hash,
-                    mesh_text, quadrature_rule, save_mesh)
+from pxthin import (FeFunction, PreconditionError, ResolutionError, build,
+                    extract_halfball_submesh, mesh_hash, mesh_text,
+                    quadrature_rule)
 from pxthin.comparison import reflect_full_disk
 from pxthin.mesh import _TAG_CHAR, GEOM_TOL, TriMesh, ball_element_mask
 from pxthin.solver import solution_text
@@ -162,31 +163,9 @@ def test_submesh_center_restricted_to_inner_segment():
         extract_halfball_submesh(mesh, np.array([0.8, 0.0]), 0.1)
 
 
-def test_mesh_text_roundtrip(tmp_path):
-    mesh = build(2)
-    path = tmp_path / "mesh.txt"
-    save_mesh(mesh, str(path))
-    loaded = load_mesh(str(path))
-    assert mesh_text(loaded) == mesh_text(mesh)
-    assert mesh_hash(loaded) == mesh_hash(mesh)
-    assert np.array_equal(loaded.triangles, mesh.triangles)
-    assert np.array_equal(loaded.vertex_tags, mesh.vertex_tags)
-    assert np.array_equal(loaded.vertices, mesh.vertices)
-
-
 def test_mesh_text_is_deterministic():
     assert mesh_text(build(1)) == mesh_text(build(1))
     assert mesh_hash(build(2)) == mesh_hash(build(2))
-
-
-def test_corrupt_mesh_file_is_rejected(tmp_path):
-    mesh = build(1)
-    path = tmp_path / "mesh.txt"
-    save_mesh(mesh, str(path))
-    text = path.read_text()
-    path.write_text(text.replace("t 0", "t 99", 1))
-    with pytest.raises(FormatError):
-        load_mesh(str(path))
 
 
 def test_negative_level_rejected():
@@ -238,12 +217,25 @@ def test_ball_element_mask_is_the_vertex_distance_definition(ball):
     assert ball_element_mask(mesh, (x1, 0.0), radius).tolist() == expected
 
 
+# build(level, grading) once per shape, for the strategy and the test to share
+built = functools.cache(build)
+
+
+@st.composite
+def resolved_balls(draw):
+    """(shape, x1, radius) with radius in (2 h_max, 0.75], the radii a
+    submesh accepts. 2 h_max is at least 1 on levels 0 and 1, so the shapes
+    start at level 2, where it is 0.60."""
+    shape = draw(st.tuples(st.integers(2, 5), st.integers(0, 2)))
+    radius = st.floats(2.0 * built(*shape).h_max, 0.75, exclude_min=True)
+    return shape, draw(st.floats(-0.5, 0.5)), draw(radius)
+
+
 @settings(max_examples=40, deadline=None)
-@given(balls)
+@given(resolved_balls())
 def test_submesh_keeps_exactly_the_masked_triangles(ball):
     shape, x1, radius = ball
-    mesh = build(*shape)
-    assume(radius > 2.0 * mesh.h_max)
+    mesh = built(*shape)
     mask = ball_element_mask(mesh, (x1, 0.0), radius)
     try:
         sub, vmap = extract_halfball_submesh(mesh, (x1, 0.0), radius)
@@ -320,16 +312,14 @@ def test_a_hierarchy_that_does_not_chain_is_rejected():
     assert (csr(same.prolongation) != csr(mesh.prolongation)).nnz == 0
 
 
-def test_meshes_made_outside_build_have_no_hierarchy(tmp_path):
+def test_meshes_made_outside_build_have_no_hierarchy():
     mesh = build(3)
-    path = tmp_path / "m.txt"
-    save_mesh(mesh, str(path))
-    loaded = load_mesh(str(path))
+    plain = TriMesh(mesh.vertices, mesh.triangles, mesh.vertex_tags)
     sub, _ = extract_halfball_submesh(mesh, (0.0, 0.0), 0.5)
     disk, _ = reflect_full_disk(FeFunction(mesh, np.zeros(mesh.num_vertices)))
-    for flat in (loaded, sub, disk):
+    for flat in (plain, sub, disk):
         assert flat.coarser is None and flat.hierarchy == (flat,)
-    for flat in (loaded, disk):
+    for flat in (plain, disk):
         assert flat.below is None and flat.prolongation is None
     # a half-ball submesh steps to the coarse triangles that hold its own,
     # cut from the coarser mesh of its source, through the source's

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from pxthin import (ConvergenceError, EnergySetup, ExponentField, FeFunction,
                     FormatError, ObstacleProblem, PreconditionError,
                     ResolutionError, ResourceError, build,
-                    energy, extract_halfball_submesh, hessian, load_mesh,
-                    load_solution, save_mesh, save_solution, solve, vi_check)
+                    energy, extract_halfball_submesh, hessian, load_solution,
+                    save_solution, solve, vi_check)
 from pxthin import comparison, solver
 from pxthin.cli import boundary_values
 from pxthin.comparison import reference_problem
@@ -255,45 +255,34 @@ def test_truncated_solution_file_rejected(tmp_path, mesh4, p2):
         load_solution(str(path), mesh4)
 
 
-# a malformed number in each numeric field the two readers parse: the file,
-# the index of its line to corrupt, the field and its new text
+# a malformed number in each numeric field the solution reader parses: the
+# index of its line to corrupt, the field and its new text
 MALFORMED_NUMBERS = [
-    ("u.txt", 0, 2, "1.5"),         # the solution header's value count
-    ("u.txt", 1, 1, "x"),           # a value line's vertex index
-    ("u.txt", 2, 2, "1,5"),         # a value
-    ("mesh.txt", 1, 1, "1e"),       # a vertex coordinate
-    ("mesh.txt", -1, 3, "two"),     # a triangle's vertex index
-    ("mesh.txt", -1, 3, "1" + "0" * 30),   # an index beyond int64
-    ("u.txt", 2, 2, "nan"),         # values that are not finite
-    ("u.txt", 2, 2, "inf"),
-    ("u.txt", 2, 2, "1e999"),
+    (0, 2, "1.5"),          # the header's value count
+    (1, 1, "x"),            # a value line's vertex index
+    (2, 2, "1,5"),          # a value
+    (2, 2, "nan"),          # values that are not finite
+    (2, 2, "inf"),
+    (2, 2, "1e999"),
 ]
 
 
-@pytest.mark.parametrize("name,index,field,text", MALFORMED_NUMBERS,
-                         ids=["count", "u_index", "value", "coordinate",
-                              "triangle_index", "int64_overflow", "nan", "inf",
-                              "overflow"])
-def test_malformed_numbers_name_the_file_and_the_line(tmp_path, name, index,
-                                                      field, text):
+@pytest.mark.parametrize("index,field,text", MALFORMED_NUMBERS,
+                         ids=["count", "u_index", "value", "nan", "inf", "overflow"])
+def test_malformed_numbers_name_the_file_and_the_line(tmp_path, index, field, text):
     mesh = build(1)
-    save_mesh(mesh, str(tmp_path / "mesh.txt"))
-    save_solution(FeFunction(mesh, mesh.vertices[:, 1].copy()), mesh,
-                  str(tmp_path / "u.txt"))
-    path = tmp_path / name
+    path = tmp_path / "u.txt"
+    save_solution(FeFunction(mesh, mesh.vertices[:, 1].copy()), mesh, str(path))
     lines = path.read_text().splitlines()
     parts = lines[index].split()
     parts[field] = text
     lines[index] = " ".join(parts)
-    # a leading blank line: the readers skip it, and the numbers count it
+    # a leading blank line: the reader skips it, and the numbers count it
     path.write_text("\n" + "\n".join(lines) + "\n")
-    number = index % len(lines) + 2
+    number = index + 2
     with pytest.raises(FormatError, match="^%s line %d: " % (re.escape(str(path)),
                                                             number)):
-        if name == "u.txt":
-            load_solution(str(path), mesh)
-        else:
-            load_mesh(str(path))
+        load_solution(str(path), mesh)
 
 
 @pytest.mark.parametrize("case", ["undecodable", "missing"])
@@ -301,10 +290,7 @@ def test_unreadable_files_are_format_errors_naming_the_file(tmp_path, case):
     path = tmp_path / "in.txt"
     if case == "undecodable":
         path.write_bytes(b"m 0 \xff\n")
-    expected = "^%s: " % re.escape(str(path))
-    with pytest.raises(FormatError, match=expected):
-        load_mesh(str(path))
-    with pytest.raises(FormatError, match=expected):
+    with pytest.raises(FormatError, match="^%s: " % re.escape(str(path))):
         load_solution(str(path), build(1))
 
 
@@ -323,10 +309,15 @@ def _newton_system(level, grading, field, eps, seed, ball=None):
         mesh, _ = extract_halfball_submesh(mesh, (ball[0], 0.0), ball[1])
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, mesh.num_vertices)
-    H = hessian(EnergySetup(mesh, field, epsilon=eps), v)
+    H = hessian(EnergySetup(mesh, field).with_epsilon(eps), v)
     thin = mesh.vertex_tags == THIN
     free = (mesh.vertex_tags == INTERIOR) | (thin & (rng.random(mesh.num_vertices) < 0.5))
     return mesh, H, free, rng.standard_normal(int(free.sum()))
+
+
+def _free_solve(H, free, rhs, mesh):
+    """The Newton direction at the solver's tightest tolerance."""
+    return solver._free_solve(H, free, rhs, mesh, solver.CG_RTOL, lambda x: None)
 
 
 # a half-ball submesh's V-cycle steps to cuts of its source's coarser
@@ -341,7 +332,7 @@ def test_multigrid_direction_matches_direct_solve(level, grading, field, eps, se
         mesh, H, free, rhs = _newton_system(level, grading, field, eps, seed, ball)
     except (PreconditionError, ResolutionError):    # a ball the mesh cannot resolve
         assume(False)
-    x = solver._free_solve(H, free, rhs, mesh)
+    x = _free_solve(H, free, rhs, mesh)
     direct = spla.spsolve(csr(H)[free][:, free].tocsc(), rhs)
     assert x is not None
     assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
@@ -350,7 +341,7 @@ def test_multigrid_direction_matches_direct_solve(level, grading, field, eps, se
 def test_unconverged_cg_gives_no_direction(monkeypatch):
     mesh, H, free, rhs = _newton_system(5, 0, FAMILIES[3], 1e-8, 0)
     monkeypatch.setattr(solver, "CG_MAXITER", 2)
-    assert solver._free_solve(H, free, rhs, mesh) is None
+    assert _free_solve(H, free, rhs, mesh) is None
 
 
 def test_singular_free_block_gives_no_direction():
@@ -358,15 +349,13 @@ def test_singular_free_block_gives_no_direction():
                    [(0, 1, 2), (0, 2, 3)])
     H = PatternMatrix(mesh.p1_pattern, np.zeros((mesh.p1_pattern.width, 4)))
     free = np.ones(4, dtype=bool)
-    assert solver._free_solve(H, free, np.ones(4), mesh) is None
+    assert _free_solve(H, free, np.ones(4), mesh) is None
 
 
 def test_a_mesh_without_a_coarser_mesh_is_solved_densely_up_to_a_size(
-        tmp_path, monkeypatch, p2):
+        monkeypatch, p2):
     mesh = build(3)
-    path = tmp_path / "mesh.txt"
-    save_mesh(mesh, str(path))
-    flat = load_mesh(str(path))
+    flat = TriMesh(mesh.vertices, mesh.triangles, mesh.vertex_tags)
     problem = ObstacleProblem(EnergySetup(flat, p2), g_signorini32(flat))
     free = int(np.count_nonzero(~problem.dirichlet))
     monkeypatch.setattr(solver, "DENSE_MAX", free)
@@ -404,13 +393,11 @@ def test_projected_steps_pass_armijo_along_the_projected_arc():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(3, 5), st.sampled_from(FAMILIES),
        st.sampled_from(("linear_xn", "signorini32", "offset_const")), st.booleans())
-def test_nested_solve_agrees_with_the_plain_ladder(tmp_path_factory, level, field,
-                                                   preset, reference):
-    # a loaded mesh keeps no hierarchy, so it runs every eps stage on itself
+def test_nested_solve_agrees_with_the_plain_ladder(level, field, preset, reference):
+    # a mesh made outside build keeps no hierarchy, so it runs every eps
+    # stage on itself
     mesh = build(level)
-    path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
-    save_mesh(mesh, str(path))
-    flat = load_mesh(str(path))
+    flat = TriMesh(mesh.vertices, mesh.triangles, mesh.vertex_tags)
     assert flat.coarser is None and flat.hierarchy == (flat,)
     boundary = {"preset": preset, "scale": 1.0, "offset": -0.5, "file": None}
     results = []

@@ -28,7 +28,7 @@ def _mesh(shape):
 
 def _hessian(mesh, field, seed):
     rng = np.random.default_rng(seed)
-    setup = EnergySetup(mesh, field, epsilon=1e-4)
+    setup = EnergySetup(mesh, field).with_epsilon(1e-4)
     return hessian(setup, rng.standard_normal(mesh.num_vertices)), rng
 
 

@@ -120,8 +120,8 @@ def test_luxemburg_norm_at_every_scale(mesh4, family, low, spread, k,
 
 def test_cached_exponent_follows_the_field():
     # fields one coefficient apart, used in turn on one mesh (three of them,
-    # so the oldest entry is dropped), must each see their own p: equal, bit
-    # for bit, to what a fresh mesh computes
+    # so an entry is dropped), must each see their own p: equal, bit for
+    # bit, to what a fresh mesh computes
     mesh = build(4)
     values = np.sin(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 1]
     f = FeFunction(mesh, values)
@@ -138,6 +138,23 @@ def test_cached_exponent_follows_the_field():
         assert not p.flags.writeable
         with pytest.raises(ValueError):
             p[0, 0] = 1.0
+
+
+def test_the_exponent_cache_drops_the_least_recently_used_field(monkeypatch):
+    mesh = build(2)
+    f = FeFunction(mesh, mesh.vertices[:, 0].copy())
+    older, newer, third = (ExponentField("affine", [2.0, 0.3, a2])
+                           for a2 in (0.0, 0.1, 0.2))
+    modular(f, older)
+    modular(f, newer)
+    kept = mesh.report_p[repr(older)]
+    # a hit evaluates nothing
+    monkeypatch.setattr(ExponentField, "eval", None)
+    modular(f, older)
+    monkeypatch.undo()
+    modular(f, third)
+    assert list(mesh.report_p) == [repr(older), repr(third)]
+    assert mesh.report_p[repr(older)] is kept
 
 
 def test_fe_function_shape_is_checked(mesh4):
