@@ -12,9 +12,8 @@ import numpy as np
 from .energy import EnergySetup, residual
 from .errors import PreconditionError
 from .exponent import ExponentField
-from .mesh import (ARC, INTERIOR, THIN, TriMesh, ball_element_mask,
-                   checked_center, checked_radii, extract_halfball_submesh,
-                   on_arc, on_thin_line)
+from .mesh import (INTERIOR, THIN, ball_element_mask, checked_center,
+                   checked_radii, extract_halfball_submesh)
 from .solver import ObstacleProblem, solve
 from .vxspace import FeFunction, checked_sigma, gradient_mass, modular
 
@@ -23,7 +22,7 @@ from .vxspace import FeFunction, checked_sigma, gradient_mass, modular
 class ReferenceReport:
     M: float                  # energy bound of the pair (u, w), see compute_M
     ordering_margin: float    # min over nodes of u - w
-    reflect_residual: float   # full-disk odd-extension residual sup
+    reflect_residual: float   # odd-extension residual sup, see reflect_and_check
 
 
 @dataclass
@@ -66,62 +65,25 @@ def reference_report(u, w, field):
                            M=compute_M(u, w, field))
 
 
-class _EvenExtensionField:
-    """Evaluates an exponent field at (x1, |x2|); even across the axis."""
-
-    def __init__(self, base):
-        self.base = base
-        self.gamma1 = base.gamma1
-        self.gamma2 = base.gamma2
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        folded = x.copy()
-        folded[..., 1] = np.abs(folded[..., 1])
-        return self.base.eval(folded)
-
-
-def reflect_full_disk(w):
-    """Mirrored full-disk mesh together with the odd extension of w.
-
-    The two corner vertices (on the axis and the circle at once) carry
-    the arc data, so the odd extension jumps there. They are duplicated:
-    lower elements reference a coincident copy holding the negated value.
-    """
-    mesh = w.mesh
-    verts = mesh.vertices
-    nv = mesh.num_vertices
-    mirror_src = ~on_thin_line(verts) | on_arc(verts)     # upper, or a corner
-    n_new = int(mirror_src.sum())
-    mirrored = verts[mirror_src] * np.array([1.0, -1.0])
-    image = np.arange(nv)
-    image[mirror_src] = nv + np.arange(n_new)
-    full_verts = np.vstack([verts, mirrored])
-    # reflection flips orientation; swap two indices to keep triangles CCW
-    refl_tris = image[mesh.triangles][:, [0, 2, 1]]
-    full_tris = np.vstack([mesh.triangles, refl_tris])
-    tags = np.where(on_arc(full_verts), ARC, INTERIOR).astype(np.int8)
-    full_mesh = TriMesh(full_verts, full_tris, tags)
-    odd_vals = np.concatenate([w.values, -w.values[mirror_src]])
-    return full_mesh, FeFunction(full_mesh, odd_vals)
-
-
 def reflect_and_check(w, field):
-    """Residual sup-norm of the odd extension on the mirrored full disk.
+    """Residual sup-norm of the odd extension of w across Thin, with the
+    exponent extended evenly, on the full disk.
 
-    The exponent is extended evenly. Interior nodes include the former
-    Thin nodes; only nodes on the outer circle are excluded.
+    It is computed on the half-disk, with no mirrored mesh. For an even p
+    and an odd w the residual at each upper node of the mirrored disk is
+    w's own residual there, bit for bit; at each mirrored node it is minus
+    that, and at Thin nodes the lower elements cancel the upper ones, both
+    up to round-off. So the sup over the disk's interior is the sup over
+    the INTERIOR vertices of the half-disk. The extension is odd only if w
+    is exactly 0 on Thin.
     """
     mesh = w.mesh
-    thin = mesh.vertex_tags == THIN
-    if thin.any() and np.abs(w.values[thin]).max() > 1e-10:
+    if np.any(w.values[mesh.vertex_tags == THIN] != 0.0):
         raise PreconditionError("w does not vanish on Thin nodes")
-    full_mesh, w_tilde = reflect_full_disk(w)
-    setup = EnergySetup(full_mesh, _EvenExtensionField(field))
-    r = residual(setup, w_tilde)
-    interior = full_mesh.vertex_tags != ARC
+    interior = mesh.vertex_tags == INTERIOR
     if not interior.any():
         return 0.0
+    r = residual(EnergySetup(mesh, field), w)
     return float(np.abs(r[interior]).max())
 
 

@@ -13,7 +13,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from pxthin import EnergySetup, ExponentField, ObstacleProblem, build, solve
+from pxthin import (EnergySetup, ExponentField, FeFunction, ObstacleProblem,
+                    TriMesh, build, solve)
+from pxthin.mesh import ARC, INTERIOR, on_arc, on_thin_line
 
 CRITERION_LINES = []
 
@@ -73,6 +75,46 @@ def g_signorini32(mesh):
     r = np.hypot(x[:, 0], x[:, 1])
     theta = np.arctan2(x[:, 1], x[:, 0])
     return r ** 1.5 * np.cos(1.5 * theta)
+
+
+class EvenExtensionField:
+    """Evaluates an exponent field at (x1, |x2|); even across the axis."""
+
+    def __init__(self, base):
+        self.base = base
+        self.gamma1 = base.gamma1
+        self.gamma2 = base.gamma2
+
+    def eval(self, x):
+        folded = np.array(x, dtype=float)
+        folded[..., 1] = np.abs(folded[..., 1])
+        return self.base.eval(folded)
+
+
+def reflect_full_disk(w):
+    """Mirrored full-disk mesh together with the odd extension of w, the
+    oracle of reflect_and_check's half-disk identity.
+
+    The two corner vertices (on the axis and the circle at once) carry
+    the arc data, so the odd extension jumps there. They are duplicated:
+    lower elements reference a coincident copy holding the negated value.
+    """
+    mesh = w.mesh
+    verts = mesh.vertices
+    nv = mesh.num_vertices
+    mirror_src = ~on_thin_line(verts) | on_arc(verts)     # upper, or a corner
+    n_new = int(mirror_src.sum())
+    mirrored = verts[mirror_src] * np.array([1.0, -1.0])
+    image = np.arange(nv)
+    image[mirror_src] = nv + np.arange(n_new)
+    full_verts = np.vstack([verts, mirrored])
+    # reflection flips orientation; swap two indices to keep triangles CCW
+    refl_tris = image[mesh.triangles][:, [0, 2, 1]]
+    full_tris = np.vstack([mesh.triangles, refl_tris])
+    tags = np.where(on_arc(full_verts), ARC, INTERIOR).astype(np.int8)
+    full_mesh = TriMesh(full_verts, full_tris, tags)
+    odd_vals = np.concatenate([w.values, -w.values[mirror_src]])
+    return full_mesh, FeFunction(full_mesh, odd_vals)
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pxthin import (ExponentField, FeFunction, ObstacleProblem,
-                    PreconditionError, build_reference, comparison_decay,
-                    compute_M, reference_report, reflect_and_check, solve)
-from pxthin.comparison import reflect_full_disk
+from pxthin import (EnergySetup, ExponentField, FeFunction, ObstacleProblem,
+                    PreconditionError, build, build_reference,
+                    comparison_decay, compute_M, reference_report,
+                    reflect_and_check, residual, solve)
+from pxthin.mesh import ARC, INTERIOR, THIN
+from conftest import FAMILIES, EvenExtensionField, reflect_full_disk
 
 
 def _unit_reference(problem):
@@ -63,6 +67,46 @@ def test_reflection_rejects_nonvanishing_trace(mesh4, p2):
     w = FeFunction(mesh4, np.ones(mesh4.num_vertices))
     with pytest.raises(PreconditionError):
         reflect_and_check(w, p2)
+
+
+def test_reflection_needs_an_exact_zero_on_thin(mesh4, p2):
+    # the half-disk identity needs an exactly odd extension: round-off on
+    # one Thin vertex is refused, as is a NaN, while -0.0 is a zero
+    thin = np.flatnonzero(mesh4.vertex_tags == THIN)
+    for bad in (1e-12, np.nan):
+        values = np.zeros(mesh4.num_vertices)
+        values[thin[len(thin) // 2]] = bad
+        with pytest.raises(PreconditionError):
+            reflect_and_check(FeFunction(mesh4, values), p2)
+    values = np.zeros(mesh4.num_vertices)
+    values[thin] = -0.0
+    assert reflect_and_check(FeFunction(mesh4, values), p2) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 1), st.sampled_from(FAMILIES),
+       st.integers(0, 2**32 - 1))
+def test_half_disk_residual_matches_the_mirrored_full_disk(level, grading,
+                                                           field, seed):
+    # the identity reflect_and_check rests on, against the full-disk oracle:
+    # a random w that vanishes on Thin, oddly extended, p evenly extended
+    mesh = build(level, grading)
+    values = np.random.default_rng(seed).standard_normal(mesh.num_vertices)
+    values[mesh.vertex_tags == THIN] = 0.0
+    w = FeFunction(mesh, values)
+    r_half = residual(EnergySetup(mesh, field), w)
+    full, w_odd = reflect_full_disk(w)
+    r_full = residual(EnergySetup(full, EvenExtensionField(field)), w_odd)
+    eps = np.finfo(float).eps
+    scale = np.abs(r_half[mesh.vertex_tags == INTERIOR]).max()
+    # upper nodes: the same element terms summed in the same order
+    upper = mesh.vertex_tags != THIN
+    assert np.array_equal(r_full[:mesh.num_vertices][upper], r_half[upper])
+    # Thin nodes: the lower elements cancel the upper ones
+    thin = mesh.vertex_tags == THIN
+    assert np.abs(r_full[:mesh.num_vertices][thin]).max() <= 64 * eps * scale
+    oracle = np.abs(r_full[full.vertex_tags != ARC]).max()
+    assert abs(reflect_and_check(w, field) - oracle) <= 64 * eps * oracle
 
 
 def test_full_disk_reflection_geometry(solved_p2_sig32_l5):

@@ -18,6 +18,26 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
+def test_the_public_surface_does_not_grow():
+    # each __all__ function's parameters plus each class's own __init__
+    # parameters, less self, *args and **kwargs; lower both bounds when the
+    # surface shrinks
+    def count(fn):
+        kinds = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+        return sum(1 for p in inspect.signature(fn).parameters.values()
+                   if p.kind not in kinds and p.name != "self")
+
+    params = 0
+    for name in pxthin.__all__:
+        obj = getattr(pxthin, name)
+        if inspect.isclass(obj):
+            params += count(vars(obj)["__init__"]) if "__init__" in vars(obj) else 0
+        else:
+            params += count(obj)
+    assert len(pxthin.__all__) <= 51
+    assert params <= 156
+
+
 @functools.cache
 def _locals(def_):
     """The names a def binds in its own scope (an over-estimate: the

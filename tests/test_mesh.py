@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from pxthin import (FeFunction, PreconditionError, ResolutionError, build,
                     extract_halfball_submesh, mesh_hash, mesh_text,
                     quadrature_rule)
-from pxthin.comparison import reflect_full_disk
 from pxthin.mesh import _TAG_CHAR, GEOM_TOL, TriMesh, ball_element_mask
 from pxthin.solver import solution_text
-from conftest import csr
+from conftest import csr, reflect_full_disk
 
 INTERIOR, ARC, THIN = 0, 1, 2
 
