@@ -1,4 +1,4 @@
-"""Command line front end: configured runs, summary merging, standalone checks.
+"""Command line front end: configured runs and summary merging.
 
 Configs are plain text ``key = value`` files with ``[section]`` headers.  A
 config either parses completely or the run is rejected with a line/field
@@ -379,15 +379,6 @@ def _plot_from_csvs(outdir):
                     "radius", "Campanato integral")
 
 
-def _bound_violation(quantity, value, bound, upper):
-    """None if value keeps its upper (or lower) bound, which nan never does,
-    else the detail '<quantity> = <value> > <bound>' ('<' for a lower one)."""
-    if value <= bound if upper else value >= bound:
-        return None
-    return "%s = %s %s %r" % (quantity, _f17(value), ">" if upper else "<",
-                              float(bound))
-
-
 class _Run:
     """What the experiment steps of one run share: inputs, results so far,
     summary rows and contract checks."""
@@ -421,9 +412,12 @@ class _Run:
             self.violations.append((contract, detail))
 
     def check_bound(self, contract, quantity, value, bound, upper=True):
-        """Add the summary row `quantity`, and check its value against bound."""
+        """Add the summary row `quantity`, and check its value against its
+        upper (or lower) bound, which nan never keeps."""
         self.summary.append((quantity, _f17(value)))
-        self.check(contract, _bound_violation(quantity, value, bound, upper))
+        kept = value <= bound if upper else value >= bound
+        self.check(contract, None if kept else "%s = %s %s %r" % (
+            quantity, _f17(value), ">" if upper else "<", float(bound)))
 
     def write_summary(self, *extra):
         failed = ";".join(v[0] for v in self.violations) or "none"
@@ -662,21 +656,19 @@ _VERIFY_CHECKS = (
 )
 
 
-def _verify_rows(cfg, mesh, field, seed):
-    """Per sampled check, all measured first: its trials key, (row, value) pairs."""
-    return [(key, list(zip(rows, measure(cfg[key], cfg, mesh, field, seed))))
-            for key, measure, rows in _VERIFY_CHECKS]
-
-
 def _verify_plan(run):
     checked_gammas(run.config["verify"]["gamma1"], run.config["verify"]["gamma2"])
 
 
 def _verify_step(run):
+    # every check measures before any row is added, so one that raises
+    # leaves no verify rows in the summary
     cfg = run.config["verify"]
-    for key, pairs in _verify_rows(cfg, run.mesh, run.field, run.seed):
+    measured = [(key, rows, measure(cfg[key], cfg, run.mesh, run.field, run.seed))
+                for key, measure, rows in _VERIFY_CHECKS]
+    for key, rows, values in measured:
         run.summary.append((key, str(cfg[key])))
-        for (quantity, contract, bound, upper), value in pairs:
+        for (quantity, contract, bound, upper), value in zip(rows, values):
             run.check_bound(contract, quantity, value, bound, upper)
 
 
@@ -766,22 +758,6 @@ def report_command(directory):
     return 0
 
 
-def verify_command(trials, seed):
-    """Standalone certified-inequality checks; exit 0 iff everything holds."""
-    cfg = {"iteration_trials": trials, "monotonicity_trials": 10 * trials,
-           "luxemburg_trials": max(1, trials // 100),
-           "gamma1": MONO_GAMMA[0], "gamma2": MONO_GAMMA[1]}
-    field = ExponentField("sinusoidal", [2.0, 0.5, math.pi])
-    failed = False
-    for key, pairs in _verify_rows(cfg, build(4), field, seed):
-        for (quantity, contract, bound, upper), value in pairs:
-            detail = _bound_violation(quantity, value, bound, upper)
-            failed = failed or detail is not None
-            print("%s: %s  %s=%d  %s=%.3g" % (contract, "FAIL" if detail else "PASS",
-                                             key, cfg[key], quantity, value))
-    return 1 if failed else 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="pxthin",
@@ -791,21 +767,11 @@ def main(argv=None):
     p_run.add_argument("config", help="path to a key = value config file")
     p_report = sub.add_parser("report", help="merge run summaries into one CSV")
     p_report.add_argument("directory", help="directory holding run output dirs")
-    p_verify = sub.add_parser("verify",
-                              help="standalone certified-inequality checks")
-    p_verify.add_argument("--trials", type=int, default=10000)
-    p_verify.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.trials < 1:
-        p_verify.error("--trials must be at least 1, got %d" % args.trials)
-    if args.command == "verify" and args.seed < 0:
-        p_verify.error("--seed must be >= 0, got %d" % args.seed)
     try:
         if args.command == "run":
             return run_command(args.config)
-        if args.command == "report":
-            return report_command(args.directory)
-        return verify_command(args.trials, args.seed)
+        return report_command(args.directory)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -97,7 +97,7 @@ class ExponentField:
             if declared < 0.0:
                 raise PreconditionError("holder_seminorm must be >= 0")
             self.holder_seminorm = declared
-            observed = estimate_holder_seminorm(self, beta, 10_000)
+            observed = estimate_holder_seminorm(self)
             if observed > declared + 1e-10:
                 raise PreconditionError(
                     f"declared holder_seminorm {declared} is exceeded by a sampled "
@@ -134,10 +134,9 @@ class ExponentField:
     def sup_inf_on_halfball(self, center, radius):
         """(inf, sup) of p over B_radius(center) intersected with the half-disk.
 
-        The center lies on the thin line. Dense 64x64 polar sampling plus
-        the family's exact extremal candidates, widened by a 1e-6 pad and
-        clamped to [gamma1, gamma2]. The candidates make the result
-        monotone in the radius.
+        The center lies on the thin line. p is evaluated at the family's
+        exact extremal candidates, and the range is widened by a 1e-6 pad
+        and clamped to [gamma1, gamma2].
         """
         cx, cy = float(center[0]), float(center[1])
         radius = float(radius)
@@ -147,12 +146,7 @@ class ExponentField:
             raise PreconditionError(
                 f"half-ball center must lie on the thin line, got x2 = {cy}")
 
-        rr = np.linspace(0.0, radius, 64)
-        th = np.linspace(0.0, np.pi, 64)
-        ex, ey = self._extreme_candidates(cx, radius)
-        px = np.concatenate([cx + np.outer(rr, np.cos(th)).ravel(), ex])
-        py = np.concatenate([cy + np.outer(rr, np.sin(th)).ravel(), ey])
-
+        px, py = self._extreme_candidates(cx, radius)
         keep = in_half_disk(np.stack([px, py], axis=-1))
         px, py = px[keep], py[keep]
         if px.size == 0:
@@ -165,7 +159,7 @@ class ExponentField:
 
     def _extreme_candidates(self, cx, r):
         # Exact extremal points of each family over B_r((cx,0)) cut to the
-        # half-disk, so sampled extremes do not drift with the grid.
+        # half-disk.
         lo = max(-1.0, cx - r)
         hi = min(1.0, cx + r)
         if lo > hi:
@@ -215,29 +209,27 @@ class ExponentField:
         return np.asarray(xs), np.asarray(ys)
 
 
-def estimate_holder_seminorm(field, beta, samples):
-    """Max sampled difference quotient |p(x)-p(y)| / |x-y|^beta.
+_SEMINORM_SAMPLES = 10_000
+
+
+def estimate_holder_seminorm(field):
+    """Max sampled difference quotient |p(x)-p(y)| / |x-y|^beta, beta = field.beta.
 
     A certified lower bound for [p(.)]_beta: quotients are taken over
     random far pairs plus short probes along numerically estimated
     gradient directions, with a fixed seed for reproducibility.
     """
-    samples = int(samples)
-    if samples < 2:
-        raise PreconditionError("need at least 2 samples")
-    beta = checked_beta(beta)
-
+    beta = field.beta
     rng = np.random.default_rng(1905)
-    n = samples
+    n = _SEMINORM_SAMPLES
     rad = np.sqrt(rng.uniform(0.0, 1.0, n))
     ang = rng.uniform(0.0, np.pi, n)
     pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
     pts[0] = (0.0, 0.0)
-    if n >= 5:
-        pts[1] = (1.0, 0.0)
-        pts[2] = (-1.0, 0.0)
-        pts[3] = (0.0, 1.0)
-        pts[4] = (0.5, 0.0)
+    pts[1] = (1.0, 0.0)
+    pts[2] = (-1.0, 0.0)
+    pts[3] = (0.0, 1.0)
+    pts[4] = (0.5, 0.0)
 
     vals = field.eval(pts)
     best = 0.0

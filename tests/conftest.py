@@ -15,7 +15,7 @@ import pytest
 
 from pxthin import (EnergySetup, ExponentField, FeFunction, ObstacleProblem,
                     TriMesh, build, solve)
-from pxthin.mesh import ARC, INTERIOR, on_arc, on_thin_line
+from pxthin.mesh import ARC, INTERIOR, in_half_disk, on_arc, on_thin_line
 
 CRITERION_LINES = []
 
@@ -75,6 +75,22 @@ def g_signorini32(mesh):
     r = np.hypot(x[:, 0], x[:, 1])
     theta = np.arctan2(x[:, 1], x[:, 0])
     return r ** 1.5 * np.cos(1.5 * theta)
+
+
+def sampled_sup_inf_on_halfball(field, center, radius):
+    """(inf, sup) of p over the half-ball from dense 64x64 polar samples plus
+    the family's exact candidates, the oracle of sup_inf_on_halfball."""
+    cx, cy = float(center[0]), float(center[1])
+    rr = np.linspace(0.0, radius, 64)
+    th = np.linspace(0.0, np.pi, 64)
+    ex, ey = field._extreme_candidates(cx, radius)
+    px = np.concatenate([cx + np.outer(rr, np.cos(th)).ravel(), ex])
+    py = np.concatenate([cy + np.outer(rr, np.sin(th)).ravel(), ey])
+    keep = in_half_disk(np.stack([px, py], axis=-1))
+    vals = field._raw(px[keep], np.maximum(py[keep], 0.0))
+    pad = 1e-6
+    return (min(max(float(vals.min()) - pad, field.gamma1), field.gamma2),
+            max(min(float(vals.max()) + pad, field.gamma2), field.gamma1))
 
 
 class EvenExtensionField:

@@ -3,8 +3,11 @@ and the local sup/inf boxes must be correct up to their 1e-6 safety margin."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pxthin import ExponentField, PreconditionError, estimate_holder_seminorm
+from conftest import sampled_sup_inf_on_halfball
 
 
 def test_affine_bounds_and_lipschitz():
@@ -83,8 +86,31 @@ def test_sampled_seminorm_never_exceeds_declared():
                                  ("sinusoidal", [2.0, 0.5, np.pi], 1.0),
                                  ("radial", [2.0, 0.6], 0.75)]:
         field = ExponentField(family, coeffs, beta=beta)
-        est = estimate_holder_seminorm(field, beta, 2000)
-        assert est <= field.holder_seminorm + 1e-12
+        assert estimate_holder_seminorm(field) <= field.holder_seminorm + 1e-12
+
+
+amplitudes = st.floats(-0.9, 0.9)
+fields = st.one_of(
+    st.builds(lambda c: ExponentField("constant", [c]), st.floats(1.1, 4.0)),
+    st.builds(lambda a1, a2: ExponentField("affine", [2.5, a1, a2]),
+              amplitudes, amplitudes),
+    st.builds(lambda a: ExponentField("radial", [2.0, a]), amplitudes),
+    st.builds(lambda a, k: ExponentField("sinusoidal", [2.0, a, k]),
+              amplitudes, st.floats(-12.0, 12.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields, st.floats(-0.5, 0.5), st.floats(0.01, 0.6))
+# a radial sample off the axis can round |x| one ulp above the radius
+@example(ExponentField("radial", [2.0, 0.5443074557408336]), 0.0, 0.54296875)
+def test_candidate_extremes_match_dense_sampling(field, x1, radius):
+    # the candidates hold each family's exact extremes, so the samples
+    # between them widen the range by at most the round-off of one value
+    center = (x1, 0.0)
+    lo, hi = field.sup_inf_on_halfball(center, radius)
+    sampled_lo, sampled_hi = sampled_sup_inf_on_halfball(field, center, radius)
+    assert sampled_lo <= lo and lo - sampled_lo <= np.spacing(lo)
+    assert hi <= sampled_hi and sampled_hi - hi <= np.spacing(hi)
 
 
 def test_degenerate_exponent_is_rejected():
