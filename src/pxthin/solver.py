@@ -175,19 +175,19 @@ def _v_cycle(levels, coarse, coarse_kept, b):
     return x
 
 
-def _cg(A, M, b, rtol, callback):
+def _cg(A, M, b, rtol):
     """Preconditioned CG from 0, step for step as `scipy.sparse.linalg.cg`:
-    it stops once |r| < rtol |b|, calls callback after each step, and gives
-    None after CG_MAXITER steps."""
+    it stops once |r| < rtol |b|. Returns (x, steps), x None after
+    CG_MAXITER steps."""
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x
+        return x, 0
     atol = rtol * float(bnorm)
     r = b.copy()
     for iteration in range(CG_MAXITER):
         if np.linalg.norm(r) < atol:
-            return x
+            return x, iteration
         z = M(r)
         rho = np.dot(r, z)
         if iteration > 0:
@@ -200,14 +200,13 @@ def _cg(A, M, b, rtol, callback):
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-        callback(x)
-    return None
+    return None, CG_MAXITER
 
 
-def _free_solve(H, free, rhs, mesh, rtol, callback):
-    """Solve H[free, free] x = rhs to the relative residual rtol; None when
-    CG does not converge or the coarsest operator is singular. callback is
-    called after each CG step.
+def _free_solve(H, free, rhs, mesh, rtol):
+    """Solve H[free, free] x = rhs to the relative residual rtol; returns
+    (x, CG steps), x None when CG does not converge or the coarsest
+    operator is singular.
 
     The preconditioner is one V-cycle over mesh's multigrid levels. A mesh
     without a coarser level is its own coarsest level, so the preconditioner
@@ -225,70 +224,62 @@ def _free_solve(H, free, rhs, mesh, rtol, callback):
         return applied
 
     try:
-        x = _cg(on_free(H.__matmul__),
-                on_free(functools.partial(_v_cycle, levels, coarse, coarse_kept)),
-                rhs, rtol, callback)
-    except np.linalg.LinAlgError:       # exactly singular
-        return None
-    if x is None or not np.all(np.isfinite(x)):
-        return None
-    return x
+        x, steps = _cg(on_free(H.__matmul__),
+                       on_free(functools.partial(_v_cycle, levels, coarse, coarse_kept)),
+                       rhs, rtol)
+    except np.linalg.LinAlgError:       # exactly singular, so at the first step
+        return None, 0
+    return (x if x is not None and np.all(np.isfinite(x)) else None), steps
+
+
+def _newton_direction(setup, v, r, active, free, rtol):
+    """The active-set Newton step: -v at the active vertices and the free
+    block's solve, to rtol, at the free ones. Returns (d, CG steps), d None
+    when no vertex is free or the solve fails."""
+    d = np.zeros_like(v)
+    d[active] = -v[active]
+    H = hessian(setup, v)
+    if not free.any():
+        return None, 0
+    df, steps = _free_solve(H, free, -(r + H @ d)[free], setup.mesh, rtol)
+    if df is None:
+        return None, steps
+    d[free] = df
+    return d, steps
 
 
 def _solve_stage(problem, v, eps, tol):
-    """Newton iterations at one eps; returns (v, free_res, comp, active,
-    n_iter, cg_steps, converged). On stagnation v is the iterate with the
-    smallest KKT measure and the KKT values are its own. The energy of v is
-    evaluated once, at the first step, and then taken from the accepted
-    line-search step."""
+    """Newton iterations at one eps; returns (v, best, systems, cg_steps,
+    converged), best the smallest KKT measure met. On stagnation v is the
+    iterate with that measure; no iterate is changed in place, so it is
+    kept uncopied. The energy of v is evaluated once, at the first step,
+    and then taken from the accepted line-search step."""
     setup = problem.setup.with_epsilon(eps)
-    e = None
-    n_iter = 0
-    cg_steps = 0
-    first = None
-    best = np.inf
-    best_state = (v.copy(), np.nan, np.nan, np.zeros_like(problem.obstacle))
-    since_improve = 0
-
-    def count_cg_step(_):
-        nonlocal cg_steps
-        cg_steps += 1
-
+    e = first = None
+    systems = cg_steps = since_improve = 0
+    best = (np.inf, v)
     while True:
         r = residual(setup, v)
         active, free, free_res, comp = _kkt(problem, v, r)
         measure = max(free_res, comp)
         if first is None:
             first = measure
-        if measure < best - 1e-16:
-            best = measure
-            best_state = (v.copy(), free_res, comp, active)
-            since_improve = 0
+        if measure < best[0] - 1e-16:
+            best, since_improve = (measure, v), 0
         else:
             since_improve += 1
         if free_res <= tol and comp <= tol:
-            return v, free_res, comp, active, n_iter, cg_steps, True
+            return v, best[0], systems, cg_steps, True
         if since_improve > STAGNATION_WINDOW:
-            return (*best_state, n_iter, cg_steps, False)
-        n_iter += 1
-
-        d = np.zeros_like(v)
-        d[active] = -v[active]
-        H = hessian(setup, v)
-        newton_ok = bool(free.any())
-        if newton_ok:
-            rtol = max(CG_RTOL, min(ETA_MAX, measure / first))
-            df = _free_solve(H, free, -(r + H @ d)[free], setup.mesh, rtol,
-                             count_cg_step)
-            if df is None:
-                newton_ok = False
-            else:
-                d[free] = df
-
+            return best[1], best[0], systems, cg_steps, False
+        systems += 1
+        d, steps = _newton_direction(setup, v, r, active, free,
+                                     max(CG_RTOL, min(ETA_MAX, measure / first)))
+        cg_steps += steps
         if e is None:
             e = energy(setup, v)
         accepted = False
-        if newton_ok and float(r @ d) < 0.0:
+        if d is not None and float(r @ d) < 0.0:
             v_new, e_new, accepted = _line_search(setup, problem, v, d, r, e)
         if not accepted:
             # projected gradient fallback
@@ -333,13 +324,13 @@ def solve(problem, tol, eps_schedule=None):
     from the feasible start, and each finer level runs only the last eps
     stage, from the coarser solution prolonged and made feasible.
     Feasibility is exact at every iterate: Dirichlet values pinned to g,
-    obstacle values >= 0. The reported energy is evaluated at eps = 0; KKT
-    residuals refer to the last continuation stage. A stage that stops
-    improving, on any level, raises ConvergenceError with its best iterate,
-    prolonged to problem's mesh, as `best` and the report, filled in from
-    that iterate, as `info`. A mesh with no `below` is solved densely, so
-    with more than DENSE_MAX free vertices it raises ResourceError before
-    any Newton system.
+    obstacle values >= 0. A stage that stops improving, on any level, ends
+    the solve with its best iterate, prolonged to problem's mesh; it raises
+    ConvergenceError with that iterate as `best` and the report as `info`.
+    The report's energy is the returned iterate's at eps = 0, and its KKT
+    values and active set are the iterate's at the last stage's eps. A mesh
+    with no `below` is solved densely, so with more than DENSE_MAX free
+    vertices it raises ResourceError before any Newton system.
     """
     tol = checked_tol(tol)
     eps_schedule = checked_eps_schedule(eps_schedule)
@@ -355,54 +346,47 @@ def solve(problem, tol, eps_schedule=None):
     hierarchy = mesh.hierarchy
     first = min(MG_COARSEST, len(hierarchy) - 1)
     for k in range(first, len(hierarchy)):
-        # problem on level k: the same field, the first values of g and the
-        # same obstacle kind
+        # level k's problem: the same field and obstacle kind, g's first values
         level = problem if hierarchy[k] is mesh else ObstacleProblem(
             EnergySetup(hierarchy[k], problem.setup.field),
             problem.g[:hierarchy[k].num_vertices], obstacle=problem.constrained)
         if k == first:
             v, stages = level.feasible_start(), eps_schedule
         else:
-            v = level.feasible(hierarchy[k].prolongation @ v)
-            stages = eps_schedule[-1:]
+            v, stages = level.feasible(hierarchy[k].prolongation @ v), eps_schedule[-1:]
         report.level_iterations.append(0)
         report.level_cg_steps.append(0)
         for eps in stages:
-            v, free_res, comp, active, n_iter, cg_steps, converged = _solve_stage(
-                level, v, eps, tol)
+            v, best, systems, cg_steps, converged = _solve_stage(level, v, eps, tol)
             # a count per stage; finer levels add theirs to the last one
             if k == first:
                 report.iterations.append(0)
                 report.cg_steps.append(0)
-            report.iterations[-1] += n_iter
+            report.iterations[-1] += systems
             report.cg_steps[-1] += cg_steps
-            report.level_iterations[-1] += n_iter
+            report.level_iterations[-1] += systems
             report.level_cg_steps[-1] += cg_steps
             if not converged:
                 break
         if not converged:
             break
 
-    if not converged:
-        best = max(free_res, comp)
-        for finer in hierarchy[k + 1:]:
-            v = finer.prolongation @ v
-        v = problem.feasible(v)
-        r = residual(problem.setup.with_epsilon(eps), v)
-        active, _, free_res, comp = _kkt(problem, v, r)
+    # the iterate on problem's mesh, made feasible (a converged one keeps its
+    # bits), and its KKT values at the last stage's eps
+    for finer in hierarchy[k + 1:]:
+        v = finer.prolongation @ v
+    v = problem.feasible(v)
+    r = residual(problem.setup.with_epsilon(eps), v)
+    active, _, report.free_residual, report.complementarity = _kkt(problem, v, r)
     report.energy = energy(problem.setup.with_epsilon(0.0), v)
-    report.free_residual = free_res
-    report.complementarity = comp
-    exact_zero = problem.obstacle & (v == 0.0)
-    report.active_set = np.flatnonzero(active | exact_zero)
+    report.active_set = np.flatnonzero(active | (problem.obstacle & (v == 0.0)))
     report.wall_time = time.perf_counter() - t0
     u = FeFunction(mesh, v)
     if not converged:
-        stage = eps_schedule.index(eps) + 1
         raise ConvergenceError(
             f"no residual decrease over {STAGNATION_WINDOW} iterations "
-            f"on level {k} ({k - first + 1} of {len(hierarchy) - first}) "
-            f"in eps stage {eps:g} ({stage} of {len(eps_schedule)}); "
+            f"on level {k} ({k - first + 1} of {len(hierarchy) - first}) in eps "
+            f"stage {eps:g} ({eps_schedule.index(eps) + 1} of {len(eps_schedule)}); "
             f"best KKT measure {best}", best=u, info=report)
     return u, report
 
@@ -417,7 +401,8 @@ def vi_check(problem, u_h, trials, seed):
     trials = checked_trials(trials)
     u = u_h.values
     ob = problem.obstacle
-    if np.abs(u[problem.dirichlet] - problem.g[problem.dirichlet]).max() > 1e-9:
+    fixed = problem.dirichlet
+    if fixed.any() and np.abs(u[fixed] - problem.g[fixed]).max() > 1e-9:
         raise PreconditionError("u_h does not match the Dirichlet data")
     if ob.any() and u[ob].min() < -1e-12:
         raise PreconditionError("u_h violates the obstacle")

@@ -10,14 +10,14 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pxthin import (ConvergenceError, EnergySetup, ExponentField, FeFunction,
                     FormatError, ObstacleProblem, PreconditionError,
                     ResolutionError, ResourceError, build,
                     energy, extract_halfball_submesh, hessian, load_solution,
-                    save_solution, solve, vi_check)
+                    residual, save_solution, solve, vi_check)
 from pxthin import comparison, solver
 from pxthin.cli import boundary_values
 from pxthin.comparison import reference_problem
@@ -147,6 +147,16 @@ def test_obstacle_free_solve_keeps_its_thin_data(mesh4, sin_field):
     assert vi_check(problem, u, 20, 0) >= -1e-8
 
 
+def test_vi_check_needs_no_dirichlet_vertices(p2):
+    # a hand-made mesh with no tags: nothing is fixed and nothing constrained
+    mesh = TriMesh([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)],
+                   [(0, 1, 2), (0, 2, 3)])
+    problem = ObstacleProblem(EnergySetup(mesh, p2), np.full(4, 0.25))
+    assert not problem.dirichlet.any() and not problem.obstacle.any()
+    u, _ = solve(problem, 1e-10)
+    assert np.isfinite(vi_check(problem, u, 20, 0))
+
+
 def test_tolerance_window_is_enforced(mesh4, p2):
     problem, _ = _linear_problem(mesh4, p2)
     with pytest.raises(PreconditionError):
@@ -198,6 +208,33 @@ def test_solve_returns_g_on_arc_bit_for_bit(level, field, preset, scale, offset)
     assert u.values[problem.arc].tobytes() == g[problem.arc].tobytes()
     from_u = reference_problem(problem, u.values)
     assert from_u.g.tobytes() == reference_problem(problem, g).g.tobytes()
+
+
+# the known stall: on the coarsest level, in the first eps stage
+@example(3, ExponentField("constant", [8.0]), "signorini32", 10.0, 1e-14)
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 4), st.sampled_from(FAMILIES),
+       st.sampled_from(("linear_xn", "signorini32", "offset_const")),
+       st.just(1.0), st.just(1e-10))
+def test_report_holds_the_kkt_values_of_the_returned_iterate(level, field, preset,
+                                                             scale, tol):
+    mesh = build(level)
+    boundary = {"preset": preset, "scale": scale, "offset": 1.0, "file": None}
+    problem = ObstacleProblem(EnergySetup(mesh, field),
+                              boundary_values({"boundary": boundary}, mesh, "."))
+    try:
+        u, report = solve(problem, tol)
+    except ConvergenceError as exc:
+        u, report = exc.best, exc.info
+    # the first level runs one eps stage after another, so this is the last
+    eps = report.eps_schedule[len(report.iterations) - 1]
+    r = residual(problem.setup.with_epsilon(eps), u.values)
+    active, _, free_res, comp = solver._kkt(problem, u.values, r)
+    assert (report.free_residual, report.complementarity) == (free_res, comp)
+    exact_zero = problem.obstacle & (u.values == 0.0)
+    assert np.array_equal(report.active_set, np.flatnonzero(active | exact_zero))
+    assert sum(report.iterations) == sum(report.level_iterations)
+    assert sum(report.cg_steps) == sum(report.level_cg_steps)
 
 
 def test_eps_schedule_validation(mesh4, p2):
@@ -317,7 +354,7 @@ def _newton_system(level, grading, field, eps, seed, ball=None):
 
 def _free_solve(H, free, rhs, mesh):
     """The Newton direction at the solver's tightest tolerance."""
-    return solver._free_solve(H, free, rhs, mesh, solver.CG_RTOL, lambda x: None)
+    return solver._free_solve(H, free, rhs, mesh, solver.CG_RTOL)[0]
 
 
 # a half-ball submesh's V-cycle steps to cuts of its source's coarser
@@ -341,7 +378,8 @@ def test_multigrid_direction_matches_direct_solve(level, grading, field, eps, se
 def test_unconverged_cg_gives_no_direction(monkeypatch):
     mesh, H, free, rhs = _newton_system(5, 0, FAMILIES[3], 1e-8, 0)
     monkeypatch.setattr(solver, "CG_MAXITER", 2)
-    assert _free_solve(H, free, rhs, mesh) is None
+    # the steps CG took are counted all the same
+    assert solver._free_solve(H, free, rhs, mesh, solver.CG_RTOL) == (None, 2)
 
 
 def test_singular_free_block_gives_no_direction():
