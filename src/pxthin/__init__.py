@@ -15,7 +15,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError, FormatError,
                      ResolutionError, ResourceError)
 from .exponent import ExponentField, estimate_holder_seminorm
 from .mesh import (TriMesh, build, extract_halfball_submesh, mesh_hash,
-                   mesh_text, quadrature_rule, save_mesh)
+                   quadrature_rule, save_mesh)
 from .solver import (ObstacleProblem, SolveReport, load_solution,
                      save_solution, solve, vi_check)
 from .vxspace import (CampanatoProfile, ElementVectorField, FeFunction,
@@ -34,8 +34,7 @@ __all__ = [
     "estimate_holder_seminorm", "extract_halfball_submesh",
     "gradient_holder_fit", "hessian", "higher_integrability_scan",
     "iteration_constants", "iteration_suite", "load_solution",
-    "luxemburg_norm", "mesh_hash", "mesh_text", "modular",
-    "monotonicity_check", "quadrature_rule", "reference_report",
-    "reflect_and_check", "residual", "save_mesh", "save_solution", "solve",
-    "theoretical_alpha", "vi_check",
+    "luxemburg_norm", "mesh_hash", "modular", "monotonicity_check",
+    "quadrature_rule", "reference_report", "reflect_and_check", "residual",
+    "save_mesh", "save_solution", "solve", "theoretical_alpha", "vi_check",
 ]

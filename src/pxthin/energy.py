@@ -8,8 +8,8 @@ points, never element means, so intra-element exponent variation is kept.
 import numpy as np
 
 from .errors import PreconditionError
-from .mesh import quadrature_rule
-from .sparse import PatternMatrix
+from .mesh import _field_at_quad_points, quadrature_rule
+from .sparse import PatternMatrix, _element_blocks
 from .vxspace import FeFunction
 
 ASSEMBLY_ORDER = 2      # the 3-point rule, whose points the sums below add
@@ -24,9 +24,9 @@ class EnergySetup:
         self.mesh = mesh
         self.field = exponent_field
         self.epsilon = 0.0
-        pts, w = mesh.quad_points(quadrature_rule(ASSEMBLY_ORDER))
-        self.quad_w = w                                          # (nt, 3)
-        self.quad_p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
+        rule = quadrature_rule(ASSEMBLY_ORDER)
+        self.quad_w = mesh.quad_weights(rule)                    # (nt, 3)
+        self.quad_p = _field_at_quad_points(mesh, exponent_field, rule)
 
     def with_epsilon(self, epsilon):
         epsilon = float(epsilon)
@@ -44,17 +44,26 @@ class EnergySetup:
 # Every short sum below is written out as adds in index order: two gradient
 # components, three quadrature points, three hat gradients. That is the
 # order numpy's reductions and einsum use, so the results are the same bits
-# without their per-call overhead on axes of length 2 and 3.
+# without their per-call overhead on axes of length 2 and 3. The residual
+# and the Hessian run over blocks of elements and scatter-add each block
+# with np.add.at, which adds in index order as np.bincount does, so the
+# blocks together give the bits of one whole-mesh bincount.
 
-def _slope(setup, v):
-    """Per element: hat gradient components as contiguous rows hx[i], hy[i],
-    the gradient (gx, gy) of v, and s = |Dv|^2 + eps^2 as an (nt, 1) column."""
+def _nodal(setup, v):
+    """The nodal values of v, one per vertex of the setup's mesh."""
     values = v.values if isinstance(v, FeFunction) else np.asarray(v, dtype=float)
     if values.shape != (setup.mesh.num_vertices,):
         raise PreconditionError("one nodal value per vertex required")
-    G = setup.mesh.grad_rows                                     # x0 y0 x1 ..
+    return values
+
+
+def _slope(setup, values, rows=slice(None)):
+    """Per element of rows: hat gradient components as contiguous rows hx[i],
+    hy[i], the gradient (gx, gy) of the field, and s = |Dv|^2 + eps^2 as a
+    column."""
+    G = setup.mesh.grad_rows[:, rows]                            # x0 y0 x1 ..
     hx, hy = G[0::2], G[1::2]
-    tri = setup.mesh.triangles
+    tri = setup.mesh.triangles[rows]
     v0, v1, v2 = values[tri[:, 0]], values[tri[:, 1]], values[tri[:, 2]]
     gx = v0 * hx[0] + v1 * hx[1] + v2 * hx[2]
     gy = v0 * hy[0] + v1 * hy[1] + v2 * hy[2]
@@ -77,7 +86,7 @@ def _columns_sum(a):
 
 def energy(setup, v):
     """Total energy of a nodal field."""
-    *_, s = _slope(setup, v)
+    *_, s = _slope(setup, _nodal(setup, v))
     p = setup.quad_p
     dens = _slope_power(s, p * 0.5)
     dens /= p
@@ -92,24 +101,27 @@ def residual(setup, v):
     regularized slope vanishes.
     """
     mesh = setup.mesh
-    hx, hy, gx, gy, s = _slope(setup, v)
-    a = _slope_power(s, (setup.quad_p - 2.0) * 0.5)
-    a *= setup.quad_w
-    c1 = _columns_sum(a)                                         # (nt,)
-    local = np.empty((mesh.num_triangles, 3))
-    for i in range(3):
-        local[:, i] = c1 * (hx[i] * gx + hy[i] * gy)
-    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
-                       minlength=mesh.num_vertices)
+    values = _nodal(setup, v)
+    out = np.zeros(mesh.num_vertices)
+    for rows in _element_blocks(mesh.num_triangles):
+        hx, hy, gx, gy, s = _slope(setup, values, rows)
+        a = _slope_power(s, (setup.quad_p[rows] - 2.0) * 0.5)
+        a *= setup.quad_w[rows]
+        c1 = _columns_sum(a)                                     # (b,)
+        local = np.empty((len(c1), 3))
+        for i in range(3):
+            local[:, i] = c1 * (hx[i] * gx + hy[i] * gy)
+        np.add.at(out, mesh.triangles[rows].ravel(), local.ravel())
+    return out
 
 
-def _hessian_weights(setup, s):
-    """Per element: c1 = sum_q w a and c2 = sum_q w a (p - 2) / s, with
-    a = s^((p-2)/2); the (nt, 3) terms are freed on return."""
-    pm2 = setup.quad_p - 2.0
+def _hessian_weights(setup, s, rows):
+    """Per element of rows: c1 = sum_q w a and c2 = sum_q w a (p - 2) / s,
+    with a = s^((p-2)/2)."""
+    pm2 = setup.quad_p[rows] - 2.0
     wa = pm2 * 0.5
     np.power(s, wa, out=wa)
-    wa *= setup.quad_w
+    wa *= setup.quad_w[rows]
     c1 = _columns_sum(wa)
     wa *= pm2
     wa /= s
@@ -129,16 +141,17 @@ def hessian(setup, v):
     if setup.epsilon <= 0.0:
         raise PreconditionError("hessian requires a positive regularization epsilon")
     mesh = setup.mesh
-    hx, hy, gx, gy, s = _slope(setup, v)
-    c1, c2 = _hessian_weights(setup, s)
-    hg = [hx[i] * gx + hy[i] * gy for i in range(3)]             # Dphi_i . Dv
-    K = np.empty((mesh.num_triangles, 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            K[:, i, j] = K[:, j, i] = (c1 * (hx[i] * hx[j] + hy[i] * hy[j])
-                                       + c2 * (hg[i] * hg[j]))
-
+    values = _nodal(setup, v)
     pattern = mesh.p1_pattern
-    values = np.bincount(pattern.scatter, weights=K.ravel(),
-                         minlength=pattern.width * pattern.n)
-    return PatternMatrix(pattern, values.reshape(pattern.width, pattern.n))
+    out = np.zeros(pattern.width * pattern.n)
+    for rows in _element_blocks(mesh.num_triangles):
+        hx, hy, gx, gy, s = _slope(setup, values, rows)
+        c1, c2 = _hessian_weights(setup, s, rows)
+        hg = [hx[i] * gx + hy[i] * gy for i in range(3)]         # Dphi_i . Dv
+        K = np.empty((len(c1), 3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                K[:, i, j] = K[:, j, i] = (c1 * (hx[i] * hx[j] + hy[i] * hy[j])
+                                           + c2 * (hg[i] * hg[j]))
+        np.add.at(out, pattern.scatter[9 * rows.start:9 * rows.stop], K.ravel())
+    return PatternMatrix(pattern, out.reshape(pattern.width, pattern.n))

@@ -13,13 +13,14 @@ reads or writes.
 import hashlib
 import math
 from functools import cached_property
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (FormatError, PreconditionError, ResolutionError,
                      ResourceError)
-from .sparse import P1Pattern, Prolongation, galerkin_map
+from .sparse import P1Pattern, Prolongation, _element_blocks, galerkin_map
 
 INTERIOR = 0
 ARC = 1
@@ -205,15 +206,33 @@ class TriMesh:
 
     def quad_points(self, rule):
         """Physical quadrature points (nt, nq, 2) and weights (nt, nq)."""
-        p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
-        pts = np.empty((self.num_triangles, len(rule.points), 2))
-        for q, (xi, eta) in enumerate(rule.points):
-            pts[:, q] = p0 * (1.0 - xi - eta) + p1 * xi + p2 * eta
-        return pts, self.quad_weights(rule)
+        return _quad_points(self, rule, slice(None)), self.quad_weights(rule)
 
     def quad_weights(self, rule):
         """Physical quadrature weights (nt, nq)."""
         return rule.weights[None, :] * (2.0 * self.areas[:, None])
+
+
+def _quad_points(mesh, rule, rows):
+    """Physical quadrature points (len(rows), nq, 2) of the elements rows."""
+    tri = mesh.triangles[rows]
+    p0, p1, p2 = (mesh.vertices[tri[:, k]] for k in range(3))
+    pts = np.empty((len(tri), len(rule.points), 2))
+    for q, (xi, eta) in enumerate(rule.points):
+        pts[:, q] = p0 * (1.0 - xi - eta) + p1 * xi + p2 * eta
+    return pts
+
+
+def _field_at_quad_points(mesh, field, rule):
+    """field.eval at the quadrature points of every element, (nt, nq),
+    evaluated a block of elements at a time: eval is pointwise, so the
+    values are those of one whole-mesh call."""
+    nq = len(rule.points)
+    out = np.empty((mesh.num_triangles, nq))
+    for rows in _element_blocks(mesh.num_triangles):
+        pts = _quad_points(mesh, rule, rows)
+        out[rows] = field.eval(pts.reshape(-1, 2)).reshape(-1, nq)
+    return out
 
 
 def _rule(points, weights):
@@ -483,45 +502,56 @@ def extract_halfball_submesh(mesh, center, radius):
 
 
 def _text_rows(fmt, *columns):
-    """fmt.format applied to each row of equal-length 1-D arrays, joined;
-    the rows go through .tolist() TEXT_CHUNK at a time."""
-    return "".join(
-        "".join(map(fmt.format, *(c[k:k + TEXT_CHUNK].tolist() for c in columns)))
-        for k in range(0, len(columns[0]), TEXT_CHUNK))
+    """The rows of equal-length 1-D arrays through the %-format fmt, one
+    string per TEXT_CHUNK rows: the chunk's rows go through .tolist() and
+    one format of fmt repeated."""
+    for k in range(0, len(columns[0]), TEXT_CHUNK):
+        rows = zip(*(c[k:k + TEXT_CHUNK].tolist() for c in columns))
+        values = tuple(chain.from_iterable(rows))
+        yield fmt * (len(values) // len(columns)) % values
 
 
-def mesh_text(mesh):
-    """Canonical text form; also the hashing basis for solution files."""
-    return (f"m {mesh.num_vertices} {mesh.num_triangles}\n"
-            + _text_rows("v {:.17g} {:.17g} {}\n", *mesh.vertices.T,
-                        _TAG_CHARS[mesh.vertex_tags])
-            + _text_rows("t {} {} {}\n", *mesh.triangles.T))
+def _mesh_chunks(mesh):
+    """The mesh's canonical text, the basis of its hash, in pieces of at
+    most TEXT_CHUNK lines: streamed to mesh.txt and to the hash, it is never
+    held whole."""
+    yield f"m {mesh.num_vertices} {mesh.num_triangles}\n"
+    yield from _text_rows("v %.17g %.17g %s\n", *mesh.vertices.T,
+                          _TAG_CHARS[mesh.vertex_tags])
+    yield from _text_rows("t %d %d %d\n", *mesh.triangles.T)
 
 
-def _remember_digest(mesh, text):
-    if mesh.digest is None:
-        mesh.digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+def _hashed(mesh, chunks):
+    """The mesh's text chunks, passed on while their sha256 is taken; it
+    becomes mesh.digest after the last one."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.encode("ascii"))
+        yield chunk
+    mesh.digest = digest.hexdigest()
 
 
 def mesh_hash(mesh):
-    """sha256 of mesh_text, computed once per mesh."""
+    """sha256 of the mesh's canonical text, computed once per mesh, a chunk
+    at a time."""
     if mesh.digest is None:
-        _remember_digest(mesh, mesh_text(mesh))
+        for _ in _hashed(mesh, _mesh_chunks(mesh)):
+            pass
     return mesh.digest
 
 
 def save_mesh(mesh, path):
-    text = mesh_text(mesh)
-    _remember_digest(mesh, text)
-    _write_text(path, text)
+    chunks = _mesh_chunks(mesh)
+    _write_text(path, chunks if mesh.digest is not None else _hashed(mesh, chunks))
 
 
 # the one writer and the one reader of every file pxthin touches: UTF-8,
 # with "\n" line ends
 
 def _write_text(path, text):
+    """Write text, a string or an iterable of strings written in turn."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+        f.writelines([text] if isinstance(text, str) else text)
 
 
 def _text_lines(path):

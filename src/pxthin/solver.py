@@ -422,14 +422,15 @@ def vi_check(problem, u_h, trials, seed):
     return worst
 
 
-def solution_text(u, mesh):
+def _solution_chunks(u, mesh):
+    """The solution file's text in pieces of at most TEXT_CHUNK lines."""
     n = len(u.values)
-    return (f"s {mesh_hash(mesh)} {n}\n"
-            + _text_rows("u {} {:.17g}\n", np.arange(n), u.values))
+    yield f"s {mesh_hash(mesh)} {n}\n"
+    yield from _text_rows("u %d %.17g\n", np.arange(n), u.values)
 
 
 def save_solution(u, mesh, path):
-    _write_text(path, solution_text(u, mesh))
+    _write_text(path, _solution_chunks(u, mesh))
 
 
 def load_solution(path, mesh):

@@ -12,6 +12,53 @@ once beside its result.
 import numpy as np
 
 
+# triangles per block of the passes over a mesh's elements: the pattern's
+# scatter map, the residual and Hessian assembly, and p at the quadrature
+# points. Each pass then holds block-sized temporaries beside its result,
+# whatever the mesh's size (0.86 MB in a Hessian).
+_ELEMENT_BLOCK = 4096
+
+
+def _element_blocks(count):
+    """Slices of count elements, _ELEMENT_BLOCK at a time, in order."""
+    for lo in range(0, count, _ELEMENT_BLOCK):
+        yield slice(lo, min(lo + _ELEMENT_BLOCK, count))
+
+
+# a triangle's local edges (i, j), each carrying its entries (i, j) and (j, i)
+_EDGES = ((0, 1), (1, 2), (0, 2))
+
+
+def _distinct_edges(triangles, n):
+    """(lo, hi, edge): the distinct undirected edges lo < hi of the
+    triangles, sorted by (lo, hi), and the index of each triangle's local
+    edges among them, (nt, 3) in _EDGES order."""
+    ends = [triangles[:, [e[0] for e in _EDGES]], triangles[:, [e[1] for e in _EDGES]]]
+    keys = np.minimum(*ends) * n
+    keys += np.maximum(*ends)
+    del ends
+    keys, edge = np.unique(keys.ravel(), return_inverse=True)
+    lo, hi = np.divmod(keys, n)
+    return lo, hi, edge.reshape(-1, len(_EDGES))
+
+
+def _scatter_map(triangles, edge, upper, lower, diagonal):
+    """The flat slot position of each element entry (t, i, j), flattened in
+    that order, filled _ELEMENT_BLOCK triangles at a time; edge e's entries
+    (lo, hi) and (hi, lo) sit at upper[e] and lower[e]."""
+    scatter = np.empty((len(triangles), 3, 3), dtype=np.intp)
+    for rows in _element_blocks(len(triangles)):
+        tri, out = triangles[rows], scatter[rows]
+        for i in range(3):
+            out[:, i, i] = diagonal[tri[:, i]]
+        for k, (i, j) in enumerate(_EDGES):
+            forward = tri[:, i] < tri[:, j]
+            e = edge[rows, k]
+            out[:, i, j] = np.where(forward, upper[e], lower[e])
+            out[:, j, i] = np.where(forward, lower[e], upper[e])
+    return scatter.reshape(-1)
+
+
 class P1Pattern:
     """The entries (i, j) of the P1 stiffness matrix of a triangulation.
 
@@ -23,42 +70,37 @@ class P1Pattern:
     """
 
     def __init__(self, triangles, n):
-        # key row * n + col of entry (t, i, j), sorted once; the scatter map
-        # is each entry's rank among the distinct keys, np.unique's inverse,
-        # built in the sorted keys' buffer instead of further copies
-        ranks = (triangles[:, :, None] * n + triangles[:, None, :]).ravel()
-        order = ranks.argsort()
-        ranks = ranks[order]
-        first = np.empty(len(ranks), dtype=bool)
-        first[:1] = True
-        np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
-        keys = ranks[first]
-        np.cumsum(first, out=ranks)
-        ranks -= 1
-        del first
-        scatter = np.empty_like(order)
-        scatter[order] = ranks
-        del order, ranks
-        rows = keys // n
+        # row r holds its lower neighbours, then r if a triangle has it, then
+        # its upper neighbours, each in column order
+        lo, hi, edge = _distinct_edges(triangles, n)
+        below = np.bincount(hi, minlength=n)
+        above = np.bincount(lo, minlength=n)
+        used = np.zeros(n, dtype=bool)
+        used[triangles.ravel()] = True
         self.n = n
-        self.counts = np.bincount(rows, minlength=n)
+        self.counts = below + above + used
         self.width = int(self.counts.max(initial=0))
-        # distinct entry e, in key order, sits in slot e - (first entry of
-        # its row), at flat position slot * n + row
-        slot = np.arange(len(keys))
-        slot -= (np.cumsum(self.counts) - self.counts)[rows]
-        slot *= n
-        slot += rows
-        keys -= rows * n                                        # the columns
+        self.diagonal = below * n               # slot 0 for an empty row
+        self.diagonal += np.arange(n)
+        # (lo, hi) follows lo's lower neighbours, lo, and the upper ones that
+        # come before it in the (lo, hi) order of the edges
+        upper = np.arange(len(lo)) - (np.cumsum(above) - above)[lo]
+        upper += below[lo] + 1
+        upper *= n
+        upper += lo
+        # (hi, lo) takes lo's rank among hi's lower neighbours
+        order = np.lexsort((lo, hi))
+        lower = np.empty_like(upper)
+        lower[order] = np.arange(len(lo)) - (np.cumsum(below) - below)[hi[order]]
+        del order
+        lower *= n
+        lower += hi
+        self.scatter = _scatter_map(triangles, edge, upper, lower, self.diagonal)
+        del edge
         self.cols = np.empty((self.width, n), dtype=np.intp)
         self.cols[:] = np.arange(n)
-        self.cols.ravel()[slot] = keys
-        self.diagonal = np.arange(n)            # a zero slot for an empty row
-        on_diagonal = keys == rows
-        self.diagonal[rows[on_diagonal]] = slot[on_diagonal]
-        del keys, rows, on_diagonal
-        np.take(slot, scatter, out=scatter)
-        self.scatter = scatter
+        self.cols.ravel()[upper] = hi
+        self.cols.ravel()[lower] = lo
         for a in (self.counts, self.cols, self.diagonal, self.scatter):
             a.flags.writeable = False       # shared by every matrix on it
 
@@ -165,7 +207,8 @@ def galerkin(A, kept, prolongation, gmap, coarse):
     without a kept fine counterpart hold partial sums; callers keep them out
     of every product."""
     scale = prolongation.weights[:, 0] * kept       # 1, 1/2 or 0 per fine vertex
-    terms = (A.values * scale) * scale[A.pattern.cols]
+    terms = A.values * scale
+    terms *= scale[A.pattern.cols]
     size = coarse.width * coarse.n + 1
     total = sum(np.bincount(layer.ravel(), weights=terms.ravel(), minlength=size)
                 for layer in gmap.reshape(4, *terms.shape))

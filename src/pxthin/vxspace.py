@@ -14,7 +14,8 @@ import numpy as np
 from .errors import (NumericError, PreconditionError, ResolutionError,
                      checked_trials)
 from .exponent import ExponentField
-from .mesh import ball_element_mask, checked_radii, quadrature_rule
+from .mesh import (_field_at_quad_points, ball_element_mask, checked_radii,
+                   quadrature_rule)
 
 REPORT_ORDER = 5
 # Luxemburg norm: Newton steps allowed, and the step size counted as round-off
@@ -115,8 +116,7 @@ def _report_terms(mesh, exponent_field):
     key = repr(exponent_field)
     p = cache.pop(key, None)
     if p is None:
-        pts, _ = mesh.quad_points(rule)
-        p = exponent_field.eval(pts.reshape(-1, 2)).reshape(w.shape)
+        p = _field_at_quad_points(mesh, exponent_field, rule)
         p.flags.writeable = False
         if len(cache) >= P_CACHE_FIELDS:
             del cache[next(iter(cache))]

@@ -9,9 +9,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pxthin.sparse
 from pxthin import (EnergySetup, ExponentField, PreconditionError, build,
                     energy, hessian, residual)
-from pxthin.mesh import TriMesh
+from pxthin.energy import ASSEMBLY_ORDER
+from pxthin.mesh import TriMesh, quadrature_rule
 from pxthin.sparse import galerkin
 from pxthin.solver import DEFAULT_EPS_SCHEDULE
 from conftest import FAMILIES, csr, traced_peak
@@ -164,6 +166,11 @@ def test_cached_pattern_hessian_matches_coo_assembly(level, grading, field, eps,
 # The einsum and axis-sum formulas the unrolled assembly replaced; the
 # unrolled adds must give the same bits.
 
+def _whole_mesh_quad_p(setup):
+    pts, w = setup.mesh.quad_points(quadrature_rule(ASSEMBLY_ORDER))
+    return setup.field.eval(pts.reshape(-1, 2)).reshape(w.shape)
+
+
 def _einsum_parts(setup, v):
     mesh = setup.mesh
     g = np.einsum("ti,tid->td", v[mesh.triangles], mesh.grads)
@@ -215,33 +222,54 @@ def _setup(level, grading, family):
        st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
 def test_unrolled_assembly_is_bit_identical_to_einsum(level, grading, family, eps,
                                                       zeros, scale, seed):
+    # blocks of 37 triangles: every mesh from level 2 up spans several, the
+    # last one ragged, where L5's 4,096 triangles fill one default block
     setup = _setup(level, grading, family).with_epsilon(eps)
     rng = np.random.default_rng(seed)
     n = setup.mesh.num_vertices
     v = 10.0 ** scale * rng.standard_normal(n)
     v[rng.random(n) < zeros] = 0.0          # whole elements at slope 0
-    assert energy(setup, v) == _einsum_energy(setup, v)
-    assert np.array_equal(residual(setup, v), _einsum_residual(setup, v))
-    if eps > 0.0:
-        assert np.array_equal(hessian(setup, v).values.ravel(),
-                              _einsum_hessian_data(setup, v))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pxthin.sparse, "_ELEMENT_BLOCK", 37)
+        assert np.array_equal(EnergySetup(setup.mesh, setup.field).quad_p,
+                              _whole_mesh_quad_p(setup))
+        assert energy(setup, v) == _einsum_energy(setup, v)
+        assert np.array_equal(residual(setup, v), _einsum_residual(setup, v))
+        if eps > 0.0:
+            assert np.array_equal(hessian(setup, v).values.ravel(),
+                                  _einsum_hessian_data(setup, v))
 
 
 def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
-    # measured at L6: 253 bytes per triangle for the pattern (614 with
-    # np.unique), 236 for one Hessian (381 with copies of the hat gradients
-    # and of K transposed), 120 for the coarse-operator map (57 of them its
-    # result) and 76 for one Galerkin operator
+    # measured at L6: 183 bytes per triangle for the pattern (253 with one
+    # argsort of the 9 nt entry keys), 81 for one Hessian (236 over the
+    # whole mesh at once; 52 of the 81 are its blocks' temporaries), 120
+    # for the coarse-operator map (57 of them its result) and 76 for one
+    # Galerkin operator; the bounds leave about 10 to 25 % margin
     nt = mesh6.num_triangles
     mesh6.coarser.p1_pattern
-    assert traced_peak(TriMesh.p1_pattern.func, mesh6) <= 300 * nt
+    assert traced_peak(TriMesh.p1_pattern.func, mesh6) <= 200 * nt
     mesh6.p1_pattern
     mesh6.prolongation
     assert traced_peak(TriMesh.coarse_map.func, mesh6) <= 150 * nt
     setup = EnergySetup(mesh6, sin_field).with_epsilon(1e-3)
     v = _random_state(mesh6, 0)
-    assert traced_peak(hessian, setup, v) <= 280 * nt
+    assert traced_peak(hessian, setup, v) <= 100 * nt
     H = hessian(setup, v)
     kept = np.random.default_rng(1).random(mesh6.num_vertices) < 0.9
     assert traced_peak(galerkin, H, kept, mesh6.prolongation, mesh6.coarse_map,
                        mesh6.coarser.p1_pattern) <= 100 * nt
+
+
+def test_hessian_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7, sin_field):
+    # the elements are assembled a block at a time, so beside its result a
+    # Hessian holds the same 0.86 MB at L6 and L7 (13.6 MB at L7 over the
+    # whole mesh at once); 4 KiB leave room for a few Python objects
+    def transient(mesh):
+        setup = EnergySetup(mesh, sin_field).with_epsilon(1e-3)
+        v = _random_state(mesh, 0)
+        mesh.p1_pattern
+        result = hessian(setup, v).values.nbytes
+        return traced_peak(hessian, setup, v) - result
+
+    assert transient(mesh7) <= transient(mesh6) + 4096

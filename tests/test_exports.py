@@ -34,8 +34,8 @@ def test_the_public_surface_does_not_grow():
             params += count(vars(obj)["__init__"]) if "__init__" in vars(obj) else 0
         else:
             params += count(obj)
-    assert len(pxthin.__all__) <= 51
-    assert params <= 154
+    assert len(pxthin.__all__) <= 50
+    assert params <= 153
 
 
 @functools.cache

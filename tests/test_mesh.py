@@ -2,6 +2,7 @@
 exactness, submesh extraction, and the canonical text form."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -10,14 +11,21 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pxthin.mesh
 from pxthin import (FeFunction, PreconditionError, ResolutionError, build,
-                    extract_halfball_submesh, mesh_hash, mesh_text,
-                    quadrature_rule)
-from pxthin.mesh import _TAG_CHAR, GEOM_TOL, TriMesh, ball_element_mask
-from pxthin.solver import solution_text
+                    extract_halfball_submesh, load_solution, mesh_hash,
+                    quadrature_rule, save_mesh, save_solution)
+from pxthin.mesh import (_TAG_CHAR, GEOM_TOL, TriMesh, _mesh_chunks,
+                         ball_element_mask)
+from pxthin.solver import _solution_chunks
 from conftest import csr, reflect_full_disk
 
 INTERIOR, ARC, THIN = 0, 1, 2
+
+
+def mesh_text(mesh):
+    # the canonical text whole, as save_mesh writes and mesh_hash hashes it
+    return "".join(_mesh_chunks(mesh))
 
 
 def test_coarsest_mesh_layout():
@@ -366,7 +374,21 @@ def test_text_writers_equal_the_row_loops(level, grading, special):
     k = min(len(special), mesh.num_vertices)
     values[rng.choice(mesh.num_vertices, k, replace=False)] = special[:k]
     u = FeFunction(mesh, values)
-    assert solution_text(u, mesh) == _loop_solution_text(u, mesh)
+    assert "".join(_solution_chunks(u, mesh)) == _loop_solution_text(u, mesh)
+
+
+def test_saved_files_and_the_hash_are_the_streamed_text(tmp_path, monkeypatch):
+    # chunks of 7 rows, so each file is written and hashed in several pieces
+    monkeypatch.setattr(pxthin.mesh, "TEXT_CHUNK", 7)
+    mesh = build(2, 1)
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    data = (tmp_path / "mesh.txt").read_bytes()
+    assert data == _loop_mesh_text(mesh).encode("ascii")
+    assert mesh.digest == hashlib.sha256(data).hexdigest() == mesh_hash(build(2, 1))
+    u = FeFunction(mesh, np.random.default_rng(3).standard_normal(mesh.num_vertices))
+    save_solution(u, mesh, tmp_path / "u.txt")
+    assert (tmp_path / "u.txt").read_bytes() == _loop_solution_text(u, mesh).encode("ascii")
+    assert np.array_equal(load_solution(tmp_path / "u.txt", mesh).values, u.values)
 
 
 def test_mesh_text_writes_signed_zeros_and_subnormals_like_the_loop():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pxthin.sparse
 from pxthin import (ElementVectorField, ExponentField, FeFunction,
                     PreconditionError, build, campanato_profile, luxemburg_norm,
                     modular)
 from pxthin.mesh import quadrature_rule
 from pxthin.vxspace import (LUXEMBURG_STEPS, REPORT_ORDER, ROUNDOFF, _SUM_BLOCK,
-                            _pairwise_sums, luxemburg_identity_checks)
+                            _pairwise_sums, _report_terms, luxemburg_identity_checks)
 from conftest import FAMILIES, traced_peak
 
 _mesh = functools.lru_cache(maxsize=None)(build)    # one mesh per level
@@ -317,12 +318,19 @@ def test_blocked_norm_and_modular_equal_the_whole_mesh_loop(
         level, grading, family, low, spread, k, gradient, scale, sigma, seed):
     # p up to 10 on meshes whose 7 values per element span 1 to 2 blocks of
     # the Newton step's sums (L6, graded or not) and modular's element sums
+    # p is filled in blocks of 37 elements, so every mesh from level 2 up
+    # spans several, the last one ragged
     mesh = _mesh(level, grading)
     field = _exponent(family, low, low + spread, k)
     f = _random_function(mesh, gradient, seed, scale)
-    assert luxemburg_norm(f, field) == _whole_mesh_norm(f, field)
-    assert (modular(f, field, sigma=sigma)
-            == _modular_after_mask(f, field, slice(None), sigma))
+    mesh.report_p.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pxthin.sparse, "_ELEMENT_BLOCK", 37)
+        assert np.array_equal(_report_terms(mesh, field)[0],
+                              _whole_mesh_terms(f, field)[1])
+        assert luxemburg_norm(f, field) == _whole_mesh_norm(f, field)
+        assert (modular(f, field, sigma=sigma)
+                == _modular_after_mask(f, field, slice(None), sigma))
 
 
 def test_luxemburg_checks_stay_within_a_per_element_bound(mesh6, sin_field):
