@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .mesh import _field_at_quad_points, quadrature_rule
-from .sparse import PatternMatrix, _element_blocks
+from .sparse import _EDGES, PatternMatrix, _element_blocks
 from .vxspace import FeFunction
 
 ASSEMBLY_ORDER = 2      # the 3-point rule, whose points the sums below add
@@ -132,11 +132,11 @@ def hessian(setup, v):
     """Generalized second variation as a PatternMatrix; requires eps > 0.
 
     Element tensor a [ I + (p-2) (Dv x Dv)/(|Dv|^2+eps^2) ]; symmetric by
-    construction and positive definite for p > 1. Each element matrix is
-    built from its upper triangle, since entry (j, i) is the same product
-    as (i, j), and scattered in (t, i, j) order, the order of the cached
-    scatter map. The matrix shares its read-only pattern with every
-    Hessian on the same mesh.
+    construction and positive definite for p > 1. Each element adds its
+    three diagonal terms to its vertices' diagonal slots and its three edge
+    terms to its edges' (lo, hi) slots; the (hi, lo) slots then take copies,
+    since entry (j, i) is the same product as (i, j). The matrix shares its
+    read-only pattern with every Hessian on the same mesh.
     """
     if setup.epsilon <= 0.0:
         raise PreconditionError("hessian requires a positive regularization epsilon")
@@ -148,10 +148,11 @@ def hessian(setup, v):
         hx, hy, gx, gy, s = _slope(setup, values, rows)
         c1, c2 = _hessian_weights(setup, s, rows)
         hg = [hx[i] * gx + hy[i] * gy for i in range(3)]         # Dphi_i . Dv
-        K = np.empty((len(c1), 3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                K[:, i, j] = K[:, j, i] = (c1 * (hx[i] * hx[j] + hy[i] * hy[j])
-                                           + c2 * (hg[i] * hg[j]))
-        np.add.at(out, pattern.scatter[9 * rows.start:9 * rows.stop], K.ravel())
+        K = np.empty((len(c1), 6))
+        for k, (i, j) in enumerate(((0, 0), (1, 1), (2, 2)) + _EDGES):
+            K[:, k] = c1 * (hx[i] * hx[j] + hy[i] * hy[j]) + c2 * (hg[i] * hg[j])
+        np.add.at(out, pattern.diagonal[mesh.triangles[rows]].ravel(), K[:, :3].ravel())
+        np.add.at(out, pattern.upper[pattern.edge[rows]].ravel(), K[:, 3:].ravel())
+    for edges in _element_blocks(len(pattern.upper)):
+        out[pattern.lower[edges]] = out[pattern.upper[edges]]
     return PatternMatrix(pattern, out.reshape(pattern.width, pattern.n))

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import (FormatError, PreconditionError, ResolutionError,
                      ResourceError)
-from .sparse import P1Pattern, Prolongation, _element_blocks, galerkin_map
+from .sparse import (P1Pattern, Prolongation, _distinct_edges, _element_blocks,
+                     galerkin_map)
 
 INTERIOR = 0
 ARC = 1
@@ -204,10 +205,6 @@ class TriMesh:
     def num_triangles(self):
         return len(self.triangles)
 
-    def quad_points(self, rule):
-        """Physical quadrature points (nt, nq, 2) and weights (nt, nq)."""
-        return _quad_points(self, rule, slice(None)), self.quad_weights(rule)
-
     def quad_weights(self, rule):
         """Physical quadrature weights (nt, nq)."""
         return rule.weights[None, :] * (2.0 * self.areas[:, None])
@@ -280,15 +277,19 @@ def _red_refine(vertices, triangles):
     """
     nv = len(vertices)
     a, b, c = triangles.T
-    ends = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)
-    keys = np.sort(ends, axis=1)
-    _, first, inverse = np.unique(keys[:, 0] * nv + keys[:, 1],
-                                  return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    # the local edges _EDGES are ab, bc, ca, so edge lists them in the order
+    # that numbers the midpoints
+    lo, hi, edge = _distinct_edges(triangles, nv)
+    flat = edge.ravel()
+    first = np.full(len(lo), len(flat))
+    np.minimum.at(first, flat, np.arange(len(flat)))
+    appears = np.zeros(len(flat), dtype=bool)
+    appears[first] = True
+    order = flat[appears]
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    ab, bc, ca = (nv + rank[inverse.ravel()]).reshape(-1, 3).T
-    parents = keys[first[order]]
+    ab, bc, ca = (nv + rank[edge]).T
+    parents = np.stack([lo[order], hi[order]], axis=1)
 
     mid = 0.5 * (vertices[parents[:, 0]] + vertices[parents[:, 1]])
     arc_edge = on_arc(vertices)[parents].all(axis=1)
@@ -486,11 +487,11 @@ def extract_halfball_submesh(mesh, center, radius):
     used, sub_tris = _renumbered(mesh.triangles[t_in], mesh.num_vertices)
     sub_verts = mesh.vertices[used]
 
-    edges = np.concatenate([sub_tris[:, [0, 1]], sub_tris[:, [1, 2]], sub_tris[:, [2, 0]]])
-    edges_sorted = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges_sorted, axis=0, return_counts=True)
+    # the boundary edges are those of one triangle
+    lo, hi, edge = _distinct_edges(sub_tris, len(sub_verts))
+    single = np.bincount(edge.ravel(), minlength=len(lo)) == 1
     boundary_vertex = np.zeros(len(sub_verts), dtype=bool)
-    boundary_vertex[uniq[counts == 1].ravel()] = True
+    boundary_vertex[lo[single]] = boundary_vertex[hi[single]] = True
 
     tags = np.zeros(len(sub_verts), dtype=np.int8)
     on_thin = on_thin_line(sub_verts)

@@ -12,10 +12,10 @@ once beside its result.
 import numpy as np
 
 
-# triangles per block of the passes over a mesh's elements: the pattern's
-# scatter map, the residual and Hessian assembly, and p at the quadrature
-# points. Each pass then holds block-sized temporaries beside its result,
-# whatever the mesh's size (0.86 MB in a Hessian).
+# triangles per block of the passes over a mesh's elements: the residual and
+# Hessian assembly, and p at the quadrature points. Each pass then holds
+# block-sized temporaries beside its result, whatever the mesh's size
+# (0.86 MB in a Hessian).
 _ELEMENT_BLOCK = 4096
 
 
@@ -42,31 +42,15 @@ def _distinct_edges(triangles, n):
     return lo, hi, edge.reshape(-1, len(_EDGES))
 
 
-def _scatter_map(triangles, edge, upper, lower, diagonal):
-    """The flat slot position of each element entry (t, i, j), flattened in
-    that order, filled _ELEMENT_BLOCK triangles at a time; edge e's entries
-    (lo, hi) and (hi, lo) sit at upper[e] and lower[e]."""
-    scatter = np.empty((len(triangles), 3, 3), dtype=np.intp)
-    for rows in _element_blocks(len(triangles)):
-        tri, out = triangles[rows], scatter[rows]
-        for i in range(3):
-            out[:, i, i] = diagonal[tri[:, i]]
-        for k, (i, j) in enumerate(_EDGES):
-            forward = tri[:, i] < tri[:, j]
-            e = edge[rows, k]
-            out[:, i, j] = np.where(forward, upper[e], lower[e])
-            out[:, j, i] = np.where(forward, lower[e], upper[e])
-    return scatter.reshape(-1)
-
-
 class P1Pattern:
     """The entries (i, j) of the P1 stiffness matrix of a triangulation.
 
     cols[k, i] is the column of row i's slot k; counts[i] is the number of
     its entries, and the unused slots k >= counts[i] repeat i with the value
-    0. scatter takes the element entry (t, i, j), flattened in that order,
-    to its flat slot position k * n + i, and diagonal[i] is the flat
-    position of (i, i).
+    0. Flat slot position k * n + i holds row i's slot k: diagonal[i] is
+    the flat position of (i, i), edge[t] the indices of triangle t's local
+    edges in _EDGES order, and upper[e] and lower[e] the flat positions of
+    edge e's entries (lo, hi) and (hi, lo), lo < hi.
     """
 
     def __init__(self, triangles, n):
@@ -95,13 +79,12 @@ class P1Pattern:
         del order
         lower *= n
         lower += hi
-        self.scatter = _scatter_map(triangles, edge, upper, lower, self.diagonal)
-        del edge
+        self.edge, self.upper, self.lower = edge, upper, lower
         self.cols = np.empty((self.width, n), dtype=np.intp)
         self.cols[:] = np.arange(n)
         self.cols.ravel()[upper] = hi
         self.cols.ravel()[lower] = lo
-        for a in (self.counts, self.cols, self.diagonal, self.scatter):
+        for a in (self.counts, self.cols, self.diagonal, edge, upper, lower):
             a.flags.writeable = False       # shared by every matrix on it
 
     def entries(self):
@@ -151,10 +134,6 @@ class Prolongation:
         self.ends = ends
         self.n_coarse = n_coarse
         self.weights = np.where((ends[:, 0] == ends[:, 1])[:, None], [1.0, 0.0], 0.5)
-
-    @property
-    def shape(self):
-        return len(self.ends), self.n_coarse
 
     def __matmul__(self, x):
         e, w = self.ends, self.weights

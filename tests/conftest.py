@@ -51,12 +51,46 @@ def csr(matrix):
         rows, cols, pos = matrix.pattern.entries()
         n = matrix.pattern.n
         return sp.csr_matrix((matrix.values.ravel()[pos], (rows, cols)), shape=(n, n))
-    n_fine, n_coarse = matrix.shape
+    n_fine, n_coarse = len(matrix.ends), matrix.n_coarse
     rows = np.repeat(np.arange(n_fine), 2)
     keep = matrix.weights.ravel() != 0.0
     return sp.csr_matrix((matrix.weights.ravel()[keep],
                           (rows[keep], matrix.ends.ravel()[keep])),
                          shape=(n_fine, n_coarse))
+
+
+def _argsort_pattern(triangles, n):
+    """(counts, cols, diagonal, scatter, width) by the construction the
+    edge-built P1Pattern replaced: one argsort of the 9 nt entry keys.
+    scatter is the flat slot position of each element entry (t, i, j),
+    flattened in that order."""
+    keys = (triangles[:, :, None] * n + triangles[:, None, :]).ravel()
+    distinct, scatter = np.unique(keys, return_inverse=True)
+    rows = distinct // n
+    counts = np.bincount(rows, minlength=n)
+    width = int(counts.max(initial=0))
+    slot = np.arange(len(distinct)) - (np.cumsum(counts) - counts)[rows]
+    position = slot * n + rows
+    cols = np.empty((width, n), dtype=np.intp)
+    cols[:] = np.arange(n)
+    cols.ravel()[position] = distinct % n
+    diagonal = np.arange(n)
+    on_diagonal = distinct % n == rows
+    diagonal[rows[on_diagonal]] = position[on_diagonal]
+    return counts, cols, diagonal, position[scatter], width
+
+
+def edge_slots(triangles, scatter):
+    """(upper, lower): the flat slot positions of the entries (lo, hi) and
+    (hi, lo), lo < hi, of each triangle's local edges (0, 1), (1, 2) and
+    (0, 2), read from a scatter map of _argsort_pattern; (nt, 3) each."""
+    entry = scatter.reshape(-1, 3, 3)
+    upper, lower = (np.empty(triangles.shape, dtype=np.intp) for _ in range(2))
+    for k, (i, j) in enumerate(((0, 1), (1, 2), (0, 2))):
+        forward = triangles[:, i] < triangles[:, j]
+        upper[:, k] = np.where(forward, entry[:, i, j], entry[:, j, i])
+        lower[:, k] = np.where(forward, entry[:, j, i], entry[:, i, j])
+    return upper, lower
 
 
 def traced_peak(fn, *args):

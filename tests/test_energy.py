@@ -13,10 +13,10 @@ import pxthin.sparse
 from pxthin import (EnergySetup, ExponentField, PreconditionError, build,
                     energy, hessian, residual)
 from pxthin.energy import ASSEMBLY_ORDER
-from pxthin.mesh import TriMesh, quadrature_rule
+from pxthin.mesh import TriMesh, _quad_points, quadrature_rule
 from pxthin.sparse import galerkin
 from pxthin.solver import DEFAULT_EPS_SCHEDULE
-from conftest import FAMILIES, csr, traced_peak
+from conftest import FAMILIES, _argsort_pattern, csr, traced_peak
 
 
 def _random_state(mesh, seed):
@@ -167,7 +167,8 @@ def test_cached_pattern_hessian_matches_coo_assembly(level, grading, field, eps,
 # unrolled adds must give the same bits.
 
 def _whole_mesh_quad_p(setup):
-    pts, w = setup.mesh.quad_points(quadrature_rule(ASSEMBLY_ORDER))
+    rule = quadrature_rule(ASSEMBLY_ORDER)
+    pts, w = _quad_points(setup.mesh, rule, slice(None)), setup.mesh.quad_weights(rule)
     return setup.field.eval(pts.reshape(-1, 2)).reshape(w.shape)
 
 
@@ -206,9 +207,9 @@ def _einsum_hessian_data(setup, v):
     Gg = np.einsum("tid,td->ti", G, g)
     K = (c1[:, None, None] * np.einsum("tid,tjd->tij", G, G)
          + c2[:, None, None] * np.einsum("ti,tj->tij", Gg, Gg))
-    pattern = mesh.p1_pattern
-    return np.bincount(pattern.scatter, weights=K.ravel(),
-                       minlength=pattern.width * pattern.n)
+    n = mesh.num_vertices
+    *_, scatter, width = _argsort_pattern(mesh.triangles, n)
+    return np.bincount(scatter, weights=K.ravel(), minlength=width * n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,15 +242,18 @@ def test_unrolled_assembly_is_bit_identical_to_einsum(level, grading, family, ep
 
 
 def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
-    # measured at L6: 183 bytes per triangle for the pattern (253 with one
-    # argsort of the 9 nt entry keys), 81 for one Hessian (236 over the
-    # whole mesh at once; 52 of the 81 are its blocks' temporaries), 120
-    # for the coarse-operator map (57 of them its result) and 76 for one
-    # Galerkin operator; the bounds leave about 10 to 25 % margin
+    # measured at L6: 183 bytes per triangle for the pattern's build (253
+    # with one argsort of the 9 nt entry keys) and 85 held by the pattern
+    # (109 with a nine-per-triangle scatter map), 75 for one Hessian (236
+    # over the whole mesh at once; 46 of the 75 are its blocks'
+    # temporaries), 120 for the coarse-operator map (57 of them its result)
+    # and 76 for one Galerkin operator; the bounds leave about 5 to 25 %
+    # margin
     nt = mesh6.num_triangles
     mesh6.coarser.p1_pattern
     assert traced_peak(TriMesh.p1_pattern.func, mesh6) <= 200 * nt
-    mesh6.p1_pattern
+    held = vars(mesh6.p1_pattern).values()
+    assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) <= 90 * nt
     mesh6.prolongation
     assert traced_peak(TriMesh.coarse_map.func, mesh6) <= 150 * nt
     setup = EnergySetup(mesh6, sin_field).with_epsilon(1e-3)

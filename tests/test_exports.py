@@ -106,3 +106,23 @@ def test_the_package_imports_no_scipy():
     importing = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
     assert [path.name for path in sorted(source.glob("*.py"))
             if importing.search(path.read_text())] == []
+
+
+def test_every_public_method_is_read_in_the_package():
+    # the method-level twin of the test above: each public method or property
+    # of a class in the package has an attribute read of its name in the
+    # package outside its own def. Names match by spelling alone, so a
+    # method that shares its name with an attribute read elsewhere passes
+    # unread: a `shape` property would, since arrays' .shape is read all over
+    trees = [ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(pxthin.__file__).parent.glob("*.py"))]
+    methods = {node: f"{cls.name}.{node.name}" for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    read = set()
+    for tree in trees:
+        for node, defs in _reads(tree):
+            if isinstance(node, ast.Attribute):
+                read |= {m for m in methods if m.name == node.attr and m not in defs}
+    assert sorted(methods[m] for m in methods.keys() - read) == []

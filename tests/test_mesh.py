@@ -16,9 +16,9 @@ from pxthin import (FeFunction, PreconditionError, ResolutionError, build,
                     extract_halfball_submesh, load_solution, mesh_hash,
                     quadrature_rule, save_mesh, save_solution)
 from pxthin.mesh import (_TAG_CHAR, GEOM_TOL, TriMesh, _mesh_chunks,
-                         ball_element_mask)
+                         _quad_points, ball_element_mask, on_arc, on_thin_line)
 from pxthin.solver import _solution_chunks
-from conftest import csr, reflect_full_disk
+from conftest import _argsort_pattern, csr, edge_slots, reflect_full_disk
 
 INTERIOR, ARC, THIN = 0, 1, 2
 
@@ -49,7 +49,8 @@ def test_red_refinement_counts():
 def test_area_and_moment_converge():
     mesh = build(5)
     assert abs(mesh.areas.sum() - math.pi / 2.0) <= 5e-3
-    pts, w = mesh.quad_points(quadrature_rule(2))
+    rule = quadrature_rule(2)
+    pts, w = _quad_points(mesh, rule, slice(None)), mesh.quad_weights(rule)
     moment = float((pts[..., 1] * w).sum())
     assert abs(moment - 2.0 / 3.0) <= 1e-2
 
@@ -192,8 +193,9 @@ def test_prolongation_rows_sum_to_one(shape):
     prolongations = [m.prolongation for m in mesh.hierarchy[1:]]
     assert len(prolongations) == level + grading
     for P in prolongations:
-        assert np.array_equal(np.asarray(csr(P).sum(axis=1)).ravel(), np.ones(P.shape[0]))
-        assert np.array_equal(P @ np.ones(P.shape[1]), np.ones(P.shape[0]))
+        n_fine, n_coarse = len(P.ends), P.n_coarse
+        assert np.array_equal(np.asarray(csr(P).sum(axis=1)).ravel(), np.ones(n_fine))
+        assert np.array_equal(P @ np.ones(n_coarse), np.ones(n_fine))
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,7 +206,7 @@ def test_prolongation_reproduces_affine_functions_off_the_arc(shape, coeffs):
     a, b, c = coeffs
     affine = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
     for P in (m.prolongation for m in mesh.hierarchy[1:]):
-        n_fine, n_coarse = P.shape
+        n_fine, n_coarse = len(P.ends), P.n_coarse
         off_arc = mesh.vertex_tags[:n_fine] != ARC
         err = np.abs(P @ affine[:n_coarse] - affine[:n_fine])[off_arc]
         assert err.max(initial=0.0) <= 1e-13 * (1.0 + abs(a) + abs(b) + abs(c))
@@ -299,6 +301,77 @@ def test_hierarchy_levels_are_the_coarser_builds(shape):
         assert np.shares_memory(coarse.vertices, mesh.vertices)
         if k + 1 < len(hierarchy):
             assert hierarchy[k + 1].coarser is hierarchy[k]
+
+
+def _keyed_red_refine(vertices, triangles):
+    # the red refinement that numbered its midpoints from its own sorted edge
+    # keys and np.unique, before the shared edge list
+    nv = len(vertices)
+    a, b, c = triangles.T
+    ends = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)
+    keys = np.sort(ends, axis=1)
+    _, first, inverse = np.unique(keys[:, 0] * nv + keys[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ab, bc, ca = (nv + rank[inverse.ravel()]).reshape(-1, 3).T
+    parents = keys[first[order]]
+    mid = 0.5 * (vertices[parents[:, 0]] + vertices[parents[:, 1]])
+    arc_edge = on_arc(vertices)[parents].all(axis=1)
+    mid[arc_edge] /= np.hypot(mid[arc_edge, 0], mid[arc_edge, 1])[:, None]
+    new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                        axis=1).reshape(-1, 3)
+    return np.concatenate([vertices, mid]), new_tris, parents
+
+
+def _unique_submesh_tags(vertices, triangles):
+    # the submesh tags from the edges of one triangle, found by np.unique
+    # over the sorted edge rows
+    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    uniq, counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+    boundary = np.zeros(len(vertices), dtype=bool)
+    boundary[uniq[counts == 1].ravel()] = True
+    tags = np.zeros(len(vertices), dtype=np.int8)
+    thin = on_thin_line(vertices)
+    tags[thin] = THIN
+    tags[boundary & ~thin] = ARC
+    return tags
+
+
+@st.composite
+def refinements(draw):
+    """(level, grading, ball): levels 0-6, graded 0-2 up to level 5, and no
+    ball or a half-ball (x1, radius) with a radius in (2 h_max, 0.75], which
+    checked_radii accepts."""
+    level = draw(st.integers(0, 6))
+    grading = draw(st.integers(0, 2 if level <= 5 else 0))
+    two_h = 2.0 * built(level, grading).h_max
+    balls = st.none()
+    if two_h < 0.75:
+        balls |= st.tuples(st.floats(-0.5, 0.5), st.floats(two_h, 0.75, exclude_min=True))
+    return level, grading, draw(balls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(refinements())
+def test_refinement_and_submesh_tags_equal_the_keyed_oracles(shape):
+    level, grading, ball = shape
+    mesh = built(level, grading)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pxthin.mesh, "_red_refine", _keyed_red_refine)
+        want = build(level, grading)
+    assert np.array_equal(mesh.vertices, want.vertices)
+    for got, oracle in zip(mesh.hierarchy, want.hierarchy, strict=True):
+        assert np.array_equal(got.parents, oracle.parents)
+        assert np.array_equal(got.triangles, oracle.triangles)
+    if ball is None:
+        return
+    try:
+        sub, _ = extract_halfball_submesh(mesh, (ball[0], 0.0), ball[1])
+    except ResolutionError:
+        return
+    assert np.array_equal(sub.vertex_tags, _unique_submesh_tags(sub.vertices, sub.triangles))
 
 
 def test_a_hierarchy_that_does_not_chain_is_rejected():
@@ -405,7 +478,7 @@ def test_p1_pattern_equals_the_unique_construction(level, grading):
     n = mesh.num_vertices
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    keys, scatter = np.unique(rows * n + cols, return_inverse=True)
+    keys = np.unique(rows * n + cols)
     got = mesh.p1_pattern
     counts = np.bincount(keys // n, minlength=n)
     assert np.array_equal(got.counts, counts)
@@ -419,7 +492,9 @@ def test_p1_pattern_equals_the_unique_construction(level, grading):
     assert np.array_equal(pos[order] // n, slots)
     unused = np.arange(got.width)[:, None] >= counts
     assert np.array_equal(got.cols[unused], np.broadcast_to(np.arange(n), got.cols.shape)[unused])
-    assert np.array_equal(got.scatter, pos[order][scatter.ravel()])
+    upper, lower = edge_slots(mesh.triangles, _argsort_pattern(mesh.triangles, n)[3])
+    assert np.array_equal(got.upper[got.edge], upper)
+    assert np.array_equal(got.lower[got.edge], lower)
     assert np.array_equal(got.cols.ravel()[got.diagonal], np.arange(n))
 
 

@@ -2,15 +2,13 @@
 products with the same bits, and truncated Galerkin operators to round-off."""
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import pxthin.sparse
 from pxthin import (EnergySetup, PreconditionError, ResolutionError, build,
                     extract_halfball_submesh, hessian)
 from pxthin.sparse import P1Pattern, galerkin
-from conftest import FAMILIES, csr
+from conftest import FAMILIES, _argsort_pattern, csr, edge_slots
 
 # a mesh of levels 1-5 and gradings 0-2, or a half-ball submesh (x1, r) of it
 meshes = st.tuples(st.integers(1, 5), st.integers(0, 2),
@@ -75,25 +73,6 @@ def test_truncated_galerkin_operator_equals_the_csr_product(shape, field, share,
     assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
 
 
-def _argsort_pattern(triangles, n):
-    """(counts, cols, diagonal, scatter, width) by the construction the
-    edge-built P1Pattern replaced: one argsort of the 9 nt entry keys."""
-    keys = (triangles[:, :, None] * n + triangles[:, None, :]).ravel()
-    distinct, scatter = np.unique(keys, return_inverse=True)
-    rows = distinct // n
-    counts = np.bincount(rows, minlength=n)
-    width = int(counts.max(initial=0))
-    slot = np.arange(len(distinct)) - (np.cumsum(counts) - counts)[rows]
-    position = slot * n + rows
-    cols = np.empty((width, n), dtype=np.intp)
-    cols[:] = np.arange(n)
-    cols.ravel()[position] = distinct % n
-    diagonal = np.arange(n)
-    on_diagonal = distinct % n == rows
-    diagonal[rows[on_diagonal]] = position[on_diagonal]
-    return counts, cols, diagonal, position[scatter], width
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 2),
        st.none() | st.tuples(st.floats(-0.5, 0.5), st.floats(0.25, 0.75)),
@@ -101,20 +80,21 @@ def _argsort_pattern(triangles, n):
 def test_edge_built_pattern_equals_the_argsort_oracle(level, grading, ball, below,
                                                        dropped, seed):
     # on a mesh, a half-ball submesh or its `below` cut, with a share of the
-    # triangles dropped so that some rows are empty; the scatter map is
-    # filled in blocks of 37 triangles
+    # triangles dropped so that some rows are empty
     mesh = _mesh((level, grading, ball))
     if below:
         assume(mesh.below is not None)
         mesh = mesh.below
     keep = np.random.default_rng(seed).random(mesh.num_triangles) >= dropped
     triangles, n = mesh.triangles[keep], mesh.num_vertices
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pxthin.sparse, "_ELEMENT_BLOCK", 37)
-        pattern = P1Pattern(triangles, n)
+    pattern = P1Pattern(triangles, n)
     counts, cols, diagonal, scatter, width = _argsort_pattern(triangles, n)
     assert pattern.width == width
     assert np.array_equal(pattern.counts, counts)
     assert np.array_equal(pattern.cols, cols)
     assert np.array_equal(pattern.diagonal, diagonal)
-    assert np.array_equal(pattern.scatter, scatter)
+    # one edge per pair of off-diagonal entries, found at the oracle's slots
+    assert 2 * len(pattern.upper) == counts.sum() - len(np.unique(triangles))
+    upper, lower = edge_slots(triangles, scatter)
+    assert np.array_equal(pattern.upper[pattern.edge], upper)
+    assert np.array_equal(pattern.lower[pattern.edge], lower)

@@ -14,7 +14,7 @@ import pxthin.sparse
 from pxthin import (ElementVectorField, ExponentField, FeFunction,
                     PreconditionError, build, campanato_profile, luxemburg_norm,
                     modular)
-from pxthin.mesh import quadrature_rule
+from pxthin.mesh import _quad_points, quadrature_rule
 from pxthin.vxspace import (LUXEMBURG_STEPS, REPORT_ORDER, ROUNDOFF, _SUM_BLOCK,
                             _pairwise_sums, _report_terms, luxemburg_identity_checks)
 from conftest import FAMILIES, traced_peak
@@ -236,7 +236,7 @@ def _whole_mesh_terms(f, field):
     # by the expressions modular and luxemburg_norm evaluated before blocks
     mesh = f.mesh
     rule = quadrature_rule(REPORT_ORDER)
-    pts, w = mesh.quad_points(rule)
+    pts, w = _quad_points(mesh, rule, slice(None)), mesh.quad_weights(rule)
     p = field.eval(pts.reshape(-1, 2)).reshape(w.shape)
     if isinstance(f, ElementVectorField):
         mags = np.hypot(f.values[:, 0], f.values[:, 1])
