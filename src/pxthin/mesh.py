@@ -60,10 +60,11 @@ class TriMesh:
     """Plain conforming triangle mesh; no domain assumption.
 
     Carries per-element signed areas and P1 hat-function gradients so
-    assembly code does not recompute geometry. A refined mesh keeps the
-    mesh it refines as `coarser`, whose vertices are its first ones, and
-    that refinement's `parents`: the ends (i, j) of the coarser edge that
-    each new vertex halves, in the order of the new vertices. Its
+    assembly code does not recompute geometry; its triangles are int32
+    wherever the vertex count fits. A refined mesh keeps the mesh it
+    refines as `coarser`, whose vertices are its first ones, and that
+    refinement's `parents`: the ends (i, j) of the coarser edge that each
+    new vertex halves, in the order of the new vertices. Its
     `hierarchy` is that chain, coarse to fine. A mesh made any other way
     has no coarser mesh and is its own one-level hierarchy. A submesh (a
     half-ball, or the part of a coarser mesh that holds one) keeps the mesh
@@ -74,16 +75,18 @@ class TriMesh:
     def __init__(self, vertices, triangles, vertex_tags=None, coarser=None,
                  parents=()):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise PreconditionError("vertices must have shape (nv, 2)")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise PreconditionError("triangles must have shape (nt, 3)")
         if not np.all(np.isfinite(self.vertices)):
             raise PreconditionError("non-finite vertex coordinate")
         nv = len(self.vertices)
-        if self.triangles.size and (self.triangles.min() < 0 or self.triangles.max() >= nv):
+        if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
             raise PreconditionError("triangle index out of range")
+        self.triangles = np.ascontiguousarray(
+            triangles, dtype=np.int32 if nv <= 2 ** 31 else np.int64)
         if vertex_tags is None:
             vertex_tags = np.zeros(nv, dtype=np.int8)
         self.vertex_tags = np.ascontiguousarray(vertex_tags, dtype=np.int8)
@@ -108,7 +111,7 @@ class TriMesh:
         self.report_p = {}
         self.report_w = None
 
-        p0, p1, p2 = (self.vertices[self.triangles[:, k]] for k in range(3))
+        p0, p1, p2 = (np.take(self.vertices, self.triangles[:, k], axis=0) for k in range(3))
         e1 = p1 - p0
         e2 = p2 - p0
         e3 = p2 - p1
@@ -213,7 +216,7 @@ class TriMesh:
 def _quad_points(mesh, rule, rows):
     """Physical quadrature points (len(rows), nq, 2) of the elements rows."""
     tri = mesh.triangles[rows]
-    p0, p1, p2 = (mesh.vertices[tri[:, k]] for k in range(3))
+    p0, p1, p2 = (np.take(mesh.vertices, tri[:, k], axis=0) for k in range(3))
     pts = np.empty((len(tri), len(rule.points), 2))
     for q, (xi, eta) in enumerate(rule.points):
         pts[:, q] = p0 * (1.0 - xi - eta) + p1 * xi + p2 * eta
@@ -401,7 +404,7 @@ def build(level, grading=0):
         (0.0, 0.0),
         (1.0, 0.0), (s, s), (0.0, 1.0), (-s, s), (-1.0, 0.0),
     ])
-    triangles = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)], dtype=np.int64)
+    triangles = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)], dtype=np.int32)
 
     chain, parents = [], ()     # (vertex count, triangles, parents) per round
     for refine in rounds:

@@ -4,9 +4,14 @@ A matrix on the pattern stores row i's entries in slots 0, 1, ... in
 increasing column order. Slot k of every row forms layer k, so the values
 are one (width, n) array and the columns one array of the same shape. A
 product adds each row's terms slot by slot, which is the order of a CSR
-product over the same pattern and gives the same bits. The Galerkin map is
-built one layer at a time, so its build holds a few arrays of length n at
-once beside its result.
+product over the same pattern and gives the same bits.
+
+The index arrays a mesh keeps are narrow: a pattern's edge ids and slot
+positions are int32 and the columns intp (numpy gathers fastest with intp),
+so it holds about 61 bytes per triangle. The Galerkin map holds one byte per
+term, the term's coarse slot, 14 bytes per triangle; it is built a block of
+fine rows at a time, so its build holds the same 0.5 MB beside its result on
+every mesh.
 """
 
 import numpy as np
@@ -31,14 +36,23 @@ _EDGES = ((0, 1), (1, 2), (0, 2))
 
 def _distinct_edges(triangles, n):
     """(lo, hi, edge): the distinct undirected edges lo < hi of the
-    triangles, sorted by (lo, hi), and the index of each triangle's local
-    edges among them, (nt, 3) in _EDGES order."""
-    ends = [triangles[:, [e[0] for e in _EDGES]], triangles[:, [e[1] for e in _EDGES]]]
-    keys = np.minimum(*ends) * n
-    keys += np.maximum(*ends)
-    del ends
-    keys, edge = np.unique(keys.ravel(), return_inverse=True)
-    lo, hi = np.divmod(keys, n)
+    triangles, sorted by (lo, hi) and held in the triangles' dtype, and the
+    int32 index of each triangle's local edges among them, (nt, 3) in
+    _EDGES order."""
+    keys = np.empty((len(triangles), len(_EDGES)), dtype=np.int64)
+    for k, (i, j) in enumerate(_EDGES):
+        np.minimum(triangles[:, i], triangles[:, j], out=keys[:, k])
+        keys[:, k] *= n
+        keys[:, k] += np.maximum(triangles[:, i], triangles[:, j])
+    order = keys.ravel().argsort()
+    keys = keys.ravel()[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    edge = np.empty(len(keys), dtype=np.int32)
+    edge[order] = np.cumsum(new, dtype=np.int32) - 1
+    del order
+    lo, hi = (a.astype(triangles.dtype) for a in np.divmod(keys[new], n))
     return lo, hi, edge.reshape(-1, len(_EDGES))
 
 
@@ -48,9 +62,11 @@ class P1Pattern:
     cols[k, i] is the column of row i's slot k; counts[i] is the number of
     its entries, and the unused slots k >= counts[i] repeat i with the value
     0. Flat slot position k * n + i holds row i's slot k: diagonal[i] is
-    the flat position of (i, i), edge[t] the indices of triangle t's local
-    edges in _EDGES order, and upper[e] and lower[e] the flat positions of
-    edge e's entries (lo, hi) and (hi, lo), lo < hi.
+    the flat position of (i, i), edge[t] the int32 indices of triangle t's
+    local edges in _EDGES order, and upper[e] and lower[e] the flat positions
+    of edge e's entries (lo, hi) and (hi, lo), lo < hi, int32 while width *
+    n fits. The build sorts the 3 nt edge keys once (_distinct_edges) and the
+    edges once more by their high end; it peaks near 90 bytes per triangle.
     """
 
     def __init__(self, triangles, n):
@@ -66,16 +82,20 @@ class P1Pattern:
         self.width = int(self.counts.max(initial=0))
         self.diagonal = below * n               # slot 0 for an empty row
         self.diagonal += np.arange(n)
+        position = np.int32 if self.width * n < 2 ** 31 else np.intp
         # (lo, hi) follows lo's lower neighbours, lo, and the upper ones that
         # come before it in the (lo, hi) order of the edges
-        upper = np.arange(len(lo)) - (np.cumsum(above) - above)[lo]
-        upper += below[lo] + 1
+        first = (np.cumsum(above) - above - below - 1).astype(position)
+        upper = np.arange(len(lo), dtype=position)
+        upper -= first[lo]
         upper *= n
         upper += lo
-        # (hi, lo) takes lo's rank among hi's lower neighbours
-        order = np.lexsort((lo, hi))
+        # (hi, lo) takes lo's rank among hi's lower neighbours; the edges
+        # come sorted by (lo, hi), so a stable sort by hi orders them by (hi, lo)
+        order = np.argsort(hi, kind="stable")
+        first = (np.cumsum(below) - below).astype(position)
         lower = np.empty_like(upper)
-        lower[order] = np.arange(len(lo)) - (np.cumsum(below) - below)[hi[order]]
+        lower[order] = np.arange(len(lo), dtype=position) - first[hi[order]]
         del order
         lower *= n
         lower += hi
@@ -156,27 +176,29 @@ def galerkin_map(fine, prolongation, coarse):
     """Where each term of P^T A P lands in the coarse pattern.
 
     For the fine entry in slot (k, i), with j = fine.cols[k, i], and u, v in
-    {0, 1}, out[u, v, k, i] is the flat coarse position of the entry
-    (ends[i, u], ends[j, v]). Terms with weight 0 and unused slots go to the
-    extra position coarse.width * coarse.n. Fine entries of a nested
-    refinement (or of a submesh of one) lie in one coarse triangle, so
-    every term finds its entry.
+    {0, 1}, out[u, v, k, i] is the slot of the entry (ends[i, u], ends[j, v])
+    in coarse row ends[i, u]. Terms with weight 0 and unused slots take the
+    slot coarse.width, which no row has. The map holds the smallest unsigned
+    type that holds coarse.width, one byte on every P1 mesh, and is built a
+    block of fine rows at a time. Fine entries of a nested refinement (or of
+    a submesh of one) lie in one coarse triangle, so every term finds its
+    entry.
     """
     ends, weights = prolongation.ends, prolongation.weights
-    size = coarse.width * coarse.n
-    out = np.full((2, 2, fine.width, fine.n), size,
-                  dtype=np.int32 if size < 2 ** 31 else np.intp)
-    for u in range(2):
-        I = ends[:, u]
-        row_cols = coarse.cols[:, I]            # the columns of row I, per fine row
-        row_term = weights[:, u] != 0.0
-        for v in range(2):
-            for k in range(fine.width):
-                j = fine.cols[k]
-                term = row_term & (fine.counts > k) & (weights[j, v] != 0.0)
-                # the lowest slot of row I holding J: unused slots repeat I
-                slot = (row_cols == ends[j, v]).argmax(axis=0)
-                out[u, v, k, term] = (slot * coarse.n + I)[term]
+    out = np.full((2, 2, fine.width, fine.n), coarse.width,
+                  dtype=np.min_scalar_type(coarse.width))
+    for rows in _element_blocks(fine.n):
+        counts = fine.counts[rows]
+        for u in range(2):
+            row_cols = coarse.cols[:, ends[rows, u]]    # the columns of row I, per fine row
+            row_term = weights[rows, u] != 0.0
+            for v in range(2):
+                for k in range(fine.width):
+                    j = fine.cols[k, rows]
+                    term = row_term & (counts > k) & (weights[j, v] != 0.0)
+                    # the lowest slot of row I holding J: unused slots repeat I
+                    slot = (row_cols == ends[j, v]).argmax(axis=0)
+                    out[u, v, k, rows][term] = slot[term]
     return out
 
 
@@ -184,11 +206,29 @@ def galerkin(A, kept, prolongation, gmap, coarse):
     """The truncated Galerkin operator P^T A P on the coarse pattern, where
     the fine rows and columns not kept are dropped. Coarse rows and columns
     without a kept fine counterpart hold partial sums; callers keep them out
-    of every product."""
+    of every product.
+
+    Each (u, v) of gmap has its own accumulator with one extra layer, where
+    the terms without an entry land. Its layers k are added in order, each
+    in fine-row order by np.add.at, and the four accumulators are then
+    summed in (u, v) order: the order of one bincount per (u, v) over the
+    flat positions, so the values have its bits."""
     scale = prolongation.weights[:, 0] * kept       # 1, 1/2 or 0 per fine vertex
-    terms = A.values * scale
-    terms *= scale[A.pattern.cols]
-    size = coarse.width * coarse.n + 1
-    total = sum(np.bincount(layer.ravel(), weights=terms.ravel(), minlength=size)
-                for layer in gmap.reshape(4, *terms.shape))
-    return PatternMatrix(coarse, total[:-1].reshape(coarse.width, coarse.n))
+    size = (coarse.width + 1) * coarse.n
+    totals = [np.zeros(size) for _ in range(4)]
+    rows = [np.ascontiguousarray(prolongation.ends[:, u]) for u in range(2)]
+    terms = np.empty(A.pattern.n)
+    position = np.empty(A.pattern.n, dtype=np.intp)
+    for k in range(A.pattern.width):
+        np.multiply(A.values[k], scale, out=terms)
+        terms *= scale[A.pattern.cols[k]]
+        for (u, v), total in zip(np.ndindex(2, 2), totals):
+            np.multiply(gmap[u, v, k], coarse.n, out=position, dtype=np.intp)
+            position += rows[u]
+            np.add.at(total, position, terms)
+    # summed in place: an accumulator that starts at +0.0 never holds -0.0,
+    # so the first one is already 0 + itself
+    total, *rest = totals
+    for part in rest:
+        total += part
+    return PatternMatrix(coarse, total[:coarse.width * coarse.n].reshape(coarse.width, coarse.n))

@@ -44,7 +44,7 @@ class FeFunction:
 
     def element_gradients(self):
         """Constant gradient per element, shape (nt, 2)."""
-        tri_vals = self.values[self.mesh.triangles]          # (nt, 3)
+        tri_vals = np.take(self.values, self.mesh.triangles)   # (nt, 3)
         return np.einsum("ti,tid->td", tri_vals, self.mesh.grads)
 
     def gradient_field(self):
@@ -53,7 +53,7 @@ class FeFunction:
     def at_quad_points(self, rule):
         """Values at quadrature points, shape (nt, nq), filled _SUM_BLOCK
         values at a time."""
-        tri_vals = self.values[self.mesh.triangles]
+        tri_vals = np.take(self.values, self.mesh.triangles)
         xi, eta = rule.points[:, 0], rule.points[:, 1]
         out = np.empty((len(tri_vals), len(xi)))
         rows = _SUM_BLOCK // len(xi)

@@ -64,6 +64,7 @@ def _argsort_pattern(triangles, n):
     edge-built P1Pattern replaced: one argsort of the 9 nt entry keys.
     scatter is the flat slot position of each element entry (t, i, j),
     flattened in that order."""
+    triangles = triangles.astype(np.int64)
     keys = (triangles[:, :, None] * n + triangles[:, None, :]).ravel()
     distinct, scatter = np.unique(keys, return_inverse=True)
     rows = distinct // n
@@ -91,6 +92,40 @@ def edge_slots(triangles, scatter):
         upper[:, k] = np.where(forward, entry[:, i, j], entry[:, j, i])
         lower[:, k] = np.where(forward, entry[:, j, i], entry[:, i, j])
     return upper, lower
+
+
+def flat_galerkin_map(fine, prolongation, coarse):
+    """The int32 flat coarse position of each term of P^T A P, as the map
+    was held before it stored one-byte slots: (2, 2, fine.width, fine.n),
+    with the terms without an entry at the extra position coarse.width *
+    coarse.n."""
+    ends, weights = prolongation.ends, prolongation.weights
+    size = coarse.width * coarse.n
+    out = np.full((2, 2, fine.width, fine.n), size, dtype=np.int32)
+    for u in range(2):
+        I = ends[:, u]
+        row_cols = coarse.cols[:, I]
+        row_term = weights[:, u] != 0.0
+        for v in range(2):
+            for k in range(fine.width):
+                j = fine.cols[k]
+                term = row_term & (fine.counts > k) & (weights[j, v] != 0.0)
+                slot = (row_cols == ends[j, v]).argmax(axis=0)
+                out[u, v, k, term] = (slot * coarse.n + I)[term]
+    return out
+
+
+def bincount_galerkin(A, kept, prolongation, flat_map, coarse):
+    """The (width, n) values of the truncated P^T A P as they were formed
+    from a flat_galerkin_map: one bincount per (u, v) over its whole layer,
+    summed from 0."""
+    scale = prolongation.weights[:, 0] * kept
+    terms = A.values * scale
+    terms *= scale[A.pattern.cols]
+    size = coarse.width * coarse.n + 1
+    total = sum(np.bincount(layer.ravel(), weights=terms.ravel(), minlength=size)
+                for layer in flat_map.reshape(4, *terms.shape))
+    return total[:-1].reshape(coarse.width, coarse.n)
 
 
 def traced_peak(fn, *args):

@@ -242,27 +242,29 @@ def test_unrolled_assembly_is_bit_identical_to_einsum(level, grading, family, ep
 
 
 def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
-    # measured at L6: 183 bytes per triangle for the pattern's build (253
-    # with one argsort of the 9 nt entry keys) and 85 held by the pattern
-    # (109 with a nine-per-triangle scatter map), 75 for one Hessian (236
-    # over the whole mesh at once; 46 of the 75 are its blocks'
-    # temporaries), 120 for the coarse-operator map (57 of them its result)
-    # and 76 for one Galerkin operator; the bounds leave about 5 to 25 %
-    # margin
+    # measured at L6: 92 bytes per triangle for the pattern's build (183 with
+    # one np.unique of the edge keys, 253 with one argsort of the 9 nt entry
+    # keys) and 61 held by the pattern (85 with int64 edge ids and slot
+    # positions, 109 with a nine-per-triangle scatter map), 81 for one
+    # Hessian (236 over the whole mesh at once), 45 for the coarse-operator
+    # map's build (120 with int32 flat positions built over all fine rows
+    # at once), 14.3 for the map itself (57) and 58 for one Galerkin operator
+    # (76); the bounds leave about 10 to 25 % margin
     nt = mesh6.num_triangles
     mesh6.coarser.p1_pattern
-    assert traced_peak(TriMesh.p1_pattern.func, mesh6) <= 200 * nt
+    assert traced_peak(TriMesh.p1_pattern.func, mesh6) <= 110 * nt
     held = vars(mesh6.p1_pattern).values()
-    assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) <= 90 * nt
+    assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) <= 70 * nt
     mesh6.prolongation
-    assert traced_peak(TriMesh.coarse_map.func, mesh6) <= 150 * nt
+    assert traced_peak(TriMesh.coarse_map.func, mesh6) <= 55 * nt
+    assert mesh6.coarse_map.nbytes <= 16 * nt
     setup = EnergySetup(mesh6, sin_field).with_epsilon(1e-3)
     v = _random_state(mesh6, 0)
     assert traced_peak(hessian, setup, v) <= 100 * nt
     H = hessian(setup, v)
     kept = np.random.default_rng(1).random(mesh6.num_vertices) < 0.9
     assert traced_peak(galerkin, H, kept, mesh6.prolongation, mesh6.coarse_map,
-                       mesh6.coarser.p1_pattern) <= 100 * nt
+                       mesh6.coarser.p1_pattern) <= 70 * nt
 
 
 def test_hessian_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7, sin_field):
@@ -275,5 +277,16 @@ def test_hessian_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7, sin_field):
         mesh.p1_pattern
         result = hessian(setup, v).values.nbytes
         return traced_peak(hessian, setup, v) - result
+
+    assert transient(mesh7) <= transient(mesh6) + 4096
+
+
+def test_coarse_map_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7):
+    # the map is built a block of fine rows at a time, so beside its result
+    # its build holds the same 0.50 MB at L6 and L7 (1.0 and 4.0 MB with every
+    # fine row at once); 4 KiB leave room for a few Python objects
+    def transient(mesh):
+        mesh.p1_pattern, mesh.prolongation, mesh.below.p1_pattern
+        return traced_peak(TriMesh.coarse_map.func, mesh) - mesh.coarse_map.nbytes
 
     assert transient(mesh7) <= transient(mesh6) + 4096

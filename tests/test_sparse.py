@@ -1,14 +1,19 @@
 """The numpy kernels on the P1 pattern against scipy.sparse as the oracle:
-products with the same bits, and truncated Galerkin operators to round-off."""
+products with the same bits, and truncated Galerkin operators to round-off;
+the compact Galerkin map and the edge list against the constructions they
+replaced, bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pxthin import (EnergySetup, PreconditionError, ResolutionError, build,
+from pxthin import (EnergySetup, PreconditionError, ResolutionError, TriMesh, build,
                     extract_halfball_submesh, hessian)
-from pxthin.sparse import P1Pattern, galerkin
-from conftest import FAMILIES, _argsort_pattern, csr, edge_slots
+from pxthin.mesh import _red_refine
+from pxthin.sparse import P1Pattern, _distinct_edges, galerkin
+from conftest import (FAMILIES, _argsort_pattern, bincount_galerkin, csr, edge_slots,
+                      flat_galerkin_map)
 
 # a mesh of levels 1-5 and gradings 0-2, or a half-ball submesh (x1, r) of it
 meshes = st.tuples(st.integers(1, 5), st.integers(0, 2),
@@ -98,3 +103,91 @@ def test_edge_built_pattern_equals_the_argsort_oracle(level, grading, ball, belo
     upper, lower = edge_slots(triangles, scatter)
     assert np.array_equal(pattern.upper[pattern.edge], upper)
     assert np.array_equal(pattern.lower[pattern.edge], lower)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2),
+       st.none() | st.tuples(st.floats(-0.5, 0.5), st.floats(0.25, 0.75)),
+       st.booleans(), st.sampled_from(FAMILIES), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_compact_galerkin_map_gives_the_bits_of_the_flat_positions(level, grading, ball,
+                                                                    below, field, share,
+                                                                    seed):
+    # on a mesh, a half-ball submesh, or the `below` cut of either
+    mesh = _mesh((level, grading, ball))
+    if below:
+        mesh = mesh.below
+    assume(mesh.below is not None)
+    H, rng = _hessian(mesh, field, seed)
+    kept = rng.random(mesh.num_vertices) < share
+    P, coarse = mesh.prolongation, mesh.below.p1_pattern
+    want = bincount_galerkin(H, kept, P, flat_galerkin_map(mesh.p1_pattern, P, coarse), coarse)
+    assert np.array_equal(galerkin(H, kept, P, mesh.coarse_map, coarse).values, want)
+
+
+def _unique_edges(triangles, n):
+    """(lo, hi, edge) of the distinct undirected edges by one
+    np.unique(return_inverse=True) of the 3 nt edge keys."""
+    ends = triangles[:, [0, 1, 0]].astype(np.int64), triangles[:, [1, 2, 2]].astype(np.int64)
+    keys, edge = np.unique((np.minimum(*ends) * n + np.maximum(*ends)).ravel(),
+                           return_inverse=True)
+    lo, hi = np.divmod(keys, n)
+    return lo, hi, edge.reshape(-1, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_distinct_edges_equal_the_unique_oracle(level, grading, dropped, seed):
+    # with a share of the triangles dropped, down to none at all
+    mesh = build(level, grading)
+    keep = np.random.default_rng(seed).random(mesh.num_triangles) >= dropped
+    for triangles in (mesh.triangles[keep], mesh.triangles[:0]):
+        lo, hi, edge = _distinct_edges(triangles, mesh.num_vertices)
+        want = _unique_edges(triangles, mesh.num_vertices)
+        for got, oracle in zip((lo, hi, edge), want):
+            assert np.array_equal(got, oracle)
+        assert edge.dtype == np.int32 and edge.shape == (len(triangles), 3)
+        assert lo.dtype == hi.dtype == triangles.dtype
+
+
+def _fan(spokes):
+    """A fan of `spokes` triangles about the origin over the half-disk and its
+    red refinement, linked to it as its coarser mesh: the centre row of the
+    fan has spokes + 2 entries."""
+    angles = np.pi * np.arange(spokes + 1) / spokes
+    vertices = np.concatenate([[(0.0, 0.0)], np.stack([np.cos(angles), np.sin(angles)], axis=1)])
+    vertices[:, 1] = np.maximum(vertices[:, 1], 0.0)
+    triangles = np.stack([np.zeros(spokes, dtype=int), 1 + np.arange(spokes),
+                          2 + np.arange(spokes)], axis=1)
+    coarse = TriMesh(vertices, triangles)
+    vertices, triangles, parents = _red_refine(coarse.vertices, coarse.triangles)
+    return TriMesh(vertices, triangles, coarser=coarse, parents=parents)
+
+
+@pytest.mark.parametrize("shape", [(4, 0, None), (3, 2, None), (5, 2, (0.1, 0.5)),
+                                   "fan"])
+def test_hierarchy_index_arrays_stay_narrow(shape):
+    # vertex and edge ids in int32, Galerkin slots in the narrowest unsigned
+    # type that holds the coarse width, the "no term" slot; graded meshes
+    # reach width 9, and a fan of 300 triangles width 302, which needs two bytes
+    mesh = _fan(300) if shape == "fan" else _mesh(shape)
+    fine = mesh
+    widths = []
+    while fine.below is not None:
+        coarse = fine.below.p1_pattern
+        widths.append(coarse.width)
+        assert fine.triangles.dtype == np.int32
+        pattern = fine.p1_pattern
+        assert pattern.edge.dtype == pattern.upper.dtype == pattern.lower.dtype == np.int32
+        gmap = fine.coarse_map
+        assert gmap.dtype == (np.uint8 if coarse.width < 256 else np.uint16)
+        assert np.iinfo(gmap.dtype).max >= coarse.width
+        assert gmap.max() <= coarse.width
+        fine = fine.below
+    assert max(widths) == {(4, 0, None): 7, "fan": 302}.get(shape, 9)
+    if shape == "fan":
+        H, rng = _hessian(mesh, FAMILIES[1], 0)
+        kept = rng.random(mesh.num_vertices) < 0.8
+        P, coarse = mesh.prolongation, mesh.below.p1_pattern
+        want = bincount_galerkin(H, kept, P, flat_galerkin_map(mesh.p1_pattern, P, coarse), coarse)
+        assert np.array_equal(galerkin(H, kept, P, mesh.coarse_map, coarse).values, want)
