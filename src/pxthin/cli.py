@@ -97,10 +97,6 @@ def _conv_points(text):
     return [_conv_point(g) for g in groups]
 
 
-def _conv_str(text):
-    return text
-
-
 def _choice(options):
     def conv(text):
         if text not in options:
@@ -137,7 +133,7 @@ _SCHEMA = {
         "preset": (_choice(_PRESETS), _REQUIRED),
         "offset": (_finite, 1.0),
         "scale": (_finite, 1.0),
-        "file": (_conv_str, None),
+        "file": (str, None),
     },
     "solver": {
         "tol": (_checked(checked_tol, _finite), 1e-10),
@@ -171,8 +167,8 @@ _SCHEMA = {
         "gamma2": (_finite, MONO_GAMMA[1]),
     },
     "output": {
-        "dir": (_conv_str, _REQUIRED),
-        "name": (_conv_str, None),
+        "dir": (str, _REQUIRED),
+        "name": (str, None),
         "plots": (_conv_bool, False),
     },
 }

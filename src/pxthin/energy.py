@@ -5,6 +5,8 @@ recovers the unregularized functional. p is evaluated at quadrature
 points, never element means, so intra-element exponent variation is kept.
 """
 
+import copy
+
 import numpy as np
 
 from .errors import PreconditionError
@@ -32,12 +34,8 @@ class EnergySetup:
         epsilon = float(epsilon)
         if not 0.0 <= epsilon <= MAX_EPSILON:
             raise PreconditionError(f"epsilon must lie in [0, 1e-2], got {epsilon}")
-        clone = object.__new__(EnergySetup)
-        clone.mesh = self.mesh
-        clone.field = self.field
+        clone = copy.copy(self)         # shares the quadrature data
         clone.epsilon = epsilon
-        clone.quad_w = self.quad_w
-        clone.quad_p = self.quad_p
         return clone
 
 

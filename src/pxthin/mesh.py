@@ -64,7 +64,8 @@ class TriMesh:
     wherever the vertex count fits. A refined mesh keeps the mesh it
     refines as `coarser`, whose vertices are its first ones, and that
     refinement's `parents`: the ends (i, j) of the coarser edge that each
-    new vertex halves, in the order of the new vertices. Its
+    new vertex halves, in the order of the new vertices, held once in the
+    triangles' dtype and read in place by its prolongation. Its
     `hierarchy` is that chain, coarse to fine. A mesh made any other way
     has no coarser mesh and is its own one-level hierarchy. A submesh (a
     half-ball, or the part of a coarser mesh that holds one) keeps the mesh
@@ -93,7 +94,7 @@ class TriMesh:
         if self.vertex_tags.shape != (nv,):
             raise PreconditionError("one tag per vertex required")
         self.coarser = coarser
-        self.parents = p = np.asarray(parents, dtype=np.int64)
+        p = np.asarray(parents)
         # a new vertex halves an edge of the mesh it refines
         if coarser is None:
             chained = p.size == 0
@@ -103,6 +104,7 @@ class TriMesh:
                 p.size == 0 or 0 <= p.min() <= p.max() < n)
         if not chained:
             raise PreconditionError("prolongations do not chain to the mesh")
+        self.parents = np.ascontiguousarray(p, dtype=self.triangles.dtype)
         self.source = None
         self.vertex_map = None
         self.digest = None      # mesh_hash, filled on first use
@@ -156,7 +158,8 @@ class TriMesh:
         # splits, so the ends of a triangle's vertices are the three corners
         # of the coarse triangle that holds it
         nt = self.num_triangles
-        ends = np.sort(self._source_ends[self.triangles].reshape(nt, 6), axis=1)
+        ends = self.source.prolongation.ends(self.vertex_map)[self.triangles]
+        ends = np.sort(ends.reshape(nt, 6), axis=1)
         corners = np.concatenate(
             [ends[:, :1], ends[:, 1:][np.diff(ends, axis=1) != 0].reshape(nt, 2)], axis=1)
         corners = np.unique(corners, axis=0)
@@ -169,26 +172,22 @@ class TriMesh:
         cut.source, cut.vertex_map = coarse, used
         return cut
 
-    @property
-    def _source_ends(self):
-        """The prolongation ends of this submesh's vertices in its source."""
-        return self.source.prolongation.ends[self.vertex_map]
-
     @cached_property
     def prolongation(self):
         """The Prolongation onto this mesh from `below`, None without it. A
-        submesh takes its source's rows at its vertices."""
+        submesh takes its source's rows at its vertices, in the same order."""
         if self.source is not None:
             if self.below is None:
                 return None
-            local = np.empty(self.source.coarser.num_vertices, dtype=np.int64)
-            local[self.below.vertex_map] = np.arange(self.below.num_vertices)
-            return Prolongation(local[self._source_ends], self.below.num_vertices)
+            # both vertex maps are sorted
+            source = self.source.prolongation
+            ends = np.searchsorted(self.below.vertex_map, source.ends(self.vertex_map))
+            m = int(np.searchsorted(self.vertex_map, len(source.copies)))
+            return Prolongation(ends[:m, 0], ends[m:], self.below.num_vertices)
         if self.coarser is None:
             return None
         n = self.coarser.num_vertices
-        copies = np.repeat(np.arange(n), 2).reshape(n, 2)
-        return Prolongation(np.concatenate([copies, self.parents]), n)
+        return Prolongation(np.arange(n), self.parents, n)
 
     @cached_property
     def p1_pattern(self):
@@ -264,12 +263,6 @@ def quadrature_rule(order):
     return rule
 
 
-def _tag_geometrically(vertices):
-    tags = np.where(on_thin_line(vertices), THIN, INTERIOR).astype(np.int8)
-    tags[on_arc(vertices)] = ARC
-    return tags
-
-
 def _red_refine(vertices, triangles):
     """One red refinement; returns (vertices, triangles, parents).
 
@@ -286,9 +279,7 @@ def _red_refine(vertices, triangles):
     flat = edge.ravel()
     first = np.full(len(lo), len(flat))
     np.minimum.at(first, flat, np.arange(len(flat)))
-    appears = np.zeros(len(flat), dtype=bool)
-    appears[first] = True
-    order = flat[appears]
+    order = flat[np.sort(first)]
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     ab, bc, ca = (nv + rank[edge]).T
@@ -416,7 +407,8 @@ def build(level, grading=0):
 
     # snap rounding dust on the thin line to exactly zero
     vertices[on_thin_line(vertices), 1] = 0.0
-    tags = _tag_geometrically(vertices)
+    tags = np.where(on_thin_line(vertices), THIN, INTERIOR).astype(np.int8)
+    tags[on_arc(vertices)] = ARC
     mesh = None
     for n, triangles, parents in chain:
         mesh = TriMesh(vertices[:n], triangles, tags[:n], mesh, parents)

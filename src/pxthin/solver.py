@@ -28,10 +28,10 @@ ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 40
 STAGNATION_WINDOW = 200
 # Newton systems: CG preconditioned by one V-cycle over the mesh hierarchy,
-# down to the mesh after MG_COARSEST refinements, whose block is solved
-# densely. A mesh with no coarser mesh is solved densely as a whole, up to
-# DENSE_MAX free vertices: a 50 MB block at that size, whose LU takes
-# 0.35-0.39 s per CG step with one OpenBLAS thread on a 2-core x86-64 host.
+# down to the mesh after MG_COARSEST refinements (the mesh itself on a
+# shorter chain), whose kept block is solved densely, up to DENSE_MAX free
+# vertices: 50 MB at that size, whose LU takes 0.35-0.39 s per CG step with
+# one OpenBLAS thread on a 2-core x86-64 host.
 MG_COARSEST = 2
 MG_OMEGA = 0.6          # damped Jacobi weight
 MG_SWEEPS = 2           # pre- and post-smoothing sweeps
@@ -328,23 +328,24 @@ def solve(problem, tol, eps_schedule=None):
     the solve with its best iterate, prolonged to problem's mesh; it raises
     ConvergenceError with that iterate as `best` and the report as `info`.
     The report's energy is the returned iterate's at eps = 0, and its KKT
-    values and active set are the iterate's at the last stage's eps. A mesh
-    with no `below` is solved densely, so with more than DENSE_MAX free
-    vertices it raises ResourceError before any Newton system.
+    values and active set are the iterate's at the last stage's eps. Every
+    V-cycle ends on the last mesh of the first level's, solved densely: with
+    more than DENSE_MAX free vertices there, it raises ResourceError first.
     """
     tol = checked_tol(tol)
     eps_schedule = checked_eps_schedule(eps_schedule)
     mesh = problem.setup.mesh
-    if mesh.below is None:
-        free = int(np.count_nonzero(~problem.dirichlet))
-        if free > DENSE_MAX:
-            raise ResourceError(
-                f"a mesh with no coarser mesh is solved densely, which allows at "
-                f"most {DENSE_MAX} free vertices; this one has {free}")
-    t0 = time.perf_counter()
-    report = SolveReport(eps_schedule=eps_schedule, tol=tol)
     hierarchy = mesh.hierarchy
     first = min(MG_COARSEST, len(hierarchy) - 1)
+    free = ~problem.dirichlet[:hierarchy[first].num_vertices]
+    for fine in _v_cycle_meshes(hierarchy[first])[:-1]:
+        free = fine.prolongation.coarse_kept(free)
+    if np.count_nonzero(free) > DENSE_MAX:
+        raise ResourceError(
+            f"the coarsest multigrid level is solved densely, which allows at "
+            f"most {DENSE_MAX} free vertices; this one has {np.count_nonzero(free)}")
+    t0 = time.perf_counter()
+    report = SolveReport(eps_schedule=eps_schedule, tol=tol)
     for k in range(first, len(hierarchy)):
         # level k's problem: the same field and obstacle kind, g's first values
         level = problem if hierarchy[k] is mesh else ObstacleProblem(

@@ -10,8 +10,9 @@ The index arrays a mesh keeps are narrow: a pattern's edge ids and slot
 positions are int32 and the columns intp (numpy gathers fastest with intp),
 so it holds about 61 bytes per triangle. The Galerkin map holds one byte per
 term, the term's coarse slot, 14 bytes per triangle; it is built a block of
-fine rows at a time, so its build holds the same 0.5 MB beside its result on
-every mesh.
+fine rows at a time, so its build holds the same 0.57 MB beside its result on
+every mesh. A prolongation reads a refined mesh's int32 `parents` in place
+and holds no weights.
 """
 
 import numpy as np
@@ -142,33 +143,42 @@ class PatternMatrix:
 
 
 class Prolongation:
-    """P1 prolongation onto a mesh from a coarser one.
+    """P1 prolongation onto a mesh from a coarser one: fine vertex i <
+    len(copies) is the coarse vertex copies[i], and fine vertex len(copies)
+    + k halves the coarse edge mids[k] = (a, b), 1/2 x[a] + 1/2 x[b]. Copy
+    rows come first on every mesh, so which rows halve is a row count."""
 
-    Fine vertex i takes weights[i, 0] x[ends[i, 0]] + weights[i, 1]
-    x[ends[i, 1]]: the weights are (1, 0) where i is a coarse vertex
-    (ends[i] = (i's coarse index) twice) and (1/2, 1/2) on the ends of the
-    coarse edge that i halves.
-    """
-
-    def __init__(self, ends, n_coarse):
-        self.ends = ends
-        self.n_coarse = n_coarse
-        self.weights = np.where((ends[:, 0] == ends[:, 1])[:, None], [1.0, 0.0], 0.5)
+    def __init__(self, copies, mids, n_coarse):
+        self.copies, self.mids, self.n_coarse = copies, mids, n_coarse
 
     def __matmul__(self, x):
-        e, w = self.ends, self.weights
-        return w[:, 0] * x[e[:, 0]] + w[:, 1] * x[e[:, 1]]
+        # a copy row takes x itself, the bits of 1 x + 0 x for finite x
+        halves = 0.5 * np.take(x, self.mids)
+        return np.concatenate([np.take(x, self.copies), halves[:, 0] + halves[:, 1]])
 
     def restrict(self, r):
-        """P^T r; each coarse sum runs over the fine vertices in order."""
-        return np.bincount(self.ends.ravel(), weights=(self.weights * r[:, None]).ravel(),
-                           minlength=self.n_coarse)
+        """P^T r; each coarse sum runs over the fine vertices in order, from 0."""
+        out = np.zeros(self.n_coarse)
+        out[self.copies] += r[:len(self.copies)]
+        np.add.at(out, self.mids.ravel(), np.repeat(0.5 * r[len(self.copies):], 2))
+        return out
 
     def coarse_kept(self, kept):
         """Flags of the coarse vertices whose own fine vertex is kept."""
-        copies = self.weights[:, 1] == 0.0
         out = np.zeros(self.n_coarse, dtype=bool)
-        out[self.ends[copies, 0]] = kept[copies]
+        out[self.copies] = kept[:len(self.copies)]
+        return out
+
+    def ends(self, rows):
+        """The (len(rows), 2) coarse ends of the fine vertices rows."""
+        return np.stack([self.end(rows, 0), self.end(rows, 1)], axis=1)
+
+    def end(self, rows, u):
+        """The coarse end u, 0 or 1, of the fine vertices rows (an index array)."""
+        mid = rows >= len(self.copies)
+        out = np.empty(len(rows), dtype=np.intp)
+        out[~mid] = self.copies[rows[~mid]]
+        out[mid] = self.mids[rows[mid] - len(self.copies), u]
         return out
 
 
@@ -177,27 +187,28 @@ def galerkin_map(fine, prolongation, coarse):
 
     For the fine entry in slot (k, i), with j = fine.cols[k, i], and u, v in
     {0, 1}, out[u, v, k, i] is the slot of the entry (ends[i, u], ends[j, v])
-    in coarse row ends[i, u]. Terms with weight 0 and unused slots take the
-    slot coarse.width, which no row has. The map holds the smallest unsigned
-    type that holds coarse.width, one byte on every P1 mesh, and is built a
-    block of fine rows at a time. Fine entries of a nested refinement (or of
-    a submesh of one) lie in one coarse triangle, so every term finds its
-    entry.
+    in coarse row ends[i, u]. The second end of a copy row carries no term;
+    such terms and unused slots take the slot coarse.width, which no row
+    has. The map holds the smallest unsigned type that holds coarse.width,
+    one byte on every P1 mesh, and is built a block of fine rows at a time.
+    Fine entries of a nested refinement (or of a submesh of one) lie in one
+    coarse triangle, so every term finds its entry.
     """
-    ends, weights = prolongation.ends, prolongation.weights
+    m = len(prolongation.copies)
     out = np.full((2, 2, fine.width, fine.n), coarse.width,
                   dtype=np.min_scalar_type(coarse.width))
     for rows in _element_blocks(fine.n):
         counts = fine.counts[rows]
+        i = np.arange(rows.start, rows.stop)
         for u in range(2):
-            row_cols = coarse.cols[:, ends[rows, u]]    # the columns of row I, per fine row
-            row_term = weights[rows, u] != 0.0
-            for v in range(2):
-                for k in range(fine.width):
-                    j = fine.cols[k, rows]
-                    term = row_term & (counts > k) & (weights[j, v] != 0.0)
+            row_cols = coarse.cols[:, prolongation.end(i, u)]   # row I's columns, per fine row
+            row_term = (i >= m) | (u == 0)
+            for k in range(fine.width):
+                j = fine.cols[k, rows]
+                for v in range(2):
+                    term = row_term & (counts > k) & ((j >= m) | (v == 0))
                     # the lowest slot of row I holding J: unused slots repeat I
-                    slot = (row_cols == ends[j, v]).argmax(axis=0)
+                    slot = (row_cols == prolongation.end(j, v)).argmax(axis=0)
                     out[u, v, k, rows][term] = slot[term]
     return out
 
@@ -213,10 +224,11 @@ def galerkin(A, kept, prolongation, gmap, coarse):
     in fine-row order by np.add.at, and the four accumulators are then
     summed in (u, v) order: the order of one bincount per (u, v) over the
     flat positions, so the values have its bits."""
-    scale = prolongation.weights[:, 0] * kept       # 1, 1/2 or 0 per fine vertex
+    scale = kept.astype(float)          # 1, 1/2 or 0 per fine vertex
+    scale[len(prolongation.copies):] *= 0.5
     size = (coarse.width + 1) * coarse.n
     totals = [np.zeros(size) for _ in range(4)]
-    rows = [np.ascontiguousarray(prolongation.ends[:, u]) for u in range(2)]
+    rows = [np.concatenate([prolongation.copies, prolongation.mids[:, u]]) for u in range(2)]
     terms = np.empty(A.pattern.n)
     position = np.empty(A.pattern.n, dtype=np.intp)
     for k in range(A.pattern.width):

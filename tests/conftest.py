@@ -51,12 +51,67 @@ def csr(matrix):
         rows, cols, pos = matrix.pattern.entries()
         n = matrix.pattern.n
         return sp.csr_matrix((matrix.values.ravel()[pos], (rows, cols)), shape=(n, n))
+    matrix = weighted(matrix)
     n_fine, n_coarse = len(matrix.ends), matrix.n_coarse
     rows = np.repeat(np.arange(n_fine), 2)
     keep = matrix.weights.ravel() != 0.0
     return sp.csr_matrix((matrix.weights.ravel()[keep],
                           (rows[keep], matrix.ends.ravel()[keep])),
                          shape=(n_fine, n_coarse))
+
+
+class WeightedProlongation:
+    """The Prolongation as it was held before it became one record of the
+    refinement, the oracle of the record's bits: fine vertex i takes
+    weights[i, 0] x[ends[i, 0]] + weights[i, 1] x[ends[i, 1]], with int64
+    ends, a copy row's coarse vertex twice, and float64 weights, (1, 0) on
+    a copy row and (1/2, 1/2) on a midpoint row."""
+
+    def __init__(self, ends, n_coarse):
+        self.ends = ends
+        self.n_coarse = n_coarse
+        self.weights = np.where((ends[:, 0] == ends[:, 1])[:, None], [1.0, 0.0], 0.5)
+
+    def __matmul__(self, x):
+        e, w = self.ends, self.weights
+        return w[:, 0] * x[e[:, 0]] + w[:, 1] * x[e[:, 1]]
+
+    def restrict(self, r):
+        return np.bincount(self.ends.ravel(), weights=(self.weights * r[:, None]).ravel(),
+                           minlength=self.n_coarse)
+
+    def coarse_kept(self, kept):
+        copies = self.weights[:, 1] == 0.0
+        out = np.zeros(self.n_coarse, dtype=bool)
+        out[self.ends[copies, 0]] = kept[copies]
+        return out
+
+
+def weighted(prolongation):
+    """The WeightedProlongation of a Prolongation record, from its copies
+    and mids."""
+    if isinstance(prolongation, WeightedProlongation):
+        return prolongation
+    copies = np.asarray(prolongation.copies, dtype=np.int64)
+    ends = np.concatenate([np.stack([copies, copies], axis=1),
+                           np.asarray(prolongation.mids, dtype=np.int64)])
+    return WeightedProlongation(ends, prolongation.n_coarse)
+
+
+def weighted_prolongation(mesh):
+    """The WeightedProlongation onto mesh from mesh.below, built from the
+    mesh as it was before the record: the identity on the coarser mesh's
+    vertices and `parents`, or for a submesh the source's rows at its
+    vertices, renumbered into `below`."""
+    if mesh.source is None:
+        n = mesh.coarser.num_vertices
+        copies = np.repeat(np.arange(n), 2).reshape(n, 2)
+        return WeightedProlongation(np.concatenate([copies, mesh.parents]), n)
+    below = mesh.below
+    local = np.empty(mesh.source.coarser.num_vertices, dtype=np.int64)
+    local[below.vertex_map] = np.arange(below.num_vertices)
+    source = weighted_prolongation(mesh.source)
+    return WeightedProlongation(local[source.ends[mesh.vertex_map]], below.num_vertices)
 
 
 def _argsort_pattern(triangles, n):
@@ -99,6 +154,7 @@ def flat_galerkin_map(fine, prolongation, coarse):
     was held before it stored one-byte slots: (2, 2, fine.width, fine.n),
     with the terms without an entry at the extra position coarse.width *
     coarse.n."""
+    prolongation = weighted(prolongation)
     ends, weights = prolongation.ends, prolongation.weights
     size = coarse.width * coarse.n
     out = np.full((2, 2, fine.width, fine.n), size, dtype=np.int32)
@@ -119,13 +175,27 @@ def bincount_galerkin(A, kept, prolongation, flat_map, coarse):
     """The (width, n) values of the truncated P^T A P as they were formed
     from a flat_galerkin_map: one bincount per (u, v) over its whole layer,
     summed from 0."""
-    scale = prolongation.weights[:, 0] * kept
+    scale = weighted(prolongation).weights[:, 0] * kept
     terms = A.values * scale
     terms *= scale[A.pattern.cols]
     size = coarse.width * coarse.n + 1
     total = sum(np.bincount(layer.ravel(), weights=terms.ravel(), minlength=size)
                 for layer in flat_map.reshape(4, *terms.shape))
     return total[:-1].reshape(coarse.width, coarse.n)
+
+
+def held_nbytes(*objs):
+    """The bytes of the distinct array buffers that the objects' attributes
+    hold, arrays or lists and tuples of arrays: a view counts its base once."""
+    buffers = {}
+    for obj in objs:
+        for value in vars(obj).values():
+            for a in value if isinstance(value, (list, tuple)) else [value]:
+                while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+                    a = a.base
+                if isinstance(a, np.ndarray):
+                    buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
 
 
 def traced_peak(fn, *args):

@@ -246,9 +246,10 @@ def test_assembly_transients_stay_within_a_per_triangle_bound(mesh6, sin_field):
     # one np.unique of the edge keys, 253 with one argsort of the 9 nt entry
     # keys) and 61 held by the pattern (85 with int64 edge ids and slot
     # positions, 109 with a nine-per-triangle scatter map), 81 for one
-    # Hessian (236 over the whole mesh at once), 45 for the coarse-operator
-    # map's build (120 with int32 flat positions built over all fine rows
-    # at once), 14.3 for the map itself (57) and 58 for one Galerkin operator
+    # Hessian (236 over the whole mesh at once), 49 for the coarse-operator
+    # map's build (45 reading held int64 prolongation ends, 120 with int32
+    # flat positions built over all fine rows at once), 14.3 for the map
+    # itself (57) and 58 for one Galerkin operator
     # (76); the bounds leave about 10 to 25 % margin
     nt = mesh6.num_triangles
     mesh6.coarser.p1_pattern
@@ -283,7 +284,7 @@ def test_hessian_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7, sin_field):
 
 def test_coarse_map_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7):
     # the map is built a block of fine rows at a time, so beside its result
-    # its build holds the same 0.50 MB at L6 and L7 (1.0 and 4.0 MB with every
+    # its build holds the same 0.57 MB at L6 and L7 (1.0 and 4.0 MB with every
     # fine row at once); 4 KiB leave room for a few Python objects
     def transient(mesh):
         mesh.p1_pattern, mesh.prolongation, mesh.below.p1_pattern

@@ -193,7 +193,7 @@ def test_prolongation_rows_sum_to_one(shape):
     prolongations = [m.prolongation for m in mesh.hierarchy[1:]]
     assert len(prolongations) == level + grading
     for P in prolongations:
-        n_fine, n_coarse = len(P.ends), P.n_coarse
+        n_fine, n_coarse = len(P.copies) + len(P.mids), P.n_coarse
         assert np.array_equal(np.asarray(csr(P).sum(axis=1)).ravel(), np.ones(n_fine))
         assert np.array_equal(P @ np.ones(n_coarse), np.ones(n_fine))
 
@@ -206,7 +206,7 @@ def test_prolongation_reproduces_affine_functions_off_the_arc(shape, coeffs):
     a, b, c = coeffs
     affine = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
     for P in (m.prolongation for m in mesh.hierarchy[1:]):
-        n_fine, n_coarse = len(P.ends), P.n_coarse
+        n_fine, n_coarse = len(P.copies) + len(P.mids), P.n_coarse
         off_arc = mesh.vertex_tags[:n_fine] != ARC
         err = np.abs(P @ affine[:n_coarse] - affine[:n_fine])[off_arc]
         assert err.max(initial=0.0) <= 1e-13 * (1.0 + abs(a) + abs(b) + abs(c))

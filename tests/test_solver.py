@@ -410,6 +410,30 @@ def test_a_mesh_without_a_coarser_mesh_is_solved_densely_up_to_a_size(
     assert np.abs(built.values - u.values).max() <= 20 * 1e-10
 
 
+def test_a_one_level_v_cycle_is_rejected_by_its_dense_size(monkeypatch, p2):
+    # build(6)'s L5 made by hand and L6 chained onto it: L6 has a coarser
+    # mesh, but a two-mesh hierarchy gives its V-cycle one level, so its
+    # whole free block, 8,064 x 8,064 after the first active set (520 MB and
+    # one LU per CG step), would be solved densely
+    mesh = build(6)
+    coarse = mesh.coarser
+    flat = TriMesh(coarse.vertices, coarse.triangles, coarse.vertex_tags)
+    chained = TriMesh(mesh.vertices, mesh.triangles, mesh.vertex_tags, flat, mesh.parents)
+    assert chained.below is flat and solver._v_cycle_meshes(chained) == [chained]
+    problem = ObstacleProblem(EnergySetup(chained, p2), g_signorini32(chained))
+    free = int(np.count_nonzero(~problem.dirichlet))
+    assert free == 8128 > solver.DENSE_MAX
+
+    def dense(*args):
+        raise AssertionError("a dense block was formed")
+
+    monkeypatch.setattr(PatternMatrix, "dense", dense)
+    monkeypatch.setattr(solver, "hessian", None)
+    with pytest.raises(ResourceError, match=f"at most {solver.DENSE_MAX} free vertices; "
+                                            f"this one has {free}$"):
+        solve(problem, 1e-10)
+
+
 def test_projected_steps_pass_armijo_along_the_projected_arc():
     # p = 8 with ten times the signorini32 data: early Newton directions are
     # no descent directions, and the projected gradient fallback clamps at

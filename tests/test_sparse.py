@@ -1,7 +1,9 @@
 """The numpy kernels on the P1 pattern against scipy.sparse as the oracle:
 products with the same bits, and truncated Galerkin operators to round-off;
-the compact Galerkin map and the edge list against the constructions they
-replaced, bit for bit."""
+the compact Galerkin map, the edge list and the prolongation record against
+the constructions they replaced, bit for bit."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 from pxthin import (EnergySetup, PreconditionError, ResolutionError, TriMesh, build,
                     extract_halfball_submesh, hessian)
 from pxthin.mesh import _red_refine
-from pxthin.sparse import P1Pattern, _distinct_edges, galerkin
+from pxthin.sparse import P1Pattern, _distinct_edges, galerkin, galerkin_map
 from conftest import (FAMILIES, _argsort_pattern, bincount_galerkin, csr, edge_slots,
-                      flat_galerkin_map)
+                      flat_galerkin_map, held_nbytes, weighted, weighted_prolongation)
 
 # a mesh of levels 1-5 and gradings 0-2, or a half-ball submesh (x1, r) of it
 meshes = st.tuples(st.integers(1, 5), st.integers(0, 2),
@@ -125,6 +127,61 @@ def test_compact_galerkin_map_gives_the_bits_of_the_flat_positions(level, gradin
     assert np.array_equal(galerkin(H, kept, P, mesh.coarse_map, coarse).values, want)
 
 
+# -0.0, subnormals and magnitudes near the largest float
+_AWKWARD = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-315, 1e300, -1e300,
+                     1.7e308, -1.7e308])
+
+
+def _awkward(rng, n):
+    """n finite values, about half of them drawn from _AWKWARD and the rest
+    of random sign and magnitude."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    pick = rng.random(n) < 0.5
+    x[pick] = rng.choice(_AWKWARD, int(pick.sum()))
+    return x
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2),
+       st.none() | st.tuples(st.floats(-0.5, 0.5), st.floats(0.25, 0.75)),
+       st.booleans(), st.sampled_from(FAMILIES), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_prolongation_record_gives_the_bits_of_the_weights(level, grading, ball, below,
+                                                           field, share, seed):
+    # on a refined or graded mesh, a half-ball submesh, or the `below` cut of
+    # either, against the (ends, weights) class it replaced, built the way
+    # the mesh built it
+    mesh = _mesh((level, grading, ball))
+    if below:
+        mesh = mesh.below
+    assume(mesh.below is not None)
+    P, oracle = mesh.prolongation, weighted_prolongation(mesh)
+    assert np.array_equal(weighted(P).ends, oracle.ends)
+    n = mesh.num_vertices
+    assert np.array_equal(P.ends(np.arange(n)), oracle.ends)
+    rng = np.random.default_rng(seed)
+    x, r = _awkward(rng, P.n_coarse), _awkward(rng, n)
+    assert _same_bits(P @ x, oracle @ x)
+    with np.errstate(over="ignore"):      # sums of the largest values reach inf
+        assert _same_bits(P.restrict(r), oracle.restrict(r))
+    kept = rng.random(n) < share
+    assert np.array_equal(P.coarse_kept(kept), oracle.coarse_kept(kept))
+    # the compact map at the oracle's flat positions, and the operator
+    fine, coarse = mesh.p1_pattern, mesh.below.p1_pattern
+    flat = flat_galerkin_map(fine, oracle, coarse)
+    gmap = galerkin_map(fine, P, coarse).astype(np.int64)
+    rows = oracle.ends.T[:, None, None, :]
+    assert np.array_equal(np.where(gmap == coarse.width, coarse.width * coarse.n,
+                                   gmap * coarse.n + rows), flat)
+    H, _ = _hessian(mesh, field, seed)
+    assert _same_bits(galerkin(H, kept, P, mesh.coarse_map, coarse).values,
+                      bincount_galerkin(H, kept, oracle, flat, coarse))
+
+
 def _unique_edges(triangles, n):
     """(lo, hi, edge) of the distinct undirected edges by one
     np.unique(return_inverse=True) of the 3 nt edge keys."""
@@ -176,7 +233,17 @@ def test_hierarchy_index_arrays_stay_narrow(shape):
     while fine.below is not None:
         coarse = fine.below.p1_pattern
         widths.append(coarse.width)
-        assert fine.triangles.dtype == np.int32
+        assert fine.triangles.dtype == fine.parents.dtype == np.int32
+        # one record of the refinement: a refined mesh's midpoint ends are
+        # its parents, in place, and no prolongation holds a float array
+        P = fine.prolongation
+        assert fine.source is not None or np.shares_memory(P.mids, fine.parents)
+        assert all(a.dtype.kind in "iu" for a in vars(P).values()
+                   if isinstance(a, np.ndarray))
+        # the copy rows, a coarse vertex twice, come first on every mesh
+        ends = weighted_prolongation(fine).ends
+        assert np.array_equal(ends[:, 0] == ends[:, 1],
+                              np.arange(len(ends)) < len(P.copies))
         pattern = fine.p1_pattern
         assert pattern.edge.dtype == pattern.upper.dtype == pattern.lower.dtype == np.int32
         gmap = fine.coarse_map
@@ -191,3 +258,13 @@ def test_hierarchy_index_arrays_stay_narrow(shape):
         P, coarse = mesh.prolongation, mesh.below.p1_pattern
         want = bincount_galerkin(H, kept, P, flat_galerkin_map(mesh.p1_pattern, P, coarse), coarse)
         assert np.array_equal(galerkin(H, kept, P, mesh.coarse_map, coarse).values, want)
+
+
+def test_the_transfer_arrays_of_a_hierarchy_stay_within_a_per_vertex_bound(mesh6):
+    # the prolongations of an L6 hierarchy and the meshes' parents: 10.8
+    # bytes per fine vertex (the int32 parents, which the prolongations read
+    # in place, and their copy rows); 59.1 with int64 (ends, weights) pairs
+    # beside int64 parents. The bound leaves about 10 % margin
+    prolongations = [m.prolongation for m in mesh6.hierarchy[1:]]
+    parents = SimpleNamespace(parents=[m.parents for m in mesh6.hierarchy])
+    assert held_nbytes(*prolongations, parents) <= 12 * mesh6.num_vertices
