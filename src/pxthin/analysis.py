@@ -34,9 +34,11 @@ class IterationConstants:
     c: float = 0.0
 
     def validate(self):
-        # a nan or infinite B would make every slack comparison vacuous
-        if not (0.0 <= self.B < np.inf):
-            raise PreconditionError(f"B must be finite and non-negative, got {self.B}")
+        # a nan or infinite A or B would make the checks below vacuous
+        for name, value in (("A", self.A), ("B", self.B)):
+            if not (0.0 <= value < np.inf):
+                raise PreconditionError(
+                    f"{name} must be finite and non-negative, got {value}")
         if not (self.alpha1 > self.alpha3 > self.alpha2):
             raise PreconditionError("need alpha1 > alpha3 > alpha2")
         if not (0.0 < self.kappa < 0.5):

@@ -30,8 +30,8 @@ from .exponent import FAMILIES, ExponentField, checked_beta
 from .mesh import (ARC, _finite, _text_lines, _write_text, build,
                    checked_center, checked_grading, checked_level,
                    checked_radii, save_mesh)
-from .solver import (ObstacleProblem, checked_eps_schedule, checked_tol,
-                     load_solution, save_solution, solve, vi_check)
+from .solver import (EPS_SCHEDULE, ObstacleProblem, checked_tol, load_solution,
+                     save_solution, solve, vi_check)
 from .vxspace import checked_sigma, luxemburg_identity_checks
 
 _PRESETS = ("linear_xn", "signorini32", "offset_const", "custom")
@@ -137,7 +137,6 @@ _SCHEMA = {
     },
     "solver": {
         "tol": (_checked(checked_tol, _finite), 1e-10),
-        "eps_schedule": (_checked(checked_eps_schedule, _conv_floats), None),
         "seed": (_conv_seed, 0),
         "vi_trials": (_conv_trials, 100),
     },
@@ -386,7 +385,6 @@ class _Run:
         self.mesh = mesh
         self.outdir = config["output"]["dir"]
         self.tol = config["solver"]["tol"]
-        self.eps_schedule = config["solver"]["eps_schedule"]
         self.seed = config["solver"]["seed"]
         self.summary = summary
         self.checks_run = 0
@@ -459,12 +457,12 @@ def _solve_step(run):
     run.problem = ObstacleProblem(EnergySetup(run.mesh, run.field), g)
     detail = None
     try:
-        run.u, report = solve(run.problem, run.tol, eps_schedule=run.eps_schedule)
+        run.u, report = solve(run.problem, run.tol)
     except ConvergenceError as exc:
         run.u, report, detail = exc.best, exc.info, str(exc)
         run.solve_failed = True
     run.check("solve_converged", detail)
-    save_solution(run.u, run.mesh, run.path("u.txt"))
+    save_solution(run.u, run.path("u.txt"))
     iterations, level_iterations = (";".join(map(str, counts)) for counts in (
         report.iterations, report.level_iterations))
     _write_csv(run.path("solve_report.csv"),
@@ -473,7 +471,7 @@ def _solve_step(run):
                "level_cg_steps,wall_time".split(","),
                [[iterations, _f17(report.energy), _f17(report.free_residual),
                  _f17(report.complementarity), str(len(report.active_set)),
-                 _f17(report.tol), ";".join(map(str, report.cg_steps)),
+                 _f17(run.tol), ";".join(map(str, report.cg_steps)),
                  level_iterations, ";".join(map(str, report.level_cg_steps)),
                  _f17(report.wall_time)]])
     run.summary.extend([
@@ -483,7 +481,7 @@ def _solve_step(run):
         ("free_residual", _f17(report.free_residual)),
         ("complementarity", _f17(report.complementarity)),
         ("active_count", str(len(report.active_set))),
-        ("eps_schedule", _join17(report.eps_schedule)),
+        ("eps_schedule", _join17(EPS_SCHEDULE)),
     ])
     if run.solve_failed:
         return
@@ -513,9 +511,9 @@ def _write_comparison(run):
 
 
 def _reference_step(run):
-    run.w, ref = build_reference(run.u, run.problem, run.tol, run.eps_schedule)
+    run.w, ref = build_reference(run.u, run.problem, run.tol)
     run.reference = ref
-    save_solution(run.w, run.mesh, run.path("w.txt"))
+    save_solution(run.w, run.path("w.txt"))
     arc = np.flatnonzero(run.mesh.vertex_tags == ARC)[0]
     run.summary.append(("m_used", _f17(run.w.values[arc])))
     run.check_bound("ordering_u_ge_w", "ordering_margin", ref.ordering_margin,
@@ -537,8 +535,7 @@ def _freeze_plan(run):
 def _freeze_step(run):
     cfg = run.config["freeze"]
     decay = comparison_decay(run.u, run.field, cfg["center"], cfg["radii"],
-                             run.reference.M, sigma0=cfg["sigma0"], tol=run.tol,
-                             eps_schedule=run.eps_schedule)
+                             run.reference.M, sigma0=cfg["sigma0"], tol=run.tol)
     slack = min(a - b for a, b in zip(decay.energy_sub_u, decay.energy_sub_u0))
     run.summary.extend([
         ("freeze_center", _join17(cfg["center"])),

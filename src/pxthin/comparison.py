@@ -48,12 +48,12 @@ def reference_problem(problem, values):
     return ObstacleProblem(problem.setup, np.where(arc, m, 0.0), obstacle=False)
 
 
-def build_reference(u, problem, tol=1e-10, eps_schedule=None):
+def build_reference(u, problem, tol=1e-10):
     """Reference solution: Dirichlet data min_Arc(u) on Arc and 0 on Thin.
 
     Returns (w, reference_report(u, w, field of problem)).
     """
-    w, _ = solve(reference_problem(problem, u.values), tol, eps_schedule)
+    w, _ = solve(reference_problem(problem, u.values), tol)
     return w, reference_report(u, w, problem.setup.field)
 
 
@@ -98,8 +98,7 @@ def compute_M(u, w, field):
             + modular(w.gradient_field(), field) + area + 1.0)
 
 
-def comparison_decay(u, field, center, radii, M, sigma0=0.1, tol=1e-10,
-                     eps_schedule=None):
+def comparison_decay(u, field, center, radii, M, sigma0=0.1, tol=1e-10):
     """Decay of the frozen-exponent comparison error over shrinking balls.
 
     For each radius r the submesh error E(r) = integral of |Du - Du0|^p2
@@ -123,7 +122,7 @@ def comparison_decay(u, field, center, radii, M, sigma0=0.1, tol=1e-10,
         # p frozen at p2, u's trace as Arc data, the obstacle on submesh Thin
         g_sub = u.values[vmap]
         frozen = EnergySetup(submesh, ExponentField("constant", [p2]))
-        u0, _ = solve(ObstacleProblem(frozen, g_sub), tol, eps_schedule)
+        u0, _ = solve(ObstacleProblem(frozen, g_sub), tol)
         du = FeFunction(submesh, g_sub).element_gradients()
         du0 = u0.element_gradients()
         err = gradient_mass(submesh.areas, du - du0, p2)

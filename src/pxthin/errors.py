@@ -51,7 +51,11 @@ class FormatError(PxthinError):
 
 
 def checked_trials(trials):
-    """trials as an int; fewer than one would pass a check on no evidence."""
+    """trials as an int, after the rule: a whole number >= 1, since fewer
+    than one trial would pass a check on no evidence."""
+    # a Python int is whole, and may lie beyond the floats
+    if not (isinstance(trials, int) or float(trials).is_integer()):
+        raise PreconditionError(f"trials must be a whole number, got {trials}")
     trials = int(trials)
     if trials < 1:
         raise PreconditionError(f"need at least one trial, got {trials}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import MAX_EPSILON, EnergySetup, energy, hessian, residual
+from .energy import EnergySetup, energy, hessian, residual
 from .errors import (ConvergenceError, FormatError, PreconditionError,
                      ResourceError, checked_trials)
 from .mesh import (ARC, THIN, mesh_hash, _finite, _text_lines, _text_record,
@@ -23,7 +23,7 @@ from .mesh import (ARC, THIN, mesh_hash, _finite, _text_lines, _text_record,
 from .sparse import galerkin
 from .vxspace import FeFunction
 
-DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 40
 STAGNATION_WINDOW = 200
@@ -91,8 +91,6 @@ class SolveReport:
     free_residual: float = np.nan
     complementarity: float = np.nan
     active_set: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    eps_schedule: tuple = ()
-    tol: float = np.nan
     wall_time: float = 0.0
 
 
@@ -299,28 +297,11 @@ def checked_tol(tol):
     return tol
 
 
-def checked_eps_schedule(eps_schedule):
-    """The schedule as a float tuple, DEFAULT_EPS_SCHEDULE for None."""
-    eps_schedule = tuple(float(e) for e in (
-        DEFAULT_EPS_SCHEDULE if eps_schedule is None else eps_schedule))
-    if not eps_schedule:
-        raise PreconditionError("eps schedule must not be empty")
-    for eps in eps_schedule:
-        if not 0.0 < eps <= MAX_EPSILON:
-            raise PreconditionError(
-                f"eps schedule values must lie in (0, 1e-2], got {eps}")
-    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise PreconditionError("eps schedule must be strictly decreasing")
-    if eps_schedule[-1] > 1e-8:
-        raise PreconditionError("eps schedule must end at or below 1e-8")
-    return eps_schedule
-
-
-def solve(problem, tol, eps_schedule=None):
+def solve(problem, tol):
     """Minimize over the admissible set; returns (FeFunction, SolveReport).
 
     A nested iteration over the mesh's hierarchy, from the multigrid's
-    coarsest level to the mesh: the first level runs the whole eps schedule
+    coarsest level to the mesh: the first level runs the whole EPS_SCHEDULE
     from the feasible start, and each finer level runs only the last eps
     stage, from the coarser solution prolonged and made feasible.
     Feasibility is exact at every iterate: Dirichlet values pinned to g,
@@ -333,7 +314,6 @@ def solve(problem, tol, eps_schedule=None):
     more than DENSE_MAX free vertices there, it raises ResourceError first.
     """
     tol = checked_tol(tol)
-    eps_schedule = checked_eps_schedule(eps_schedule)
     mesh = problem.setup.mesh
     hierarchy = mesh.hierarchy
     first = min(MG_COARSEST, len(hierarchy) - 1)
@@ -345,16 +325,16 @@ def solve(problem, tol, eps_schedule=None):
             f"the coarsest multigrid level is solved densely, which allows at "
             f"most {DENSE_MAX} free vertices; this one has {np.count_nonzero(free)}")
     t0 = time.perf_counter()
-    report = SolveReport(eps_schedule=eps_schedule, tol=tol)
+    report = SolveReport()
     for k in range(first, len(hierarchy)):
         # level k's problem: the same field and obstacle kind, g's first values
         level = problem if hierarchy[k] is mesh else ObstacleProblem(
             EnergySetup(hierarchy[k], problem.setup.field),
             problem.g[:hierarchy[k].num_vertices], obstacle=problem.constrained)
         if k == first:
-            v, stages = level.feasible_start(), eps_schedule
+            v, stages = level.feasible_start(), EPS_SCHEDULE
         else:
-            v, stages = level.feasible(hierarchy[k].prolongation @ v), eps_schedule[-1:]
+            v, stages = level.feasible(hierarchy[k].prolongation @ v), EPS_SCHEDULE[-1:]
         report.level_iterations.append(0)
         report.level_cg_steps.append(0)
         for eps in stages:
@@ -387,7 +367,7 @@ def solve(problem, tol, eps_schedule=None):
         raise ConvergenceError(
             f"no residual decrease over {STAGNATION_WINDOW} iterations "
             f"on level {k} ({k - first + 1} of {len(hierarchy) - first}) in eps "
-            f"stage {eps:g} ({eps_schedule.index(eps) + 1} of {len(eps_schedule)}); "
+            f"stage {eps:g} ({EPS_SCHEDULE.index(eps) + 1} of {len(EPS_SCHEDULE)}); "
             f"best KKT measure {best}", best=u, info=report)
     return u, report
 
@@ -423,15 +403,15 @@ def vi_check(problem, u_h, trials, seed):
     return worst
 
 
-def _solution_chunks(u, mesh):
+def _solution_chunks(u):
     """The solution file's text in pieces of at most TEXT_CHUNK lines."""
     n = len(u.values)
-    yield f"s {mesh_hash(mesh)} {n}\n"
+    yield f"s {mesh_hash(u.mesh)} {n}\n"
     yield from _text_rows("u %d %.17g\n", np.arange(n), u.values)
 
 
-def save_solution(u, mesh, path):
-    _write_text(path, _solution_chunks(u, mesh))
+def save_solution(u, path):
+    _write_text(path, _solution_chunks(u))
 
 
 def load_solution(path, mesh):

@@ -88,6 +88,17 @@ def test_iteration_constants_reject_a_bad_B(B):
         iteration_verify(c, 5, 0)
 
 
+@pytest.mark.parametrize("A", [np.nan, np.inf])
+def test_iteration_constants_reject_a_non_finite_A(A):
+    # a nan A would skip the smallness inequality: a vacuous pass
+    with pytest.raises(PreconditionError, match="A must be finite"):
+        iteration_constants(A, 2.0, 1.0)
+    c = iteration_constants(1.0, 2.0, 1.0)
+    c.A = A
+    with pytest.raises(PreconditionError, match="A must be finite"):
+        c.validate()
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_no_sampled_check_passes_on_no_trials(mesh3, trials):
     checks = [lambda: iteration_suite(trials, 0),

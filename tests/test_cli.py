@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -302,7 +303,7 @@ def test_custom_nodal_file(tmp_path, run_dir):
     g = boundary_values(parse_config(custom_config(tmp_path, u_path)), mesh,
                         str(tmp_path))
     assert g.tobytes() == load_solution(str(u_path), mesh).values.tobytes()
-    save_solution(FeFunction(mesh, g), mesh, str(tmp_path / "g.txt"))
+    save_solution(FeFunction(mesh, g), str(tmp_path / "g.txt"))
     assert (tmp_path / "g.txt").read_bytes() == u_path.read_bytes()
     # relative to the config's directory, and through a whole run
     assert main(["run", custom_config(tmp_path, "g.txt")]) == 0
@@ -320,7 +321,7 @@ def test_custom_file_errors_exit_2(tmp_path, capsys):
     assert "%s line 1: " % g in capsys.readouterr().err
     # a solution of another level or grading is on a different mesh
     for other in (build(2), build(3, grading=1)):
-        save_solution(FeFunction(other, other.vertices[:, 1].copy()), other, str(g))
+        save_solution(FeFunction(other, other.vertices[:, 1].copy()), str(g))
         assert main(["run", cfg]) == 2
         assert "different mesh" in capsys.readouterr().err
 
@@ -504,6 +505,22 @@ run = solve, reference, freeze, scan, holder, verify
 [output]
 dir = {out}
 """
+
+
+def test_the_readme_config_block_names_every_schema_key():
+    # each `key = ...` line of the README's "Config format" block, commented
+    # or not, against the parser's schema
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    block = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1]
+    keys, section = set(), None
+    for line in block.split("\n```", 1)[0].splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif match := re.match(r"#? ?(\w+) = ", line):
+            keys.add((section, match.group(1)))
+    assert keys == {(section, key) for section, entries in cli._SCHEMA.items()
+                    for key in entries}
+    assert len(keys) == 31
 
 
 def test_readme_example_scan_below_level_8_starts_no_solve(tmp_path, capsys,
@@ -781,9 +798,9 @@ def test_negative_seeds_are_rejected(tmp_path, capsys):
      "[exponent] exponent must stay > 1 on the half-disk; minimum is 1.0"),
     ("[output]", "[solver]\ntol = 1\n[output]",
      "line 12: bad value for [solver] tol: tol must lie in [1e-14, 1e-4], got 1.0"),
+    # the regularization ladder is no setting
     ("[output]", "[solver]\neps_schedule = 0.5, 1e-9\n[output]",
-     "line 12: bad value for [solver] eps_schedule: eps schedule values must "
-     "lie in (0, 1e-2], got 0.5"),
+     "line 12: unknown key 'eps_schedule' in [solver]"),
 ], ids=["beta_2", "level_11", "level_-1", "affine_2_coefficients", "constant_1",
         "tol_1", "eps_schedule_0.5"])
 def test_exponent_and_level_errors_are_config_errors(tmp_path, capsys, old, new,

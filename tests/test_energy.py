@@ -15,7 +15,7 @@ from pxthin import (EnergySetup, ExponentField, PreconditionError, build,
 from pxthin.energy import ASSEMBLY_ORDER
 from pxthin.mesh import TriMesh, _quad_points, quadrature_rule
 from pxthin.sparse import galerkin
-from pxthin.solver import DEFAULT_EPS_SCHEDULE
+from pxthin.solver import EPS_SCHEDULE
 from conftest import FAMILIES, _argsort_pattern, csr, traced_peak
 
 
@@ -219,7 +219,7 @@ def _setup(level, grading, family):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 2), st.integers(0, len(FAMILIES) - 1),
-       st.sampled_from((0.0,) + DEFAULT_EPS_SCHEDULE), st.floats(0.0, 0.95),
+       st.sampled_from((0.0,) + EPS_SCHEDULE), st.floats(0.0, 0.95),
        st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
 def test_unrolled_assembly_is_bit_identical_to_einsum(level, grading, family, eps,
                                                       zeros, scale, seed):

@@ -447,7 +447,7 @@ def test_text_writers_equal_the_row_loops(level, grading, special):
     k = min(len(special), mesh.num_vertices)
     values[rng.choice(mesh.num_vertices, k, replace=False)] = special[:k]
     u = FeFunction(mesh, values)
-    assert "".join(_solution_chunks(u, mesh)) == _loop_solution_text(u, mesh)
+    assert "".join(_solution_chunks(u)) == _loop_solution_text(u, mesh)
 
 
 def test_saved_files_and_the_hash_are_the_streamed_text(tmp_path, monkeypatch):
@@ -459,7 +459,7 @@ def test_saved_files_and_the_hash_are_the_streamed_text(tmp_path, monkeypatch):
     assert data == _loop_mesh_text(mesh).encode("ascii")
     assert mesh.digest == hashlib.sha256(data).hexdigest() == mesh_hash(build(2, 1))
     u = FeFunction(mesh, np.random.default_rng(3).standard_normal(mesh.num_vertices))
-    save_solution(u, mesh, tmp_path / "u.txt")
+    save_solution(u, tmp_path / "u.txt")
     assert (tmp_path / "u.txt").read_bytes() == _loop_solution_text(u, mesh).encode("ascii")
     assert np.array_equal(load_solution(tmp_path / "u.txt", mesh).values, u.values)
 

@@ -21,6 +21,7 @@ from pxthin import (ConvergenceError, EnergySetup, ExponentField, FeFunction,
 from pxthin import comparison, solver
 from pxthin.cli import boundary_values
 from pxthin.comparison import reference_problem
+from pxthin.energy import MAX_EPSILON
 from pxthin.mesh import INTERIOR, THIN, TriMesh
 from pxthin.sparse import PatternMatrix
 from conftest import FAMILIES, csr, g_signorini32
@@ -227,7 +228,7 @@ def test_report_holds_the_kkt_values_of_the_returned_iterate(level, field, prese
     except ConvergenceError as exc:
         u, report = exc.best, exc.info
     # the first level runs one eps stage after another, so this is the last
-    eps = report.eps_schedule[len(report.iterations) - 1]
+    eps = solver.EPS_SCHEDULE[len(report.iterations) - 1]
     r = residual(problem.setup.with_epsilon(eps), u.values)
     active, _, free_res, comp = solver._kkt(problem, u.values, r)
     assert (report.free_residual, report.complementarity) == (free_res, comp)
@@ -237,26 +238,25 @@ def test_report_holds_the_kkt_values_of_the_returned_iterate(level, field, prese
     assert sum(report.cg_steps) == sum(report.level_cg_steps)
 
 
-def test_eps_schedule_validation(mesh4, p2):
-    problem, _ = _linear_problem(mesh4, p2)
-    with pytest.raises(PreconditionError):
-        solve(problem, 1e-10, eps_schedule=[1e-3, 1e-2])
-    with pytest.raises(PreconditionError):
-        solve(problem, 1e-10, eps_schedule=[1e-2, 1e-7])
+def test_the_eps_ladder_keeps_its_rules():
+    # non-empty, strictly decreasing, inside the regularization the energy
+    # accepts, and fine enough at the end to stand for eps = 0
+    ladder = solver.EPS_SCHEDULE
+    assert len(ladder) >= 1
+    assert all(b < a for a, b in zip(ladder, ladder[1:]))
+    assert all(0.0 < eps <= MAX_EPSILON for eps in ladder)
+    assert ladder[-1] <= 1e-8
 
 
-@pytest.mark.parametrize("schedule, named", [
-    ((), "empty"), ((1e-3, -1.0), "-1.0"), ((1e-3, 0.0), "0.0"),
-    ((0.1, 1e-8), "0.1"), ((1e-3, float("nan"), 1e-9), "nan")])
-def test_eps_schedule_is_rejected_before_any_stage(mesh4, p2, monkeypatch,
-                                                   schedule, named):
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, 1e-3, 1e-15])
+def test_bad_tol_is_rejected_before_any_stage(mesh4, p2, monkeypatch, tol):
     def no_stage(*args):
         raise AssertionError("a stage ran")
 
     monkeypatch.setattr(solver, "_solve_stage", no_stage)
     problem, _ = _linear_problem(mesh4, p2)
-    with pytest.raises(PreconditionError, match=named):
-        solve(problem, 1e-10, eps_schedule=schedule)
+    with pytest.raises(PreconditionError, match="tol must lie in"):
+        solve(problem, tol)
 
 
 def test_boundary_data_shape_checked(mesh4, p2):
@@ -268,7 +268,7 @@ def test_solution_roundtrip(tmp_path, solved_p2_sig32_l5):
     problem, u, _, _ = solved_p2_sig32_l5
     mesh = problem.setup.mesh
     path = tmp_path / "u.txt"
-    save_solution(u, mesh, str(path))
+    save_solution(u, str(path))
     loaded = load_solution(str(path), mesh)
     assert np.array_equal(loaded.values, u.values)
 
@@ -276,7 +276,7 @@ def test_solution_roundtrip(tmp_path, solved_p2_sig32_l5):
 def test_solution_file_is_bound_to_its_mesh(tmp_path, solved_p2_sig32_l5, mesh4):
     problem, u, _, _ = solved_p2_sig32_l5
     path = tmp_path / "u.txt"
-    save_solution(u, problem.setup.mesh, str(path))
+    save_solution(u, str(path))
     with pytest.raises(FormatError):
         load_solution(str(path), mesh4)
 
@@ -285,7 +285,7 @@ def test_truncated_solution_file_rejected(tmp_path, mesh4, p2):
     problem, _ = _linear_problem(mesh4, p2)
     u, _ = solve(problem, 1e-10)
     path = tmp_path / "u.txt"
-    save_solution(u, mesh4, str(path))
+    save_solution(u, str(path))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(FormatError):
@@ -309,7 +309,7 @@ MALFORMED_NUMBERS = [
 def test_malformed_numbers_name_the_file_and_the_line(tmp_path, index, field, text):
     mesh = build(1)
     path = tmp_path / "u.txt"
-    save_solution(FeFunction(mesh, mesh.vertices[:, 1].copy()), mesh, str(path))
+    save_solution(FeFunction(mesh, mesh.vertices[:, 1].copy()), str(path))
     lines = path.read_text().splitlines()
     parts = lines[index].split()
     parts[field] = text
@@ -361,7 +361,7 @@ def _free_solve(H, free, rhs, mesh):
 # meshes, with the coarse vertices that have no kept fine copy truncated
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 2), st.sampled_from(FAMILIES),
-       st.sampled_from(solver.DEFAULT_EPS_SCHEDULE), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(solver.EPS_SCHEDULE), st.integers(0, 2 ** 32 - 1),
        st.none() | st.tuples(st.floats(-0.5, 0.5), st.floats(0.25, 0.75)))
 def test_multigrid_direction_matches_direct_solve(level, grading, field, eps, seed,
                                                   ball):
