@@ -231,17 +231,12 @@ def calibrate_monotonicity(gamma1, gamma2, samples=1_000_000, seed=20123):
     return 1.05 * worst
 
 
-def checked_gammas(gamma1, gamma2):
-    """The exponent range as floats, after the rule 1 < gamma1 <= gamma2."""
+def monotonicity_check(gamma1, gamma2, trials, seed):
+    """Worst LHS/RHS ratio of the vector inequality over random tuples with
+    exponents in [gamma1, gamma2], after the rule 1 < gamma1 <= gamma2."""
     gamma1, gamma2 = float(gamma1), float(gamma2)
     if not 1.0 < gamma1 <= gamma2:
         raise PreconditionError(f"need 1 < gamma1 <= gamma2, got {gamma1}, {gamma2}")
-    return gamma1, gamma2
-
-
-def monotonicity_check(gamma1, gamma2, trials, seed):
-    """Worst LHS/RHS ratio of the vector inequality over random tuples."""
-    gamma1, gamma2 = checked_gammas(gamma1, gamma2)
     trials = checked_trials(trials)
     if MONO_GAMMA[0] <= gamma1 and gamma2 <= MONO_GAMMA[1]:
         c = MONO_C
@@ -283,7 +278,8 @@ def theoretical_alpha(alpha0, beta, gamma2):
 
 # ------------------------------------------------------------------ reports
 
-DEFAULT_SIGMA_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
+# the scan's exponents: sorted, and 0 first, whose constant is below 1
+SIGMA_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
 # the largest implied constant the scan's sigma0 admits
 C_CAP = 1e3
 
@@ -305,17 +301,6 @@ class HolderReport:
     profiles: list
     alphas: list
     alpha_min: float
-
-
-def checked_sigma_grid(sigma_grid):
-    """The scan's sigma grid sorted, DEFAULT_SIGMA_GRID for None."""
-    if sigma_grid is None:
-        sigma_grid = DEFAULT_SIGMA_GRID
-    grid = sorted(float(s) for s in sigma_grid)
-    if not grid or grid[0] != 0.0:
-        raise PreconditionError(
-            f"sigma grid must have 0 as its smallest value, got {grid}")
-    return grid
 
 
 def checked_scan_radius(r, field, M, center):
@@ -348,8 +333,9 @@ def scan_balls(mesh, center, r):
     return masks
 
 
-def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None):
-    """Implied constants of the gradient self-improvement estimate.
+def higher_integrability_scan(u, w, field, center, r=None):
+    """Implied constants of the gradient self-improvement estimate, one per
+    SIGMA_GRID exponent.
 
     All three quantities are normalized by the area of the outer ball's
     element selection, so the sigma = 0 constant is below 1 by set
@@ -359,7 +345,6 @@ def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None):
     the admissible radius, capped so that the 2r ball stays in the 3/4 ball.
     """
     center = checked_center(center)
-    sigma_grid = checked_sigma_grid(sigma_grid)
     M = compute_M(u, w, field)
     r, r_adm = checked_scan_radius(r, field, M, center)
     mesh = u.mesh
@@ -370,13 +355,13 @@ def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None):
 
     base_2r = modular(du, field, element_mask=mask_2r) / area2
     c_sigma = []
-    for sigma in sigma_grid:
+    for sigma in SIGMA_GRID:
         lhs = modular(du, field, element_mask=mask_r, sigma=sigma) / area2
         rhs1 = base_2r ** (1.0 + sigma)
         rhs2 = modular(dw, field, element_mask=mask_2r, sigma=sigma) / area2
         c_sigma.append(lhs / (rhs1 + rhs2 + 1.0))
-    passing = [s for s, c in zip(sigma_grid, c_sigma) if c <= C_CAP]
-    report = ScanReport(r, r_adm, sigma_grid, c_sigma,
+    passing = [s for s, c in zip(SIGMA_GRID, c_sigma) if c <= C_CAP]
+    report = ScanReport(r, r_adm, list(SIGMA_GRID), c_sigma,
                         max(passing) if passing else 0.0)
 
     rho = 2.0 * r
@@ -387,7 +372,7 @@ def higher_integrability_scan(u, w, field, center, r=None, sigma_grid=None):
         area = float(mesh.areas[mask].sum())
         base = modular(du, field, element_mask=mask) / area
         row = []
-        for sigma in sigma_grid:
+        for sigma in SIGMA_GRID:
             high = modular(du, field, element_mask=mask, sigma=sigma) / area
             row.append((high ** (1.0 / (1.0 + sigma)) / base)
                        if base > 0.0 else np.inf)

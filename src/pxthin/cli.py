@@ -17,8 +17,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (MONO_GAMMA, checked_gammas, checked_scan_radius,
-                       checked_sigma_grid, gradient_holder_fit,
+from .analysis import (MONO_GAMMA, checked_scan_radius, gradient_holder_fit,
                        higher_integrability_scan, iteration_suite,
                        monotonicity_check, scan_balls, theoretical_alpha)
 from .comparison import build_reference, comparison_decay
@@ -34,7 +33,7 @@ from .solver import (EPS_SCHEDULE, ObstacleProblem, checked_tol, load_solution,
                      save_solution, solve, vi_check)
 from .vxspace import checked_sigma, luxemburg_identity_checks
 
-_PRESETS = ("linear_xn", "signorini32", "offset_const", "custom")
+_PRESETS = ("linear_xn", "signorini32", "custom")
 
 _REQUIRED = object()
 
@@ -131,7 +130,6 @@ _SCHEMA = {
     },
     "boundary": {
         "preset": (_choice(_PRESETS), _REQUIRED),
-        "offset": (_finite, 1.0),
         "scale": (_finite, 1.0),
         "file": (str, None),
     },
@@ -151,7 +149,6 @@ _SCHEMA = {
     "scan": {
         "center": (_conv_point, [0.0, 0.0]),
         "radius": (_finite, None),
-        "sigma_grid": (_conv_floats, None),
     },
     "holder": {
         "centers": (_conv_points, [[0.0, 0.0]]),
@@ -162,8 +159,6 @@ _SCHEMA = {
         "iteration_trials": (_conv_trials, 10000),
         "monotonicity_trials": (_conv_trials, 100000),
         "luxemburg_trials": (_conv_trials, 100),
-        "gamma1": (_finite, MONO_GAMMA[0]),
-        "gamma2": (_finite, MONO_GAMMA[1]),
     },
     "output": {
         "dir": (str, _REQUIRED),
@@ -292,8 +287,6 @@ def boundary_values(config, mesh, config_dir):
         radius = np.hypot(x[:, 0], x[:, 1])
         theta = np.arctan2(x[:, 1], x[:, 0])
         base = radius ** 1.5 * np.cos(1.5 * theta)
-    elif preset == "offset_const":
-        base = np.full(mesh.num_vertices, section["offset"])
     else:
         path = section["file"]
         if not os.path.isabs(path):
@@ -445,8 +438,6 @@ def _run_rows(config, field, mesh, experiments):
         ("seed", str(config["solver"]["seed"])),
         ("experiments", ";".join(experiments)),
     ]
-    if boundary["preset"] == "offset_const":
-        rows.append(("offset", _f17(boundary["offset"])))
     if boundary["preset"] == "custom":
         rows.append(("preset_file", boundary["file"]))
     return rows
@@ -557,7 +548,7 @@ def _freeze_step(run):
 def _scan_step(run):
     cfg = run.config["scan"]
     scan = higher_integrability_scan(run.u, run.w, run.field, cfg["center"],
-                                     cfg["radius"], sigma_grid=cfg["sigma_grid"])
+                                     cfg["radius"])
     rows = [["c_sigma", _f17(scan.radius), _f17(sigma), _f17(c)]
             for sigma, c in zip(scan.sigma_grid, scan.c_sigma)]
     for rho, ratios in zip(scan.rh_radii, scan.rh_ratios):
@@ -580,7 +571,6 @@ def _scan_plan(run):
     # so do the ball selections, which fail here only if they fail for certain
     cfg = run.config["scan"]
     center = checked_center(cfg["center"])
-    checked_sigma_grid(cfg["sigma_grid"])
     r, _ = checked_scan_radius(cfg["radius"], run.field, 1.0, center)
     scan_balls(run.mesh, center, r)
 
@@ -633,15 +623,16 @@ def _holder_step(run):
 
 
 # verify's sampled checks in run order: the [verify] key of the trial count,
-# the measurement (n, [verify] config, mesh, field, seed -> values), and per
-# value its summary key, contract, bound and whether that is an upper bound
+# the measurement (n, mesh, field, seed -> values), and per value its summary
+# key, contract, bound and whether that is an upper bound. The monotonicity
+# check covers MONO_GAMMA and the field's own exponent range.
 _VERIFY_CHECKS = (
-    ("iteration_trials", lambda n, cfg, mesh, field, seed: [iteration_suite(n, seed)],
+    ("iteration_trials", lambda n, mesh, field, seed: [iteration_suite(n, seed)],
      [("iteration_worst_slack", "iteration_lemma", 0.0, False)]),
-    ("monotonicity_trials", lambda n, cfg, mesh, field, seed: [
-        monotonicity_check(cfg["gamma1"], cfg["gamma2"], n, seed)],
+    ("monotonicity_trials", lambda n, mesh, field, seed: [monotonicity_check(
+        min(MONO_GAMMA[0], field.gamma1), max(MONO_GAMMA[1], field.gamma2), n, seed)],
      [("monotonicity_worst", "monotonicity_bound", 1.0, True)]),
-    ("luxemburg_trials", lambda n, cfg, mesh, field, seed: luxemburg_identity_checks(
+    ("luxemburg_trials", lambda n, mesh, field, seed: luxemburg_identity_checks(
         mesh, field, n, seed + 7919),
      [("luxemburg_unit_dev", "luxemburg_unit_modular", 1e-10, True),
       ("luxemburg_homog_rel", "luxemburg_homogeneity", 1e-9, True),
@@ -649,15 +640,11 @@ _VERIFY_CHECKS = (
 )
 
 
-def _verify_plan(run):
-    checked_gammas(run.config["verify"]["gamma1"], run.config["verify"]["gamma2"])
-
-
 def _verify_step(run):
     # every check measures before any row is added, so one that raises
     # leaves no verify rows in the summary
     cfg = run.config["verify"]
-    measured = [(key, rows, measure(cfg[key], cfg, run.mesh, run.field, run.seed))
+    measured = [(key, rows, measure(cfg[key], run.mesh, run.field, run.seed))
                 for key, measure, rows in _VERIFY_CHECKS]
     for key, rows, values in measured:
         run.summary.append((key, str(cfg[key])))
@@ -674,7 +661,7 @@ _EXPERIMENTS = (
     ("freeze", ("solve", "reference"), _freeze_plan, _freeze_step),
     ("scan", ("solve", "reference"), _scan_plan, _scan_step),
     ("holder", ("solve",), _holder_plan, _holder_step),
-    ("verify", (), _verify_plan, _verify_step),
+    ("verify", (), None, _verify_step),
 )
 
 

@@ -42,12 +42,13 @@ class EnergySetup:
 # Every short sum below is written out as adds in index order: two gradient
 # components, three quadrature points, three hat gradients. That is the
 # order numpy's reductions and einsum use, so the results are the same bits
-# without their per-call overhead on axes of length 2 and 3. The residual
-# and the Hessian run over blocks of elements and scatter-add each block
-# with np.add.at, which adds in index order as np.bincount does, so the
-# blocks together give the bits of one whole-mesh bincount. The mesh's int32
-# indices are widened to intp a block at a time, or gathered with np.take:
-# numpy's fancy indexing and add.at take int32 indices at about half speed.
+# without their per-call overhead on axes of length 2 and 3. The energy,
+# the residual and the Hessian run over blocks of elements. The latter two
+# scatter-add each block with np.add.at, which adds in index order as
+# np.bincount does, so the blocks together give the bits of one whole-mesh
+# bincount. The mesh's int32 indices are widened to intp a block at a time,
+# or gathered with np.take: numpy's fancy indexing and add.at take int32
+# indices at about half speed.
 
 def _nodal(setup, v):
     """The nodal values of v, one per vertex of the setup's mesh."""
@@ -57,7 +58,7 @@ def _nodal(setup, v):
     return values
 
 
-def _slope(setup, values, tri, rows=slice(None)):
+def _slope(setup, values, tri, rows):
     """Per element of rows, whose vertices are tri: hat gradient components
     as contiguous rows hx[i], hy[i], the gradient (gx, gy) of the field, and
     s = |Dv|^2 + eps^2 as a column."""
@@ -68,6 +69,16 @@ def _slope(setup, values, tri, rows=slice(None)):
     gy = v0 * hy[0] + v1 * hy[1] + v2 * hy[2]
     s = gx * gx + gy * gy + setup.epsilon ** 2
     return hx, hy, gx, gy, s[:, None]
+
+
+def _element_slopes(setup, v):
+    """(rows, tri, hx, hy, gx, gy, s) per block of elements: the block's
+    rows, their vertices as intp, and their _slope terms."""
+    mesh = setup.mesh
+    values = _nodal(setup, v)
+    for rows in _element_blocks(mesh.num_triangles):
+        tri = mesh.triangles[rows].astype(np.intp)
+        yield (rows, tri) + _slope(setup, values, tri, rows)
 
 
 def _slope_power(s, e):
@@ -84,13 +95,16 @@ def _columns_sum(a):
 
 
 def energy(setup, v):
-    """Total energy of a nodal field."""
-    *_, s = _slope(setup, _nodal(setup, v), setup.mesh.triangles)
-    p = setup.quad_p
-    dens = _slope_power(s, p * 0.5)
-    dens /= p
-    dens *= setup.quad_w
-    return float(_columns_sum(dens).sum())
+    """Total energy of a nodal field. The element sums fill one array,
+    which is then summed once as a whole."""
+    sums = np.empty(setup.mesh.num_triangles)
+    for rows, *_, s in _element_slopes(setup, v):
+        p = setup.quad_p[rows]
+        dens = _slope_power(s, p * 0.5)
+        dens /= p
+        dens *= setup.quad_w[rows]
+        sums[rows] = _columns_sum(dens)
+    return float(sums.sum())
 
 
 def residual(setup, v):
@@ -99,12 +113,8 @@ def residual(setup, v):
     a = (|Dv|^2 + eps^2)^{(p-2)/2}, continuously extended by 0 where the
     regularized slope vanishes.
     """
-    mesh = setup.mesh
-    values = _nodal(setup, v)
-    out = np.zeros(mesh.num_vertices)
-    for rows in _element_blocks(mesh.num_triangles):
-        tri = mesh.triangles[rows].astype(np.intp)
-        hx, hy, gx, gy, s = _slope(setup, values, tri, rows)
+    out = np.zeros(setup.mesh.num_vertices)
+    for rows, tri, hx, hy, gx, gy, s in _element_slopes(setup, v):
         a = _slope_power(s, (setup.quad_p[rows] - 2.0) * 0.5)
         a *= setup.quad_w[rows]
         c1 = _columns_sum(a)                                     # (b,)
@@ -140,13 +150,9 @@ def hessian(setup, v):
     """
     if setup.epsilon <= 0.0:
         raise PreconditionError("hessian requires a positive regularization epsilon")
-    mesh = setup.mesh
-    values = _nodal(setup, v)
-    pattern = mesh.p1_pattern
+    pattern = setup.mesh.p1_pattern
     out = np.zeros(pattern.width * pattern.n)
-    for rows in _element_blocks(mesh.num_triangles):
-        tri = mesh.triangles[rows].astype(np.intp)
-        hx, hy, gx, gy, s = _slope(setup, values, tri, rows)
+    for rows, tri, hx, hy, gx, gy, s in _element_slopes(setup, v):
         c1, c2 = _hessian_weights(setup, s, rows)
         hg = [hx[i] * gx + hy[i] * gy for i in range(3)]         # Dphi_i . Dv
         K = np.empty((len(c1), 6))

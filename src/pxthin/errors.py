@@ -50,11 +50,16 @@ class FormatError(PxthinError):
     """A persisted artifact file is malformed or inconsistent."""
 
 
+def _whole(value):
+    """Whether value is a whole number. A Python int is one, and may lie
+    beyond the floats, where float(value) would overflow."""
+    return isinstance(value, int) or float(value).is_integer()
+
+
 def checked_trials(trials):
     """trials as an int, after the rule: a whole number >= 1, since fewer
     than one trial would pass a check on no evidence."""
-    # a Python int is whole, and may lie beyond the floats
-    if not (isinstance(trials, int) or float(trials).is_integer()):
+    if not _whole(trials):
         raise PreconditionError(f"trials must be a whole number, got {trials}")
     trials = int(trials)
     if trials < 1:

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (FormatError, PreconditionError, ResolutionError,
-                     ResourceError)
+                     ResourceError, _whole)
 from .sparse import (P1Pattern, Prolongation, _distinct_edges, _element_blocks,
                      galerkin_map)
 
@@ -36,6 +36,11 @@ TEXT_CHUNK = 1024
 GEOM_TOL = 1e-12
 NODE_BUDGET = 10_000_000
 MAX_LEVEL = 10
+# a grading round multiplies the vertices by about 1.45 (153 -> 4,289 from
+# 0 to 12 rounds at level 3; 6 -> 277,362 from 0 to 30 rounds at level 0,
+# 12 s), so even level 0 fails the per-round NODE_BUDGET check before its
+# 41st round: a larger grading could only fail, after minutes of rounds
+MAX_GRADING = 40
 
 
 # the half-disk's geometry, each part within GEOM_TOL: points are (..., 2)
@@ -357,17 +362,18 @@ def _bisect_towards_thin(vertices, triangles):
 
 
 def checked_grading(grading):
-    """grading as an int; a fraction or a negative count is no round count."""
-    rounds = float(grading)
-    if not (rounds >= 0.0 and rounds.is_integer()):
+    """grading as an int, after the rule: a whole number in [0, MAX_GRADING]."""
+    if not (_whole(grading) and grading >= 0):
         raise PreconditionError(f"grading must be a whole number >= 0, got {grading}")
-    return int(rounds)
+    if grading > MAX_GRADING:
+        raise ResourceError(f"grading must be at most {MAX_GRADING}, got {grading}")
+    return int(grading)
 
 
 def checked_level(level):
     """level as an int, after the rule: a whole number in [0, MAX_LEVEL]. A
     level-10 mesh has 2.1 million vertices; each level about quadruples them."""
-    if not float(level).is_integer():
+    if not _whole(level):
         raise PreconditionError(f"level must be a whole number, got {level}")
     level = int(level)
     if level < 0:

@@ -15,8 +15,8 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     theoretical_alpha)
 from pxthin import analysis
 from pxthin.analysis import (_GRID_HALVINGS, _MONO_BLOCK, _MONO_DRAW, MONO_C,
-                             _draw_trial, _tuple_blocks, _worst_slack,
-                             calibrate_monotonicity)
+                             SIGMA_GRID, _draw_trial, _tuple_blocks,
+                             _worst_slack, calibrate_monotonicity)
 from pxthin.cli import luxemburg_identity_checks
 from pxthin.errors import checked_trials
 from conftest import g_signorini32, traced_peak
@@ -327,11 +327,16 @@ def test_scan_default_cap_keeps_the_whole_grid(scan_inputs, monkeypatch):
     assert tight.sigma0 == 0.0
 
 
+def test_the_sigma_grid_keeps_its_rules():
+    # the rules the grid's validator enforced while the grid was a setting:
+    # non-empty and sorted, with 0 first, whose constant is below 1
+    assert len(SIGMA_GRID) > 0
+    assert list(SIGMA_GRID) == sorted(SIGMA_GRID)
+    assert SIGMA_GRID[0] == 0.0
+
+
 def test_scan_validation(scan_inputs):
     problem, u, w, field = scan_inputs
-    with pytest.raises(PreconditionError):
-        higher_integrability_scan(u, w, field, (0.0, 0.0), 0.035,
-                                  sigma_grid=[0.1, 0.2])
     with pytest.raises(PreconditionError):
         higher_integrability_scan(u, w, field, (0.5, 0.0), 0.2)
     with pytest.raises(PreconditionError):

@@ -12,12 +12,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pxthin import (ConfigError, FeFunction, NumericError, build, load_solution,
                     save_solution)
 from pxthin import cli, comparison
+from pxthin.analysis import MONO_GAMMA, SIGMA_GRID
 from pxthin.cli import (_loglog_svg, boundary_values, main,
                         normalize_experiments, parse_config)
+from pxthin.mesh import MAX_GRADING, MAX_LEVEL
 
 
 def write_config(path, text):
@@ -72,8 +76,12 @@ def test_parse_config_defaults(tmp_path):
     assert cfg["solver"]["vi_trials"] == 100
     assert cfg["experiments"]["run"] == ["solve"]
     assert cfg["freeze"]["radii"] == [0.2, 0.1, 0.05]
-    assert cfg["verify"]["gamma1"] == 1.1
+    assert cfg["verify"]["monotonicity_trials"] == 100000
     assert cfg["output"]["plots"] is False
+    # the monotonicity check reads its exponent range from the field
+    with pytest.raises(ConfigError, match=r"^line 14: unknown key 'gamma1' in \[verify\]$"):
+        parse_config(write_config(tmp_path / "b.cfg", BASE.format(out=tmp_path / "o")
+                                  + "[verify]\ngamma1 = 1.1\n"))
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -149,9 +157,10 @@ def test_boundary_presets(tmp_path):
     assert np.array_equal(boundary_values(cfg, mesh, str(tmp_path)),
                           2.0 * mesh.vertices[:, 1])
 
-    cfg["boundary"]["preset"] = "offset_const"
-    cfg["boundary"]["scale"] = 1.0
-    cfg["boundary"]["offset"] = 0.75
+    # constant data is a custom file
+    save_solution(FeFunction(mesh, np.full(mesh.num_vertices, 0.75)),
+                  str(tmp_path / "g.txt"))
+    cfg["boundary"].update(preset="custom", file="g.txt", scale=1.0)
     assert np.all(boundary_values(cfg, mesh, str(tmp_path)) == 0.75)
 
 
@@ -434,7 +443,6 @@ run = solve, reference, scan
 
 [scan]
 radius = 0.035
-sigma_grid = 0.0, 0.1
 
 [output]
 dir = %s
@@ -450,12 +458,12 @@ dir = %s
     c_rows = [r for r in rows[1:] if r[0] == "c_sigma"]
     rh_rows = [r for r in rows[1:] if r[0] == "reverse_holder"]
     assert len(c_rows) + len(rh_rows) == len(rows) - 1
-    assert [(float(r[1]), float(r[2])) for r in c_rows] == [(0.035, 0.0), (0.035, 0.1)]
+    assert [(float(r[1]), float(r[2])) for r in c_rows] == [(0.035, s) for s in SIGMA_GRID]
     assert float(c_rows[0][3]) == float(summary["c_zero"])
     radii = sorted({float(r[1]) for r in rh_rows}, reverse=True)
     assert radii and radii[0] == 0.07
     assert [(float(r[1]), float(r[2])) for r in rh_rows] == \
-        [(rho, sigma) for rho in radii for sigma in (0.0, 0.1)]
+        [(rho, sigma) for rho in radii for sigma in SIGMA_GRID]
     # at sigma = 0 the reverse-Hoelder ratio compares a ball's mean with itself
     assert all(float(r[3]) == 1.0 for r in rh_rows if float(r[2]) == 0.0)
 
@@ -507,6 +515,16 @@ dir = {out}
 """
 
 
+def test_every_key_the_readme_prose_names_is_a_schema_key():
+    # a `[section] key` anywhere in the README, so a retired key cannot
+    # linger in the docs
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    named = set(re.findall(r"\[(\w+)\] (\w+)", readme))
+    schema = {(section, key) for section, entries in cli._SCHEMA.items()
+              for key in entries}
+    assert named and sorted(named - schema) == []
+
+
 def test_the_readme_config_block_names_every_schema_key():
     # each `key = ...` line of the README's "Config format" block, commented
     # or not, against the parser's schema
@@ -520,7 +538,7 @@ def test_the_readme_config_block_names_every_schema_key():
             keys.add((section, match.group(1)))
     assert keys == {(section, key) for section, entries in cli._SCHEMA.items()
                     for key in entries}
-    assert len(keys) == 31
+    assert len(keys) == 27
 
 
 def test_readme_example_scan_below_level_8_starts_no_solve(tmp_path, capsys,
@@ -740,8 +758,6 @@ def test_zero_vi_trials_are_rejected_before_the_solve(tmp_path, capsys):
     ("holder", "centers = 0.0, 0.3", "thin line with |x1| <= 1/2"),
     ("freeze", "center = 0.0, 0.1", "thin line with |x1| <= 1/2"),
     ("freeze", "sigma0 = -1", "sigma0 must be >= 0"),
-    ("verify", "gamma1 = 0.9", "need 1 < gamma1 <= gamma2"),
-    ("scan", "sigma_grid = 0.1, 0.2", "sigma grid must have 0"),
     ("scan", "radius = 0.5", "3/4 ball"),
     ("scan", "radius = 0.2", "exceeds the admissible radius 0.125 at M = 1"),
     ("scan", "radius = 0.1", "ball selections are too coarse"),
@@ -777,6 +793,59 @@ def test_whole_gradings_are_counts(tmp_path, text):
     assert parse_config(_graded(tmp_path, text))["mesh"]["grading"] == 2
 
 
+def _bad_counts(key, bound):
+    # an int beyond the floats, a float far beyond any count, and one past
+    # each end of [0, bound]
+    return st.tuples(st.just(key), st.one_of(
+        st.integers(min_value=bound + 1).map(str),
+        st.integers(300, 4000).map(lambda n: "1" + "0" * n),
+        st.floats(bound + 1.0, 1.7e308).map(repr),
+        st.sampled_from([str(bound + 1), "-1"])))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_bad_counts("level", MAX_LEVEL), _bad_counts("grading", MAX_GRADING)))
+def test_huge_counts_are_config_errors_before_any_mesh(tmp_path, capsys, monkeypatch,
+                                                       case):
+    # a huge grading passed its check and then built for minutes, or raised
+    # OverflowError, as did a level beyond the floats
+    monkeypatch.setattr(cli, "build", lambda *args: pytest.fail("a mesh was built"))
+    key, text = case
+    out = tmp_path / "o"
+    line = "level = %s" % text if key == "level" else "level = 3\ngrading = %s" % text
+    cfg = write_config(tmp_path / "n.cfg", BASE.format(out=out).replace("level = 3", line))
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family,coefficients,gammas", [
+    ("constant", "2.0", MONO_GAMMA),
+    ("sinusoidal", "2, 0.5, 3.141592653589793", MONO_GAMMA),
+    ("constant", "12.0", (MONO_GAMMA[0], 12.0)),
+    ("radial", "1.05, 10", (1.05, 1.05 + 10.0)),
+])
+def test_verify_checks_monotonicity_on_mono_gamma_and_the_field_range(
+        tmp_path, monkeypatch, family, coefficients, gammas):
+    # inside MONO_GAMMA the check keeps its calibrated constant's range; a
+    # field reaching past it widens the range to the hull of the two
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return 0.5
+
+    monkeypatch.setattr(cli, "monotonicity_check", recorded)
+    text = BASE.format(out=tmp_path / "o").replace(
+        "family = constant\ncoefficients = 2.0",
+        "family = %s\ncoefficients = %s" % (family, coefficients))
+    cfg = write_config(tmp_path / "v.cfg", text + "[experiments]\nrun = verify\n"
+                       + SMALL_VERIFY)
+    assert main(["run", cfg]) == 0
+    assert calls == [gammas + (500, 0)]
+
+
 def test_negative_seeds_are_rejected(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = write_config(tmp_path / "s.cfg", BASE.format(out=out) + "[solver]\nseed = -1\n")
@@ -801,8 +870,22 @@ def test_negative_seeds_are_rejected(tmp_path, capsys):
     # the regularization ladder is no setting
     ("[output]", "[solver]\neps_schedule = 0.5, 1e-9\n[output]",
      "line 12: unknown key 'eps_schedule' in [solver]"),
+    # the monotonicity range is the field's, the scan grid and constant data
+    # are no settings: constant data is a custom file
+    ("[output]", "[verify]\ngamma1 = 0.9\n[output]",
+     "line 12: unknown key 'gamma1' in [verify]"),
+    ("[output]", "[verify]\ngamma2 = 12\n[output]",
+     "line 12: unknown key 'gamma2' in [verify]"),
+    ("[output]", "[scan]\nsigma_grid = 0.1, 0.2\n[output]",
+     "line 12: unknown key 'sigma_grid' in [scan]"),
+    ("preset = signorini32", "preset = signorini32\noffset = 0.75",
+     "line 10: unknown key 'offset' in [boundary]"),
+    ("preset = signorini32", "preset = offset_const",
+     "line 9: bad value for [boundary] preset: expected one of: linear_xn, "
+     "signorini32, custom"),
 ], ids=["beta_2", "level_11", "level_-1", "affine_2_coefficients", "constant_1",
-        "tol_1", "eps_schedule_0.5"])
+        "tol_1", "eps_schedule_0.5", "gamma1_0.9", "gamma2_12", "sigma_grid_0.1_0.2",
+        "offset_0.75", "offset_const"])
 def test_exponent_and_level_errors_are_config_errors(tmp_path, capsys, old, new,
                                                      fragment):
     out = tmp_path / "o"

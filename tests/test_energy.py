@@ -282,6 +282,19 @@ def test_hessian_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7, sin_field):
     assert transient(mesh7) <= transient(mesh6) + 4096
 
 
+def test_energy_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7, sin_field):
+    # the element sums are taken a block at a time into one float per
+    # element, so beside that array an energy holds the same 0.63 MB at L6
+    # and L7 (3.1 MB at L7 over the whole mesh at once); 4 KiB leave room
+    # for a few Python objects
+    def transient(mesh):
+        setup = EnergySetup(mesh, sin_field).with_epsilon(1e-3)
+        v = _random_state(mesh, 0)
+        return traced_peak(energy, setup, v) - 8 * mesh.num_triangles
+
+    assert transient(mesh7) <= transient(mesh6) + 4096
+
+
 def test_coarse_map_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7):
     # the map is built a block of fine rows at a time, so beside its result
     # its build holds the same 0.57 MB at L6 and L7 (1.0 and 4.0 MB with every
