@@ -161,14 +161,19 @@ _MONO_BLOCK = 16_384
 
 
 def _mono_parts(xi1, xi2, p):
-    n1 = np.hypot(xi1[..., 0], xi1[..., 1])
-    n2 = np.hypot(xi2[..., 0], xi2[..., 1])
-    d = xi1 - xi2
-    lhs = np.hypot(d[..., 0], d[..., 1]) ** p
+    """|xi1 - xi2|^p, |xi1|^p + |xi2|^p and the positive part of
+    (|xi1|^(p-2) xi1 - |xi2|^(p-2) xi2) . (xi1 - xi2), per tuple. The
+    two-term dot product is written out as adds in component order, the
+    bits of numpy's sum over the last axis without its overhead."""
+    x1, y1, x2, y2 = xi1[..., 0], xi1[..., 1], xi2[..., 0], xi2[..., 1]
+    n1 = np.hypot(x1, y1)
+    n2 = np.hypot(x2, y2)
+    dx, dy = x1 - x2, y1 - y2
+    lhs = np.hypot(dx, dy) ** p
     vol = n1 ** p + n2 ** p
     f1 = np.where(n1 > 0.0, n1, 1.0) ** (p - 2.0) * (n1 > 0.0)
     f2 = np.where(n2 > 0.0, n2, 1.0) ** (p - 2.0) * (n2 > 0.0)
-    mono = ((f1[..., None] * xi1 - f2[..., None] * xi2) * d).sum(axis=-1)
+    mono = (f1 * x1 - f2 * x2) * dx + (f1 * y1 - f2 * y2) * dy
     return lhs, vol, np.maximum(mono, 0.0)
 
 

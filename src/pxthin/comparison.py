@@ -15,7 +15,7 @@ from .exponent import ExponentField
 from .mesh import (INTERIOR, THIN, ball_element_mask, checked_center,
                    checked_radii, extract_halfball_submesh)
 from .solver import ObstacleProblem, solve
-from .vxspace import FeFunction, checked_sigma, gradient_mass, modular
+from .vxspace import FeFunction, checked_sigma, gradient_mass, gradient_modulars
 
 
 @dataclass
@@ -88,14 +88,15 @@ def reflect_and_check(w, field):
 
 
 def compute_M(u, w, field):
-    """Total energy mass of the pair plus domain area plus one."""
+    """Total energy mass of the pair plus domain area plus one: the
+    modulars of Du and Dw, taken in one pass over the elements."""
     if not (u.mesh is w.mesh
             or np.array_equal(u.mesh.vertices, w.mesh.vertices)
             and np.array_equal(u.mesh.triangles, w.mesh.triangles)):
         raise PreconditionError("u and w live on different meshes")
     area = float(u.mesh.areas.sum())
-    return (modular(u.gradient_field(), field)
-            + modular(w.gradient_field(), field) + area + 1.0)
+    mass_u, mass_w = gradient_modulars((u, w), field)
+    return mass_u + mass_w + area + 1.0
 
 
 def comparison_decay(u, field, center, radii, M, sigma0=0.1, tol=1e-10):

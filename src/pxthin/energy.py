@@ -19,22 +19,22 @@ MAX_EPSILON = 1e-2
 
 
 class EnergySetup:
-    """Mesh + exponent field + regularization, with cached quadrature data.
-    The regularization starts at 0; with_epsilon sets it."""
+    """Mesh + exponent field + regularization, with p cached at the
+    quadrature points, (nt, 3); each pass forms the weights of its own
+    block of elements. The regularization starts at 0; with_epsilon sets it."""
 
     def __init__(self, mesh, exponent_field):
         self.mesh = mesh
         self.field = exponent_field
         self.epsilon = 0.0
-        rule = quadrature_rule(ASSEMBLY_ORDER)
-        self.quad_w = mesh.quad_weights(rule)                    # (nt, 3)
-        self.quad_p = _field_at_quad_points(mesh, exponent_field, rule)
+        self.quad_p = _field_at_quad_points(mesh, exponent_field,
+                                            quadrature_rule(ASSEMBLY_ORDER))
 
     def with_epsilon(self, epsilon):
         epsilon = float(epsilon)
         if not 0.0 <= epsilon <= MAX_EPSILON:
             raise PreconditionError(f"epsilon must lie in [0, 1e-2], got {epsilon}")
-        clone = copy.copy(self)         # shares the quadrature data
+        clone = copy.copy(self)         # shares quad_p
         clone.epsilon = epsilon
         return clone
 
@@ -81,6 +81,11 @@ def _element_slopes(setup, v):
         yield (rows, tri) + _slope(setup, values, tri, rows)
 
 
+def _weights(setup, rows):
+    """The quadrature weights of the elements rows, (len(rows), 3)."""
+    return setup.mesh.quad_weights(quadrature_rule(ASSEMBLY_ORDER), rows)
+
+
 def _slope_power(s, e):
     """s ** e computed in e's buffer, continued by 0 where s is not positive."""
     pos = s > 0.0
@@ -102,7 +107,7 @@ def energy(setup, v):
         p = setup.quad_p[rows]
         dens = _slope_power(s, p * 0.5)
         dens /= p
-        dens *= setup.quad_w[rows]
+        dens *= _weights(setup, rows)
         sums[rows] = _columns_sum(dens)
     return float(sums.sum())
 
@@ -116,7 +121,7 @@ def residual(setup, v):
     out = np.zeros(setup.mesh.num_vertices)
     for rows, tri, hx, hy, gx, gy, s in _element_slopes(setup, v):
         a = _slope_power(s, (setup.quad_p[rows] - 2.0) * 0.5)
-        a *= setup.quad_w[rows]
+        a *= _weights(setup, rows)
         c1 = _columns_sum(a)                                     # (b,)
         local = np.empty((len(c1), 3))
         for i in range(3):
@@ -131,7 +136,7 @@ def _hessian_weights(setup, s, rows):
     pm2 = setup.quad_p[rows] - 2.0
     wa = pm2 * 0.5
     np.power(s, wa, out=wa)
-    wa *= setup.quad_w[rows]
+    wa *= _weights(setup, rows)
     c1 = _columns_sum(wa)
     wa *= pm2
     wa /= s

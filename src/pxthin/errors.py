@@ -50,6 +50,25 @@ class FormatError(PxthinError):
     """A persisted artifact file is malformed or inconsistent."""
 
 
+# digits past which a message names a whole number by its length
+_SHOWN_DIGITS = 20
+
+
+def _shown(value):
+    """value as a message shows it: a whole number of more than
+    _SHOWN_DIGITS digits by its length, as "a 4001-digit integer", so a
+    message stays short and never meets Python's limit on converting a
+    long int to text."""
+    if not isinstance(value, int) or abs(value) < 10 ** _SHOWN_DIGITS:
+        return value
+    magnitude = abs(value)
+    # a lower bound on the digit count, from the bit length, then exact
+    digits = int((magnitude.bit_length() - 1) * 0.30102999566398120)
+    while 10 ** digits <= magnitude:
+        digits += 1
+    return f"a {digits}-digit {'negative ' if value < 0 else ''}integer"
+
+
 def _whole(value):
     """Whether value is a whole number. A Python int is one, and may lie
     beyond the floats, where float(value) would overflow."""
@@ -60,8 +79,8 @@ def checked_trials(trials):
     """trials as an int, after the rule: a whole number >= 1, since fewer
     than one trial would pass a check on no evidence."""
     if not _whole(trials):
-        raise PreconditionError(f"trials must be a whole number, got {trials}")
+        raise PreconditionError(f"trials must be a whole number, got {_shown(trials)}")
     trials = int(trials)
     if trials < 1:
-        raise PreconditionError(f"need at least one trial, got {trials}")
+        raise PreconditionError(f"need at least one trial, got {_shown(trials)}")
     return trials

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (FormatError, PreconditionError, ResolutionError,
-                     ResourceError, _whole)
+                     ResourceError, _shown, _whole)
 from .sparse import (P1Pattern, Prolongation, _distinct_edges, _element_blocks,
                      galerkin_map)
 
@@ -113,10 +113,10 @@ class TriMesh:
         self.source = None
         self.vertex_map = None
         self.digest = None      # mesh_hash, filled on first use
-        # vxspace: read-only p at its report quadrature points, by repr(field),
-        # and the weights there, once the first modular or norm needs them
+        # vxspace: read-only p and weights at its report quadrature points, by
+        # repr(field), kept by luxemburg_norm, whose Newton steps each read all
+        # of them
         self.report_p = {}
-        self.report_w = None
 
         p0, p1, p2 = (np.take(self.vertices, self.triangles[:, k], axis=0) for k in range(3))
         e1 = p1 - p0
@@ -212,9 +212,17 @@ class TriMesh:
     def num_triangles(self):
         return len(self.triangles)
 
-    def quad_weights(self, rule):
-        """Physical quadrature weights (nt, nq)."""
-        return rule.weights[None, :] * (2.0 * self.areas[:, None])
+    def quad_weights(self, rule, rows=slice(None)):
+        """Physical quadrature weights (len(rows), nq) of the elements rows,
+        all of them by default: each is the product of a rule weight and
+        twice an area, so a block of rows holds the bits of the whole-mesh
+        array's rows. They are filled a column at a time: numpy's broadcast
+        over rows of nq values is slower."""
+        twice = 2.0 * self.areas[rows]
+        out = np.empty((len(twice), len(rule.weights)))
+        for q, weight in enumerate(rule.weights):
+            np.multiply(weight, twice, out=out[:, q])
+        return out
 
 
 def _quad_points(mesh, rule, rows):
@@ -227,15 +235,19 @@ def _quad_points(mesh, rule, rows):
     return pts
 
 
+def _field_at(mesh, field, rule, rows):
+    """field.eval at the quadrature points of the elements rows, (len(rows),
+    nq): eval is pointwise, so the values are those of one whole-mesh call."""
+    pts = _quad_points(mesh, rule, rows)
+    return field.eval(pts.reshape(-1, 2)).reshape(-1, len(rule.points))
+
+
 def _field_at_quad_points(mesh, field, rule):
     """field.eval at the quadrature points of every element, (nt, nq),
-    evaluated a block of elements at a time: eval is pointwise, so the
-    values are those of one whole-mesh call."""
-    nq = len(rule.points)
-    out = np.empty((mesh.num_triangles, nq))
+    evaluated a block of elements at a time."""
+    out = np.empty((mesh.num_triangles, len(rule.points)))
     for rows in _element_blocks(mesh.num_triangles):
-        pts = _quad_points(mesh, rule, rows)
-        out[rows] = field.eval(pts.reshape(-1, 2)).reshape(-1, nq)
+        out[rows] = _field_at(mesh, field, rule, rows)
     return out
 
 
@@ -364,9 +376,11 @@ def _bisect_towards_thin(vertices, triangles):
 def checked_grading(grading):
     """grading as an int, after the rule: a whole number in [0, MAX_GRADING]."""
     if not (_whole(grading) and grading >= 0):
-        raise PreconditionError(f"grading must be a whole number >= 0, got {grading}")
+        raise PreconditionError(
+            f"grading must be a whole number >= 0, got {_shown(grading)}")
     if grading > MAX_GRADING:
-        raise ResourceError(f"grading must be at most {MAX_GRADING}, got {grading}")
+        raise ResourceError(
+            f"grading must be at most {MAX_GRADING}, got {_shown(grading)}")
     return int(grading)
 
 
@@ -374,12 +388,12 @@ def checked_level(level):
     """level as an int, after the rule: a whole number in [0, MAX_LEVEL]. A
     level-10 mesh has 2.1 million vertices; each level about quadruples them."""
     if not _whole(level):
-        raise PreconditionError(f"level must be a whole number, got {level}")
+        raise PreconditionError(f"level must be a whole number, got {_shown(level)}")
     level = int(level)
     if level < 0:
-        raise PreconditionError(f"level must be >= 0, got {level}")
+        raise PreconditionError(f"level must be >= 0, got {_shown(level)}")
     if level > MAX_LEVEL:
-        raise ResourceError(f"level must be at most {MAX_LEVEL}, got {level}")
+        raise ResourceError(f"level must be at most {MAX_LEVEL}, got {_shown(level)}")
     return level
 
 

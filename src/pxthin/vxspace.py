@@ -7,22 +7,23 @@ the Luxemburg norm identities, and Campanato profiles of the gradients.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import (NumericError, PreconditionError, ResolutionError,
                      checked_trials)
 from .exponent import ExponentField
-from .mesh import (_field_at_quad_points, ball_element_mask, checked_radii,
-                   quadrature_rule)
+from .mesh import (_field_at, _field_at_quad_points, ball_element_mask,
+                   checked_radii, quadrature_rule)
 
 REPORT_ORDER = 5
 # Luxemburg norm: Newton steps allowed, and the step size counted as round-off
 LUXEMBURG_STEPS = 100
 ROUNDOFF = 4.0 * np.finfo(float).eps
-# fields whose p a mesh keeps: the run's field and verify's constant p = 3;
-# each costs 56 bytes per element, so a sweep over fields must not pile up
+# fields whose p a mesh keeps for luxemburg_norm, beside one array of
+# weights: the run's field and verify's constant p = 3; each costs 56 bytes
+# per element, so a sweep over fields must not pile up
 P_CACHE_FIELDS = 2
 # quadrature values per block of the Luxemburg Newton step's sums, of
 # modular's terms and of at_quad_points: 0.5 MB per temporary, which stays
@@ -42,10 +43,12 @@ class FeFunction:
         if not np.all(np.isfinite(self.values)):
             raise PreconditionError("non-finite nodal value")
 
-    def element_gradients(self):
-        """Constant gradient per element, shape (nt, 2)."""
-        tri_vals = np.take(self.values, self.mesh.triangles)   # (nt, 3)
-        return np.einsum("ti,tid->td", tri_vals, self.mesh.grads)
+    def element_gradients(self, rows=slice(None)):
+        """Constant gradient per element of rows, all of them by default,
+        shape (len(rows), 2); a block of rows holds the bits of the
+        whole-mesh array's rows."""
+        tri_vals = np.take(self.values, self.mesh.triangles[rows])
+        return np.einsum("ti,tid->td", tri_vals, self.mesh.grads[rows])
 
     def gradient_field(self):
         return ElementVectorField(self.mesh, self.element_gradients())
@@ -97,40 +100,50 @@ def _region_elements(mesh, element_mask):
 
 
 def _report_terms(mesh, exponent_field):
-    """p and the quadrature weights at the report quadrature points, each
-    (nt, nq) and read-only, kept on the mesh.
+    """p and the weights at the report quadrature points, each (nt, nq)
+    and read-only, kept on the mesh for the Newton steps of luxemburg_norm,
+    which each read all of them.
 
-    The weights are computed once per mesh (`TriMesh.report_w`). p is
-    evaluated once per (mesh, field) and kept in `TriMesh.report_p`,
+    p is evaluated once per (mesh, field) and kept in `TriMesh.report_p`,
     keyed by repr(field): it fixes the family, coefficients and bounds
     that `eval` reads, so an entry cannot go stale. The mesh keeps p of
     the last P_CACHE_FIELDS fields used on it and drops the least recently
-    used one.
+    used one. The weights depend on the mesh alone, so its entries share
+    one array of them.
     """
-    rule = quadrature_rule(REPORT_ORDER)
-    w = mesh.report_w
-    if w is None:
-        w = mesh.report_w = mesh.quad_weights(rule)
-        w.flags.writeable = False
     cache = mesh.report_p
     key = repr(exponent_field)
-    p = cache.pop(key, None)
-    if p is None:
+    terms = cache.pop(key, None)
+    if terms is None:
+        rule = quadrature_rule(REPORT_ORDER)
         p = _field_at_quad_points(mesh, exponent_field, rule)
-        p.flags.writeable = False
+        w = next(iter(cache.values()))[1] if cache else mesh.quad_weights(rule)
+        p.flags.writeable = w.flags.writeable = False
+        terms = p, w
         if len(cache) >= P_CACHE_FIELDS:
             del cache[next(iter(cache))]
-    cache[key] = p          # a hit moves to the end: the dict is in use order
-    return p, w
+    cache[key] = terms      # a hit moves to the end: the dict is in use order
+    return terms
+
+
+def _repeated_norms(vectors, nq):
+    """|v| of each row of vectors (k, 2), repeated at the nq report
+    quadrature points of its element."""
+    mags = np.hypot(vectors[:, 0], vectors[:, 1])
+    return np.repeat(mags[:, None], nq, axis=1)
 
 
 def _magnitudes(f, rows, nq):
     """|f| at the nq report quadrature points of the elements `rows`."""
     if isinstance(f, ElementVectorField):
-        values = f.values[rows]
-        mags = np.hypot(values[:, 0], values[:, 1])
-        return np.repeat(mags[:, None], nq, axis=1)
+        return _repeated_norms(f.values[rows], nq)
     return f.report_mags[rows]
+
+
+def _gradient_magnitudes(f, rows, nq):
+    """|Df| of a nodal function f at the nq report quadrature points of the
+    elements `rows`: those of f.gradient_field(), bit for bit."""
+    return _repeated_norms(f.element_gradients(rows), nq)
 
 
 def _pairwise_sums(block_sums, lo, hi, block):
@@ -159,6 +172,43 @@ def checked_sigma(sigma, name="sigma"):
     return sigma
 
 
+def _modulars(magnitudes, mesh, exponent_field, elements, sigma):
+    """The integral of |f|^{(1+sigma) p(x)} over the indices `elements` of
+    the mesh's elements (all of them, when None), for each field f given
+    by its magnitude(rows, nq), |f| at the report quadrature points.
+
+    The elements are taken in blocks of at most _SUM_BLOCK quadrature
+    values, and a block takes p and the weights once for every field: from
+    `TriMesh.report_p` if luxemburg_norm left them there, else evaluated
+    and formed for the block's elements alone. Each element's terms are
+    summed, and the element sums are added in numpy's pairwise order.
+    """
+    rule = quadrature_rule(REPORT_ORDER)
+    nq = len(rule.weights)
+    held = mesh.report_p.get(repr(exponent_field))
+
+    def block_sums(lo, hi):
+        rows = slice(lo, hi) if elements is None else elements[lo:hi]
+        if held is None:
+            p = _field_at(mesh, exponent_field, rule, rows)
+            w = mesh.quad_weights(rule, rows)
+        else:
+            p, w = (a[rows] for a in held)
+        power = (1.0 + sigma) * p
+        sums = []
+        for magnitude in magnitudes:
+            mags = magnitude(rows, nq)
+            positive = mags > 0.0
+            integrand = np.where(positive, mags, 1.0) ** power
+            integrand = np.where(positive, integrand, 0.0)
+            sums.append((integrand * w).sum(axis=1).sum())
+        return sums
+
+    count = mesh.num_triangles if elements is None else len(elements)
+    return [float(total) for total
+            in _pairwise_sums(block_sums, 0, count, _SUM_BLOCK // nq)]
+
+
 def modular(f, exponent_field, element_mask=None, sigma=0.0):
     """integral of |f|^{(1+sigma) p(x)} over the mesh (or a subset of elements).
 
@@ -168,19 +218,18 @@ def modular(f, exponent_field, element_mask=None, sigma=0.0):
     """
     sigma = checked_sigma(sigma)
     elements = _region_elements(f.mesh, element_mask)
-    p, w = _report_terms(f.mesh, exponent_field)
-    nq = w.shape[1]
+    [total] = _modulars([partial(_magnitudes, f)], f.mesh, exponent_field,
+                        elements, sigma)
+    return total
 
-    def block_sums(lo, hi):
-        rows = slice(lo, hi) if elements is None else elements[lo:hi]
-        mags = _magnitudes(f, rows, nq)
-        positive = mags > 0.0
-        integrand = np.where(positive, mags, 1.0) ** ((1.0 + sigma) * p[rows])
-        integrand = np.where(positive, integrand, 0.0)
-        return ((integrand * w[rows]).sum(axis=1).sum(),)
 
-    count = len(w) if elements is None else len(elements)
-    return float(_pairwise_sums(block_sums, 0, count, _SUM_BLOCK // nq)[0])
+def gradient_modulars(functions, exponent_field):
+    """The modular of Df over the mesh for each nodal function f of
+    `functions`, which share one mesh: the bits of modular(f.gradient_field(),
+    exponent_field), with p formed once per block for all of them and each
+    gradient formed a block at a time."""
+    return _modulars([partial(_gradient_magnitudes, f) for f in functions],
+                     functions[0].mesh, exponent_field, None, 0.0)
 
 
 def gradient_mass(areas, grads, power):
@@ -203,7 +252,9 @@ def luxemburg_norm(f, exponent_field):
     exceeds its weight, and stops when the step is at round-off. Returns 0
     for the zero field. Each step evaluates its two sums _SUM_BLOCK
     quadrature values at a time, added along numpy's pairwise tree, so
-    they equal the sums over the whole mesh at once.
+    they equal the sums over the whole mesh at once. Every step reads p
+    and the weights at all the quadrature points, so they are kept on the
+    mesh (_report_terms).
     """
     p, w = _report_terms(f.mesh, exponent_field)
     mags = _magnitudes(f, slice(None), w.shape[1])
@@ -252,8 +303,9 @@ def luxemburg_identity_checks(mesh, field, trials, seed):
         s = 10.0 ** rng.uniform(-1.0, 1.0)
         nu_scaled = luxemburg_norm(FeFunction(mesh, s * values), field)
         worst_homog = max(worst_homog, abs(nu_scaled - s * nu) / (s * nu))
-        closed = modular(f, const_field) ** (1.0 / 3.0)
+        # the norm first: it keeps p = 3 on the mesh, where modular reads it
         nu_const = luxemburg_norm(f, const_field)
+        closed = modular(f, const_field) ** (1.0 / 3.0)
         worst_const = max(worst_const, abs(nu_const - closed) / closed)
     return worst_unit, worst_homog, worst_const
 

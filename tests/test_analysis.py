@@ -15,7 +15,7 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     theoretical_alpha)
 from pxthin import analysis
 from pxthin.analysis import (_GRID_HALVINGS, _MONO_BLOCK, _MONO_DRAW, MONO_C,
-                             SIGMA_GRID, _draw_trial, _tuple_blocks,
+                             SIGMA_GRID, _draw_trial, _mono_parts, _tuple_blocks,
                              _worst_slack, calibrate_monotonicity)
 from pxthin.cli import luxemburg_identity_checks
 from pxthin.errors import checked_trials
@@ -247,6 +247,39 @@ def test_streamed_tuples_equal_the_whole_draws(samples, seed, gamma1, spread):
     for got, want in zip(zip(*blocks), zip(*draws)):
         assert np.array_equal(np.concatenate(got), np.concatenate(want))
     assert streamed.bit_generator.state == whole.bit_generator.state
+
+
+def _summed_mono_parts(xi1, xi2, p):
+    # the kernel before its two-term sums were written out
+    n1 = np.hypot(xi1[..., 0], xi1[..., 1])
+    n2 = np.hypot(xi2[..., 0], xi2[..., 1])
+    d = xi1 - xi2
+    lhs = np.hypot(d[..., 0], d[..., 1]) ** p
+    vol = n1 ** p + n2 ** p
+    f1 = np.where(n1 > 0.0, n1, 1.0) ** (p - 2.0) * (n1 > 0.0)
+    f2 = np.where(n2 > 0.0, n2, 1.0) ** (p - 2.0) * (n2 > 0.0)
+    mono = ((f1[..., None] * xi1 - f2[..., None] * xi2) * d).sum(axis=-1)
+    return lhs, vol, np.maximum(mono, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3000), st.floats(1.1, 10.0), st.floats(0.0, 9.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@example(2000, 1.1, 8.9, 0.3, 0.3, 0)
+def test_written_out_mono_parts_equal_the_axis_sums(n, low, spread, zeros, equal,
+                                                    seed):
+    # random tuples at every scale, about `zeros` of the vectors zero and
+    # `equal` of the pairs equal, with p in [1.1, 10]
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    xi1, xi2 = (rng.uniform(-1.0, 1.0, size=(n, 2)) * scale for _ in range(2))
+    xi1[rng.random(n) < zeros] = 0.0
+    xi2[rng.random(n) < zeros] = 0.0
+    same = rng.random(n) < equal
+    xi2[same] = xi1[same]
+    p = rng.uniform(low, min(low + spread, 10.0), size=n)
+    for got, want in zip(_mono_parts(xi1, xi2, p), _summed_mono_parts(xi1, xi2, p)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_monotonicity_check_streams_its_draws():

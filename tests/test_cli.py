@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pxthin import (ConfigError, FeFunction, NumericError, build, load_solution,
@@ -806,17 +806,21 @@ def _bad_counts(key, bound):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(_bad_counts("level", MAX_LEVEL), _bad_counts("grading", MAX_GRADING)))
+@example(("level", "1" + "0" * 4000))
 def test_huge_counts_are_config_errors_before_any_mesh(tmp_path, capsys, monkeypatch,
                                                        case):
     # a huge grading passed its check and then built for minutes, or raised
-    # OverflowError, as did a level beyond the floats
+    # OverflowError, as did a level beyond the floats; a 4,001-digit level
+    # was printed whole, on a 4,082-byte line
     monkeypatch.setattr(cli, "build", lambda *args: pytest.fail("a mesh was built"))
     key, text = case
     out = tmp_path / "o"
     line = "level = %s" % text if key == "level" else "level = 3\ngrading = %s" % text
     cfg = write_config(tmp_path / "n.cfg", BASE.format(out=out).replace("level = 3", line))
     assert main(["run", cfg]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
     assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from pxthin.energy import ASSEMBLY_ORDER
 from pxthin.mesh import TriMesh, _quad_points, quadrature_rule
 from pxthin.sparse import galerkin
 from pxthin.solver import EPS_SCHEDULE
-from conftest import FAMILIES, _argsort_pattern, csr, traced_peak
+from conftest import FAMILIES, _argsort_pattern, csr, held_nbytes, traced_peak
 
 
 def _random_state(mesh, seed):
@@ -57,6 +57,13 @@ def test_with_epsilon_shares_the_mesh_caches(mesh3, sin_field):
     assert smoothed.mesh is base.mesh
     assert smoothed.epsilon == 1e-3
     assert base.epsilon == 0.0
+
+
+def test_a_setup_holds_p_only(mesh5, sin_field):
+    # p at the 3 assembly points of each element; the weights are formed
+    # per block by each pass, so a setup holds no (nt, 3) weights
+    setup = EnergySetup(mesh5, sin_field).with_epsilon(1e-3)
+    assert held_nbytes(setup) == 24 * mesh5.num_triangles
 
 
 def test_residual_matches_energy_differences(mesh3, sin_field):
@@ -128,6 +135,11 @@ def test_state_shape_is_validated(mesh3, p2):
         energy(setup, np.zeros(mesh3.num_vertices + 2))
 
 
+def _whole_mesh_w(setup):
+    # the assembly weights of every element, as the setup once held them
+    return setup.mesh.quad_weights(quadrature_rule(ASSEMBLY_ORDER))
+
+
 def _coo_hessian(setup, v):
     # the element-by-element COO assembly the cached CSR pattern replaced
     mesh = setup.mesh
@@ -136,8 +148,9 @@ def _coo_hessian(setup, v):
     s = (g ** 2).sum(axis=1)[:, None] + setup.epsilon ** 2
     p = setup.quad_p
     a = s ** (0.5 * (p - 2.0))
-    c1 = (setup.quad_w * a).sum(axis=1)
-    c2 = (setup.quad_w * a * (p - 2.0) / s).sum(axis=1)
+    w = _whole_mesh_w(setup)
+    c1 = (w * a).sum(axis=1)
+    c2 = (w * a * (p - 2.0) / s).sum(axis=1)
     G = mesh.grads
     Gg = np.einsum("tid,td->ti", G, g)
     K = (c1[:, None, None] * np.einsum("tid,tjd->tij", G, G)
@@ -182,7 +195,7 @@ def _einsum_energy(setup, v):
     _, s = _einsum_parts(setup, v)
     p = setup.quad_p
     dens = np.where(s > 0.0, np.where(s > 0.0, s, 1.0) ** (0.5 * p) / p, 0.0)
-    return float((setup.quad_w * dens).sum(axis=1).sum())
+    return float((_whole_mesh_w(setup) * dens).sum(axis=1).sum())
 
 
 def _einsum_residual(setup, v):
@@ -190,7 +203,7 @@ def _einsum_residual(setup, v):
     g, s = _einsum_parts(setup, v)
     p = setup.quad_p
     a = np.where(s > 0.0, np.where(s > 0.0, s, 1.0) ** (0.5 * (p - 2.0)), 0.0)
-    c1 = (setup.quad_w * a).sum(axis=1)
+    c1 = (_whole_mesh_w(setup) * a).sum(axis=1)
     local = c1[:, None] * np.einsum("td,tid->ti", g, mesh.grads)
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.num_vertices)
@@ -201,8 +214,9 @@ def _einsum_hessian_data(setup, v):
     g, s = _einsum_parts(setup, v)
     p = setup.quad_p
     a = s ** (0.5 * (p - 2.0))
-    c1 = (setup.quad_w * a).sum(axis=1)
-    c2 = (setup.quad_w * a * (p - 2.0) / s).sum(axis=1)
+    w = _whole_mesh_w(setup)
+    c1 = (w * a).sum(axis=1)
+    c2 = (w * a * (p - 2.0) / s).sum(axis=1)
     G = mesh.grads
     Gg = np.einsum("tid,td->ti", G, g)
     K = (c1[:, None, None] * np.einsum("tid,tjd->tij", G, G)

@@ -4,13 +4,14 @@ the base classes, so the subclass relations must not drift."""
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pxthin import (ConfigError, ConvergenceError, DomainError, FormatError,
                     NumericError, PreconditionError, PxthinError,
                     ResolutionError, ResourceError)
 from pxthin.errors import checked_trials
+from pxthin.mesh import checked_grading, checked_level
 
 
 def test_all_errors_share_one_base():
@@ -44,3 +45,22 @@ def test_a_trial_count_is_a_finite_whole_number_of_at_least_one(trials):
     else:
         with pytest.raises(PreconditionError):
             checked_trials(trials)
+
+
+@given(st.sampled_from([(checked_level, 1, ResourceError),
+                        (checked_level, -1, PreconditionError),
+                        (checked_grading, 1, ResourceError),
+                        (checked_grading, -1, PreconditionError),
+                        (checked_trials, -1, PreconditionError)]),
+       st.integers(2, 5000))
+@example((checked_level, 1, ResourceError), 5000)
+@example((checked_trials, -1, PreconditionError), 5000)
+def test_a_huge_whole_number_is_named_by_its_length(case, k):
+    # 10 ** 5000 has more digits than Python converts to text, so a message
+    # that held the number whole raised ValueError from its own f-string
+    check, sign, error = case
+    with pytest.raises(error) as caught:
+        check(sign * 10 ** k)
+    assert len(str(caught.value)) < 200
+    if k >= 20:
+        assert f"a {k + 1}-digit " in str(caught.value)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pxthin.mesh
+import pxthin.sparse
 from pxthin import (FeFunction, PreconditionError, ResolutionError, build,
                     extract_halfball_submesh, load_solution, mesh_hash,
                     quadrature_rule, save_mesh, save_solution)
@@ -53,6 +54,30 @@ def test_area_and_moment_converge():
     pts, w = _quad_points(mesh, rule, slice(None)), mesh.quad_weights(rule)
     moment = float((pts[..., 1] * w).sum())
     assert abs(moment - 2.0 / 3.0) <= 1e-2
+
+
+_graded = functools.lru_cache(maxsize=None)(build)     # one mesh per (level, grading)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2), st.sampled_from((2, 5)),
+       st.integers(0, 2 ** 32 - 1))
+def test_block_weights_are_the_rows_of_the_whole_mesh_weights(level, grading, order,
+                                                               seed):
+    # energy, residual, hessian and modular form the weights of their own
+    # rows: blocks of 37 elements, the last one ragged, and the scattered
+    # rows of an element mask
+    mesh = _graded(level, grading)
+    rule = quadrature_rule(order)
+    whole = mesh.quad_weights(rule)
+    # filled a column at a time, the bits of the broadcast product
+    assert np.array_equal(whole, rule.weights[None, :] * (2.0 * mesh.areas[:, None]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pxthin.sparse, "_ELEMENT_BLOCK", 37)
+        for rows in pxthin.sparse._element_blocks(mesh.num_triangles):
+            assert np.array_equal(mesh.quad_weights(rule, rows), whole[rows])
+    rows = np.flatnonzero(np.random.default_rng(seed).random(mesh.num_triangles) < 0.5)
+    assert np.array_equal(mesh.quad_weights(rule, rows), whole[rows])
 
 
 def test_h_max_halves_per_level():

@@ -11,12 +11,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pxthin.sparse
+import pxthin.vxspace
 from pxthin import (ElementVectorField, ExponentField, FeFunction,
-                    PreconditionError, build, campanato_profile, luxemburg_norm,
-                    modular)
+                    PreconditionError, build, campanato_profile, compute_M,
+                    luxemburg_norm, modular)
 from pxthin.mesh import _quad_points, quadrature_rule
 from pxthin.vxspace import (LUXEMBURG_STEPS, REPORT_ORDER, ROUNDOFF, _SUM_BLOCK,
-                            _pairwise_sums, _report_terms, luxemburg_identity_checks)
+                            _pairwise_sums, _report_terms, gradient_modulars,
+                            luxemburg_identity_checks)
 from conftest import FAMILIES, traced_peak
 
 _mesh = functools.lru_cache(maxsize=None)(build)    # one mesh per level
@@ -135,10 +137,13 @@ def test_cached_exponent_follows_the_field():
                 == luxemburg_norm(fresh.gradient_field(), field))
         assert repr(field) in mesh.report_p
     assert len(mesh.report_p) == 2
-    for p in mesh.report_p.values():
-        assert not p.flags.writeable
-        with pytest.raises(ValueError):
-            p[0, 0] = 1.0
+    for terms in mesh.report_p.values():
+        for a in terms:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+    # the weights depend on the mesh alone: the fields share one array
+    assert len({id(w) for _, w in mesh.report_p.values()}) == 1
 
 
 def test_the_exponent_cache_drops_the_least_recently_used_field(monkeypatch):
@@ -146,14 +151,15 @@ def test_the_exponent_cache_drops_the_least_recently_used_field(monkeypatch):
     f = FeFunction(mesh, mesh.vertices[:, 0].copy())
     older, newer, third = (ExponentField("affine", [2.0, 0.3, a2])
                            for a2 in (0.0, 0.1, 0.2))
-    modular(f, older)
-    modular(f, newer)
+    luxemburg_norm(f, older)
+    luxemburg_norm(f, newer)
     kept = mesh.report_p[repr(older)]
-    # a hit evaluates nothing
+    # a hit evaluates nothing, and a modular reads the kept p
     monkeypatch.setattr(ExponentField, "eval", None)
-    modular(f, older)
+    luxemburg_norm(f, older)
+    modular(f, newer)
     monkeypatch.undo()
-    modular(f, third)
+    luxemburg_norm(f, third)
     assert list(mesh.report_p) == [repr(older), repr(third)]
     assert mesh.report_p[repr(older)] is kept
 
@@ -324,13 +330,15 @@ def test_blocked_norm_and_modular_equal_the_whole_mesh_loop(
     field = _exponent(family, low, low + spread, k)
     f = _random_function(mesh, gradient, seed, scale)
     mesh.report_p.clear()
+    expected = _modular_after_mask(f, field, slice(None), sigma)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pxthin.sparse, "_ELEMENT_BLOCK", 37)
-        assert np.array_equal(_report_terms(mesh, field)[0],
-                              _whole_mesh_terms(f, field)[1])
+        # p evaluated a block at a time, then read from the mesh
+        assert modular(f, field, sigma=sigma) == expected
+        assert all(np.array_equal(kept, whole) for kept, whole
+                   in zip(_report_terms(mesh, field), _whole_mesh_terms(f, field)[1:]))
         assert luxemburg_norm(f, field) == _whole_mesh_norm(f, field)
-        assert (modular(f, field, sigma=sigma)
-                == _modular_after_mask(f, field, slice(None), sigma))
+        assert modular(f, field, sigma=sigma) == expected
 
 
 def test_luxemburg_checks_stay_within_a_per_element_bound(mesh6, sin_field):
@@ -340,3 +348,51 @@ def test_luxemburg_checks_stay_within_a_per_element_bound(mesh6, sin_field):
     luxemburg_identity_checks(mesh6, sin_field, 2, 0)
     peak = traced_peak(luxemburg_identity_checks, mesh6, sin_field, 4, 11)
     assert peak <= 250 * mesh6.num_triangles
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2), st.sampled_from(FAMILIES), st.booleans(),
+       st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+@example(6, 0, FAMILIES[3], False, 0.0, 0)
+def test_gradient_modulars_are_the_modulars_of_the_gradient_fields(
+        level, grading, field, held, scale, seed):
+    # leaves of 130 elements, so every mesh from level 3 up spans several,
+    # the last one ragged; p evaluated per block, or read from the mesh
+    mesh = _mesh(level, grading)
+    u, w = (_random_function(mesh, False, seed + k, scale) for k in range(2))
+    u.values[np.random.default_rng(seed).random(mesh.num_vertices) < 0.3] = 0.0
+    mesh.report_p.clear()
+    if held:
+        _report_terms(mesh, field)
+    expected = [modular(f.gradient_field(), field) for f in (u, w)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pxthin.vxspace, "_SUM_BLOCK", 7 * 130)
+        assert gradient_modulars((u, w), field) == expected
+    assert gradient_modulars((u, w), field) == expected
+
+
+def test_modulars_keep_no_exponent_on_the_mesh(sin_field):
+    # only luxemburg_norm keeps p on the mesh
+    mesh = build(4)
+    u, w = (_random_function(mesh, False, seed) for seed in range(2))
+    compute_M(u, w, sin_field)
+    assert mesh.report_p == {}
+    mask = np.random.default_rng(2).random(mesh.num_triangles) < 0.5
+    modular(u.gradient_field(), sin_field, element_mask=mask, sigma=0.5)
+    modular(u, sin_field, element_mask=mask)
+    assert mesh.report_p == {}
+
+
+def test_compute_m_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7, sin_field):
+    # p, the weights and the gradients are formed a block at a time, so
+    # compute_M holds the same temporaries at L6 and L7, below one (nt, 7)
+    # float array at L7 (p and the weights once stayed on the mesh, 3.5 MiB
+    # apiece at L7); 4 KiB leave room for a few Python objects
+    def peak(mesh):
+        mesh.report_p.clear()
+        u, w = (_random_function(mesh, False, seed) for seed in range(2))
+        return traced_peak(compute_M, u, w, sin_field)
+
+    assert peak(mesh7) <= peak(mesh6) + 4096
+    assert peak(mesh7) < 56 * mesh7.num_triangles
+    assert mesh7.report_p == {}
