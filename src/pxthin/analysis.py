@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .comparison import compute_M
-from .errors import PreconditionError, checked_trials
+from .errors import PreconditionError, ResolutionError, _float, checked_trials
 from .exponent import checked_beta
 from .mesh import GEOM_TOL, ball_element_mask, checked_center, checked_radii
 from .vxspace import campanato_profile, modular
@@ -62,9 +62,9 @@ def iteration_constants(A, alpha1, alpha2, B=0.0):
     kappa is the halving factor, eps0 the admissible perturbation size,
     and c the constant carried into the decay conclusion.
     """
-    A = float(A)
-    alpha1 = float(alpha1)
-    alpha2 = float(alpha2)
+    A = _float(A, "A")
+    alpha1 = _float(alpha1, "alpha1")
+    alpha2 = _float(alpha2, "alpha2")
     if A < 0.0 or alpha2 < 0.0 or not alpha1 > alpha2:
         raise PreconditionError("need A >= 0 and alpha1 > alpha2 >= 0")
     alpha3 = 0.5 * (alpha1 + alpha2)
@@ -254,7 +254,7 @@ def monotonicity_check(gamma1, gamma2, trials, seed):
 
 def admissible_radius(field, M):
     """Largest half-ball radius the local estimates tolerate."""
-    M = float(M)
+    M = _float(M, "M")
     if M < 1.0:
         raise PreconditionError("M must be at least 1")
     L = field.holder_seminorm
@@ -270,8 +270,8 @@ def admissible_radius(field, M):
 
 def theoretical_alpha(alpha0, beta, gamma2):
     """Hölder exponent of the gradient predicted by the decay argument."""
-    alpha0 = float(alpha0)
-    gamma2 = float(gamma2)
+    alpha0 = _float(alpha0, "alpha0")
+    gamma2 = _float(gamma2, "gamma2")
     if not 0.0 < alpha0 < 1.0:
         raise PreconditionError("alpha0 must lie in (0, 1)")
     beta = checked_beta(beta)
@@ -330,7 +330,7 @@ def scan_balls(mesh, center, r):
     masks = [ball_element_mask(mesh, center, s * r) for s in (1.0, 2.0)]
     counts = [int(mask.sum()) for mask in masks]
     if min(counts) < 3:
-        raise PreconditionError(
+        raise ResolutionError(
             f"ball selections are too coarse: about "
             f"{tuple(float(c) for c in center)}, radius {r} holds {counts[0]} "
             f"elements and radius {2.0 * r} holds {counts[1]}; each needs at "

@@ -9,6 +9,7 @@ violated invariant is named on stderr), 2 configuration or I/O failure.
 """
 
 import argparse
+import copy
 import csv
 import io
 import math
@@ -226,7 +227,8 @@ def parse_config(path):
             elif default is _REQUIRED:
                 raise ConfigError("missing required key: [%s] %s" % (section, key))
             else:
-                config[section][key] = default
+                # a copy, so a caller that edits its config edits no default
+                config[section][key] = copy.deepcopy(default)
 
     if config["boundary"]["preset"] == "custom":
         if config["boundary"]["file"] is None:

@@ -75,6 +75,17 @@ def _whole(value):
     return isinstance(value, int) or float(value).is_integer()
 
 
+def _float(value, name):
+    """float(value); a number beyond the floats, such as a Python int of
+    400 digits, is a PreconditionError naming it through _shown, not the
+    OverflowError of float()."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise PreconditionError(
+            f"{name} must lie within the floats, got {_shown(value)}") from None
+
+
 def checked_trials(trials):
     """trials as an int, after the rule: a whole number >= 1, since fewer
     than one trial would pass a check on no evidence."""

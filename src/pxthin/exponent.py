@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _float
 from .mesh import in_half_disk, on_thin_line
 
 # exact one-sided ranges of the families over the closed half-disk
@@ -32,7 +32,7 @@ _NCOEF = {"constant": 1, "affine": 3, "radial": 2, "sinusoidal": 3}
 
 def checked_beta(beta):
     """beta as a float, after the Hoelder exponent's rule 0 < beta <= 1."""
-    beta = float(beta)
+    beta = _float(beta, "beta")
     if not 0.0 < beta <= 1.0:
         raise PreconditionError(f"beta must lie in (0, 1], got {beta}")
     return beta
@@ -52,7 +52,7 @@ class ExponentField:
         family = str(family).lower()
         if family not in FAMILIES:
             raise PreconditionError(f"unknown exponent family '{family}'")
-        coeffs = tuple(float(c) for c in coefficients)
+        coeffs = tuple(_float(c, "a coefficient") for c in coefficients)
         if len(coeffs) != _NCOEF[family]:
             raise PreconditionError(
                 f"family '{family}' needs {_NCOEF[family]} coefficients, got {len(coeffs)}")
@@ -93,7 +93,7 @@ class ExponentField:
             # beta-Holder bound L * 2^(1-beta).
             self.holder_seminorm = lip if beta == 1.0 else lip * 2.0 ** (1.0 - beta)
         else:
-            declared = float(holder_seminorm)
+            declared = _float(holder_seminorm, "holder_seminorm")
             if declared < 0.0:
                 raise PreconditionError("holder_seminorm must be >= 0")
             self.holder_seminorm = declared

@@ -3,8 +3,9 @@
 Vertices carry one of three tags: Interior, Arc (the curved Dirichlet
 boundary (dB1)+, including the corners (+-1, 0)), and Thin (the flat
 segment T1 where the unilateral constraint lives). Refinement is uniform
-red refinement with radial projection of new arc midpoints; optional
-grading adds bisection rounds of the elements touching T1.
+red refinement; optional grading adds bisection rounds of the elements
+touching T1. Both halve the edges of one edge list through one midpoint
+rule, which projects new arc midpoints radially.
 
 The module also holds the text reader and writer of every file pxthin
 reads or writes.
@@ -37,9 +38,10 @@ GEOM_TOL = 1e-12
 NODE_BUDGET = 10_000_000
 MAX_LEVEL = 10
 # a grading round multiplies the vertices by about 1.45 (153 -> 4,289 from
-# 0 to 12 rounds at level 3; 6 -> 277,362 from 0 to 30 rounds at level 0,
-# 12 s), so even level 0 fails the per-round NODE_BUDGET check before its
-# 41st round: a larger grading could only fail, after minutes of rounds
+# 0 to 12 rounds at level 3; 6 -> 277,362 from 0 to 30 rounds at level 0 in
+# 0.8 s, 862,394 from 33 rounds in 2.7 s and 670 MB, on a 2-core host), so
+# even level 0 fails the per-round NODE_BUDGET check before its 41st round:
+# a larger grading could only fail, after rounds that hold gigabytes
 MAX_GRADING = 40
 
 
@@ -280,97 +282,75 @@ def quadrature_rule(order):
     return rule
 
 
-def _red_refine(vertices, triangles):
-    """One red refinement; returns (vertices, triangles, parents).
-
-    New vertex nv + k is the midpoint of the edge parents[k] = (i, j), i < j;
-    midpoints are numbered in order of first appearance over the edges
-    ab, bc, ca of the triangles in order, and midpoints of arc edges are
-    projected radially.
+def _midpoints(vertices, lo, hi, halves):
+    """(vertices, parents, number): the vertices, then the midpoints of the
+    edges `halves` of the edge list (lo, hi), numbered in order of first
+    appearance there. New vertex nv + k halves edge parents[k] = (lo, hi);
+    number[e] is the vertex that halves edge e, -1 for an edge not halved.
+    Midpoints of arc edges are projected radially onto the unit circle.
     """
-    nv = len(vertices)
-    a, b, c = triangles.T
-    # the local edges _EDGES are ab, bc, ca, so edge lists them in the order
-    # that numbers the midpoints
-    lo, hi, edge = _distinct_edges(triangles, nv)
-    flat = edge.ravel()
-    first = np.full(len(lo), len(flat))
-    np.minimum.at(first, flat, np.arange(len(flat)))
-    order = flat[np.sort(first)]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ab, bc, ca = (nv + rank[edge]).T
+    first = np.full(len(lo), len(halves))
+    np.minimum.at(first, halves, np.arange(len(halves)))
+    order = halves[np.sort(first[first < len(halves)])]
+    number = np.full(len(lo), -1, dtype=order.dtype)
+    number[order] = len(vertices) + np.arange(len(order))
     parents = np.stack([lo[order], hi[order]], axis=1)
 
     mid = 0.5 * (vertices[parents[:, 0]] + vertices[parents[:, 1]])
     arc_edge = on_arc(vertices)[parents].all(axis=1)
     mid[arc_edge] /= np.hypot(mid[arc_edge, 0], mid[arc_edge, 1])[:, None]
+    return np.concatenate([vertices, mid]), parents, number
 
+
+def _red_refine(vertices, triangles):
+    """One red refinement; returns (vertices, triangles, parents).
+
+    Every edge is halved, its midpoint numbered in order of first appearance
+    over the edges ab, bc, ca of the triangles in order (_midpoints).
+    """
+    a, b, c = triangles.T
+    # the local edges _EDGES are ab, bc, ca, so edge lists them in the order
+    # that numbers the midpoints
+    lo, hi, edge = _distinct_edges(triangles, len(vertices))
+    vertices, parents, number = _midpoints(vertices, lo, hi, edge.ravel())
+    ab, bc, ca = number[edge].T
     new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
                         axis=1).reshape(-1, 3)
-    return np.concatenate([vertices, mid]), new_tris, parents
+    return vertices, new_tris, parents
 
 
 def _bisect_towards_thin(vertices, triangles):
-    """One conforming bisection round of elements touching the thin line.
+    """One conforming bisection round of the elements touching the thin line;
+    returns (vertices, triangles, parents) as _red_refine does.
 
-    Returns (vertices, triangles, parents) as _red_refine does.
+    Each element that touches the line halves its longest edge, the first of
+    bc, ca, ab on a tie; _midpoints numbers them over those elements in
+    order. Sweeps then split each element at the midpoint of its first halved
+    edge among ab, bc, ca, until no element has one. The children (k, i, m),
+    (k, m, j) of an element whose edge (i, j) m halves take its place.
     """
-    verts = [tuple(v) for v in vertices]
-    thin_touch = on_thin_line(vertices)
-    mid = {}
-
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        idx = mid.get(key)
-        if idx is None:
-            m = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
-            idx = len(verts)
-            verts.append((m[0], m[1]))
-            mid[key] = idx
-        return idx
-
-    def longest_edge(a, b, c):
-        pa, pb, pc = (np.asarray(verts[i]) for i in (a, b, c))
-        l2 = [((pb - pc) ** 2).sum(), ((pc - pa) ** 2).sum(), ((pa - pb) ** 2).sum()]
-        return int(np.argmax(l2))   # edge opposite vertex 0/1/2
-
-    work = [tuple(t) for t in triangles]
-    out = []
-    for tri in work:
-        if any(thin_touch[i] for i in tri):
-            a, b, c = tri
-            le = longest_edge(a, b, c)
-            # rotate so the split edge is (b, c)
-            a, b, c = ((a, b, c), (b, c, a), (c, a, b))[le]
-            m = midpoint(b, c)
-            out.append((a, b, m))
-            out.append((a, m, c))
-        else:
-            out.append(tri)
-
-    # conformity: split triangles whose edge holds a hanging midpoint
-    changed = True
-    while changed:
-        changed = False
-        nxt = []
-        for a, b, c in out:
-            split = None
-            for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
-                key = (i, j) if i < j else (j, i)
-                if key in mid:
-                    split = (k, i, j, mid[key])
-                    break
-            if split is None:
-                nxt.append((a, b, c))
-            else:
-                k, i, j, m = split
-                nxt.append((k, i, m))
-                nxt.append((k, m, j))
-                changed = True
-        out = nxt
-    parents = np.array(list(mid), dtype=np.int64).reshape(-1, 2)
-    return np.asarray(verts, dtype=float), np.asarray(out, dtype=np.int64), parents
+    lo, hi, edge = _distinct_edges(triangles, len(vertices))
+    d = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles[:, [2, 0, 1]]]
+    split = (np.argmax((d * d).sum(axis=2), axis=1) + 1) % 3
+    rows = np.flatnonzero(on_thin_line(vertices)[triangles].any(axis=1))
+    vertices, parents, number = _midpoints(vertices, lo, hi, edge[rows, split[rows]])
+    # a child's edges through m get the id len(lo), which no vertex halves
+    number = np.append(number, -1)
+    while len(rows):
+        r = np.arange(len(rows))
+        t, e, s = triangles[rows], edge[rows], split[rows]
+        i, j, k = (t[r, (s + q) % 3] for q in range(3))
+        m, new = number[e[r, s]], np.full(len(rows), len(lo))
+        # the first child replaces its parent, the second follows it
+        triangles = np.insert(triangles, rows + 1, np.stack([k, m, j], axis=1), axis=0)
+        edge = np.insert(edge, rows + 1, np.stack([new, new, e[r, (s + 1) % 3]], axis=1),
+                         axis=0)
+        triangles[rows + r] = np.stack([k, i, m], axis=1)
+        edge[rows + r] = np.stack([e[r, (s + 2) % 3], new, new], axis=1)
+        halved = number[edge] >= 0
+        rows = np.flatnonzero(halved.any(axis=1))
+        split = np.argmax(halved, axis=1)
+    return vertices, triangles, parents
 
 
 def checked_grading(grading):

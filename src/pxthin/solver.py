@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import EnergySetup, energy, hessian, residual
 from .errors import (ConvergenceError, FormatError, PreconditionError,
-                     ResourceError, checked_trials)
+                     ResourceError, _float, checked_trials)
 from .mesh import (ARC, THIN, mesh_hash, _finite, _text_lines, _text_record,
                    _text_rows, _write_text)
 from .sparse import galerkin
@@ -291,7 +291,7 @@ def _solve_stage(problem, v, eps, tol):
 
 def checked_tol(tol):
     """tol as a float, after the rule 1e-14 <= tol <= 1e-4."""
-    tol = float(tol)
+    tol = _float(tol, "tol")
     if not (1e-14 <= tol <= 1e-4):
         raise PreconditionError(f"tol must lie in [1e-14, 1e-4], got {tol}")
     return tol

@@ -12,7 +12,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import (NumericError, PreconditionError, ResolutionError,
-                     checked_trials)
+                     _float, checked_trials)
 from .exponent import ExponentField
 from .mesh import (_field_at, _field_at_quad_points, ball_element_mask,
                    checked_radii, quadrature_rule)
@@ -166,7 +166,7 @@ def _pairwise_sums(block_sums, lo, hi, block):
 
 def checked_sigma(sigma, name="sigma"):
     """sigma as a float; the exponent gain (1 + sigma) p must not fall below p."""
-    sigma = float(sigma)
+    sigma = _float(sigma, name)
     if not sigma >= 0.0:
         raise PreconditionError(f"{name} must be >= 0, got {sigma}")
     return sigma

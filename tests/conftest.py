@@ -114,6 +114,69 @@ def weighted_prolongation(mesh):
     return WeightedProlongation(local[source.ends[mesh.vertex_map]], below.num_vertices)
 
 
+def looped_bisect_towards_thin(vertices, triangles):
+    """The grading round as a Python loop over elements with a midpoint
+    dict, as it was before it shared red refinement's edge list, except
+    that it projects arc midpoints radially as red refinement does."""
+    verts = [tuple(v) for v in vertices]
+    thin_touch = on_thin_line(vertices)
+    arc = on_arc(vertices)
+    mid = {}
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        idx = mid.get(key)
+        if idx is None:
+            m = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
+            if arc[i] and arc[j]:
+                m = m / np.hypot(m[0], m[1])
+            idx = len(verts)
+            verts.append((m[0], m[1]))
+            mid[key] = idx
+        return idx
+
+    def longest_edge(a, b, c):
+        pa, pb, pc = (np.asarray(verts[i]) for i in (a, b, c))
+        l2 = [((pb - pc) ** 2).sum(), ((pc - pa) ** 2).sum(), ((pa - pb) ** 2).sum()]
+        return int(np.argmax(l2))   # edge opposite vertex 0/1/2
+
+    out = []
+    for tri in (tuple(t) for t in triangles):
+        if any(thin_touch[i] for i in tri):
+            a, b, c = tri
+            le = longest_edge(a, b, c)
+            # rotate so the split edge is (b, c)
+            a, b, c = ((a, b, c), (b, c, a), (c, a, b))[le]
+            m = midpoint(b, c)
+            out.append((a, b, m))
+            out.append((a, m, c))
+        else:
+            out.append(tri)
+
+    # conformity: split triangles whose edge holds a hanging midpoint
+    changed = True
+    while changed:
+        changed = False
+        nxt = []
+        for a, b, c in out:
+            split = None
+            for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
+                key = (i, j) if i < j else (j, i)
+                if key in mid:
+                    split = (k, i, j, mid[key])
+                    break
+            if split is None:
+                nxt.append((a, b, c))
+            else:
+                k, i, j, m = split
+                nxt.append((k, i, m))
+                nxt.append((k, m, j))
+                changed = True
+        out = nxt
+    parents = np.array(list(mid), dtype=np.int64).reshape(-1, 2)
+    return np.asarray(verts, dtype=float), np.asarray(out, dtype=np.int64), parents
+
+
 def _argsort_pattern(triangles, n):
     """(counts, cols, diagonal, scatter, width) by the construction the
     edge-built P1Pattern replaced: one argsort of the 9 nt entry keys.

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
-                    ObstacleProblem, PreconditionError, admissible_radius,
+                    ObstacleProblem, PreconditionError, ResolutionError,
+                    admissible_radius,
                     build_reference, compute_M, gradient_holder_fit,
                     higher_integrability_scan, iteration_constants,
                     iteration_suite, monotonicity_check, solve,
@@ -16,7 +17,7 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
 from pxthin import analysis
 from pxthin.analysis import (_GRID_HALVINGS, _MONO_BLOCK, _MONO_DRAW, MONO_C,
                              SIGMA_GRID, _draw_trial, _mono_parts, _tuple_blocks,
-                             _worst_slack, calibrate_monotonicity)
+                             _worst_slack, calibrate_monotonicity, scan_balls)
 from pxthin.cli import luxemburg_identity_checks
 from pxthin.errors import checked_trials
 from conftest import g_signorini32, traced_peak
@@ -397,8 +398,11 @@ def test_scan_rejects_underresolved_balls(mesh3):
     problem = ObstacleProblem(EnergySetup(mesh3, field), g)
     u, _ = solve(problem, 1e-10)
     w, _ = build_reference(u, problem)
-    with pytest.raises(PreconditionError):
+    # a mesh too coarse for the balls, as for the submesh and the profile
+    with pytest.raises(ResolutionError, match="ball selections are too coarse"):
         higher_integrability_scan(u, w, field, (0.0, 0.0), 0.01)
+    with pytest.raises(ResolutionError, match="refine the mesh"):
+        scan_balls(mesh3, np.zeros(2), 0.01)
 
 
 # -------------------------------------------------------------- Holder fit

@@ -84,6 +84,20 @@ def test_parse_config_defaults(tmp_path):
                                   + "[verify]\ngamma1 = 1.1\n"))
 
 
+def test_each_parse_hands_out_fresh_defaults(tmp_path):
+    # a caller that edits one parsed config edits no default of the next
+    path = write_config(tmp_path / "a.cfg", BASE.format(out=tmp_path / "o"))
+    cfg = parse_config(path)
+    cfg["freeze"]["radii"].append(0.01)
+    cfg["holder"]["centers"][0][0] = 0.3
+    cfg["experiments"]["run"].append("verify")
+    again = parse_config(path)
+    assert again["freeze"]["radii"] == [0.2, 0.1, 0.05]
+    assert again["holder"]["centers"] == [[0.0, 0.0]]
+    assert again["experiments"]["run"] == ["solve"]
+    assert again["freeze"]["center"] == [-0.35, 0.0]
+
+
 @pytest.mark.parametrize("line,fragment", [
     ("[exponent\n", "line 1"),
     ("[exponent]\nbogus_key = 3\n", "bogus_key"),

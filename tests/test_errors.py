@@ -7,11 +7,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pxthin import (ConfigError, ConvergenceError, DomainError, FormatError,
-                    NumericError, PreconditionError, PxthinError,
-                    ResolutionError, ResourceError)
+from pxthin import (ConfigError, ConvergenceError, DomainError, ExponentField,
+                    FormatError, NumericError, PreconditionError, PxthinError,
+                    ResolutionError, ResourceError, admissible_radius,
+                    iteration_constants, theoretical_alpha)
 from pxthin.errors import checked_trials
+from pxthin.exponent import checked_beta
 from pxthin.mesh import checked_grading, checked_level
+from pxthin.solver import checked_tol
+from pxthin.vxspace import checked_sigma
 
 
 def test_all_errors_share_one_base():
@@ -64,3 +68,36 @@ def test_a_huge_whole_number_is_named_by_its_length(case, k):
     assert len(str(caught.value)) < 200
     if k >= 20:
         assert f"a {k + 1}-digit " in str(caught.value)
+
+
+_FIELD = ExponentField("constant", [2.0])
+# each number rule, with the number in one of its places
+_NUMBER_RULES = (checked_tol, checked_sigma, checked_beta,
+                 lambda x: theoretical_alpha(x, 1.0, 2.0),
+                 lambda x: theoretical_alpha(0.5, 1.0, x),
+                 lambda x: admissible_radius(_FIELD, x),
+                 lambda x: ExponentField("constant", [x]),
+                 lambda x: ExponentField("constant", [2.0], holder_seminorm=x),
+                 lambda x: iteration_constants(x, 0.5, 0.25))
+
+
+@given(st.sampled_from(_NUMBER_RULES), st.sampled_from([1, -1]), st.integers(0, 5000))
+@example(checked_tol, 1, 400)
+@example(_NUMBER_RULES[5], 1, 400)
+@example(_NUMBER_RULES[6], -1, 5000)
+def test_a_number_beyond_the_floats_is_a_precondition_error(rule, sign, k):
+    # float() of an int beyond the floats raised a bare OverflowError; a
+    # number the floats hold is taken, or rejected by the rule's own bounds
+    value = sign * 10 ** k
+    try:
+        float(value)
+    except OverflowError:
+        with pytest.raises(PreconditionError) as caught:
+            rule(value)
+        assert len(str(caught.value)) < 200
+        assert "-digit " in str(caught.value)
+        return
+    try:
+        rule(value)
+    except PreconditionError as exc:
+        assert len(str(exc)) < 200

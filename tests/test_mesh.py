@@ -19,7 +19,8 @@ from pxthin import (FeFunction, PreconditionError, ResolutionError, build,
 from pxthin.mesh import (_TAG_CHAR, GEOM_TOL, TriMesh, _mesh_chunks,
                          _quad_points, ball_element_mask, on_arc, on_thin_line)
 from pxthin.solver import _solution_chunks
-from conftest import _argsort_pattern, csr, edge_slots, reflect_full_disk
+from conftest import (_argsort_pattern, csr, edge_slots, looped_bisect_towards_thin,
+                      reflect_full_disk)
 
 INTERIOR, ARC, THIN = 0, 1, 2
 
@@ -397,6 +398,50 @@ def test_refinement_and_submesh_tags_equal_the_keyed_oracles(shape):
     except ResolutionError:
         return
     assert np.array_equal(sub.vertex_tags, _unique_submesh_tags(sub.vertices, sub.triangles))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 4))
+def test_grading_rounds_equal_the_looped_oracle(level, grading):
+    # the oracle halves edges through a midpoint dict and a loop over
+    # elements; the round shares red refinement's edge list and midpoints
+    mesh = built(level, grading)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pxthin.mesh, "_bisect_towards_thin", looped_bisect_towards_thin)
+        want = build(level, grading)
+    assert np.array_equal(mesh.vertices, want.vertices)
+    assert np.array_equal(mesh.vertex_tags, want.vertex_tags)
+    for got, oracle in zip(mesh.hierarchy, want.hierarchy, strict=True):
+        assert np.array_equal(got.parents, oracle.parents)
+        assert np.array_equal(got.triangles, oracle.triangles)
+
+
+def test_a_sweep_splits_an_element_at_its_first_halved_edge():
+    # build's meshes never leave an element two halved edges at once; here
+    # the two lower elements, which touch the thin line, halve the edges ab
+    # and ca of the V-shaped element above them
+    vertices = np.array([(0.0, 0.1), (1.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (-1.0, 0.0)])
+    triangles = np.array([(0, 1, 2), (0, 3, 1), (0, 2, 4)], dtype=np.int32)
+    got = pxthin.mesh._bisect_towards_thin(vertices, triangles)
+    want = looped_bisect_towards_thin(vertices, triangles)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+    # ab first, then the child's ca: (c, a, m_ab) -> (m_ab, c, m_ca), ...
+    assert got[1][:3].tolist() == [[5, 2, 6], [5, 6, 0], [2, 5, 1]]
+
+
+@pytest.mark.parametrize("grading", range(5))
+@pytest.mark.parametrize("level", range(6))
+def test_every_boundary_vertex_is_arc_or_thin(level, grading):
+    # the Dirichlet data covers the whole arc: a vertex of an edge that one
+    # element holds is Arc or Thin, and exactly the vertices on the circle
+    # are Arc, grading rounds' arc midpoints among them
+    mesh = built(level, grading)
+    lo, hi, edge = pxthin.sparse._distinct_edges(mesh.triangles, mesh.num_vertices)
+    single = np.bincount(edge.ravel(), minlength=len(lo)) == 1
+    boundary = np.unique(np.concatenate([lo[single], hi[single]]))
+    assert np.all(mesh.vertex_tags[boundary] != INTERIOR)
+    assert np.array_equal(mesh.vertex_tags == ARC, on_arc(mesh.vertices))
 
 
 def test_a_hierarchy_that_does_not_chain_is_rejected():
