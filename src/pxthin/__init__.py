@@ -18,18 +18,18 @@ from .mesh import (TriMesh, build, extract_halfball_submesh, mesh_hash,
                    quadrature_rule, save_mesh)
 from .solver import (ObstacleProblem, SolveReport, load_solution,
                      save_solution, solve, vi_check)
-from .vxspace import (CampanatoProfile, ElementVectorField, FeFunction,
-                      campanato_profile, luxemburg_norm, modular)
+from .vxspace import (CampanatoProfile, FeFunction, campanato_profile,
+                      luxemburg_norm, modular)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CampanatoProfile", "ConfigError", "ConvergenceError", "DecayReport",
-    "DomainError", "ElementVectorField", "EnergySetup", "ExponentField",
-    "FeFunction", "FormatError", "HolderReport", "IterationConstants",
-    "NumericError", "ObstacleProblem", "PreconditionError", "PxthinError",
-    "ReferenceReport", "ResolutionError", "ResourceError", "ScanReport",
-    "SolveReport", "TriMesh", "admissible_radius", "build", "build_reference",
+    "DomainError", "EnergySetup", "ExponentField", "FeFunction",
+    "FormatError", "HolderReport", "IterationConstants", "NumericError",
+    "ObstacleProblem", "PreconditionError", "PxthinError", "ReferenceReport",
+    "ResolutionError", "ResourceError", "ScanReport", "SolveReport",
+    "TriMesh", "admissible_radius", "build", "build_reference",
     "campanato_profile", "comparison_decay", "compute_M", "energy",
     "estimate_holder_seminorm", "extract_halfball_submesh",
     "gradient_holder_fit", "hessian", "higher_integrability_scan",

@@ -12,7 +12,7 @@ from .comparison import compute_M
 from .errors import PreconditionError, ResolutionError, _float, checked_trials
 from .exponent import checked_beta
 from .mesh import GEOM_TOL, ball_element_mask, checked_center, checked_radii
-from .vxspace import campanato_profile, modular
+from .vxspace import campanato_profile, gradient_modulars
 
 # ---------------------------------------------------------------- iteration
 
@@ -203,6 +203,24 @@ def _tuple_blocks(rng, gamma1, gamma2, samples):
         samples -= n
 
 
+# the tuples' scales lie below 100 and their coordinates in [-1, 1], so
+# |xi1 - xi2| <= 200 sqrt(2), and up to this exponent (about 125.7) every
+# sampled term stays finite; above it inf/inf ratios leave no evidence
+MONO_GAMMA_MAX = math.log(np.finfo(float).max) / math.log(200.0 * math.sqrt(2.0))
+
+
+def checked_gamma_range(gamma1, gamma2):
+    """(gamma1, gamma2) as floats, after the rule 1 < gamma1 <= gamma2 <=
+    MONO_GAMMA_MAX."""
+    gamma1, gamma2 = _float(gamma1, "gamma1"), _float(gamma2, "gamma2")
+    if not 1.0 < gamma1 <= gamma2:
+        raise PreconditionError(f"need 1 < gamma1 <= gamma2, got {gamma1}, {gamma2}")
+    if not gamma2 <= MONO_GAMMA_MAX:
+        raise PreconditionError(f"gamma2 = {gamma2} exceeds {MONO_GAMMA_MAX}, "
+                                f"past which the sampled terms overflow")
+    return gamma1, gamma2
+
+
 def _cursor(state, offset):
     """A Generator on a copy of the PCG64 `state`, `offset` outputs ahead."""
     bit_generator = np.random.PCG64()
@@ -213,7 +231,8 @@ def _cursor(state, offset):
 def _worst_ratio(gamma1, gamma2, c, samples, seed):
     """Max of LHS / (c (eps*vol + mono/eps)) over `samples` random tuples,
     drawn _MONO_DRAW at a time and evaluated _MONO_BLOCK at a time; the
-    maximum is exact, so it does not depend on the blocks."""
+    maximum is exact, so it does not depend on the blocks, and a nan
+    ratio makes it nan."""
     worst = 0.0
     rng = np.random.default_rng(seed)
     for xi1, xi2, p, eps in _tuple_blocks(rng, gamma1, gamma2, samples):
@@ -221,7 +240,7 @@ def _worst_ratio(gamma1, gamma2, c, samples, seed):
         rhs = c * (eps * vol + mono / eps)
         ok = rhs > 0.0
         if ok.any():
-            worst = max(worst, float((lhs[ok] / rhs[ok]).max()))
+            worst = float(np.maximum(worst, (lhs[ok] / rhs[ok]).max()))
     return worst
 
 
@@ -238,10 +257,8 @@ def calibrate_monotonicity(gamma1, gamma2, samples=1_000_000, seed=20123):
 
 def monotonicity_check(gamma1, gamma2, trials, seed):
     """Worst LHS/RHS ratio of the vector inequality over random tuples with
-    exponents in [gamma1, gamma2], after the rule 1 < gamma1 <= gamma2."""
-    gamma1, gamma2 = float(gamma1), float(gamma2)
-    if not 1.0 < gamma1 <= gamma2:
-        raise PreconditionError(f"need 1 < gamma1 <= gamma2, got {gamma1}, {gamma2}")
+    exponents in [gamma1, gamma2], after checked_gamma_range's rule."""
+    gamma1, gamma2 = checked_gamma_range(gamma1, gamma2)
     trials = checked_trials(trials)
     if MONO_GAMMA[0] <= gamma1 and gamma2 <= MONO_GAMMA[1]:
         c = MONO_C
@@ -355,15 +372,17 @@ def higher_integrability_scan(u, w, field, center, r=None):
     mesh = u.mesh
     mask_r, mask_2r = scan_balls(mesh, center, r)
     area2 = float(mesh.areas[mask_2r].sum())
-    du = u.gradient_field()
-    dw = w.gradient_field()
 
-    base_2r = modular(du, field, element_mask=mask_2r) / area2
+    def gradient_modular(f, mask, sigma=0.0):
+        [total] = gradient_modulars((f,), field, mask, sigma)
+        return total
+
+    base_2r = gradient_modular(u, mask_2r) / area2
     c_sigma = []
     for sigma in SIGMA_GRID:
-        lhs = modular(du, field, element_mask=mask_r, sigma=sigma) / area2
+        lhs = gradient_modular(u, mask_r, sigma) / area2
         rhs1 = base_2r ** (1.0 + sigma)
-        rhs2 = modular(dw, field, element_mask=mask_2r, sigma=sigma) / area2
+        rhs2 = gradient_modular(w, mask_2r, sigma) / area2
         c_sigma.append(lhs / (rhs1 + rhs2 + 1.0))
     passing = [s for s, c in zip(SIGMA_GRID, c_sigma) if c <= C_CAP]
     report = ScanReport(r, r_adm, list(SIGMA_GRID), c_sigma,
@@ -375,10 +394,10 @@ def higher_integrability_scan(u, w, field, center, r=None):
         if mask.sum() < 3:
             break
         area = float(mesh.areas[mask].sum())
-        base = modular(du, field, element_mask=mask) / area
+        base = gradient_modular(u, mask) / area
         row = []
         for sigma in SIGMA_GRID:
-            high = modular(du, field, element_mask=mask, sigma=sigma) / area
+            high = gradient_modular(u, mask, sigma) / area
             row.append((high ** (1.0 / (1.0 + sigma)) / base)
                        if base > 0.0 else np.inf)
         report.rh_radii.append(rho)
@@ -396,9 +415,8 @@ def gradient_holder_fit(u, field, centers, radii):
     """
     centers = [checked_center(center) for center in centers]
     radii = checked_radii(radii, 2, h_max=u.mesh.h_max)
-    du = u.gradient_field()
     profiles = [campanato_profile(
-        du, field.sup_inf_on_halfball(center, max(radii))[1], center, radii)
+        u, field.sup_inf_on_halfball(center, max(radii))[1], center, radii)
         for center in centers]
     alphas = [prof.alpha for prof in profiles]
     return HolderReport([tuple(center) for center in centers], profiles, alphas,

@@ -18,9 +18,10 @@ import sys
 
 import numpy as np
 
-from .analysis import (MONO_GAMMA, checked_scan_radius, gradient_holder_fit,
-                       higher_integrability_scan, iteration_suite,
-                       monotonicity_check, scan_balls, theoretical_alpha)
+from .analysis import (MONO_GAMMA, checked_gamma_range, checked_scan_radius,
+                       gradient_holder_fit, higher_integrability_scan,
+                       iteration_suite, monotonicity_check, scan_balls,
+                       theoretical_alpha)
 from .comparison import build_reference, comparison_decay
 from .energy import EnergySetup
 from .errors import (ConfigError, ConvergenceError, FormatError,
@@ -624,6 +625,12 @@ def _holder_step(run):
     ])
 
 
+def _verify_plan(run):
+    # the monotonicity check's rule, before any step: its range, the hull of
+    # MONO_GAMMA and the field's, breaks it only where the field's does
+    checked_gamma_range(run.field.gamma1, run.field.gamma2)
+
+
 # verify's sampled checks in run order: the [verify] key of the trial count,
 # the measurement (n, mesh, field, seed -> values), and per value its summary
 # key, contract, bound and whether that is an upper bound. The monotonicity
@@ -663,7 +670,7 @@ _EXPERIMENTS = (
     ("freeze", ("solve", "reference"), _freeze_plan, _freeze_step),
     ("scan", ("solve", "reference"), _scan_plan, _scan_step),
     ("holder", ("solve",), _holder_plan, _holder_step),
-    ("verify", (), None, _verify_step),
+    ("verify", (), _verify_plan, _verify_step),
 )
 
 

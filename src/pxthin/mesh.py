@@ -227,14 +227,20 @@ class TriMesh:
         return out
 
 
+def _p1_at(c0, c1, c2, rule):
+    """c0 (1 - xi - eta) + c1 xi + c2 eta at each point (xi, eta) of rule,
+    from the values c0, c1, c2 (n,) or (n, 2) at the corners of n
+    elements: (n, nq) or (n, nq, 2), filled a point at a time."""
+    out = np.empty((len(c0), len(rule.points)) + c0.shape[1:])
+    for q, (xi, eta) in enumerate(rule.points):
+        out[:, q] = c0 * (1.0 - xi - eta) + c1 * xi + c2 * eta
+    return out
+
+
 def _quad_points(mesh, rule, rows):
     """Physical quadrature points (len(rows), nq, 2) of the elements rows."""
     tri = mesh.triangles[rows]
-    p0, p1, p2 = (np.take(mesh.vertices, tri[:, k], axis=0) for k in range(3))
-    pts = np.empty((len(tri), len(rule.points), 2))
-    for q, (xi, eta) in enumerate(rule.points):
-        pts[:, q] = p0 * (1.0 - xi - eta) + p1 * xi + p2 * eta
-    return pts
+    return _p1_at(*(np.take(mesh.vertices, tri[:, k], axis=0) for k in range(3)), rule)
 
 
 def _field_at(mesh, field, rule, rows):

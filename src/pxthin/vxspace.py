@@ -1,8 +1,10 @@
 """Variable-exponent space functionals over discrete fields.
 
-Modulars and Luxemburg norms of piecewise-linear nodal functions and
-their piecewise-constant gradients on half-disk meshes, sampled checks of
-the Luxemburg norm identities, and Campanato profiles of the gradients.
+Modulars and Luxemburg norms of piecewise-linear nodal functions on
+half-disk meshes, modulars of their piecewise-constant gradients, sampled
+checks of the Luxemburg norm identities, and Campanato profiles of the
+gradients. A nodal function is the one way in: its gradient is formed
+from it, a block of elements at a time.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 from .errors import (NumericError, PreconditionError, ResolutionError,
                      _float, checked_trials)
 from .exponent import ExponentField
-from .mesh import (_field_at, _field_at_quad_points, ball_element_mask,
+from .mesh import (_field_at, _field_at_quad_points, _p1_at, ball_element_mask,
                    checked_radii, quadrature_rule)
 
 REPORT_ORDER = 5
@@ -25,8 +27,8 @@ ROUNDOFF = 4.0 * np.finfo(float).eps
 # weights: the run's field and verify's constant p = 3; each costs 56 bytes
 # per element, so a sweep over fields must not pile up
 P_CACHE_FIELDS = 2
-# quadrature values per block of the Luxemburg Newton step's sums, of
-# modular's terms and of at_quad_points: 0.5 MB per temporary, which stays
+# quadrature values per block of the Luxemburg Newton step's sums, of the
+# modulars' terms and of report_mags: 0.5 MB per temporary, which stays
 # in cache, where an L8 mesh's 1.8 M values take 14.7 MB per temporary and
 # the step is bound by memory traffic
 _SUM_BLOCK = 65_536
@@ -50,43 +52,21 @@ class FeFunction:
         tri_vals = np.take(self.values, self.mesh.triangles[rows])
         return np.einsum("ti,tid->td", tri_vals, self.mesh.grads[rows])
 
-    def gradient_field(self):
-        return ElementVectorField(self.mesh, self.element_gradients())
-
-    def at_quad_points(self, rule):
-        """Values at quadrature points, shape (nt, nq), filled _SUM_BLOCK
-        values at a time."""
-        tri_vals = np.take(self.values, self.mesh.triangles)
-        xi, eta = rule.points[:, 0], rule.points[:, 1]
-        out = np.empty((len(tri_vals), len(xi)))
-        rows = _SUM_BLOCK // len(xi)
-        for lo in range(0, len(out), rows):
-            vals, block = tri_vals[lo:lo + rows], out[lo:lo + rows]
-            np.multiply(vals[:, 0:1], 1.0 - xi - eta, out=block)
-            block += vals[:, 1:2] * xi
-            block += vals[:, 2:3] * eta
-        return out
-
     @cached_property
     def report_mags(self):
-        """|f| at the report quadrature points, (nt, nq), read-only: computed
-        once per function, for the modulars and norms of f to share."""
-        mags = self.at_quad_points(quadrature_rule(REPORT_ORDER))
+        """|f| at the report quadrature points, (nt, nq), read-only, filled
+        _SUM_BLOCK values at a time: computed once per function, for the
+        modulars and norms of f to share."""
+        rule = quadrature_rule(REPORT_ORDER)
+        tri_vals = np.take(self.values, self.mesh.triangles)
+        mags = np.empty((len(tri_vals), len(rule.points)))
+        rows = _SUM_BLOCK // len(rule.points)
+        for lo in range(0, len(mags), rows):
+            vals = tri_vals[lo:lo + rows]
+            mags[lo:lo + rows] = _p1_at(vals[:, 0], vals[:, 1], vals[:, 2], rule)
         np.abs(mags, out=mags)
         mags.flags.writeable = False
         return mags
-
-
-class ElementVectorField:
-    """Piecewise-constant vector field, one 2-vector per element."""
-
-    def __init__(self, mesh, values):
-        self.mesh = mesh
-        self.values = np.ascontiguousarray(values, dtype=float)
-        if self.values.shape != (mesh.num_triangles, 2):
-            raise PreconditionError("one 2-vector per element required")
-        if not np.all(np.isfinite(self.values)):
-            raise PreconditionError("non-finite element value")
 
 
 def _region_elements(mesh, element_mask):
@@ -126,24 +106,12 @@ def _report_terms(mesh, exponent_field):
     return terms
 
 
-def _repeated_norms(vectors, nq):
-    """|v| of each row of vectors (k, 2), repeated at the nq report
-    quadrature points of its element."""
-    mags = np.hypot(vectors[:, 0], vectors[:, 1])
-    return np.repeat(mags[:, None], nq, axis=1)
-
-
-def _magnitudes(f, rows, nq):
-    """|f| at the nq report quadrature points of the elements `rows`."""
-    if isinstance(f, ElementVectorField):
-        return _repeated_norms(f.values[rows], nq)
-    return f.report_mags[rows]
-
-
 def _gradient_magnitudes(f, rows, nq):
     """|Df| of a nodal function f at the nq report quadrature points of the
-    elements `rows`: those of f.gradient_field(), bit for bit."""
-    return _repeated_norms(f.element_gradients(rows), nq)
+    elements `rows`: the rows of the whole-mesh array, bit for bit."""
+    grads = f.element_gradients(rows)
+    mags = np.hypot(grads[:, 0], grads[:, 1])
+    return np.repeat(mags[:, None], nq, axis=1)
 
 
 def _pairwise_sums(block_sums, lo, hi, block):
@@ -209,27 +177,24 @@ def _modulars(magnitudes, mesh, exponent_field, elements, sigma):
             in _pairwise_sums(block_sums, 0, count, _SUM_BLOCK // nq)]
 
 
-def modular(f, exponent_field, element_mask=None, sigma=0.0):
-    """integral of |f|^{(1+sigma) p(x)} over the mesh (or a subset of elements).
-
-    Only the selected elements are evaluated, in blocks of at most
-    _SUM_BLOCK quadrature values; each element's terms are summed, and
-    the element sums are added in numpy's pairwise order.
-    """
-    sigma = checked_sigma(sigma)
-    elements = _region_elements(f.mesh, element_mask)
-    [total] = _modulars([partial(_magnitudes, f)], f.mesh, exponent_field,
-                        elements, sigma)
+def modular(f, exponent_field):
+    """integral of |f|^{p(x)} over the mesh for a nodal function f, by
+    _modulars' blocks and pairwise sums."""
+    [total] = _modulars([lambda rows, nq: f.report_mags[rows]], f.mesh,
+                        exponent_field, None, 0.0)
     return total
 
 
-def gradient_modulars(functions, exponent_field):
-    """The modular of Df over the mesh for each nodal function f of
-    `functions`, which share one mesh: the bits of modular(f.gradient_field(),
-    exponent_field), with p formed once per block for all of them and each
-    gradient formed a block at a time."""
-    return _modulars([partial(_gradient_magnitudes, f) for f in functions],
-                     functions[0].mesh, exponent_field, None, 0.0)
+def gradient_modulars(functions, exponent_field, element_mask=None, sigma=0.0):
+    """The integral of |Df|^{(1+sigma) p(x)} over the mesh, or over the
+    elements element_mask selects, for each nodal function f of
+    `functions`, which share one mesh. p is formed once per block for all
+    of them and each gradient a block at a time, so the sums are the bits
+    of the whole-mesh terms masked afterwards."""
+    sigma = checked_sigma(sigma)
+    mesh = functions[0].mesh
+    return _modulars([partial(_gradient_magnitudes, f) for f in functions], mesh,
+                     exponent_field, _region_elements(mesh, element_mask), sigma)
 
 
 def gradient_mass(areas, grads, power):
@@ -241,7 +206,8 @@ def gradient_mass(areas, grads, power):
 
 
 def luxemburg_norm(f, exponent_field):
-    """The lambda with modular(f/lambda) = 1, by Newton's method in log lambda.
+    """The lambda with modular(f/lambda) = 1 for a nodal function f, by
+    Newton's method in log lambda.
 
     With t = log(lambda / max|f|), log modular(f/lambda) is a log-sum-exp
     of the affine functions log(w |f/max|f||^p) - p t, so it is convex and
@@ -257,7 +223,7 @@ def luxemburg_norm(f, exponent_field):
     mesh (_report_terms).
     """
     p, w = _report_terms(f.mesh, exponent_field)
-    mags = _magnitudes(f, slice(None), w.shape[1])
+    mags = f.report_mags
     top = float(mags.max())
     if top == 0.0:
         return 0.0
@@ -322,19 +288,21 @@ class CampanatoProfile:
     alpha: float = math.inf
 
 
-def campanato_profile(f, p, center, radii):
-    """I(rho) = integral over B_rho of |f - mean|^p, fit log I = lam log rho + b.
+def campanato_profile(u, p, center, radii):
+    """I(rho) = integral over B_rho of |Du - mean|^p for a nodal function u,
+    fit log I = lam log rho + b.
 
-    f is a piecewise-constant vector field (an ElementVectorField). Regions
-    are element selections (all three vertices inside), the mean is the
-    area average over the same region, and alpha = (lam - 2)/p. Profiles
-    with fewer than two positive integrals keep the +inf sentinels for lam
-    and alpha.
+    Regions are element selections (all three vertices inside), the mean
+    is the area average of Du over the same region, and alpha = (lam - 2)/p.
+    Profiles with fewer than two positive integrals keep the +inf sentinels
+    for lam and alpha.
     """
-    if not isinstance(f, ElementVectorField):
-        raise PreconditionError("Campanato profiles take an element vector field")
+    return _gradient_profile(u.mesh, u.element_gradients(), p, center, radii)
+
+
+def _gradient_profile(mesh, grads, p, center, radii):
+    """campanato_profile of the piecewise-constant field grads (nt, 2)."""
     p = float(p)
-    mesh = f.mesh
     radii = checked_radii(radii, 1, h_max=mesh.h_max)
 
     prof = CampanatoProfile(center=(float(center[0]), float(center[1])), p=p)
@@ -343,7 +311,7 @@ def campanato_profile(f, p, center, radii):
         if int(sel.sum()) < 3:
             raise ResolutionError(f"fewer than 3 elements inside radius {rho}")
         a = mesh.areas[sel]
-        v = f.values[sel]
+        v = grads[sel]
         mean = (a[:, None] * v).sum(axis=0) / a.sum()
         prof.radii.append(rho)
         prof.integrals.append(gradient_mass(a, v - mean, p))

@@ -16,8 +16,9 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     theoretical_alpha)
 from pxthin import analysis
 from pxthin.analysis import (_GRID_HALVINGS, _MONO_BLOCK, _MONO_DRAW, MONO_C,
-                             SIGMA_GRID, _draw_trial, _mono_parts, _tuple_blocks,
-                             _worst_slack, calibrate_monotonicity, scan_balls)
+                             MONO_GAMMA_MAX, SIGMA_GRID, _draw_trial, _mono_parts,
+                             _tuple_blocks, _worst_slack, calibrate_monotonicity,
+                             scan_balls)
 from pxthin.cli import luxemburg_identity_checks
 from pxthin.errors import checked_trials
 from conftest import g_signorini32, traced_peak
@@ -198,6 +199,55 @@ def test_monotonicity_input_validation():
         monotonicity_check(1.0, 2.0, 10, 0)
     with pytest.raises(PreconditionError):
         monotonicity_check(2.0, 1.5, 10, 0)
+    # a number beyond the floats is a rule's error, not float()'s OverflowError
+    with pytest.raises(PreconditionError, match="gamma2 must lie within the floats"):
+        monotonicity_check(1.5, 10 ** 400, 10, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(1.01, 5.0),
+       st.one_of(st.floats(5.0, MONO_GAMMA_MAX), st.floats(5.0, 2000.0)),
+       st.integers(0, 2 ** 32 - 1))
+@example(1.1, MONO_GAMMA_MAX, 0)
+@example(1.1, math.nextafter(MONO_GAMMA_MAX, math.inf), 0)
+@example(1.1, 200.0, 0)       # 591 of 98,232 sampled ratios were inf / inf
+@example(1.1, 1100.0, 0)      # calibration's 2^gamma2 overflowed
+def test_monotonicity_samples_only_finite_terms(gamma1, gamma2, seed):
+    # above MONO_GAMMA_MAX the rule raises before any draw; at or below it
+    # the worst ratio, calibration included, is finite
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return _tuple_blocks(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_tuple_blocks", counted)
+        if gamma2 > MONO_GAMMA_MAX:
+            with pytest.raises(PreconditionError, match=r"gamma2 = .* exceeds"):
+                monotonicity_check(gamma1, gamma2, 64, seed)
+            assert draws == []
+        else:
+            assert math.isfinite(monotonicity_check(gamma1, gamma2, 64, seed))
+            assert draws
+
+
+def test_a_nan_ratio_is_never_dropped():
+    # one nan in the second block, whose other ratios stay below the first's
+    calls = []
+
+    def with_a_nan(xi1, xi2, p):
+        lhs, vol, mono = _mono_parts(xi1, xi2, p)
+        calls.append(None)
+        if len(calls) == 2:
+            lhs[5] = np.nan
+        return lhs, vol, mono
+
+    finite = monotonicity_check(1.1, 10.0, 3 * _MONO_BLOCK, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_mono_parts", with_a_nan)
+        assert math.isnan(monotonicity_check(1.1, 10.0, 3 * _MONO_BLOCK, 0))
+    assert math.isfinite(finite)
 
 
 def test_calibrated_constant_stays_below_frozen():

@@ -439,6 +439,37 @@ dir = {out}
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of scan.csv and summary.txt of an affine [2, 0.3, 0] L6 linear_xn
+# solve, reference, scan run at radius 0.035, named scan_pin, at one BLAS
+# thread (the same at two): c_sigma rows and one ball of reverse-Hoelder rows
+PINNED_SCAN_SHA256 = {
+    "scan.csv": "a26d8bd16904872c071ca67515327ee70353a70d985c5ce33e73e697f6455ede",
+    "summary.txt": "638436fb33acda6000091c30abae04985cc09c354b06b261877319eddeb4638e",
+}
+
+
+def test_scan_artifacts_keep_their_bytes(tmp_path):
+    out = tmp_path / "scan_pin"
+    cfg = write_config(tmp_path / "scan.cfg", f"""\
+[exponent]
+family = affine
+coefficients = 2, 0.3, 0
+[mesh]
+level = 6
+[boundary]
+preset = linear_xn
+[experiments]
+run = solve, reference, scan
+[scan]
+radius = 0.035
+[output]
+dir = {out}
+""")
+    assert main(["run", cfg]) == 0
+    for name, digest in PINNED_SCAN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_scan_writes_one_row_per_radius_and_sigma(tmp_path):
     out = tmp_path / "scan"
     cfg = write_config(tmp_path / "scan.cfg", """\
@@ -512,6 +543,36 @@ dir = %s
     assert summary["experiments"] == "solve;reference;scan"
     assert "M" not in summary and "scan_radius" not in summary
     assert not (out / "u.txt").exists() and not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("p", ["200", "1100"])
+def test_verify_rejects_an_exponent_its_samples_overflow_before_any_step(
+        tmp_path, capsys, monkeypatch, p):
+    # verify's plan applies the monotonicity check's rule to the field's
+    # gamma2, so neither the solve nor a sample starts
+    monkeypatch.setattr(cli, "solve", None)
+    out = tmp_path / "big_p"
+    cfg = write_config(tmp_path / "big_p.cfg", f"""\
+[exponent]
+family = constant
+coefficients = {p}
+[mesh]
+level = 2
+[boundary]
+preset = signorini32
+[experiments]
+run = solve, verify
+[output]
+dir = {out}
+""")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"error: verify: gamma2 = {float(p)} exceeds" in err
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["failed_step"] == "verify"
+    assert "energy" not in summary and "monotonicity_worst" not in summary
+    assert not (out / "u.txt").exists()
 
 
 README_EXAMPLE = """\

@@ -34,8 +34,8 @@ def test_the_public_surface_does_not_grow():
             params += count(vars(obj)["__init__"]) if "__init__" in vars(obj) else 0
         else:
             params += count(obj)
-    assert len(pxthin.__all__) <= 50
-    assert params <= 146
+    assert len(pxthin.__all__) <= 49
+    assert params <= 142
 
 
 @functools.cache

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import pxthin.sparse
 import pxthin.vxspace
-from pxthin import (ElementVectorField, ExponentField, FeFunction,
-                    PreconditionError, build, campanato_profile, compute_M,
-                    luxemburg_norm, modular)
+from pxthin import (ExponentField, FeFunction, PreconditionError, build,
+                    campanato_profile, compute_M, luxemburg_norm, modular)
 from pxthin.mesh import _quad_points, quadrature_rule
 from pxthin.vxspace import (LUXEMBURG_STEPS, REPORT_ORDER, ROUNDOFF, _SUM_BLOCK,
-                            _pairwise_sums, _report_terms, gradient_modulars,
-                            luxemburg_identity_checks)
+                            _gradient_profile, _pairwise_sums, _report_terms,
+                            gradient_modulars, luxemburg_identity_checks)
 from conftest import FAMILIES, traced_peak
 
 _mesh = functools.lru_cache(maxsize=None)(build)    # one mesh per level
@@ -38,20 +37,28 @@ def test_modular_of_constant_is_area_weighted(mesh4):
 
 
 def test_modular_sigma_raises_the_exponent(mesh4, p2):
-    f = FeFunction(mesh4, 0.5 * np.ones(mesh4.num_vertices))
+    f = FeFunction(mesh4, 0.5 * mesh4.vertices[:, 0])
     area = mesh4.areas.sum()
-    # |f|^{(1+sigma) p} with f constant 0.5, p = 2
-    assert modular(f, p2, sigma=0.5) == pytest.approx(0.5 ** 3 * area, rel=1e-12)
+    # |Df|^{(1+sigma) p} with Df constant (0.5, 0), p = 2
+    [total] = gradient_modulars((f,), p2, sigma=0.5)
+    assert total == pytest.approx(0.5 ** 3 * area, rel=1e-12)
 
 
 def test_modular_mask_restricts_the_region(mesh4, p2):
     f = FeFunction(mesh4, mesh4.vertices[:, 1].copy())
     mask = np.zeros(mesh4.num_triangles, dtype=bool)
     mask[: mesh4.num_triangles // 2] = True
-    part = modular(f, p2, element_mask=mask)
-    rest = modular(f, p2, element_mask=~mask)
+    [part], [rest], [whole] = (gradient_modulars((f,), p2, m) for m in (mask, ~mask, None))
     assert part >= 0.0 and rest >= 0.0
-    assert part + rest == pytest.approx(modular(f, p2), rel=1e-12)
+    assert part + rest == pytest.approx(whole, rel=1e-12)
+
+
+def test_gradient_modulars_check_the_mask_and_sigma(mesh4, p2):
+    f = FeFunction(mesh4, mesh4.vertices[:, 0].copy())
+    with pytest.raises(PreconditionError, match="one flag per element"):
+        gradient_modulars((f,), p2, np.ones(mesh4.num_triangles - 1, dtype=bool))
+    with pytest.raises(PreconditionError, match="sigma must be >= 0"):
+        gradient_modulars((f,), p2, sigma=-0.1)
 
 
 def test_luxemburg_constant_exponent_closed_form(mesh4):
@@ -102,23 +109,22 @@ def _exponent(family, low, high, k):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("constant", "affine", "radial", "sinusoidal")),
        st.floats(1.1, 5.0), st.floats(0.0, 4.5), st.floats(0.5, 3.0),
-       st.booleans(), st.floats(-150.0, 150.0), st.floats(-50.0, 50.0),
+       st.floats(-150.0, 150.0), st.floats(-50.0, 50.0),
        st.integers(0, 2 ** 32 - 1))
 def test_luxemburg_norm_at_every_scale(mesh4, family, low, spread, k,
-                                       per_element, scale, stretch, seed):
-    # nodal or element values scaled by 10^scale, about 30 % of them zero
+                                       scale, stretch, seed):
+    # nodal values scaled by 10^scale, about 30 % of them zero
     field = _exponent(family, low, low + spread, k)
-    kind, shape = ((ElementVectorField, (mesh4.num_triangles, 2)) if per_element
-                   else (FeFunction, (mesh4.num_vertices,)))
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal(shape) * 10.0 ** scale
-    values[rng.random(shape) < 0.3] = 0.0
+    values = rng.standard_normal(mesh4.num_vertices) * 10.0 ** scale
+    values[rng.random(mesh4.num_vertices) < 0.3] = 0.0
     assume(np.any(values))
-    nu = luxemburg_norm(kind(mesh4, values), field)
+    nu = luxemburg_norm(FeFunction(mesh4, values), field)
     assert 0.0 < nu < np.inf
-    assert abs(modular(kind(mesh4, values / nu), field) - 1.0) <= 1e-12
+    assert abs(modular(FeFunction(mesh4, values / nu), field) - 1.0) <= 1e-12
     s = 10.0 ** stretch
-    assert abs(luxemburg_norm(kind(mesh4, s * values), field) - s * nu) <= 1e-12 * s * nu
+    assert (abs(luxemburg_norm(FeFunction(mesh4, s * values), field) - s * nu)
+            <= 1e-12 * s * nu)
 
 
 def test_cached_exponent_follows_the_field():
@@ -133,8 +139,6 @@ def test_cached_exponent_follows_the_field():
         fresh = FeFunction(build(4), values)
         assert modular(f, field) == modular(fresh, field)
         assert luxemburg_norm(f, field) == luxemburg_norm(fresh, field)
-        assert (luxemburg_norm(f.gradient_field(), field)
-                == luxemburg_norm(fresh.gradient_field(), field))
         assert repr(field) in mesh.report_p
     assert len(mesh.report_p) == 2
     for terms in mesh.report_p.values():
@@ -177,8 +181,7 @@ def test_campanato_recovers_gradient_exponent_half(mesh6):
     theta = np.arctan2(x[:, 1], x[:, 0])
     g = FeFunction(mesh6, r ** 1.5 * np.cos(1.5 * theta))
     radii = list(np.geomspace(0.25, 4.0 * mesh6.h_max, 8))
-    profile = campanato_profile(g.gradient_field(), 2.0,
-                                np.array([0.0, 0.0]), radii)
+    profile = campanato_profile(g, 2.0, np.array([0.0, 0.0]), radii)
     assert 3.0 <= profile.lam <= 3.3
     assert 0.45 <= profile.alpha <= 0.65
     assert profile.alpha == (profile.lam - 2.0) / 2.0
@@ -193,59 +196,52 @@ def test_campanato_on_rough_synthetic_field(mesh5):
     r = np.hypot(x[:, 0], x[:, 1])
     nodal = np.column_stack([r ** 0.3, np.zeros_like(r)])
     element_values = nodal[mesh5.triangles].mean(axis=1)
-    field = ElementVectorField(mesh5, element_values)
-    profile = campanato_profile(field, 2.0, np.array([0.0, 0.0]),
+    profile = _gradient_profile(mesh5, element_values, 2.0, np.array([0.0, 0.0]),
                                 list(np.geomspace(0.4, 4.0 * mesh5.h_max, 10)))
     assert 0.2 <= profile.alpha <= 0.35
 
 
 def test_campanato_of_zero_field_hits_the_sentinel(mesh4):
-    field = ElementVectorField(mesh4, np.zeros((mesh4.num_triangles, 2)))
-    profile = campanato_profile(field, 2.0, np.array([0.0, 0.0]), [0.4, 0.3, 0.2])
+    f = FeFunction(mesh4, np.zeros(mesh4.num_vertices))
+    profile = campanato_profile(f, 2.0, np.array([0.0, 0.0]), [0.4, 0.3, 0.2])
     # zero oscillation yields the +inf sentinel
     assert profile.lam == np.inf
     assert all(i == 0.0 for i in profile.integrals)
 
 
 def test_campanato_radii_validation(mesh4):
-    field = ElementVectorField(mesh4, np.ones((mesh4.num_triangles, 2)))
+    f = FeFunction(mesh4, mesh4.vertices[:, 0] + mesh4.vertices[:, 1])
     with pytest.raises(PreconditionError):
-        campanato_profile(field, 2.0, np.array([0.0, 0.0]), [])
+        campanato_profile(f, 2.0, np.array([0.0, 0.0]), [])
     with pytest.raises(PreconditionError):
-        campanato_profile(field, 2.0, np.array([0.0, 0.0]), [0.2, 0.3])
+        campanato_profile(f, 2.0, np.array([0.0, 0.0]), [0.2, 0.3])
     # smallest radius must stay above the mesh resolution floor
     with pytest.raises(PreconditionError):
-        campanato_profile(field, 2.0, np.array([0.0, 0.0]), [0.4, 0.05])
+        campanato_profile(f, 2.0, np.array([0.0, 0.0]), [0.4, 0.05])
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 5), st.sampled_from(FAMILIES), st.booleans(),
+@given(st.integers(2, 5), st.integers(0, 2), st.sampled_from(FAMILIES),
        st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
-def test_all_true_mask_equals_no_mask(level, field, gradient, sigma, seed):
-    mesh = _mesh(level)
+def test_all_true_mask_equals_no_mask(level, grading, field, sigma, seed):
+    mesh = _mesh(level, grading)
     f = FeFunction(mesh, np.random.default_rng(seed).standard_normal(mesh.num_vertices))
-    if gradient:
-        f = f.gradient_field()
     everything = np.ones(mesh.num_triangles, dtype=bool)
-    assert (modular(f, field, sigma=sigma)
-            == modular(f, field, element_mask=everything, sigma=sigma))
+    assert (gradient_modulars((f,), field, sigma=sigma)
+            == gradient_modulars((f,), field, everything, sigma))
 
 
-def test_campanato_rejects_a_nodal_field(mesh4):
-    f = FeFunction(mesh4, np.zeros(mesh4.num_vertices))
-    with pytest.raises(PreconditionError):
-        campanato_profile(f, 2.0, np.array([0.0, 0.0]), [0.4, 0.3, 0.2])
-
-
-def _whole_mesh_terms(f, field):
-    # |f|, p and the weights at the report quadrature points of every element,
-    # by the expressions modular and luxemburg_norm evaluated before blocks
+def _whole_mesh_terms(f, field, gradient=False):
+    # |f| (|Df| if gradient), p and the weights at the report quadrature
+    # points of every element, by the expressions the modulars and
+    # luxemburg_norm evaluated before blocks
     mesh = f.mesh
     rule = quadrature_rule(REPORT_ORDER)
     pts, w = _quad_points(mesh, rule, slice(None)), mesh.quad_weights(rule)
     p = field.eval(pts.reshape(-1, 2)).reshape(w.shape)
-    if isinstance(f, ElementVectorField):
-        mags = np.hypot(f.values[:, 0], f.values[:, 1])
+    if gradient:
+        grads = f.element_gradients()
+        mags = np.hypot(grads[:, 0], grads[:, 1])
         return np.repeat(mags[:, None], len(rule.weights), axis=1), p, w
     tri_vals = f.values[mesh.triangles]
     xi = rule.points[:, 0][None, :]
@@ -254,9 +250,9 @@ def _whole_mesh_terms(f, field):
                   + tri_vals[:, 1:2] * xi + tri_vals[:, 2:3] * eta), p, w
 
 
-def _modular_after_mask(f, field, mask, sigma):
-    # modular's terms on the whole mesh, masked afterwards
-    mags, p, w = _whole_mesh_terms(f, field)
+def _modular_after_mask(f, field, mask, sigma=0.0, gradient=False):
+    # the modular's terms on the whole mesh, masked afterwards
+    mags, p, w = _whole_mesh_terms(f, field, gradient)
     integrand = np.where(mags > 0.0, mags, 1.0) ** ((1.0 + sigma) * p)
     integrand = np.where(mags > 0.0, integrand, 0.0)
     return float((integrand * w)[mask].sum(axis=1).sum())
@@ -278,23 +274,24 @@ def _whole_mesh_norm(f, field):
     raise AssertionError("no convergence")
 
 
-def _random_function(mesh, gradient, seed, scale=0.0):
+def _random_function(mesh, seed, scale=0.0):
     rng = np.random.default_rng(seed)
-    f = FeFunction(mesh, rng.standard_normal(mesh.num_vertices) * 10.0 ** scale)
-    return f.gradient_field() if gradient else f
+    return FeFunction(mesh, rng.standard_normal(mesh.num_vertices) * 10.0 ** scale)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.sampled_from(FAMILIES), st.booleans(),
+@given(st.integers(1, 5), st.integers(0, 3), st.sampled_from(FAMILIES),
        st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
-@example(6, FAMILIES[3], False, 0.9, 0.1, 5)     # masked elements in 2 blocks
-def test_masked_modular_equals_the_mask_after_expression(level, field, gradient,
+@example(6, 0, FAMILIES[3], 0.9, 0.1, 5)     # masked elements in 2 blocks
+@example(5, 3, FAMILIES[2], 0.6, 1.5, 8)     # graded, masked elements in 2 blocks
+def test_masked_modular_equals_the_mask_after_expression(level, grading, field,
                                                          density, sigma, seed):
-    mesh = _mesh(level)
-    f = _random_function(mesh, gradient, seed)
+    # the mask's elements go through as an index array, a block at a time
+    mesh = _mesh(level, grading)
+    f = _random_function(mesh, seed)
     mask = np.random.default_rng(seed + 1).random(mesh.num_triangles) < density
-    assert (modular(f, field, element_mask=mask, sigma=sigma)
-            == _modular_after_mask(f, field, mask, sigma))
+    assert (gradient_modulars((f,), field, mask, sigma)
+            == [_modular_after_mask(f, field, mask, sigma, gradient=True)])
 
 
 _FLAT_SIZES = (1, 127, 128, 129, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
@@ -316,29 +313,32 @@ def test_blocked_sums_equal_the_whole_array_sums(n, spread, seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.sampled_from((0, 2)),
        st.sampled_from(("constant", "affine", "radial", "sinusoidal")),
-       st.floats(1.1, 5.0), st.floats(0.0, 5.0), st.floats(0.5, 3.0), st.booleans(),
+       st.floats(1.1, 5.0), st.floats(0.0, 5.0), st.floats(0.5, 3.0),
        st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
-@example(6, 2, "sinusoidal", 5.0, 5.0, 1.0, False, 0.0, 0.5, 0)
-@example(6, 0, "affine", 1.1, 8.9, 2.0, True, 1.0, 0.0, 1)
+@example(6, 2, "sinusoidal", 5.0, 5.0, 1.0, 0.0, 0.5, 0)
+@example(6, 0, "affine", 1.1, 8.9, 2.0, 1.0, 0.0, 1)
 def test_blocked_norm_and_modular_equal_the_whole_mesh_loop(
-        level, grading, family, low, spread, k, gradient, scale, sigma, seed):
+        level, grading, family, low, spread, k, scale, sigma, seed):
     # p up to 10 on meshes whose 7 values per element span 1 to 2 blocks of
-    # the Newton step's sums (L6, graded or not) and modular's element sums
-    # p is filled in blocks of 37 elements, so every mesh from level 2 up
-    # spans several, the last one ragged
+    # the Newton step's sums (L6, graded or not) and the modulars' element
+    # sums; p is filled in blocks of 37 elements, so every mesh from level 2
+    # up spans several, the last one ragged
     mesh = _mesh(level, grading)
     field = _exponent(family, low, low + spread, k)
-    f = _random_function(mesh, gradient, seed, scale)
+    f = _random_function(mesh, seed, scale)
     mesh.report_p.clear()
-    expected = _modular_after_mask(f, field, slice(None), sigma)
+    expected = _modular_after_mask(f, field, slice(None))
+    expected_du = [_modular_after_mask(f, field, slice(None), sigma, gradient=True)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pxthin.sparse, "_ELEMENT_BLOCK", 37)
         # p evaluated a block at a time, then read from the mesh
-        assert modular(f, field, sigma=sigma) == expected
+        assert modular(f, field) == expected
+        assert gradient_modulars((f,), field, sigma=sigma) == expected_du
         assert all(np.array_equal(kept, whole) for kept, whole
                    in zip(_report_terms(mesh, field), _whole_mesh_terms(f, field)[1:]))
         assert luxemburg_norm(f, field) == _whole_mesh_norm(f, field)
-        assert modular(f, field, sigma=sigma) == expected
+        assert modular(f, field) == expected
+        assert gradient_modulars((f,), field, sigma=sigma) == expected_du
 
 
 def test_luxemburg_checks_stay_within_a_per_element_bound(mesh6, sin_field):
@@ -352,34 +352,40 @@ def test_luxemburg_checks_stay_within_a_per_element_bound(mesh6, sin_field):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 2), st.sampled_from(FAMILIES), st.booleans(),
-       st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
-@example(6, 0, FAMILIES[3], False, 0.0, 0)
+       st.floats(-3.0, 3.0), st.one_of(st.none(), st.floats(0.0, 1.0)),
+       st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
+@example(6, 0, FAMILIES[3], False, 0.0, None, 0.0, 0)
+@example(5, 2, FAMILIES[1], True, 1.0, 0.7, 0.5, 3)
 def test_gradient_modulars_are_the_modulars_of_the_gradient_fields(
-        level, grading, field, held, scale, seed):
+        level, grading, field, held, scale, density, sigma, seed):
     # leaves of 130 elements, so every mesh from level 3 up spans several,
-    # the last one ragged; p evaluated per block, or read from the mesh
+    # the last one ragged; p evaluated per block, or read from the mesh;
+    # the whole mesh, or the elements of a mask
     mesh = _mesh(level, grading)
-    u, w = (_random_function(mesh, False, seed + k, scale) for k in range(2))
+    u, w = (_random_function(mesh, seed + k, scale) for k in range(2))
     u.values[np.random.default_rng(seed).random(mesh.num_vertices) < 0.3] = 0.0
+    mask = (None if density is None
+            else np.random.default_rng(seed + 2).random(mesh.num_triangles) < density)
     mesh.report_p.clear()
     if held:
         _report_terms(mesh, field)
-    expected = [modular(f.gradient_field(), field) for f in (u, w)]
+    expected = [_modular_after_mask(f, field, slice(None) if mask is None else mask,
+                                    sigma, gradient=True) for f in (u, w)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pxthin.vxspace, "_SUM_BLOCK", 7 * 130)
-        assert gradient_modulars((u, w), field) == expected
-    assert gradient_modulars((u, w), field) == expected
+        assert gradient_modulars((u, w), field, mask, sigma) == expected
+    assert gradient_modulars((u, w), field, mask, sigma) == expected
 
 
 def test_modulars_keep_no_exponent_on_the_mesh(sin_field):
     # only luxemburg_norm keeps p on the mesh
     mesh = build(4)
-    u, w = (_random_function(mesh, False, seed) for seed in range(2))
+    u, w = (_random_function(mesh, seed) for seed in range(2))
     compute_M(u, w, sin_field)
     assert mesh.report_p == {}
     mask = np.random.default_rng(2).random(mesh.num_triangles) < 0.5
-    modular(u.gradient_field(), sin_field, element_mask=mask, sigma=0.5)
-    modular(u, sin_field, element_mask=mask)
+    gradient_modulars((u,), sin_field, mask, 0.5)
+    modular(u, sin_field)
     assert mesh.report_p == {}
 
 
@@ -390,7 +396,7 @@ def test_compute_m_temporaries_do_not_grow_with_the_mesh(mesh6, mesh7, sin_field
     # apiece at L7); 4 KiB leave room for a few Python objects
     def peak(mesh):
         mesh.report_p.clear()
-        u, w = (_random_function(mesh, False, seed) for seed in range(2))
+        u, w = (_random_function(mesh, seed) for seed in range(2))
         return traced_peak(compute_M, u, w, sin_field)
 
     assert peak(mesh7) <= peak(mesh6) + 4096
