@@ -285,17 +285,21 @@ def admissible_radius(field, M):
     return min(t1, t2, cap)
 
 
-def theoretical_alpha(alpha0, beta, gamma2):
-    """Hölder exponent of the gradient predicted by the decay argument."""
-    alpha0 = _float(alpha0, "alpha0")
+# the base gradient exponent the decay argument starts from: 1/2 is the
+# optimal one of the p = 2 thin obstacle problem (Athanasopoulos and
+# Caffarelli 2004)
+ALPHA0 = 0.5
+
+
+def theoretical_alpha(beta, gamma2):
+    """Hölder exponent of the gradient predicted by the decay argument
+    from the base exponent ALPHA0."""
     gamma2 = _float(gamma2, "gamma2")
-    if not 0.0 < alpha0 < 1.0:
-        raise PreconditionError("alpha0 must lie in (0, 1)")
     beta = checked_beta(beta)
     if not gamma2 > 1.0:
         raise PreconditionError("gamma2 must exceed 1")
     b0 = beta / 4.0
-    return alpha0 * b0 / (2.0 * (2.0 + alpha0 + b0) * gamma2)
+    return ALPHA0 * b0 / (2.0 * (2.0 + ALPHA0 + b0) * gamma2)
 
 
 # ------------------------------------------------------------------ reports
@@ -363,8 +367,10 @@ def higher_integrability_scan(u, w, field, center, r=None):
     element selection, so the sigma = 0 constant is below 1 by set
     inclusion alone. sigma0 is the largest grid sigma whose constant
     stays under C_CAP. Reverse-Hölder ratios over dyadic shrinkages of
-    the outer ball use each ball's own average. r defaults to 0.95 times
-    the admissible radius, capped so that the 2r ball stays in the 3/4 ball.
+    the outer ball use each ball's own average. Each ball's modulars are
+    one gradient_modulars pass for the whole grid, whose first sigma, 0,
+    gives the ball's base. r defaults to 0.95 times the admissible radius,
+    capped so that the 2r ball stays in the 3/4 ball.
     """
     center = checked_center(center)
     M = compute_M(u, w, field)
@@ -373,17 +379,13 @@ def higher_integrability_scan(u, w, field, center, r=None):
     mask_r, mask_2r = scan_balls(mesh, center, r)
     area2 = float(mesh.areas[mask_2r].sum())
 
-    def gradient_modular(f, mask, sigma=0.0):
-        [total] = gradient_modulars((f,), field, mask, sigma)
-        return total
-
-    base_2r = gradient_modular(u, mask_2r) / area2
+    [inner] = gradient_modulars((u,), field, mask_r, SIGMA_GRID)
+    [u_2r, w_2r] = gradient_modulars((u, w), field, mask_2r, SIGMA_GRID)
+    base_2r = u_2r[0] / area2
     c_sigma = []
-    for sigma in SIGMA_GRID:
-        lhs = gradient_modular(u, mask_r, sigma) / area2
+    for sigma, lhs, rhs2 in zip(SIGMA_GRID, inner, w_2r):
         rhs1 = base_2r ** (1.0 + sigma)
-        rhs2 = gradient_modular(w, mask_2r, sigma) / area2
-        c_sigma.append(lhs / (rhs1 + rhs2 + 1.0))
+        c_sigma.append((lhs / area2) / (rhs1 + rhs2 / area2 + 1.0))
     passing = [s for s, c in zip(SIGMA_GRID, c_sigma) if c <= C_CAP]
     report = ScanReport(r, r_adm, list(SIGMA_GRID), c_sigma,
                         max(passing) if passing else 0.0)
@@ -394,12 +396,11 @@ def higher_integrability_scan(u, w, field, center, r=None):
         if mask.sum() < 3:
             break
         area = float(mesh.areas[mask].sum())
-        base = gradient_modular(u, mask) / area
-        row = []
-        for sigma in SIGMA_GRID:
-            high = gradient_modular(u, mask, sigma) / area
-            row.append((high ** (1.0 / (1.0 + sigma)) / base)
-                       if base > 0.0 else np.inf)
+        [highs] = gradient_modulars((u,), field, mask, SIGMA_GRID)
+        base = highs[0] / area
+        row = [((high / area) ** (1.0 / (1.0 + sigma)) / base)
+               if base > 0.0 else np.inf
+               for sigma, high in zip(SIGMA_GRID, highs)]
         report.rh_radii.append(rho)
         report.rh_ratios.append(row)
         rho *= 0.5

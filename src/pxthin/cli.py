@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-from .analysis import (MONO_GAMMA, checked_gamma_range, checked_scan_radius,
-                       gradient_holder_fit, higher_integrability_scan,
-                       iteration_suite, monotonicity_check, scan_balls,
-                       theoretical_alpha)
-from .comparison import build_reference, comparison_decay
+from .analysis import (ALPHA0, MONO_GAMMA, checked_gamma_range,
+                       checked_scan_radius, gradient_holder_fit,
+                       higher_integrability_scan, iteration_suite,
+                       monotonicity_check, scan_balls, theoretical_alpha)
+from .comparison import FREEZE_SIGMA0, build_reference, comparison_decay
 from .energy import EnergySetup
 from .errors import (ConfigError, ConvergenceError, FormatError,
                      PreconditionError, PxthinError, ResolutionError,
@@ -33,7 +33,7 @@ from .mesh import (ARC, _finite, _text_lines, _write_text, build,
                    checked_radii, save_mesh)
 from .solver import (EPS_SCHEDULE, ObstacleProblem, checked_tol, load_solution,
                      save_solution, solve, vi_check)
-from .vxspace import checked_sigma, luxemburg_identity_checks
+from .vxspace import luxemburg_identity_checks
 
 _PRESETS = ("linear_xn", "signorini32", "custom")
 
@@ -146,7 +146,6 @@ _SCHEMA = {
     "freeze": {
         "center": (_conv_point, [-0.35, 0.0]),
         "radii": (_conv_floats, [0.2, 0.1, 0.05]),
-        "sigma0": (_finite, 0.1),
     },
     "scan": {
         "center": (_conv_point, [0.0, 0.0]),
@@ -155,7 +154,6 @@ _SCHEMA = {
     "holder": {
         "centers": (_conv_points, [[0.0, 0.0]]),
         "radii": (_conv_floats, None),
-        "alpha0": (_finite, 0.5),
     },
     "verify": {
         "iteration_trials": (_conv_trials, 10000),
@@ -522,18 +520,17 @@ def _freeze_plan(run):
     # comparison_decay's checks, in its order
     cfg = run.config["freeze"]
     checked_center(cfg["center"])
-    checked_sigma(cfg["sigma0"], "sigma0")
     checked_radii(cfg["radii"], 3, cfg["center"], run.mesh.h_max)
 
 
 def _freeze_step(run):
     cfg = run.config["freeze"]
     decay = comparison_decay(run.u, run.field, cfg["center"], cfg["radii"],
-                             run.reference.M, sigma0=cfg["sigma0"], tol=run.tol)
+                             run.reference.M, tol=run.tol)
     slack = min(a - b for a, b in zip(decay.energy_sub_u, decay.energy_sub_u0))
     run.summary.extend([
         ("freeze_center", _join17(cfg["center"])),
-        ("freeze_sigma0", _f17(cfg["sigma0"])),
+        ("freeze_sigma0", _f17(FREEZE_SIGMA0)),
         ("sigma1", _f17(decay.sigma1)),
         ("freeze_radii", _join17(decay.radii)),
         ("freeze_p2", _join17(decay.p2)),
@@ -597,7 +594,6 @@ def _holder_plan(run):
     cfg = run.config["holder"]
     for center in cfg["centers"]:
         checked_center(center)
-    theoretical_alpha(cfg["alpha0"], run.field.beta, run.field.gamma2)
     _holder_radii(run)
 
 
@@ -619,9 +615,8 @@ def _holder_step(run):
         ("holder_radii", _join17(radii)),
         ("alpha_origin", _f17(fit.alphas[0])),
         ("alpha_min", _f17(fit.alpha_min)),
-        ("alpha0_assumed", _f17(cfg["alpha0"])),
-        ("alpha_theory", _f17(theoretical_alpha(cfg["alpha0"], run.field.beta,
-                                                run.field.gamma2))),
+        ("alpha0_assumed", _f17(ALPHA0)),
+        ("alpha_theory", _f17(theoretical_alpha(run.field.beta, run.field.gamma2))),
     ])
 
 

@@ -15,7 +15,11 @@ from .exponent import ExponentField
 from .mesh import (INTERIOR, THIN, ball_element_mask, checked_center,
                    checked_radii, extract_halfball_submesh)
 from .solver import ObstacleProblem, solve
-from .vxspace import FeFunction, checked_sigma, gradient_mass, gradient_modulars
+from .vxspace import FeFunction, gradient_mass, gradient_modulars
+
+# the frozen-exponent majorant's cap on sigma1: M^sigma1 with sigma1 =
+# min(beta / 8, FREEZE_SIGMA0) normalizes the decay error
+FREEZE_SIGMA0 = 0.1
 
 
 @dataclass
@@ -95,23 +99,23 @@ def compute_M(u, w, field):
             and np.array_equal(u.mesh.triangles, w.mesh.triangles)):
         raise PreconditionError("u and w live on different meshes")
     area = float(u.mesh.areas.sum())
-    mass_u, mass_w = gradient_modulars((u, w), field)
+    [mass_u], [mass_w] = gradient_modulars((u, w), field)
     return mass_u + mass_w + area + 1.0
 
 
-def comparison_decay(u, field, center, radii, M, sigma0=0.1, tol=1e-10):
+def comparison_decay(u, field, center, radii, M, tol=1e-10):
     """Decay of the frozen-exponent comparison error over shrinking balls.
 
     For each radius r the submesh error E(r) = integral of |Du - Du0|^p2
-    is normalized by M^sigma1 * (energy of u on the 2r ball) + r^2 and the
-    normalized values are fitted against r in log-log coordinates. M is
-    the energy bound of u and its reference, as reference_report gives it.
+    is normalized by M^sigma1 * (energy of u on the 2r ball) + r^2, with
+    sigma1 = min(beta / 8, FREEZE_SIGMA0), and the normalized values are
+    fitted against r in log-log coordinates. M is the energy bound of u
+    and its reference, as reference_report gives it.
     """
     center = checked_center(center)
-    sigma0 = checked_sigma(sigma0, "sigma0")
     radii = checked_radii(radii, 3, center, u.mesh.h_max)
     M = float(M)
-    sigma1 = min(field.beta / 8.0, sigma0)
+    sigma1 = min(field.beta / 8.0, FREEZE_SIGMA0)
 
     # every submesh and exponent first, so a too-coarse ball fails before a solve
     pieces = [extract_halfball_submesh(u.mesh, center, r) for r in radii]

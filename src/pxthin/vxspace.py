@@ -73,7 +73,10 @@ def _region_elements(mesh, element_mask):
     """Indices of the selected elements; None, for all of them, without a mask."""
     if element_mask is None:
         return None
-    mask = np.asarray(element_mask, dtype=bool)
+    mask = np.asarray(element_mask)
+    if mask.dtype != bool:
+        # an index array or float weights would be read as flags
+        raise PreconditionError(f"element mask must be boolean, got dtype {mask.dtype}")
     if mask.shape != (mesh.num_triangles,):
         raise PreconditionError("element mask must have one flag per element")
     return np.flatnonzero(mask)
@@ -132,23 +135,25 @@ def _pairwise_sums(block_sums, lo, hi, block):
                                        _pairwise_sums(block_sums, mid, hi, block)))
 
 
-def checked_sigma(sigma, name="sigma"):
+def checked_sigma(sigma):
     """sigma as a float; the exponent gain (1 + sigma) p must not fall below p."""
-    sigma = _float(sigma, name)
+    sigma = _float(sigma, "sigma")
     if not sigma >= 0.0:
-        raise PreconditionError(f"{name} must be >= 0, got {sigma}")
+        raise PreconditionError(f"sigma must be >= 0, got {sigma}")
     return sigma
 
 
-def _modulars(magnitudes, mesh, exponent_field, elements, sigma):
+def _modulars(magnitudes, mesh, exponent_field, elements, sigmas):
     """The integral of |f|^{(1+sigma) p(x)} over the indices `elements` of
     the mesh's elements (all of them, when None), for each field f given
-    by its magnitude(rows, nq), |f| at the report quadrature points.
+    by its magnitude(rows, nq), |f| at the report quadrature points, and
+    each sigma of `sigmas`: one list of len(sigmas) sums per field.
 
     The elements are taken in blocks of at most _SUM_BLOCK quadrature
     values, and a block takes p and the weights once for every field: from
     `TriMesh.report_p` if luxemburg_norm left them there, else evaluated
-    and formed for the block's elements alone. Each element's terms are
+    and formed for the block's elements alone. Each field's magnitudes are
+    formed once per block for every sigma. Each element's terms are
     summed, and the element sums are added in numpy's pairwise order.
     """
     rule = quadrature_rule(REPORT_ORDER)
@@ -162,39 +167,44 @@ def _modulars(magnitudes, mesh, exponent_field, elements, sigma):
             w = mesh.quad_weights(rule, rows)
         else:
             p, w = (a[rows] for a in held)
-        power = (1.0 + sigma) * p
+        powers = [(1.0 + sigma) * p for sigma in sigmas]
         sums = []
         for magnitude in magnitudes:
             mags = magnitude(rows, nq)
             positive = mags > 0.0
-            integrand = np.where(positive, mags, 1.0) ** power
-            integrand = np.where(positive, integrand, 0.0)
-            sums.append((integrand * w).sum(axis=1).sum())
+            for power in powers:
+                integrand = np.where(positive, mags, 1.0) ** power
+                integrand = np.where(positive, integrand, 0.0)
+                sums.append((integrand * w).sum(axis=1).sum())
         return sums
 
     count = mesh.num_triangles if elements is None else len(elements)
-    return [float(total) for total
-            in _pairwise_sums(block_sums, 0, count, _SUM_BLOCK // nq)]
+    totals = [float(total) for total
+              in _pairwise_sums(block_sums, 0, count, _SUM_BLOCK // nq)]
+    n = len(sigmas)
+    return [totals[k * n:(k + 1) * n] for k in range(len(magnitudes))]
 
 
 def modular(f, exponent_field):
     """integral of |f|^{p(x)} over the mesh for a nodal function f, by
     _modulars' blocks and pairwise sums."""
-    [total] = _modulars([lambda rows, nq: f.report_mags[rows]], f.mesh,
-                        exponent_field, None, 0.0)
+    [[total]] = _modulars([lambda rows, nq: f.report_mags[rows]], f.mesh,
+                          exponent_field, None, (0.0,))
     return total
 
 
-def gradient_modulars(functions, exponent_field, element_mask=None, sigma=0.0):
-    """The integral of |Df|^{(1+sigma) p(x)} over the mesh, or over the
-    elements element_mask selects, for each nodal function f of
-    `functions`, which share one mesh. p is formed once per block for all
-    of them and each gradient a block at a time, so the sums are the bits
-    of the whole-mesh terms masked afterwards."""
-    sigma = checked_sigma(sigma)
+def gradient_modulars(functions, exponent_field, element_mask=None, sigmas=(0.0,)):
+    """The integrals of |Df|^{(1+sigma) p(x)} over the mesh, or over the
+    elements the boolean element_mask selects, for each nodal function f
+    of `functions`, which share one mesh, and each sigma of `sigmas`: per
+    function, the list of its modulars in the order of `sigmas`. p is
+    formed once per block for all of them and each gradient a block at a
+    time, so the sums are the bits of the whole-mesh terms masked
+    afterwards, whichever sigmas are taken together."""
+    sigmas = [checked_sigma(sigma) for sigma in sigmas]
     mesh = functions[0].mesh
     return _modulars([partial(_gradient_magnitudes, f) for f in functions], mesh,
-                     exponent_field, _region_elements(mesh, element_mask), sigma)
+                     exponent_field, _region_elements(mesh, element_mask), sigmas)
 
 
 def gradient_mass(areas, grads, power):

@@ -358,16 +358,16 @@ def test_admissible_radius_validation():
 
 
 def test_theoretical_alpha_pinned_example():
-    assert theoretical_alpha(0.5, 1.0, 3.0) == 0.0075757575757575756
+    # from the base exponent ALPHA0 = 1/2
+    assert analysis.ALPHA0 == 0.5
+    assert theoretical_alpha(1.0, 3.0) == 0.0075757575757575756
 
 
 def test_theoretical_alpha_validation():
     with pytest.raises(PreconditionError):
-        theoretical_alpha(0.0, 1.0, 3.0)
+        theoretical_alpha(1.5, 3.0)
     with pytest.raises(PreconditionError):
-        theoretical_alpha(0.5, 1.5, 3.0)
-    with pytest.raises(PreconditionError):
-        theoretical_alpha(0.5, 1.0, 1.0)
+        theoretical_alpha(1.0, 1.0)
 
 
 # ------------------------------------------------------------------- scans
@@ -417,6 +417,24 @@ def test_the_sigma_grid_keeps_its_rules():
     assert len(SIGMA_GRID) > 0
     assert list(SIGMA_GRID) == sorted(SIGMA_GRID)
     assert SIGMA_GRID[0] == 0.0
+
+
+def test_scan_takes_one_pass_per_ball(scan_inputs, monkeypatch):
+    # one gradient_modulars call for the r ball, one for the 2r ball and one
+    # per reverse-Hoelder ball, each for every sigma of the grid
+    problem, u, w, field = scan_inputs
+    calls = []
+
+    def counted(functions, exponent_field, element_mask=None, sigmas=(0.0,)):
+        calls.append(sigmas)
+        return real(functions, exponent_field, element_mask, sigmas)
+
+    real = analysis.gradient_modulars
+    monkeypatch.setattr(analysis, "gradient_modulars", counted)
+    rep = higher_integrability_scan(u, w, field, (0.0, 0.0), 0.035)
+    assert len(rep.rh_radii) >= 1
+    assert len(calls) == 2 + len(rep.rh_radii)
+    assert all(tuple(sigmas) == SIGMA_GRID for sigmas in calls)
 
 
 def test_scan_validation(scan_inputs):

@@ -613,7 +613,7 @@ def test_the_readme_config_block_names_every_schema_key():
             keys.add((section, match.group(1)))
     assert keys == {(section, key) for section, entries in cli._SCHEMA.items()
                     for key in entries}
-    assert len(keys) == 27
+    assert len(keys) == 25
 
 
 def test_readme_example_scan_below_level_8_starts_no_solve(tmp_path, capsys,
@@ -829,10 +829,8 @@ def test_zero_vi_trials_are_rejected_before_the_solve(tmp_path, capsys):
     ("holder", "radii = 0.1", "need at least 2 radii"),
     ("holder", "radii = 0.1, 0.2", "strictly decreasing"),
     ("holder", "radii = 0.2, 0.01", "2*h_max"),
-    ("holder", "alpha0 = 1.5", "alpha0 must lie in (0, 1)"),
     ("holder", "centers = 0.0, 0.3", "thin line with |x1| <= 1/2"),
     ("freeze", "center = 0.0, 0.1", "thin line with |x1| <= 1/2"),
-    ("freeze", "sigma0 = -1", "sigma0 must be >= 0"),
     ("scan", "radius = 0.5", "3/4 ball"),
     ("scan", "radius = 0.2", "exceeds the admissible radius 0.125 at M = 1"),
     ("scan", "radius = 0.1", "ball selections are too coarse"),
@@ -957,6 +955,11 @@ def test_negative_seeds_are_rejected(tmp_path, capsys):
      "line 12: unknown key 'gamma2' in [verify]"),
     ("[output]", "[scan]\nsigma_grid = 0.1, 0.2\n[output]",
      "line 12: unknown key 'sigma_grid' in [scan]"),
+    # the majorant's sigma0 and the theory's alpha0 are constants
+    ("[output]", "[holder]\nalpha0 = 1.5\n[output]",
+     "line 12: unknown key 'alpha0' in [holder]"),
+    ("[output]", "[freeze]\nsigma0 = -1\n[output]",
+     "line 12: unknown key 'sigma0' in [freeze]"),
     ("preset = signorini32", "preset = signorini32\noffset = 0.75",
      "line 10: unknown key 'offset' in [boundary]"),
     ("preset = signorini32", "preset = offset_const",
@@ -964,7 +967,7 @@ def test_negative_seeds_are_rejected(tmp_path, capsys):
      "signorini32, custom"),
 ], ids=["beta_2", "level_11", "level_-1", "affine_2_coefficients", "constant_1",
         "tol_1", "eps_schedule_0.5", "gamma1_0.9", "gamma2_12", "sigma_grid_0.1_0.2",
-        "offset_0.75", "offset_const"])
+        "alpha0_1.5", "sigma0_-1", "offset_0.75", "offset_const"])
 def test_exponent_and_level_errors_are_config_errors(tmp_path, capsys, old, new,
                                                      fragment):
     out = tmp_path / "o"

@@ -191,20 +191,9 @@ def test_decay_is_exact_on_a_contact_ball_for_p2(solved_p2_sig32_l6):
 def test_decay_sigma1_caps_at_beta_over_8(solved_p2_sig32_l5):
     _, u, _, _ = solved_p2_sig32_l5
     field = ExponentField("constant", [2.0], beta=0.4)
-    rep = comparison_decay(u, field, (-0.05, 0.0), [0.3, 0.2, 0.1], 2.0,
-                           sigma0=0.3)
+    # beta / 8 = 0.05 lies below FREEZE_SIGMA0 = 0.1
+    rep = comparison_decay(u, field, (-0.05, 0.0), [0.3, 0.2, 0.1], 2.0)
     assert rep.sigma1 == pytest.approx(0.05)
-
-
-@pytest.mark.parametrize("sigma0", [-1.0, -1e-12])
-def test_decay_rejects_a_negative_sigma0_before_any_solve(mesh3, p2, monkeypatch,
-                                                        sigma0):
-    # a negative sigma0 would make sigma1 negative, and M^sigma1 shrink the majorant
-    monkeypatch.setattr("pxthin.comparison.solve", None)
-    u = FeFunction(mesh3, np.zeros(mesh3.num_vertices))
-    with pytest.raises(PreconditionError, match="sigma0 must be >= 0"):
-        comparison_decay(u, p2, (0.0, 0.0), [0.37, 0.35, 0.33], 1.0,
-                         sigma0=sigma0)
 
 
 def test_decay_variable_exponent_decreases(solved_sin_sig32_l6):

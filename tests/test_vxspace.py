@@ -40,7 +40,7 @@ def test_modular_sigma_raises_the_exponent(mesh4, p2):
     f = FeFunction(mesh4, 0.5 * mesh4.vertices[:, 0])
     area = mesh4.areas.sum()
     # |Df|^{(1+sigma) p} with Df constant (0.5, 0), p = 2
-    [total] = gradient_modulars((f,), p2, sigma=0.5)
+    [[total]] = gradient_modulars((f,), p2, sigmas=(0.5,))
     assert total == pytest.approx(0.5 ** 3 * area, rel=1e-12)
 
 
@@ -48,17 +48,24 @@ def test_modular_mask_restricts_the_region(mesh4, p2):
     f = FeFunction(mesh4, mesh4.vertices[:, 1].copy())
     mask = np.zeros(mesh4.num_triangles, dtype=bool)
     mask[: mesh4.num_triangles // 2] = True
-    [part], [rest], [whole] = (gradient_modulars((f,), p2, m) for m in (mask, ~mask, None))
+    [[part]], [[rest]], [[whole]] = (gradient_modulars((f,), p2, m)
+                                     for m in (mask, ~mask, None))
     assert part >= 0.0 and rest >= 0.0
     assert part + rest == pytest.approx(whole, rel=1e-12)
 
 
 def test_gradient_modulars_check_the_mask_and_sigma(mesh4, p2):
     f = FeFunction(mesh4, mesh4.vertices[:, 0].copy())
+    nt = mesh4.num_triangles
     with pytest.raises(PreconditionError, match="one flag per element"):
-        gradient_modulars((f,), p2, np.ones(mesh4.num_triangles - 1, dtype=bool))
+        gradient_modulars((f,), p2, np.ones(nt - 1, dtype=bool))
+    # an index array of length nt, read as flags, would drop element 0, and
+    # float weights of 0.5 would select every element
+    for mask in (np.arange(nt), np.full(nt, 0.5)):
+        with pytest.raises(PreconditionError, match="element mask must be boolean"):
+            gradient_modulars((f,), p2, mask)
     with pytest.raises(PreconditionError, match="sigma must be >= 0"):
-        gradient_modulars((f,), p2, sigma=-0.1)
+        gradient_modulars((f,), p2, sigmas=(0.0, -0.1))
 
 
 def test_luxemburg_constant_exponent_closed_form(mesh4):
@@ -227,8 +234,8 @@ def test_all_true_mask_equals_no_mask(level, grading, field, sigma, seed):
     mesh = _mesh(level, grading)
     f = FeFunction(mesh, np.random.default_rng(seed).standard_normal(mesh.num_vertices))
     everything = np.ones(mesh.num_triangles, dtype=bool)
-    assert (gradient_modulars((f,), field, sigma=sigma)
-            == gradient_modulars((f,), field, everything, sigma))
+    assert (gradient_modulars((f,), field, sigmas=(sigma,))
+            == gradient_modulars((f,), field, everything, (sigma,)))
 
 
 def _whole_mesh_terms(f, field, gradient=False):
@@ -290,8 +297,8 @@ def test_masked_modular_equals_the_mask_after_expression(level, grading, field,
     mesh = _mesh(level, grading)
     f = _random_function(mesh, seed)
     mask = np.random.default_rng(seed + 1).random(mesh.num_triangles) < density
-    assert (gradient_modulars((f,), field, mask, sigma)
-            == [_modular_after_mask(f, field, mask, sigma, gradient=True)])
+    assert (gradient_modulars((f,), field, mask, (sigma,))
+            == [[_modular_after_mask(f, field, mask, sigma, gradient=True)]])
 
 
 _FLAT_SIZES = (1, 127, 128, 129, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
@@ -328,17 +335,17 @@ def test_blocked_norm_and_modular_equal_the_whole_mesh_loop(
     f = _random_function(mesh, seed, scale)
     mesh.report_p.clear()
     expected = _modular_after_mask(f, field, slice(None))
-    expected_du = [_modular_after_mask(f, field, slice(None), sigma, gradient=True)]
+    expected_du = [[_modular_after_mask(f, field, slice(None), sigma, gradient=True)]]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pxthin.sparse, "_ELEMENT_BLOCK", 37)
         # p evaluated a block at a time, then read from the mesh
         assert modular(f, field) == expected
-        assert gradient_modulars((f,), field, sigma=sigma) == expected_du
+        assert gradient_modulars((f,), field, sigmas=(sigma,)) == expected_du
         assert all(np.array_equal(kept, whole) for kept, whole
                    in zip(_report_terms(mesh, field), _whole_mesh_terms(f, field)[1:]))
         assert luxemburg_norm(f, field) == _whole_mesh_norm(f, field)
         assert modular(f, field) == expected
-        assert gradient_modulars((f,), field, sigma=sigma) == expected_du
+        assert gradient_modulars((f,), field, sigmas=(sigma,)) == expected_du
 
 
 def test_luxemburg_checks_stay_within_a_per_element_bound(mesh6, sin_field):
@@ -353,14 +360,17 @@ def test_luxemburg_checks_stay_within_a_per_element_bound(mesh6, sin_field):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 2), st.sampled_from(FAMILIES), st.booleans(),
        st.floats(-3.0, 3.0), st.one_of(st.none(), st.floats(0.0, 1.0)),
-       st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
-@example(6, 0, FAMILIES[3], False, 0.0, None, 0.0, 0)
-@example(5, 2, FAMILIES[1], True, 1.0, 0.7, 0.5, 3)
+       st.floats(0.0, 2.0), st.lists(st.floats(0.0, 2.0), max_size=5),
+       st.integers(0, 2 ** 32 - 1))
+@example(6, 0, FAMILIES[3], False, 0.0, None, 0.0, [], 0)
+@example(5, 2, FAMILIES[1], True, 1.0, 0.7, 0.5, [], 3)
+@example(6, 1, FAMILIES[2], False, 0.0, 0.8, 0.0, [0.01, 0.02, 0.05, 0.1, 0.2], 4)
 def test_gradient_modulars_are_the_modulars_of_the_gradient_fields(
-        level, grading, field, held, scale, density, sigma, seed):
+        level, grading, field, held, scale, density, sigma, more, seed):
     # leaves of 130 elements, so every mesh from level 3 up spans several,
     # the last one ragged; p evaluated per block, or read from the mesh;
-    # the whole mesh, or the elements of a mask
+    # the whole mesh, or the elements of a mask; sigma alone, or with more
+    # sigmas in one pass, each entry the bits of its one-sigma oracle
     mesh = _mesh(level, grading)
     u, w = (_random_function(mesh, seed + k, scale) for k in range(2))
     u.values[np.random.default_rng(seed).random(mesh.num_vertices) < 0.3] = 0.0
@@ -369,12 +379,14 @@ def test_gradient_modulars_are_the_modulars_of_the_gradient_fields(
     mesh.report_p.clear()
     if held:
         _report_terms(mesh, field)
-    expected = [_modular_after_mask(f, field, slice(None) if mask is None else mask,
-                                    sigma, gradient=True) for f in (u, w)]
+    sigmas = [sigma] + more
+    region = slice(None) if mask is None else mask
+    expected = [[_modular_after_mask(f, field, region, s, gradient=True) for s in sigmas]
+                for f in (u, w)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pxthin.vxspace, "_SUM_BLOCK", 7 * 130)
-        assert gradient_modulars((u, w), field, mask, sigma) == expected
-    assert gradient_modulars((u, w), field, mask, sigma) == expected
+        assert gradient_modulars((u, w), field, mask, sigmas) == expected
+    assert gradient_modulars((u, w), field, mask, sigmas) == expected
 
 
 def test_modulars_keep_no_exponent_on_the_mesh(sin_field):
@@ -384,7 +396,7 @@ def test_modulars_keep_no_exponent_on_the_mesh(sin_field):
     compute_M(u, w, sin_field)
     assert mesh.report_p == {}
     mask = np.random.default_rng(2).random(mesh.num_triangles) < 0.5
-    gradient_modulars((u,), sin_field, mask, 0.5)
+    gradient_modulars((u,), sin_field, mask, (0.0, 0.5))
     modular(u, sin_field)
     assert mesh.report_p == {}
 
