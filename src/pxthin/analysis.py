@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .comparison import compute_M
+from .comparison import checked_M, compute_M
 from .errors import PreconditionError, ResolutionError, _float, checked_trials
 from .exponent import checked_beta
 from .mesh import GEOM_TOL, ball_element_mask, checked_center, checked_radii
@@ -270,10 +270,8 @@ def monotonicity_check(gamma1, gamma2, trials, seed):
 # ------------------------------------------------------------ radius, alpha
 
 def admissible_radius(field, M):
-    """Largest half-ball radius the local estimates tolerate."""
-    M = _float(M, "M")
-    if M < 1.0:
-        raise PreconditionError("M must be at least 1")
+    """Largest half-ball radius the local estimates tolerate (M after checked_M)."""
+    M = checked_M(M)
     L = field.holder_seminorm
     beta = field.beta
     cap = 1.0 / (8.0 * M)
@@ -346,17 +344,26 @@ def checked_scan_radius(r, field, M, center):
 
 
 def scan_balls(mesh, center, r):
-    """Element flags of the scan's r and 2r balls about center, after the
-    rule that each holds at least 3 elements."""
-    masks = [ball_element_mask(mesh, center, s * r) for s in (1.0, 2.0)]
-    counts = [int(mask.sum()) for mask in masks]
+    """Every ball the scan measures about center, as (radius, element
+    flags), from 2r down by halves: the 2r and r balls, after the rule
+    that each holds at least 3 elements, then each smaller ball past
+    2 h_max that holds at least 3, up to 6 balls in all."""
+    balls = [(s * r, ball_element_mask(mesh, center, s * r)) for s in (2.0, 1.0)]
+    counts = [int(mask.sum()) for _, mask in balls]
     if min(counts) < 3:
         raise ResolutionError(
             f"ball selections are too coarse: about "
-            f"{tuple(float(c) for c in center)}, radius {r} holds {counts[0]} "
-            f"elements and radius {2.0 * r} holds {counts[1]}; each needs at "
+            f"{tuple(float(c) for c in center)}, radius {r} holds {counts[1]} "
+            f"elements and radius {2.0 * r} holds {counts[0]}; each needs at "
             f"least 3, so refine the mesh")
-    return masks
+    rho = 0.5 * r
+    while rho > 2.0 * mesh.h_max and len(balls) < 6:
+        mask = ball_element_mask(mesh, center, rho)
+        if mask.sum() < 3:
+            break
+        balls.append((rho, mask))
+        rho *= 0.5
+    return balls
 
 
 def higher_integrability_scan(u, w, field, center, r=None):
@@ -366,44 +373,36 @@ def higher_integrability_scan(u, w, field, center, r=None):
     All three quantities are normalized by the area of the outer ball's
     element selection, so the sigma = 0 constant is below 1 by set
     inclusion alone. sigma0 is the largest grid sigma whose constant
-    stays under C_CAP. Reverse-Hölder ratios over dyadic shrinkages of
-    the outer ball use each ball's own average. Each ball's modulars are
-    one gradient_modulars pass for the whole grid, whose first sigma, 0,
-    gives the ball's base. r defaults to 0.95 times the admissible radius,
+    stays under C_CAP. Reverse-Hölder ratios over the balls of scan_balls
+    past 2 h_max use each ball's own average. Each ball takes one
+    gradient_modulars pass for the whole grid: Du and Dw on the 2r ball,
+    Du on the others. r defaults to 0.95 times the admissible radius,
     capped so that the 2r ball stays in the 3/4 ball.
     """
     center = checked_center(center)
     M = compute_M(u, w, field)
     r, r_adm = checked_scan_radius(r, field, M, center)
     mesh = u.mesh
-    mask_r, mask_2r = scan_balls(mesh, center, r)
-    area2 = float(mesh.areas[mask_2r].sum())
-
-    [inner] = gradient_modulars((u,), field, mask_r, SIGMA_GRID)
-    [u_2r, w_2r] = gradient_modulars((u, w), field, mask_2r, SIGMA_GRID)
+    balls = scan_balls(mesh, center, r)
+    [u_2r, w_2r] = gradient_modulars((u, w), field, balls[0][1], SIGMA_GRID)
+    highs = [u_2r] + [gradient_modulars((u,), field, mask, SIGMA_GRID)[0]
+                      for _, mask in balls[1:]]
+    area2 = float(mesh.areas[balls[0][1]].sum())
     base_2r = u_2r[0] / area2
-    c_sigma = []
-    for sigma, lhs, rhs2 in zip(SIGMA_GRID, inner, w_2r):
-        rhs1 = base_2r ** (1.0 + sigma)
-        c_sigma.append((lhs / area2) / (rhs1 + rhs2 / area2 + 1.0))
+    c_sigma = [(lhs / area2) / (base_2r ** (1.0 + sigma) + rhs2 / area2 + 1.0)
+               for sigma, lhs, rhs2 in zip(SIGMA_GRID, highs[1], w_2r)]
     passing = [s for s, c in zip(SIGMA_GRID, c_sigma) if c <= C_CAP]
     report = ScanReport(r, r_adm, list(SIGMA_GRID), c_sigma,
                         max(passing) if passing else 0.0)
 
-    rho = 2.0 * r
-    while rho > 2.0 * mesh.h_max and len(report.rh_radii) < 6:
-        mask = ball_element_mask(mesh, center, rho)
-        if mask.sum() < 3:
-            break
-        area = float(mesh.areas[mask].sum())
-        [highs] = gradient_modulars((u,), field, mask, SIGMA_GRID)
-        base = highs[0] / area
-        row = [((high / area) ** (1.0 / (1.0 + sigma)) / base)
-               if base > 0.0 else np.inf
-               for sigma, high in zip(SIGMA_GRID, highs)]
-        report.rh_radii.append(rho)
-        report.rh_ratios.append(row)
-        rho *= 0.5
+    for (rho, mask), ball_highs in zip(balls, highs):
+        if rho > 2.0 * mesh.h_max:
+            area = float(mesh.areas[mask].sum())
+            base = ball_highs[0] / area
+            report.rh_radii.append(rho)
+            report.rh_ratios.append([((high / area) ** (1.0 / (1.0 + sigma)) / base)
+                                     if base > 0.0 else np.inf
+                                     for sigma, high in zip(SIGMA_GRID, ball_highs)])
     return report
 
 

@@ -12,7 +12,6 @@ import argparse
 import copy
 import csv
 import io
-import math
 import os
 import sys
 
@@ -66,15 +65,6 @@ def _checked(check, conv):
 
 
 _conv_trials = _checked(checked_trials, _conv_int)
-
-
-def _conv_bool(text):
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError("expected true or false")
 
 
 def _conv_floats(text):
@@ -163,7 +153,6 @@ _SCHEMA = {
     "output": {
         "dir": (str, _REQUIRED),
         "name": (str, None),
-        "plots": (_conv_bool, False),
     },
 }
 
@@ -271,11 +260,6 @@ def _write_csv(path, header, rows):
     _write_text(path, text.getvalue())
 
 
-def _csv_rows(path):
-    """The rows of a CSV file as dicts by its header."""
-    return list(csv.DictReader(line for _, line in _text_lines(path)))
-
-
 def boundary_values(config, mesh, config_dir):
     """Nodal boundary/start data for the configured preset."""
     section = config["boundary"]
@@ -294,78 +278,6 @@ def boundary_values(config, mesh, config_dir):
             path = os.path.join(config_dir, path)
         base = load_solution(path, mesh).values
     return scale * base
-
-
-def _loglog_svg(path, title, xs, ys, xlabel, ylabel):
-    """Minimal log-log SVG plot; skipped when fewer than two positive points."""
-    points = [(x, y) for x, y in zip(xs, ys) if x > 0.0 and y > 0.0]
-    if len(points) < 2:
-        return False
-    lx = [math.log10(p[0]) for p in points]
-    ly = [math.log10(p[1]) for p in points]
-    x0, x1 = min(lx), max(lx)
-    y0, y1 = min(ly), max(ly)
-    if x1 - x0 < 1e-12:
-        x1 = x0 + 1.0
-    if y1 - y0 < 1e-12:
-        y1 = y0 + 1.0
-
-    def px(v):
-        return 60.0 + 380.0 * (v - x0) / (x1 - x0)
-
-    def py(v):
-        return 320.0 - 280.0 * (v - y0) / (y1 - y0)
-
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360" '
-             'viewBox="0 0 480 360">',
-             '<rect x="0" y="0" width="480" height="360" fill="white"/>',
-             '<rect x="60" y="40" width="380" height="280" fill="none" '
-             'stroke="black"/>',
-             '<text x="240" y="20" text-anchor="middle" font-size="13">%s</text>'
-             % title,
-             '<text x="250" y="350" text-anchor="middle" font-size="11">%s</text>'
-             % xlabel,
-             '<text x="14" y="180" text-anchor="middle" font-size="11" '
-             'transform="rotate(-90 14 180)">%s</text>' % ylabel,
-             '<text x="60" y="334" text-anchor="middle" font-size="10">%.3g</text>'
-             % 10.0 ** x0,
-             '<text x="440" y="334" text-anchor="middle" font-size="10">%.3g</text>'
-             % 10.0 ** x1,
-             '<text x="54" y="324" text-anchor="end" font-size="10">%.3g</text>'
-             % 10.0 ** y0,
-             '<text x="54" y="46" text-anchor="end" font-size="10">%.3g</text>'
-             % 10.0 ** y1]
-    coords = " ".join("%.6g,%.6g" % (px(a), py(b)) for a, b in zip(lx, ly))
-    parts.append('<polyline points="%s" fill="none" stroke="steelblue" '
-                 'stroke-width="1.5"/>' % coords)
-    for a, b in zip(lx, ly):
-        parts.append('<circle cx="%.6g" cy="%.6g" r="3" fill="steelblue"/>'
-                     % (px(a), py(b)))
-    parts.append('</svg>')
-    _write_text(path, "\n".join(parts) + "\n")
-    return True
-
-
-def _plot_from_csvs(outdir):
-    # plots are rebuilt from the emitted CSV data, never from in-memory state
-    comparison = os.path.join(outdir, "comparison.csv")
-    if os.path.exists(comparison):
-        rows = [r for r in _csv_rows(comparison) if r["kind"] == "radius"]
-        _loglog_svg(os.path.join(outdir, "decay.svg"),
-                    "normalized frozen-exponent comparison error",
-                    [float(r["radius"]) for r in rows],
-                    [float(r["ratio"]) for r in rows], "radius", "normalized error")
-    holder = os.path.join(outdir, "holder.csv")
-    if os.path.exists(holder):
-        rows = _csv_rows(holder)
-        # the profile of the first center only
-        first = [r for r in rows if (r["center_x1"], r["center_x2"])
-                 == (rows[0]["center_x1"], rows[0]["center_x2"])]
-        _loglog_svg(os.path.join(outdir, "campanato.svg"),
-                    "gradient oscillation profile",
-                    [float(r["radius"]) for r in first],
-                    [float(r["integral"]) for r in first],
-                    "radius", "Campanato integral")
 
 
 class _Run:
@@ -698,8 +610,6 @@ def run_command(config_path):
             print("error: %s: %s" % (name, exc), file=sys.stderr)
             return 2
     run.write_summary()
-    if config["output"]["plots"]:
-        _plot_from_csvs(outdir)
     for contract, detail in run.violations:
         print("contract violated: %s (%s)" % (contract, detail), file=sys.stderr)
     if run.violations:

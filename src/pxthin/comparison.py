@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergySetup, residual
-from .errors import PreconditionError
+from .errors import PreconditionError, _float
 from .exponent import ExponentField
 from .mesh import (INTERIOR, THIN, ball_element_mask, checked_center,
                    checked_radii, extract_halfball_submesh)
@@ -42,6 +42,15 @@ class DecayReport:
     fitted_rate: float = np.nan
 
 
+def checked_M(M):
+    """M as a float, after the rule that it is finite and at least 1, as
+    compute_M's sums are."""
+    M = _float(M, "M")
+    if not 1.0 <= M < np.inf:
+        raise PreconditionError(f"M must be finite and at least 1, got {M}")
+    return M
+
+
 def reference_problem(problem, values):
     """The reference problem on problem's setup: no obstacle, Dirichlet data
     0 on Thin and, on Arc, the constant m = min of `values` over Arc."""
@@ -62,11 +71,12 @@ def build_reference(u, problem, tol=1e-10):
 
 
 def reference_report(u, w, field):
-    """ReferenceReport of the pair: M, the nodal ordering margin min(u - w)
-    and the odd reflection residual of w."""
+    """ReferenceReport of the pair: M, which rejects a pair on different
+    meshes first, the nodal ordering margin min(u - w) and the odd
+    reflection residual of w."""
+    M = compute_M(u, w, field)
     return ReferenceReport(ordering_margin=float((u.values - w.values).min()),
-                           reflect_residual=reflect_and_check(w, field),
-                           M=compute_M(u, w, field))
+                           reflect_residual=reflect_and_check(w, field), M=M)
 
 
 def reflect_and_check(w, field):
@@ -93,11 +103,8 @@ def reflect_and_check(w, field):
 
 def compute_M(u, w, field):
     """Total energy mass of the pair plus domain area plus one: the
-    modulars of Du and Dw, taken in one pass over the elements."""
-    if not (u.mesh is w.mesh
-            or np.array_equal(u.mesh.vertices, w.mesh.vertices)
-            and np.array_equal(u.mesh.triangles, w.mesh.triangles)):
-        raise PreconditionError("u and w live on different meshes")
+    modulars of Du and Dw, taken in one gradient_modulars pass over the
+    elements, which rejects a pair on different meshes."""
     area = float(u.mesh.areas.sum())
     [mass_u], [mass_w] = gradient_modulars((u, w), field)
     return mass_u + mass_w + area + 1.0
@@ -110,11 +117,12 @@ def comparison_decay(u, field, center, radii, M, tol=1e-10):
     is normalized by M^sigma1 * (energy of u on the 2r ball) + r^2, with
     sigma1 = min(beta / 8, FREEZE_SIGMA0), and the normalized values are
     fitted against r in log-log coordinates. M is the energy bound of u
-    and its reference, as reference_report gives it.
+    and its reference, as reference_report gives it, and checked_M's rule
+    holds for it before any submesh or solve.
     """
     center = checked_center(center)
     radii = checked_radii(radii, 3, center, u.mesh.h_max)
-    M = float(M)
+    M = checked_M(M)
     sigma1 = min(field.beta / 8.0, FREEZE_SIGMA0)
 
     # every submesh and exponent first, so a too-coarse ball fails before a solve

@@ -196,13 +196,18 @@ def modular(f, exponent_field):
 def gradient_modulars(functions, exponent_field, element_mask=None, sigmas=(0.0,)):
     """The integrals of |Df|^{(1+sigma) p(x)} over the mesh, or over the
     elements the boolean element_mask selects, for each nodal function f
-    of `functions`, which share one mesh, and each sigma of `sigmas`: per
-    function, the list of its modulars in the order of `sigmas`. p is
-    formed once per block for all of them and each gradient a block at a
-    time, so the sums are the bits of the whole-mesh terms masked
+    of `functions` and each sigma of `sigmas`: per function, the list of
+    its modulars in the order of `sigmas`. The functions share one mesh:
+    the same object, or equal vertices and triangles; others are rejected.
+    p is formed once per block for all of them and each gradient a block
+    at a time, so the sums are the bits of the whole-mesh terms masked
     afterwards, whichever sigmas are taken together."""
     sigmas = [checked_sigma(sigma) for sigma in sigmas]
     mesh = functions[0].mesh
+    if not all(f.mesh is mesh or np.array_equal(f.mesh.vertices, mesh.vertices)
+               and np.array_equal(f.mesh.triangles, mesh.triangles)
+               for f in functions[1:]):
+        raise PreconditionError("the functions live on different meshes")
     return _modulars([partial(_gradient_magnitudes, f) for f in functions], mesh,
                      exponent_field, _region_elements(mesh, element_mask), sigmas)
 

@@ -1,7 +1,9 @@
 """Shared fixtures.  Meshes and solves are session scoped: they are pure
 functions of their arguments, so every test file reuses the same objects."""
 
+import inspect
 import os
+import pathlib
 import tracemalloc
 
 # one BLAS thread, as in bench/run.py, before numpy loads: a multithreaded
@@ -13,8 +15,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+import pxthin
 from pxthin import (EnergySetup, ExponentField, FeFunction, ObstacleProblem,
                     TriMesh, build, solve)
+from pxthin.cli import _SCHEMA
 from pxthin.mesh import ARC, INTERIOR, in_half_disk, on_arc, on_thin_line
 
 CRITERION_LINES = []
@@ -34,12 +38,38 @@ def record_criterion(number, passed, detail):
     return passed
 
 
+def public_parameters():
+    """The parameters of the public surface: each __all__ function's
+    parameters plus each class's own __init__ parameters, less self, *args
+    and **kwargs."""
+    def count(fn):
+        kinds = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+        return sum(1 for p in inspect.signature(fn).parameters.values()
+                   if p.kind not in kinds and p.name != "self")
+
+    params = 0
+    for name in pxthin.__all__:
+        obj = getattr(pxthin, name)
+        if inspect.isclass(obj):
+            params += count(vars(obj)["__init__"]) if "__init__" in vars(obj) else 0
+        else:
+            params += count(obj)
+    return params
+
+
 def pytest_terminal_summary(terminalreporter):
-    if not CRITERION_LINES:
-        return
-    terminalreporter.write_sep("=", "acceptance criteria")
-    for _, line in sorted(CRITERION_LINES):
-        terminalreporter.write_line(line)
+    if CRITERION_LINES:
+        terminalreporter.write_sep("=", "acceptance criteria")
+        for _, line in sorted(CRITERION_LINES):
+            terminalreporter.write_line(line)
+    # the sizes each change reports
+    source = pathlib.Path(pxthin.__file__).parent
+    lines = sum(len(path.read_text("utf-8").splitlines())
+                for path in source.glob("*.py"))
+    keys = sum(len(entries) for entries in _SCHEMA.values())
+    terminalreporter.write_line(
+        "SIZE: src %d lines, __all__ %d names, %d public parameters, %d config keys"
+        % (lines, len(pxthin.__all__), public_parameters(), keys))
 
 
 def csr(matrix):

@@ -274,13 +274,12 @@ luxemburg_trials = 2
 [output]
 dir = {out}
 name = same
-plots = true
 """)
         assert main(["run", str(cfg)]) == 0
         outs.append(out)
     identical = []
     for name in ("mesh.txt", "u.txt", "w.txt", "holder.csv", "summary.txt",
-                 "campanato.svg"):
+                 "comparison.csv"):
         a = (outs[0] / name).read_bytes()
         b = (outs[1] / name).read_bytes()
         identical.append((name, a == b))

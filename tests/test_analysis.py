@@ -1,6 +1,8 @@
 """Quantitative lemma constants, the sampled verifications, and the scans."""
 
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     ObstacleProblem, PreconditionError, ResolutionError,
-                    admissible_radius,
+                    admissible_radius, build,
                     build_reference, compute_M, gradient_holder_fit,
                     higher_integrability_scan, iteration_constants,
                     iteration_suite, monotonicity_check, solve,
@@ -18,9 +20,11 @@ from pxthin import analysis
 from pxthin.analysis import (_GRID_HALVINGS, _MONO_BLOCK, _MONO_DRAW, MONO_C,
                              MONO_GAMMA_MAX, SIGMA_GRID, _draw_trial, _mono_parts,
                              _tuple_blocks, _worst_slack, calibrate_monotonicity,
-                             scan_balls)
+                             checked_scan_radius, scan_balls)
 from pxthin.cli import luxemburg_identity_checks
 from pxthin.errors import checked_trials
+from pxthin.mesh import ball_element_mask, checked_center
+from pxthin.vxspace import gradient_modulars
 from conftest import g_signorini32, traced_peak
 
 
@@ -352,9 +356,13 @@ def test_admissible_radius_constant_field_uses_only_the_cap():
 
 
 def test_admissible_radius_validation():
-    field = ExponentField("constant", [2.0])
-    with pytest.raises(PreconditionError):
-        admissible_radius(field, 0.5)
+    # nan slips past a bare M < 1 test (the affine field would get 0.1736,
+    # above the 0.125 of M = 1), and inf would give radius 0
+    for field in (ExponentField("constant", [2.0]),
+                  ExponentField("affine", [2.0, 0.3, 0.0])):
+        for M in (0.5, np.nan, np.inf):
+            with pytest.raises(PreconditionError, match="M must be finite and at least 1"):
+                admissible_radius(field, M)
 
 
 def test_theoretical_alpha_pinned_example():
@@ -419,10 +427,88 @@ def test_the_sigma_grid_keeps_its_rules():
     assert SIGMA_GRID[0] == 0.0
 
 
-def test_scan_takes_one_pass_per_ball(scan_inputs, monkeypatch):
-    # one gradient_modulars call for the r ball, one for the 2r ball and one
-    # per reverse-Hoelder ball, each for every sigma of the grid
-    problem, u, w, field = scan_inputs
+_scan_mesh = functools.lru_cache(maxsize=None)(build)    # one mesh per level, grading
+# the scan test field and constant p = 2; M's cap binds the radius of both
+_SCAN_FIELDS = (ExponentField("affine", [2.0, 0.3, 0.0], holder_seminorm=0.3),
+                ExponentField("constant", [2.0]))
+
+
+def _synthetic_pair(mesh, scale=1.0):
+    """Nodal u and w for a scan without a solve: scale times the
+    signorini32 data and x2 (1 - x2)."""
+    x2 = mesh.vertices[:, 1]
+    return (FeFunction(mesh, scale * g_signorini32(mesh)),
+            FeFunction(mesh, scale * x2 * (1.0 - x2)))
+
+
+def _scan_oracle(u, w, field, center, r):
+    """The scan with a pass per selected ball, the oracle of scan_balls'
+    list: a pass for the r ball and one for the 2r ball, then from 2r down by
+    halves each ball past 2 h_max selected by ball_element_mask, with its
+    own pass, until one holds fewer than 3 elements or 6 are taken. For
+    balls too coarse for c(sigma) it returns ("coarse", r, their counts)."""
+    center = checked_center(center)
+    M = compute_M(u, w, field)
+    r, r_adm = checked_scan_radius(r, field, M, center)
+    mesh = u.mesh
+    mask_r, mask_2r = (ball_element_mask(mesh, center, s * r) for s in (1.0, 2.0))
+    if min(mask_r.sum(), mask_2r.sum()) < 3:
+        return "coarse", r, int(mask_r.sum()), int(mask_2r.sum())
+    area2 = float(mesh.areas[mask_2r].sum())
+    [inner] = gradient_modulars((u,), field, mask_r, SIGMA_GRID)
+    [u_2r, w_2r] = gradient_modulars((u, w), field, mask_2r, SIGMA_GRID)
+    base_2r = u_2r[0] / area2
+    c_sigma = [(lhs / area2) / (base_2r ** (1.0 + sigma) + rhs2 / area2 + 1.0)
+               for sigma, lhs, rhs2 in zip(SIGMA_GRID, inner, w_2r)]
+    passing = [s for s, c in zip(SIGMA_GRID, c_sigma) if c <= analysis.C_CAP]
+    report = analysis.ScanReport(r, r_adm, list(SIGMA_GRID), c_sigma,
+                                 max(passing) if passing else 0.0)
+    rho = 2.0 * r
+    while rho > 2.0 * mesh.h_max and len(report.rh_radii) < 6:
+        mask = ball_element_mask(mesh, center, rho)
+        if mask.sum() < 3:
+            break
+        area = float(mesh.areas[mask].sum())
+        [highs] = gradient_modulars((u,), field, mask, SIGMA_GRID)
+        base = highs[0] / area
+        report.rh_radii.append(rho)
+        report.rh_ratios.append([(high / area) ** (1.0 / (1.0 + sigma)) / base
+                                 if base > 0.0 else np.inf
+                                 for sigma, high in zip(SIGMA_GRID, highs)])
+        rho *= 0.5
+    return report
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(6, 7), st.integers(0, 2), st.sampled_from(_SCAN_FIELDS),
+       st.floats(-0.5, 0.5), st.floats(0.05, 1.0), st.floats(0.1, 1.0))
+@example(6, 0, _SCAN_FIELDS[0], 0.0, 0.8, 1.0)      # no row: 2r <= 2 h_max
+@example(6, 0, _SCAN_FIELDS[0], 0.0, 0.95, 1.0)     # one row: r <= 2 h_max < 2r
+@example(7, 2, _SCAN_FIELDS[1], -0.3, 0.95, 0.25)   # three rows
+@example(6, 0, _SCAN_FIELDS[0], 0.0, 0.3, 1.0)      # r ball too coarse
+def test_scan_equals_a_pass_per_selected_ball(level, grading, field, x1, fraction,
+                                              scale):
+    mesh = _scan_mesh(level, grading)
+    u, w = _synthetic_pair(mesh, scale)
+    r = fraction * admissible_radius(field, compute_M(u, w, field))
+    expected = _scan_oracle(u, w, field, (x1, 0.0), r)
+    if isinstance(expected, tuple):
+        _, r, count_r, count_2r = expected
+        with pytest.raises(ResolutionError, match=re.escape(
+                f"radius {r} holds {count_r} elements and radius {2.0 * r} "
+                f"holds {count_2r};")):
+            higher_integrability_scan(u, w, field, (x1, 0.0), r)
+    else:
+        assert higher_integrability_scan(u, w, field, (x1, 0.0), r) == expected
+
+
+def test_scan_takes_one_pass_per_ball(monkeypatch):
+    # one gradient_modulars call per ball of scan_balls, Du and Dw on the 2r
+    # ball, each for every sigma of the grid: max(2, rows) calls. Here at
+    # the default radius both the 2r and the r ball are reverse-Hoelder
+    # balls, where a pass of their own would make 4 calls
+    u, w = _synthetic_pair(_scan_mesh(7, 0))
+    field = _SCAN_FIELDS[0]
     calls = []
 
     def counted(functions, exponent_field, element_mask=None, sigmas=(0.0,)):
@@ -431,9 +517,9 @@ def test_scan_takes_one_pass_per_ball(scan_inputs, monkeypatch):
 
     real = analysis.gradient_modulars
     monkeypatch.setattr(analysis, "gradient_modulars", counted)
-    rep = higher_integrability_scan(u, w, field, (0.0, 0.0), 0.035)
-    assert len(rep.rh_radii) >= 1
-    assert len(calls) == 2 + len(rep.rh_radii)
+    rep = higher_integrability_scan(u, w, field, (0.0, 0.0))
+    assert len(rep.rh_radii) == 2
+    assert len(calls) == max(2, len(rep.rh_radii))
     assert all(tuple(sigmas) == SIGMA_GRID for sigmas in calls)
 
 

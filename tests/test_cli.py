@@ -19,8 +19,8 @@ from pxthin import (ConfigError, FeFunction, NumericError, build, load_solution,
                     save_solution)
 from pxthin import cli, comparison
 from pxthin.analysis import MONO_GAMMA, SIGMA_GRID
-from pxthin.cli import (_loglog_svg, boundary_values, main,
-                        normalize_experiments, parse_config)
+from pxthin.cli import (boundary_values, main, normalize_experiments,
+                        parse_config)
 from pxthin.mesh import MAX_GRADING, MAX_LEVEL
 
 
@@ -77,7 +77,6 @@ def test_parse_config_defaults(tmp_path):
     assert cfg["experiments"]["run"] == ["solve"]
     assert cfg["freeze"]["radii"] == [0.2, 0.1, 0.05]
     assert cfg["verify"]["monotonicity_trials"] == 100000
-    assert cfg["output"]["plots"] is False
     # the monotonicity check reads its exponent range from the field
     with pytest.raises(ConfigError, match=r"^line 14: unknown key 'gamma1' in \[verify\]$"):
         parse_config(write_config(tmp_path / "b.cfg", BASE.format(out=tmp_path / "o")
@@ -613,7 +612,7 @@ def test_the_readme_config_block_names_every_schema_key():
             keys.add((section, match.group(1)))
     assert keys == {(section, key) for section, entries in cli._SCHEMA.items()
                     for key in entries}
-    assert len(keys) == 25
+    assert len(keys) == 24
 
 
 def test_readme_example_scan_below_level_8_starts_no_solve(tmp_path, capsys,
@@ -627,21 +626,6 @@ def test_readme_example_scan_below_level_8_starts_no_solve(tmp_path, capsys,
     assert re.search(r"error: scan: ball selections are too coarse: about "
                      r"\(0\.0, 0\.0\), radius 0\.0060\d+ holds 0 elements and "
                      r"radius 0\.012\d+ holds 4;", capsys.readouterr().err)
-
-
-def test_loglog_svg_writes_plot(tmp_path):
-    path = tmp_path / "p.svg"
-    _loglog_svg(str(path), "decay", [0.2, 0.1, 0.05], [1e-3, 1e-4, 1e-5],
-                "radius", "value")
-    text = path.read_text()
-    assert text.startswith("<svg")
-    assert "decay" in text
-
-
-def test_loglog_svg_skips_degenerate_data(tmp_path):
-    path = tmp_path / "p.svg"
-    _loglog_svg(str(path), "decay", [0.2, 0.1], [0.0, 0.0], "r", "v")
-    assert not path.exists()
 
 
 def test_coarse_mesh_rejects_default_holder_radii_before_solving(tmp_path, capsys):
@@ -962,12 +946,15 @@ def test_negative_seeds_are_rejected(tmp_path, capsys):
      "line 12: unknown key 'sigma0' in [freeze]"),
     ("preset = signorini32", "preset = signorini32\noffset = 0.75",
      "line 10: unknown key 'offset' in [boundary]"),
+    # the CSVs are the artifacts; no option redraws them as SVGs
+    ("[output]", "[output]\nplots = true",
+     "line 12: unknown key 'plots' in [output]"),
     ("preset = signorini32", "preset = offset_const",
      "line 9: bad value for [boundary] preset: expected one of: linear_xn, "
      "signorini32, custom"),
 ], ids=["beta_2", "level_11", "level_-1", "affine_2_coefficients", "constant_1",
         "tol_1", "eps_schedule_0.5", "gamma1_0.9", "gamma2_12", "sigma_grid_0.1_0.2",
-        "alpha0_1.5", "sigma0_-1", "offset_0.75", "offset_const"])
+        "alpha0_1.5", "sigma0_-1", "offset_0.75", "plots_true", "offset_const"])
 def test_exponent_and_level_errors_are_config_errors(tmp_path, capsys, old, new,
                                                      fragment):
     out = tmp_path / "o"

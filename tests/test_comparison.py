@@ -9,6 +9,7 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, ObstacleProblem,
                     PreconditionError, build, build_reference,
                     comparison_decay, compute_M, reference_report,
                     reflect_and_check, residual, solve)
+from pxthin import comparison
 from pxthin.mesh import ARC, INTERIOR, THIN
 from conftest import FAMILIES, EvenExtensionField, reflect_full_disk
 
@@ -143,6 +144,28 @@ def test_compute_m_requires_matching_meshes(solved_p2_sig32_l5, mesh4, p2):
     other = FeFunction(mesh4, np.zeros(mesh4.num_vertices))
     with pytest.raises(PreconditionError):
         compute_M(u, other, p2)
+
+
+def test_reference_report_rejects_a_pair_on_different_meshes(
+        solved_p2_sig32_l5, mesh4, p2):
+    # M comes first, so the nodal difference never broadcasts across meshes
+    _, u, _, _ = solved_p2_sig32_l5
+    other = FeFunction(mesh4, np.zeros(mesh4.num_vertices))
+    with pytest.raises(PreconditionError, match="different meshes"):
+        reference_report(u, other, p2)
+
+
+@pytest.mark.parametrize("M", [-1.0, 0.5, np.nan, np.inf])
+def test_decay_rejects_a_bad_M_before_any_solve(solved_p2_sig32_l5, p2, monkeypatch,
+                                                M):
+    # -1 would raise a TypeError and nan give nan ratios, each after the
+    # three submesh solves
+    _, u, _, _ = solved_p2_sig32_l5
+    calls = []
+    monkeypatch.setattr(comparison, "solve", lambda *args: calls.append(args))
+    with pytest.raises(PreconditionError, match="M must be finite and at least 1"):
+        comparison_decay(u, p2, (-0.05, 0.0), [0.3, 0.2, 0.1], M)
+    assert calls == []
 
 
 def test_decay_radii_validation(solved_p2_sig32_l5, p2):

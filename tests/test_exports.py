@@ -9,6 +9,7 @@ import pathlib
 import re
 
 import pxthin
+from conftest import public_parameters
 
 
 def test_every_export_resolves_once():
@@ -19,23 +20,9 @@ def test_every_export_resolves_once():
 
 
 def test_the_public_surface_does_not_grow():
-    # each __all__ function's parameters plus each class's own __init__
-    # parameters, less self, *args and **kwargs; lower both bounds when the
-    # surface shrinks
-    def count(fn):
-        kinds = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
-        return sum(1 for p in inspect.signature(fn).parameters.values()
-                   if p.kind not in kinds and p.name != "self")
-
-    params = 0
-    for name in pxthin.__all__:
-        obj = getattr(pxthin, name)
-        if inspect.isclass(obj):
-            params += count(vars(obj)["__init__"]) if "__init__" in vars(obj) else 0
-        else:
-            params += count(obj)
+    # lower both bounds when the surface shrinks
     assert len(pxthin.__all__) <= 49
-    assert params <= 140
+    assert public_parameters() <= 140
 
 
 @functools.cache

@@ -68,6 +68,23 @@ def test_gradient_modulars_check_the_mask_and_sigma(mesh4, p2):
         gradient_modulars((f,), p2, sigmas=(0.0, -0.1))
 
 
+def test_gradient_modulars_take_their_functions_on_one_mesh(mesh4, mesh5, p2):
+    # p, the weights and the element count come from the first function's
+    # mesh: x1^2 on L5 after a function on L4 would take the L4 terms with
+    # L5 gradients (2.5288 against its own 1.5703), and the other order
+    # would fail in numpy's broadcast
+    u4, u5 = (FeFunction(m, m.vertices[:, 0] ** 2) for m in (mesh4, mesh5))
+    for functions in ((u4, u5), (u5, u4)):
+        with pytest.raises(PreconditionError, match="different meshes"):
+            gradient_modulars(functions, p2)
+    # an equal mesh that is another object is the same mesh
+    twin = build(4)
+    assert twin is not mesh4
+    v4 = FeFunction(twin, u4.values)
+    assert gradient_modulars((u4, v4), p2) == gradient_modulars((u4, u4), p2)
+    assert gradient_modulars((v4, u4), p2) == gradient_modulars((u4, u4), p2)
+
+
 def test_luxemburg_constant_exponent_closed_form(mesh4):
     field = ExponentField("constant", [3.0])
     rng = np.random.default_rng(5)
