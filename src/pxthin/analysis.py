@@ -343,11 +343,9 @@ def checked_scan_radius(r, field, M, center):
     return r, r_adm
 
 
-def scan_balls(mesh, center, r):
-    """Every ball the scan measures about center, as (radius, element
-    flags), from 2r down by halves: the 2r and r balls, after the rule
-    that each holds at least 3 elements, then each smaller ball past
-    2 h_max that holds at least 3, up to 6 balls in all."""
+def checked_outer_balls(mesh, center, r):
+    """The scan's 2r and r balls about center, as (radius, element flags),
+    after the rule that each holds at least 3 elements."""
     balls = [(s * r, ball_element_mask(mesh, center, s * r)) for s in (2.0, 1.0)]
     counts = [int(mask.sum()) for _, mask in balls]
     if min(counts) < 3:
@@ -356,6 +354,15 @@ def scan_balls(mesh, center, r):
             f"{tuple(float(c) for c in center)}, radius {r} holds {counts[1]} "
             f"elements and radius {2.0 * r} holds {counts[0]}; each needs at "
             f"least 3, so refine the mesh")
+    return balls
+
+
+def scan_balls(mesh, center, r):
+    """Every ball the scan measures about center, as (radius, element
+    flags), from 2r down by halves: the checked_outer_balls, then each
+    smaller ball past 2 h_max that holds at least 3 elements, up to 6
+    balls in all."""
+    balls = checked_outer_balls(mesh, center, r)
     rho = 0.5 * r
     while rho > 2.0 * mesh.h_max and len(balls) < 6:
         mask = ball_element_mask(mesh, center, rho)

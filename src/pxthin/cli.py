@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from .analysis import (ALPHA0, MONO_GAMMA, checked_gamma_range,
-                       checked_scan_radius, gradient_holder_fit,
-                       higher_integrability_scan, iteration_suite,
-                       monotonicity_check, scan_balls, theoretical_alpha)
+                       checked_outer_balls, checked_scan_radius,
+                       gradient_holder_fit, higher_integrability_scan,
+                       iteration_suite, monotonicity_check, theoretical_alpha)
 from .comparison import FREEZE_SIGMA0, build_reference, comparison_decay
 from .energy import EnergySetup
 from .errors import (ConfigError, ConvergenceError, FormatError,
@@ -484,7 +484,7 @@ def _scan_plan(run):
     cfg = run.config["scan"]
     center = checked_center(cfg["center"])
     r, _ = checked_scan_radius(cfg["radius"], run.field, 1.0, center)
-    scan_balls(run.mesh, center, r)
+    checked_outer_balls(run.mesh, center, r)
 
 
 def _holder_radii(run):

@@ -115,10 +115,6 @@ class TriMesh:
         self.source = None
         self.vertex_map = None
         self.digest = None      # mesh_hash, filled on first use
-        # vxspace: read-only p and weights at its report quadrature points, by
-        # repr(field), kept by luxemburg_norm, whose Newton steps each read all
-        # of them
-        self.report_p = {}
 
         p0, p1, p2 = (np.take(self.vertices, self.triangles[:, k], axis=0) for k in range(3))
         e1 = p1 - p0
@@ -429,9 +425,13 @@ def ball_element_mask(mesh, center, radius):
 
 
 def checked_center(center):
-    """center as a float array, after the half-ball rule: on T1, |x1| <= 1/2."""
+    """center as a float array, after the half-ball rule: a point (x1, x2)
+    on T1 with |x1| <= 1/2."""
     center = np.asarray(center, dtype=float)
-    if not on_thin_line(center) or abs(center[0]) > 0.5 + GEOM_TOL:
+    if center.shape != (2,):
+        raise PreconditionError(
+            f"a center must be one point (x1, x2), got shape {center.shape}")
+    if not on_thin_line(center) or not abs(center[0]) <= 0.5 + GEOM_TOL:
         raise PreconditionError(
             "half-ball centers must lie on the thin line with |x1| <= 1/2, "
             f"got {tuple(float(c) for c in center)}")
@@ -440,12 +440,14 @@ def checked_center(center):
 
 def checked_radii(radii, count, center=None, h_max=0.0):
     """radii as floats, after the rules the ball experiments share: at
-    least `count` of them, strictly decreasing, the smallest above
+    least `count` of them, finite, strictly decreasing, the smallest above
     2 h_max and, with a center, the 2r half-ball about it inside the
     3/4 ball."""
     radii = [float(r) for r in radii]
     if len(radii) < count:
         raise PreconditionError(f"need at least {count} radii, got {len(radii)}")
+    if not all(map(math.isfinite, radii)):
+        raise PreconditionError(f"radii must be finite, got {radii}")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly decreasing")
     if radii[-1] <= 2.0 * h_max:

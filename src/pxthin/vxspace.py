@@ -23,10 +23,6 @@ REPORT_ORDER = 5
 # Luxemburg norm: Newton steps allowed, and the step size counted as round-off
 LUXEMBURG_STEPS = 100
 ROUNDOFF = 4.0 * np.finfo(float).eps
-# fields whose p a mesh keeps for luxemburg_norm, beside one array of
-# weights: the run's field and verify's constant p = 3; each costs 56 bytes
-# per element, so a sweep over fields must not pile up
-P_CACHE_FIELDS = 2
 # quadrature values per block of the Luxemburg Newton step's sums, of the
 # modulars' terms and of report_mags: 0.5 MB per temporary, which stays
 # in cache, where an L8 mesh's 1.8 M values take 14.7 MB per temporary and
@@ -82,31 +78,17 @@ def _region_elements(mesh, element_mask):
     return np.flatnonzero(mask)
 
 
-def _report_terms(mesh, exponent_field):
-    """p and the weights at the report quadrature points, each (nt, nq)
-    and read-only, kept on the mesh for the Newton steps of luxemburg_norm,
-    which each read all of them.
+class _Sampled:
+    """An exponent field's read-only p and weights, each (nt, nq), at the
+    report quadrature points of one mesh, to pass as the exponent_field of
+    several norms and modulars there. The weights depend on the mesh
+    alone, so a record may share another's."""
 
-    p is evaluated once per (mesh, field) and kept in `TriMesh.report_p`,
-    keyed by repr(field): it fixes the family, coefficients and bounds
-    that `eval` reads, so an entry cannot go stale. The mesh keeps p of
-    the last P_CACHE_FIELDS fields used on it and drops the least recently
-    used one. The weights depend on the mesh alone, so its entries share
-    one array of them.
-    """
-    cache = mesh.report_p
-    key = repr(exponent_field)
-    terms = cache.pop(key, None)
-    if terms is None:
+    def __init__(self, field, mesh, weights=None):
         rule = quadrature_rule(REPORT_ORDER)
-        p = _field_at_quad_points(mesh, exponent_field, rule)
-        w = next(iter(cache.values()))[1] if cache else mesh.quad_weights(rule)
-        p.flags.writeable = w.flags.writeable = False
-        terms = p, w
-        if len(cache) >= P_CACHE_FIELDS:
-            del cache[next(iter(cache))]
-    cache[key] = terms      # a hit moves to the end: the dict is in use order
-    return terms
+        self.p = _field_at_quad_points(mesh, field, rule)
+        self.weights = mesh.quad_weights(rule) if weights is None else weights
+        self.p.flags.writeable = self.weights.flags.writeable = False
 
 
 def _gradient_magnitudes(f, rows, nq):
@@ -150,23 +132,22 @@ def _modulars(magnitudes, mesh, exponent_field, elements, sigmas):
     each sigma of `sigmas`: one list of len(sigmas) sums per field.
 
     The elements are taken in blocks of at most _SUM_BLOCK quadrature
-    values, and a block takes p and the weights once for every field: from
-    `TriMesh.report_p` if luxemburg_norm left them there, else evaluated
-    and formed for the block's elements alone. Each field's magnitudes are
-    formed once per block for every sigma. Each element's terms are
-    summed, and the element sums are added in numpy's pairwise order.
+    values, and a block takes p and the weights once for every field: the
+    block's rows of a _Sampled record, else evaluated and formed for the
+    block's elements alone. Each field's magnitudes are formed once per
+    block for every sigma. Each element's terms are summed, and the element
+    sums are added in numpy's pairwise order.
     """
     rule = quadrature_rule(REPORT_ORDER)
     nq = len(rule.weights)
-    held = mesh.report_p.get(repr(exponent_field))
 
     def block_sums(lo, hi):
         rows = slice(lo, hi) if elements is None else elements[lo:hi]
-        if held is None:
+        if isinstance(exponent_field, _Sampled):
+            p, w = exponent_field.p[rows], exponent_field.weights[rows]
+        else:
             p = _field_at(mesh, exponent_field, rule, rows)
             w = mesh.quad_weights(rule, rows)
-        else:
-            p, w = (a[rows] for a in held)
         powers = [(1.0 + sigma) * p for sigma in sigmas]
         sums = []
         for magnitude in magnitudes:
@@ -234,10 +215,12 @@ def luxemburg_norm(f, exponent_field):
     for the zero field. Each step evaluates its two sums _SUM_BLOCK
     quadrature values at a time, added along numpy's pairwise tree, so
     they equal the sums over the whole mesh at once. Every step reads p
-    and the weights at all the quadrature points, so they are kept on the
-    mesh (_report_terms).
+    and the weights at all the quadrature points: a _Sampled record's, or
+    else sampled once for this call.
     """
-    p, w = _report_terms(f.mesh, exponent_field)
+    if not isinstance(exponent_field, _Sampled):
+        exponent_field = _Sampled(exponent_field, f.mesh)
+    p, w = exponent_field.p, exponent_field.weights
     mags = f.report_mags
     top = float(mags.max())
     if top == 0.0:
@@ -265,10 +248,12 @@ def luxemburg_identity_checks(mesh, field, trials, seed):
 
     Returns (unit modular deviation, homogeneity relative error, constant
     exponent closed-form relative error).  The closed form uses p = 3.
+    field and p = 3 are sampled at their first use into _Sampled records,
+    which share one array of weights, for every norm and modular to read.
     """
     trials = checked_trials(trials)
     rng = np.random.default_rng(seed)
-    const_field = ExponentField("constant", [3.0])
+    p_field = p_three = None
     worst_unit = 0.0
     worst_homog = 0.0
     worst_const = 0.0
@@ -278,15 +263,17 @@ def luxemburg_identity_checks(mesh, field, trials, seed):
         if not np.any(values):
             continue
         f = FeFunction(mesh, values)
-        nu = luxemburg_norm(f, field)
-        unit = abs(modular(FeFunction(mesh, values / nu), field) - 1.0)
+        p_field = p_field or _Sampled(field, mesh)
+        nu = luxemburg_norm(f, p_field)
+        unit = abs(modular(FeFunction(mesh, values / nu), p_field) - 1.0)
         worst_unit = max(worst_unit, unit)
         s = 10.0 ** rng.uniform(-1.0, 1.0)
-        nu_scaled = luxemburg_norm(FeFunction(mesh, s * values), field)
+        nu_scaled = luxemburg_norm(FeFunction(mesh, s * values), p_field)
         worst_homog = max(worst_homog, abs(nu_scaled - s * nu) / (s * nu))
-        # the norm first: it keeps p = 3 on the mesh, where modular reads it
-        nu_const = luxemburg_norm(f, const_field)
-        closed = modular(f, const_field) ** (1.0 / 3.0)
+        p_three = p_three or _Sampled(ExponentField("constant", [3.0]), mesh,
+                                      p_field.weights)
+        nu_const = luxemburg_norm(f, p_three)
+        closed = modular(f, p_three) ** (1.0 / 3.0)
         worst_const = max(worst_const, abs(nu_const - closed) / closed)
     return worst_unit, worst_homog, worst_const
 

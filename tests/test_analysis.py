@@ -546,6 +546,17 @@ def test_scan_default_radius_is_the_former_cli_radius(scan_inputs, center):
     assert default == higher_integrability_scan(u, w, field, center, radius)
 
 
+@pytest.mark.parametrize("center, r", [
+    ((0.0, 0.0, 7.0), 0.035), (0.0, 0.035), ([[0.0, 0.0]], 0.035),
+    ((math.nan, 0.0), 0.035), ((0.0, 0.0), math.nan)])
+def test_scan_rejects_a_malformed_center_or_radius(scan_inputs, center, r):
+    # (0, 0, 7) was scanned about (0, 0); the others raised an IndexError,
+    # a ValueError or a ResolutionError that blamed the mesh
+    _, u, w, field = scan_inputs
+    with pytest.raises(PreconditionError):
+        higher_integrability_scan(u, w, field, center, r)
+
+
 def test_scan_rejects_underresolved_balls(mesh3):
     field = ExponentField("constant", [2.0])
     g = mesh3.vertices[:, 1].copy()
@@ -580,6 +591,18 @@ def test_holder_fit_center_validation(mesh5, p2):
         gradient_holder_fit(u, p2, [(0.7, 0.0)], [0.3, 0.2])
     with pytest.raises(PreconditionError):
         gradient_holder_fit(u, p2, [(0.0, 0.0)], [0.3])
+
+
+@pytest.mark.parametrize("center, radii", [
+    ((0.0, 0.0, 7.0), [0.3, 0.2]), (0.0, [0.3, 0.2]), ([[0.0, 0.0]], [0.3, 0.2]),
+    ((math.nan, 0.0), [0.3, 0.2]), ((0.0, 0.0), [math.inf, 0.2]),
+    ((0.0, 0.0), [0.5, math.nan])])
+def test_holder_fit_rejects_a_malformed_center_or_radii(mesh5, p2, center, radii):
+    # (0, 0, 7) was fitted about (0, 0); the others raised an IndexError, a
+    # ValueError, LAPACK's "SVD did not converge" or a ResolutionError
+    u = FeFunction(mesh5, g_signorini32(mesh5))
+    with pytest.raises(PreconditionError):
+        gradient_holder_fit(u, p2, [center], radii)
 
 
 def test_holder_fit_uses_top_exponent_of_largest_ball(mesh5):

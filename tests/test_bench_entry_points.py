@@ -4,6 +4,7 @@ rename they rely on fails here first."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,9 +18,10 @@ def _config(tmp_path, workload, level):
         "workloads", os.path.join(BENCH, "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    text = workloads.config_text(workload, 0)
-    assert "level = 7" in text
-    (tmp_path / "c.cfg").write_text(text.replace("level = 7", "level = %d" % level))
+    text, count = re.subn(r"^level = \d+$", "level = %d" % level,
+                          workloads.config_text(workload, 0), flags=re.M)
+    assert count == 1
+    (tmp_path / "c.cfg").write_text(text)
     return "c.cfg"
 
 
@@ -43,3 +45,17 @@ def test_trace_run_times_the_scan_after_the_run(tmp_path):
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["metrics"]["analysis.scan_s"] > 0.0
     assert trace["metrics"]["comparison.reference_s"] > 0.0
+
+
+def test_trace_run_counts_the_luxemburg_checks_as_a_layer(tmp_path):
+    # the check's norms and modulars go through the public vxspace
+    # functions, which the tracer wraps: three norms and two modulars per
+    # trial, with the run's field and p = 3 each evaluated once
+    _run(tmp_path, "trace_run.py", _config(tmp_path, "verify_l5", 3),
+         "trace.json", "0")
+    trials = int(re.search(r"^luxemburg_trials = (\d+)$",
+                           (tmp_path / "c.cfg").read_text(), re.M).group(1))
+    metrics = json.loads((tmp_path / "trace.json").read_text())["metrics"]
+    assert metrics["vxspace.luxemburg_calls"] == 3 * trials
+    assert metrics["vxspace.modular_calls"] == 2 * trials
+    assert metrics["exponent.eval_calls"] == 2

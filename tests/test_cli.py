@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pxthin import (ConfigError, FeFunction, NumericError, build, load_solution,
-                    save_solution)
-from pxthin import cli, comparison
+from pxthin import (ConfigError, ExponentField, FeFunction, NumericError, build,
+                    load_solution, save_solution)
+from pxthin import analysis, cli, comparison
 from pxthin.analysis import MONO_GAMMA, SIGMA_GRID
 from pxthin.cli import (boundary_values, main, normalize_experiments,
                         parse_config)
@@ -626,6 +626,23 @@ def test_readme_example_scan_below_level_8_starts_no_solve(tmp_path, capsys,
     assert re.search(r"error: scan: ball selections are too coarse: about "
                      r"\(0\.0, 0\.0\), radius 0\.0060\d+ holds 0 elements and "
                      r"radius 0\.012\d+ holds 4;", capsys.readouterr().err)
+
+
+def test_scan_plan_selects_only_the_balls_it_checks(monkeypatch, mesh7):
+    # the plan checks the 2r and r balls alone; at the default radius of
+    # this field at L7 the scan would select two smaller balls too
+    selections = []
+
+    def counted(mesh, center, radius):
+        selections.append(radius)
+        return real(mesh, center, radius)
+
+    real = analysis.ball_element_mask
+    monkeypatch.setattr(analysis, "ball_element_mask", counted)
+    run = SimpleNamespace(config={"scan": {"center": [0.0, 0.0], "radius": None}},
+                          field=ExponentField("affine", [2.0, 0.3, 0.0]), mesh=mesh7)
+    cli._scan_plan(run)
+    assert len(selections) == 2
 
 
 def test_coarse_mesh_rejects_default_holder_radii_before_solving(tmp_path, capsys):

@@ -168,6 +168,22 @@ def test_decay_rejects_a_bad_M_before_any_solve(solved_p2_sig32_l5, p2, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("center, radii", [
+    ((0.0, 0.0, 7.0), [0.3, 0.2, 0.1]), (0.0, [0.3, 0.2, 0.1]),
+    ([[0.0, 0.0]], [0.3, 0.2, 0.1]), ((np.nan, 0.0), [0.3, 0.2, 0.1]),
+    ((0.0, 0.0), [0.3, np.nan, 0.1]), ((0.0, 0.0), [0.3, 0.2, np.nan])])
+def test_decay_rejects_a_malformed_center_or_radii_before_any_solve(
+        solved_p2_sig32_l5, p2, monkeypatch, center, radii):
+    # (0, 0, 7) was solved about (0, 0); the others raised an IndexError, a
+    # ValueError or a ResolutionError that blamed the mesh
+    _, u, _, _ = solved_p2_sig32_l5
+    calls = []
+    monkeypatch.setattr(comparison, "solve", lambda *args: calls.append(args))
+    with pytest.raises(PreconditionError):
+        comparison_decay(u, p2, center, radii, 2.0)
+    assert calls == []
+
+
 def test_decay_radii_validation(solved_p2_sig32_l5, p2):
     _, u, _, _ = solved_p2_sig32_l5
     with pytest.raises(PreconditionError):

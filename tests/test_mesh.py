@@ -172,6 +172,20 @@ def test_halfball_centers_lie_on_the_thin_line_near_the_origin(mesh3, center):
         extract_halfball_submesh(mesh3, center, 0.4)
 
 
+# a point of another shape or an x1 of nan is no center, and a radius of
+# nan or inf no radius: each raises the rule's PreconditionError, where the
+# center (0, 0, 7) and the radius inf gave a submesh, and the rest an
+# IndexError, a ValueError or a ResolutionError that blamed the mesh
+BAD_BALLS = [((0.0, 0.0, 7.0), 0.3), (0.0, 0.3), ([[0.0, 0.0]], 0.3),
+             ((math.nan, 0.0), 0.3), ((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf)]
+
+
+@pytest.mark.parametrize("center, radius", BAD_BALLS)
+def test_submesh_rejects_a_malformed_center_or_radius(mesh5, center, radius):
+    with pytest.raises(PreconditionError):
+        extract_halfball_submesh(mesh5, center, radius)
+
+
 def test_submesh_extraction_containment_and_tags():
     mesh = build(5)
     sub, vmap = extract_halfball_submesh(mesh, np.array([0.0, 0.0]), 0.3)
