@@ -13,7 +13,7 @@ from .energy import EnergySetup, energy, hessian, residual
 from .errors import (ConfigError, ConvergenceError, DomainError, FormatError,
                      NumericError, PreconditionError, PxthinError,
                      ResolutionError, ResourceError)
-from .exponent import ExponentField, estimate_holder_seminorm
+from .exponent import ExponentField
 from .mesh import (TriMesh, build, extract_halfball_submesh, mesh_hash,
                    quadrature_rule, save_mesh)
 from .solver import (ObstacleProblem, SolveReport, load_solution,
@@ -25,13 +25,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CampanatoProfile", "ConfigError", "ConvergenceError", "DecayReport",
-    "DomainError", "EnergySetup", "ExponentField", "FeFunction",
-    "FormatError", "HolderReport", "IterationConstants", "NumericError",
-    "ObstacleProblem", "PreconditionError", "PxthinError", "ReferenceReport",
-    "ResolutionError", "ResourceError", "ScanReport", "SolveReport",
-    "TriMesh", "admissible_radius", "build", "build_reference",
-    "campanato_profile", "comparison_decay", "compute_M", "energy",
-    "estimate_holder_seminorm", "extract_halfball_submesh",
+    "DomainError", "EnergySetup", "ExponentField", "FeFunction", "FormatError",
+    "HolderReport", "IterationConstants", "NumericError", "ObstacleProblem",
+    "PreconditionError", "PxthinError", "ReferenceReport", "ResolutionError",
+    "ResourceError", "ScanReport", "SolveReport", "TriMesh",
+    "admissible_radius", "build", "build_reference", "campanato_profile",
+    "comparison_decay", "compute_M", "energy", "extract_halfball_submesh",
     "gradient_holder_fit", "hessian", "higher_integrability_scan",
     "iteration_constants", "iteration_suite", "load_solution",
     "luxemburg_norm", "mesh_hash", "modular", "monotonicity_check",

@@ -387,6 +387,9 @@ def higher_integrability_scan(u, w, field, center, r=None):
     capped so that the 2r ball stays in the 3/4 ball.
     """
     center = checked_center(center)
+    if r is not None:
+        # the rules that need no M, before the two passes M takes
+        r = checked_radii([r], 1, center)[0]
     M = compute_M(u, w, field)
     r, r_adm = checked_scan_radius(r, field, M, center)
     mesh = u.mesh

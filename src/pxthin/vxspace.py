@@ -17,7 +17,7 @@ from .errors import (NumericError, PreconditionError, ResolutionError,
                      _float, checked_trials)
 from .exponent import ExponentField
 from .mesh import (_field_at, _field_at_quad_points, _p1_at, ball_element_mask,
-                   checked_radii, quadrature_rule)
+                   checked_center, checked_radii, quadrature_rule)
 
 REPORT_ORDER = 5
 # Luxemburg norm: Newton steps allowed, and the step size counted as round-off
@@ -297,8 +297,9 @@ def campanato_profile(u, p, center, radii):
     Regions are element selections (all three vertices inside), the mean
     is the area average of Du over the same region, and alpha = (lam - 2)/p.
     Profiles with fewer than two positive integrals keep the +inf sentinels
-    for lam and alpha.
+    for lam and alpha. center follows checked_center's rule.
     """
+    center = checked_center(center)
     return _gradient_profile(u.mesh, u.element_gradients(), p, center, radii)
 
 

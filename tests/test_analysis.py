@@ -16,7 +16,7 @@ from pxthin import (EnergySetup, ExponentField, FeFunction, IterationConstants,
                     higher_integrability_scan, iteration_constants,
                     iteration_suite, monotonicity_check, solve,
                     theoretical_alpha)
-from pxthin import analysis
+from pxthin import analysis, comparison
 from pxthin.analysis import (_GRID_HALVINGS, _MONO_BLOCK, _MONO_DRAW, MONO_C,
                              MONO_GAMMA_MAX, SIGMA_GRID, _draw_trial, _mono_parts,
                              _tuple_blocks, _worst_slack, calibrate_monotonicity,
@@ -555,6 +555,25 @@ def test_scan_rejects_a_malformed_center_or_radius(scan_inputs, center, r):
     _, u, w, field = scan_inputs
     with pytest.raises(PreconditionError):
         higher_integrability_scan(u, w, field, center, r)
+
+
+@pytest.mark.parametrize("r", [math.nan, 0.5])
+def test_scan_rejects_a_malformed_radius_before_computing_M(monkeypatch, r):
+    # r = nan and r = 0.5 about the origin need no M to reject; each cost
+    # the whole-mesh gradient_modulars pass of compute_M before
+    u, w = _synthetic_pair(_scan_mesh(5, 0))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = gradient_modulars
+    monkeypatch.setattr(analysis, "gradient_modulars", counted)
+    monkeypatch.setattr(comparison, "gradient_modulars", counted)
+    with pytest.raises(PreconditionError):
+        higher_integrability_scan(u, w, _SCAN_FIELDS[0], (0.0, 0.0), r)
+    assert calls == []
 
 
 def test_scan_rejects_underresolved_balls(mesh3):

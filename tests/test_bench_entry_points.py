@@ -39,6 +39,16 @@ def test_setup_probe_prints_its_seconds(tmp_path):
     assert float(out) > 0.0
 
 
+def test_setup_probe_takes_a_declared_seminorm(tmp_path):
+    # the probe builds its own field from [exponent] holder_seminorm; here
+    # the sinusoidal field's proven bound, |a k| = pi/2
+    path = tmp_path / _config(tmp_path, "solve_sin_l7", 3)
+    text = path.read_text().replace(
+        "[mesh]", "holder_seminorm = 1.5707963267948966\n[mesh]", 1)
+    path.write_text(text)
+    assert float(_run(tmp_path, "setup_probe.py", path.name, "1")) > 0.0
+
+
 def test_trace_run_times_the_scan_after_the_run(tmp_path):
     _run(tmp_path, "trace_run.py", _config(tmp_path, "pipeline_affine_l7", 6),
          "trace.json", "1")

@@ -981,6 +981,20 @@ def test_exponent_and_level_errors_are_config_errors(tmp_path, capsys, old, new,
     assert not out.exists()
 
 
+def test_a_seminorm_below_the_proven_bound_is_a_config_error(tmp_path, capsys):
+    # affine [2, 0.3, 0] at beta = 0.5 has the seminorm 0.3 * 2^0.5, which
+    # a sampled quotient, 0.41296, underestimated: 0.42 passed
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "x.cfg", BASE.format(out=out).replace(
+        "family = constant\ncoefficients = 2.0",
+        "family = affine\ncoefficients = 2, 0.3, 0\nbeta = 0.5\nholder_seminorm = 0.42"))
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [exponent] declared holder_seminorm 0.42 must be finite and "
+        "at least the proven bound L * 2^(1-beta) = %r\n" % (0.3 * 2.0 ** 0.5))
+    assert not (out / "mesh.txt").exists()
+
+
 # ------------------------------------------------------- contract table
 
 def _returning(value):

@@ -1,12 +1,14 @@
 """Exponent field families: declared bounds must enclose every sampled value,
 and the local sup/inf boxes must be correct up to their 1e-6 safety margin."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pxthin import ExponentField, PreconditionError, estimate_holder_seminorm
+from pxthin import ExponentField, PreconditionError
 from conftest import sampled_sup_inf_on_halfball
 
 
@@ -81,14 +83,6 @@ def test_eval_stays_within_declared_bounds():
         assert np.all(vals <= field.gamma2 + 1e-12)
 
 
-def test_sampled_seminorm_never_exceeds_declared():
-    for family, coeffs, beta in [("affine", [2.0, 0.4, 0.1], 1.0),
-                                 ("sinusoidal", [2.0, 0.5, np.pi], 1.0),
-                                 ("radial", [2.0, 0.6], 0.75)]:
-        field = ExponentField(family, coeffs, beta=beta)
-        assert estimate_holder_seminorm(field) <= field.holder_seminorm + 1e-12
-
-
 amplitudes = st.floats(-0.9, 0.9)
 fields = st.one_of(
     st.builds(lambda c: ExponentField("constant", [c]), st.floats(1.1, 4.0)),
@@ -111,6 +105,60 @@ def test_candidate_extremes_match_dense_sampling(field, x1, radius):
     sampled_lo, sampled_hi = sampled_sup_inf_on_halfball(field, center, radius)
     assert sampled_lo <= lo and lo - sampled_lo <= np.spacing(lo)
     assert hi <= sampled_hi and sampled_hi - hi <= np.spacing(hi)
+
+
+def sampled_quotient_pairs(field, n=2000, seed=5):
+    """|p(x) - p(y)| and |x - y|^beta over random pairs of half-disk points
+    and over every pair with one of (0, 0), (+-1, 0) and (0, 1)."""
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.uniform(0.0, 1.0, n))
+    th = rng.uniform(0.0, np.pi, n)
+    pts = np.vstack([[(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)],
+                     np.column_stack([r * np.cos(th), r * np.sin(th)])])
+    m = len(pts)
+    i = np.concatenate([np.repeat(np.arange(4), m), np.arange(4, m - 1, 2)])
+    j = np.concatenate([np.tile(np.arange(m), 4), np.arange(5, m, 2)])
+    dist = np.hypot(*(pts[i] - pts[j]).T)
+    keep = dist > 0.0
+    vals = field.eval(pts)
+    return np.abs(vals[i] - vals[j])[keep], dist[keep] ** field.beta
+
+
+betas = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields, betas)
+@example(ExponentField("affine", [2.0, 0.4, 0.1]), 1.0)
+@example(ExponentField("sinusoidal", [2.0, 0.5, np.pi]), 1.0)
+@example(ExponentField("radial", [2.0, 0.6]), 0.75)
+# the exact seminorm 0.3 * 2^0.5, the bound itself, is attained at (+-1, 0)
+@example(ExponentField("affine", [2.0, 0.3, 0.0]), 0.5)
+def test_sampled_quotients_never_exceed_the_seminorm(field, beta):
+    # the undeclared seminorm is the proven bound L * 2^(1-beta); no
+    # difference quotient of p may exceed it, up to the round-off of the
+    # two values a difference is taken of
+    field = ExponentField(field.family, field.coefficients, beta=beta)
+    bound = field.lipschitz if beta == 1.0 else field.lipschitz * 2.0 ** (1.0 - beta)
+    assert field.holder_seminorm == bound
+    diff, scale = sampled_quotient_pairs(field)
+    round_off = 4.0 * np.spacing(field.gamma2)
+    assert np.all(diff <= field.holder_seminorm * (1.0 + 1e-12) * scale + round_off)
+
+
+def test_a_declared_seminorm_below_the_proven_bound_is_rejected():
+    # the exact seminorm is 0.3 * 2^0.5 = 0.42426..., so 0.42 is too small
+    bound = 0.3 * 2.0 ** 0.5
+    assert ExponentField("affine", [2.0, 0.3, 0.0], beta=0.5).holder_seminorm == bound
+    for declared in (0.42, math.nextafter(bound, 0.0), -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match=(
+                f"declared holder_seminorm {declared} must be finite and at least "
+                rf"the proven bound L \* 2\^\(1-beta\) = {bound}$")):
+            ExponentField("affine", [2.0, 0.3, 0.0], beta=0.5, holder_seminorm=declared)
+    for declared in (bound, 0.5):
+        field = ExponentField("affine", [2.0, 0.3, 0.0], beta=0.5,
+                              holder_seminorm=declared)
+        assert field.holder_seminorm == declared
 
 
 def test_degenerate_exponent_is_rejected():

@@ -226,6 +226,17 @@ def test_campanato_rejects_non_finite_radii(mesh5, radii):
         campanato_profile(f, 2.0, np.array([0.0, 0.0]), radii)
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0, 7.0), (0.3, 0.1), (0.9, 0.0), 0.0,
+                                    [[0.0, 0.0]]])
+def test_campanato_rejects_a_malformed_center(mesh4, center):
+    # (0, 0, 7) was profiled about (0, 0), the off-line (0.3, 0.1) and the
+    # far (0.9, 0) were profiled as given, and 0.0 and [[0, 0]] raised a
+    # bare TypeError
+    f = FeFunction(mesh4, mesh4.vertices[:, 0] + mesh4.vertices[:, 1])
+    with pytest.raises(PreconditionError):
+        campanato_profile(f, 2.0, center, [0.4, 0.3, 0.2])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 2), st.sampled_from(FAMILIES),
        st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
