@@ -91,7 +91,8 @@ class ExponentField:
 
         # Lipschitz L over a domain of diameter 2 gives the beta-Holder
         # bound L * 2^(1-beta), exact at beta = 1; a declared seminorm is
-        # taken only at or above it
+        # taken only at or above it, since a sampled quotient can only
+        # bound the seminorm from below
         bound = lip if beta == 1.0 else lip * 2.0 ** (1.0 - beta)
         if holder_seminorm is None:
             self.holder_seminorm = bound
@@ -207,4 +208,3 @@ class ExponentField:
                     ys.append(0.0)
                     m += 1
         return np.asarray(xs), np.asarray(ys)
-
