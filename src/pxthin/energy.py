@@ -12,7 +12,7 @@ import numpy as np
 from .errors import PreconditionError
 from .mesh import _field_at_quad_points, quadrature_rule
 from .sparse import _EDGES, PatternMatrix, _element_blocks
-from .vxspace import FeFunction
+from .vxspace import FeFunction, _zero_continued_power
 
 ASSEMBLY_ORDER = 2      # the 3-point rule, whose points the sums below add
 MAX_EPSILON = 1e-2
@@ -86,14 +86,6 @@ def _weights(setup, rows):
     return setup.mesh.quad_weights(quadrature_rule(ASSEMBLY_ORDER), rows)
 
 
-def _slope_power(s, e):
-    """s ** e computed in e's buffer, continued by 0 where s is not positive."""
-    pos = s > 0.0
-    np.power(np.where(pos, s, 1.0), e, out=e)
-    np.copyto(e, 0.0, where=~pos)
-    return e
-
-
 def _columns_sum(a):
     """a[:, 0] + a[:, 1] + a[:, 2]: the per-element quadrature sum."""
     return a[:, 0] + a[:, 1] + a[:, 2]
@@ -105,7 +97,8 @@ def energy(setup, v):
     sums = np.empty(setup.mesh.num_triangles)
     for rows, *_, s in _element_slopes(setup, v):
         p = setup.quad_p[rows]
-        dens = _slope_power(s, p * 0.5)
+        dens = p * 0.5
+        _zero_continued_power(s, dens, out=dens)
         dens /= p
         dens *= _weights(setup, rows)
         sums[rows] = _columns_sum(dens)
@@ -120,7 +113,8 @@ def residual(setup, v):
     """
     out = np.zeros(setup.mesh.num_vertices)
     for rows, tri, hx, hy, gx, gy, s in _element_slopes(setup, v):
-        a = _slope_power(s, (setup.quad_p[rows] - 2.0) * 0.5)
+        a = (setup.quad_p[rows] - 2.0) * 0.5
+        _zero_continued_power(s, a, out=a)
         a *= _weights(setup, rows)
         c1 = _columns_sum(a)                                     # (b,)
         local = np.empty((len(c1), 3))

@@ -10,8 +10,10 @@ coarser solution.
 """
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -75,23 +77,29 @@ class ObstacleProblem:
         v[self.obstacle] = np.maximum(v[self.obstacle], 0.0)
         return v
 
-    def feasible_start(self):
-        return self.feasible(self.g.copy())
+
+def _summed(key, count):
+    """A read-only view of SolveReport.stages: column `count` summed over
+    each run of consecutive rows that share column `key`."""
+    return property(lambda report: [sum(row[count] for row in rows) for _, rows
+                                    in itertools.groupby(report.stages, itemgetter(key))])
 
 
 @dataclass
 class SolveReport:
-    # Newton systems and CG steps per eps stage, summed over mesh levels
-    iterations: list = field(default_factory=list)
-    cg_steps: list = field(default_factory=list)
-    # the same per mesh level of the nested iteration, coarse to fine
-    level_iterations: list = field(default_factory=list)
-    level_cg_steps: list = field(default_factory=list)
+    # one row (mesh level, eps, Newton systems, CG steps) per eps stage run
+    stages: list = field(default_factory=list)
     energy: float = np.nan            # at eps = 0
     free_residual: float = np.nan
     complementarity: float = np.nan
     active_set: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     wall_time: float = 0.0
+    # Newton systems and CG steps per eps stage, summed over mesh levels (the
+    # finer levels run only the last eps), and per mesh level, coarse to fine
+    iterations = _summed(1, 2)
+    cg_steps = _summed(1, 3)
+    level_iterations = _summed(0, 2)
+    level_cg_steps = _summed(0, 3)
 
 
 def _kkt(problem, v, r):
@@ -332,21 +340,12 @@ def solve(problem, tol):
             EnergySetup(hierarchy[k], problem.setup.field),
             problem.g[:hierarchy[k].num_vertices], obstacle=problem.constrained)
         if k == first:
-            v, stages = level.feasible_start(), EPS_SCHEDULE
+            v, schedule = level.feasible(level.g.copy()), EPS_SCHEDULE
         else:
-            v, stages = level.feasible(hierarchy[k].prolongation @ v), EPS_SCHEDULE[-1:]
-        report.level_iterations.append(0)
-        report.level_cg_steps.append(0)
-        for eps in stages:
+            v, schedule = level.feasible(hierarchy[k].prolongation @ v), EPS_SCHEDULE[-1:]
+        for eps in schedule:
             v, best, systems, cg_steps, converged = _solve_stage(level, v, eps, tol)
-            # a count per stage; finer levels add theirs to the last one
-            if k == first:
-                report.iterations.append(0)
-                report.cg_steps.append(0)
-            report.iterations[-1] += systems
-            report.cg_steps[-1] += cg_steps
-            report.level_iterations[-1] += systems
-            report.level_cg_steps[-1] += cg_steps
+            report.stages.append((k, eps, systems, cg_steps))
             if not converged:
                 break
         if not converged:

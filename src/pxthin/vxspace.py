@@ -30,6 +30,14 @@ ROUNDOFF = 4.0 * np.finfo(float).eps
 _SUM_BLOCK = 65_536
 
 
+def _zero_continued_power(x, q, out=None):
+    """x ** q, continued by 0 where x is not positive; in out when given."""
+    positive = x > 0.0
+    out = np.power(np.where(positive, x, 1.0), q, out=out)
+    np.copyto(out, 0.0, where=~positive)
+    return out
+
+
 class FeFunction:
     """Piecewise-linear nodal field on a triangle mesh."""
 
@@ -152,10 +160,8 @@ def _modulars(magnitudes, mesh, exponent_field, elements, sigmas):
         sums = []
         for magnitude in magnitudes:
             mags = magnitude(rows, nq)
-            positive = mags > 0.0
             for power in powers:
-                integrand = np.where(positive, mags, 1.0) ** power
-                integrand = np.where(positive, integrand, 0.0)
+                integrand = _zero_continued_power(mags, power)
                 sums.append((integrand * w).sum(axis=1).sum())
         return sums
 
@@ -197,8 +203,7 @@ def gradient_mass(areas, grads, power):
     """sum of areas * |grads|^power over elements, a zero gradient adding 0:
     the exact integral of a piecewise-constant |f|^power."""
     mags = np.hypot(grads[:, 0], grads[:, 1])
-    return float((areas * np.where(mags > 0.0, mags, 1.0) ** power
-                  * (mags > 0.0)).sum())
+    return float((areas * _zero_continued_power(mags, power)).sum())
 
 
 def luxemburg_norm(f, exponent_field):

@@ -1,6 +1,7 @@
 """Shared fixtures.  Meshes and solves are session scoped: they are pure
 functions of their arguments, so every test file reuses the same objects."""
 
+import ast
 import inspect
 import os
 import pathlib
@@ -57,6 +58,20 @@ def public_parameters():
     return params
 
 
+def longest_function(source):
+    """(lines, qualified name) of the longest def in the package's modules,
+    methods named by their class; nested defs count within their parent."""
+    def defs(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield child.end_lineno - child.lineno + 1, prefix + child.name
+            elif isinstance(child, ast.ClassDef):
+                yield from defs(child, f"{prefix}{child.name}.")
+
+    return max(found for path in source.glob("*.py")
+               for found in defs(ast.parse(path.read_text("utf-8")), f"{path.stem}."))
+
+
 def pytest_terminal_summary(terminalreporter):
     if CRITERION_LINES:
         terminalreporter.write_sep("=", "acceptance criteria")
@@ -67,9 +82,11 @@ def pytest_terminal_summary(terminalreporter):
     lines = sum(len(path.read_text("utf-8").splitlines())
                 for path in source.glob("*.py"))
     keys = sum(len(entries) for entries in _SCHEMA.values())
+    length, name = longest_function(source)
     terminalreporter.write_line(
-        "SIZE: src %d lines, __all__ %d names, %d public parameters, %d config keys"
-        % (lines, len(pxthin.__all__), public_parameters(), keys))
+        "SIZE: src %d lines, __all__ %d names, %d public parameters, %d config keys, "
+        "longest %s %d lines" % (lines, len(pxthin.__all__), public_parameters(), keys,
+                                 name, length))
 
 
 def csr(matrix):

@@ -338,7 +338,7 @@ def test_written_out_mono_parts_equal_the_axis_sums(n, low, spread, zeros, equal
 
 
 def test_monotonicity_check_streams_its_draws():
-    # whole 200,000-tuple draws traced 36 MB; 16,384-tuple blocks trace 3.8 MB
+    # whole 200,000-tuple draws traced 36 MB; 8,192-tuple blocks trace 2.2 MB
     assert traced_peak(monotonicity_check, 1.1, 10.0, 450_001, 3) <= 6_000_000
 
 

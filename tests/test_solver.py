@@ -125,7 +125,7 @@ def test_variational_inequality_on_random_directions(solved_p2_sig32_l5):
 def test_feasible_start_clamps_the_thin_boundary(mesh4, p2):
     g = mesh4.vertices[:, 1] - 0.5
     problem = ObstacleProblem(EnergySetup(mesh4, p2), g)
-    start = problem.feasible_start()
+    start = problem.feasible(g.copy())
     thin = mesh4.vertex_tags == 2
     assert np.min(start[thin]) >= 0.0
     arc = mesh4.vertex_tags == 1
@@ -184,6 +184,7 @@ def test_stagnated_solve_reports_its_best_iterate(mesh3):
         solve(problem, 1e-14)
     best, report = caught.value.best, caught.value.info
     assert best.mesh is mesh3 and len(report.level_iterations) == 1
+    assert report.stages[-1][:2] == (2, 0.01)
     assert np.isfinite([report.energy, report.free_residual,
                         report.complementarity]).all()
     assert report.energy == energy(problem.setup.with_epsilon(0.0), best.values)
@@ -197,8 +198,10 @@ def test_stall_names_its_eps_stage(mesh3):
     field = ExponentField("constant", [8.0])
     problem = ObstacleProblem(EnergySetup(mesh3, field), 10.0 * g_signorini32(mesh3))
     with pytest.raises(ConvergenceError, match=r"on level 2 \(1 of 2\) in eps stage "
-                       r"0\.01 \(1 of 7\); best KKT measure \d"):
+                       r"0\.01 \(1 of 7\); best KKT measure \d") as caught:
         solve(problem, 1e-14)
+    # the report's last row is the stage the message names
+    assert caught.value.info.stages[-1][:2] == (2, 0.01)
 
 
 @settings(max_examples=25, deadline=None)
@@ -242,6 +245,24 @@ def test_report_holds_the_kkt_values_of_the_returned_iterate(level, field, prese
     assert np.array_equal(report.active_set, np.flatnonzero(active | exact_zero))
     assert sum(report.iterations) == sum(report.level_iterations)
     assert sum(report.cg_steps) == sum(report.level_cg_steps)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(2, 5), st.sampled_from(FAMILIES))
+def test_report_rows_follow_the_nested_eps_ladder(level, field):
+    # every eps stage on the first level, then the last one per finer level;
+    # the four count lists are sums of the rows' counts
+    mesh = build(level)
+    problem = ObstacleProblem(EnergySetup(mesh, field), g_signorini32(mesh))
+    _, report = solve(problem, 1e-10)
+    first = min(solver.MG_COARSEST, level)
+    ladder = ([(first, eps) for eps in solver.EPS_SCHEDULE]
+              + [(k, solver.EPS_SCHEDULE[-1]) for k in range(first + 1, level + 1)])
+    assert [row[:2] for row in report.stages] == ladder
+    systems, cg_steps = (sum(row[column] for row in report.stages) for column in (2, 3))
+    assert sum(report.iterations) == sum(report.level_iterations) == systems
+    assert sum(report.cg_steps) == sum(report.level_cg_steps) == cg_steps
+    assert len(report.level_iterations) == len(report.level_cg_steps) == level - first + 1
 
 
 def test_the_eps_ladder_keeps_its_rules():
@@ -572,3 +593,56 @@ def test_inexact_newton_saves_cg_steps(mesh5, sin_field):
     (_, report), (_, report_exact) = _exact_and_inexact(problem)
     assert len(report.cg_steps) == len(report.iterations)
     assert sum(report.cg_steps) < 0.6 * sum(report_exact.cg_steps)
+
+
+# Invariants of the discrete problem, each bound provisional until the
+# solver's round-off floor is measured. A constant exponent makes the energy
+# p-homogeneous and the obstacle is a cone, so data s g has the minimizer
+# s u(g), met at the KKT tolerance scaled by s^(p-1); measured over these 18
+# cases: at most 4.5e-13 (L4, p = 4, s = 10)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 4), st.sampled_from((2.0, 3.0, 4.0)), st.sampled_from((0.1, 10.0)))
+def test_scaled_data_scales_the_solution(level, p, s):
+    mesh = build(level)
+    field = ExponentField("constant", [p])
+    g = g_signorini32(mesh)
+    u, _ = solve(ObstacleProblem(EnergySetup(mesh, field), g), 1e-10)
+    u_s, _ = solve(ObstacleProblem(EnergySetup(mesh, field), s * g), 1e-10 * s ** (p - 1.0))
+    assert np.abs(u_s.values / s - u.values).max() <= 1e-10
+
+
+def _mirror(mesh):
+    """The vertex at (-x1, x2) of each vertex: build's meshes are symmetric
+    about the x2 axis to the bit."""
+    index = {(x1, x2): i for i, (x1, x2) in enumerate(mesh.vertices.tolist())}
+    return np.array([index[(-x1, x2)] for x1, x2 in mesh.vertices.tolist()])
+
+
+# even fields and even data give an even solution, up to the round-off of
+# the mirrored arithmetic; measured over these 12 cases: at most 2.2e-16,
+# with 7, 13 and 25 active vertices at L2, L3 and L4
+@settings(max_examples=8, deadline=None)
+@given(st.integers(2, 4), st.sampled_from((
+    ExponentField("constant", [2.0]), ExponentField("constant", [3.0]),
+    ExponentField("radial", [2.2, 0.4]), ExponentField("affine", [2.0, 0.0, 0.3]))))
+def test_even_problems_have_even_solutions(level, field):
+    mesh = build(level)
+    mirror = _mirror(mesh)
+    g = mesh.vertices[:, 0] ** 2 - 0.9
+    u, report = solve(ObstacleProblem(EnergySetup(mesh, field), g), 1e-10)
+    assert np.abs(u.values - u.values[mirror]).max() <= 1e-12
+    assert np.array_equal(np.sort(mirror[report.active_set]), report.active_set)
+
+
+# lower data give a lower solution (comparison principle); measured over
+# these 9 cases: min(u2 - u1) = 0.0, met at the vertices in contact in both
+@settings(max_examples=6, deadline=None)
+@given(st.integers(2, 4), st.sampled_from((0.01, 0.1, 0.5)))
+def test_lower_data_give_a_lower_solution(level, c):
+    mesh = build(level)
+    field = ExponentField("sinusoidal", [2.0, 0.5, np.pi])
+    g2 = g_signorini32(mesh)
+    g1 = g2 - c * (1.0 + np.cos(3.0 * mesh.vertices[:, 0]))
+    u1, _ = solve(ObstacleProblem(EnergySetup(mesh, field), g1), 1e-10)
+    u2, _ = solve(ObstacleProblem(EnergySetup(mesh, field), g2), 1e-10)
+    assert (u2.values - u1.values).min() >= -1e-10
